@@ -38,25 +38,19 @@ from .model import (
 )
 from .ode_bounds import (
     EnclosureReport,
-    EnvelopeConstants,
     RectangleState,
     RectangleTrace,
     check_enclosure,
-    comparison_envelope,
     initial_rectangle,
     integrate_rectangles,
     rectangle_rhs,
 )
 from .pde_stepper import (
     CflViolationError,
-    ReactionTerms,
     StepperConfig,
     chemotaxis_flux,
     initial_state,
-    nonlocal_integrals,
-    reaction_terms,
     run_simulation,
-    step,
 )
 from .steady_states import (
     BoundConstants,

@@ -19,14 +19,14 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import hypotheses, steady_states
-from .diagnostics import TrajectoryRecord, detect_steady, tail_stats
+from .diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, detect_steady, tail_stats
 from .model import (
     DegenerateStateError,
     Grid1D,
@@ -104,11 +104,20 @@ def _check_keys(section: dict, where: str, required: tuple[str, ...], optional: 
         raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
 
 
-def _number(section: dict, where: str, key: str) -> float:
-    value = section[key]
+def _finite(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _number(section: dict, where: str, key: str) -> float:
+    return _finite(section[key], f"{where}.{key}")
 
 
 def _integer(section: dict, where: str, key: str) -> int:
@@ -129,12 +138,7 @@ def _number_list(value: Any, where: str, length: tuple[int, ...]) -> list[float]
     if not isinstance(value, list) or len(value) not in length:
         wanted = " or ".join(str(n) for n in length)
         raise ConfigError(f"{where}: expected a list of {wanted} numbers, got {value!r}")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where}[{i}]: expected a number, got {item!r}")
-        out.append(float(item))
-    return out
+    return [_finite(item, f"{where}[{i}]") for i, item in enumerate(value)]
 
 
 def build_params(doc: dict) -> ModelParams:
@@ -520,21 +524,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _write_trajectory_csv(path: Path, rec: TrajectoryRecord) -> None:
-    header = [
-        "t", "u_min", "u_max", "u_mean", "v_min", "v_max", "v_mean",
-        "w_min", "w_max", "mass_u", "mass_v",
-    ]
+    header = list(TRAJECTORY_COLUMNS)
     for label in rec.ref_labels:
         header.extend([f"dist_u_{label}", f"dist_v_{label}", f"dist_w_{label}"])
+    columns = [getattr(rec, name) for name in TRAJECTORY_COLUMNS]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i in range(rec.n_samples):
-            row = [
-                rec.t[i], rec.u_min[i], rec.u_max[i], rec.u_mean[i],
-                rec.v_min[i], rec.v_max[i], rec.v_mean[i],
-                rec.w_min[i], rec.w_max[i], rec.mass_u[i], rec.mass_v[i],
-            ]
+            row = [column[i] for column in columns]
             for label in rec.ref_labels:
                 row.extend(rec.dist[label][i])
             writer.writerow([repr(x) for x in row])
@@ -634,13 +632,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
     }
     measured: dict[str, Any] = {
-        "final": {
-            "t": rec.t[-1],
-            "u_min": rec.u_min[-1], "u_max": rec.u_max[-1], "u_mean": rec.u_mean[-1],
-            "v_min": rec.v_min[-1], "v_max": rec.v_max[-1], "v_mean": rec.v_mean[-1],
-            "w_min": rec.w_min[-1], "w_max": rec.w_max[-1],
-            "mass_u": rec.mass_u[-1], "mass_v": rec.mass_v[-1],
-        },
+        "final": {name: getattr(rec, name)[-1] for name in TRAJECTORY_COLUMNS},
         "final_distances": {
             label: dict(zip(("u", "v", "w"), rec.dist[label][-1])) for label in rec.ref_labels
         },
@@ -686,19 +678,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 4 if rec.guard_tripped else 0
 
 
-@dataclass
-class _CsvTrace:
-    """Trajectory columns reloaded from a CSV, enough for enclosure checks."""
-
-    t: list[float] = field(default_factory=list)
-    u_min: list[float] = field(default_factory=list)
-    u_max: list[float] = field(default_factory=list)
-    v_min: list[float] = field(default_factory=list)
-    v_max: list[float] = field(default_factory=list)
-
-
-def read_trajectory_csv(path: str) -> _CsvTrace:
-    trace = _CsvTrace()
+def read_trajectory_csv(path: str) -> TrajectoryRecord:
+    """Reload the columns the enclosure check and the initial rectangle read."""
+    trace = TrajectoryRecord()
     needed = ("t", "u_min", "u_max", "v_min", "v_max")
     try:
         with open(path, newline="") as fh:
@@ -733,7 +715,7 @@ def cmd_rectangles(args: argparse.Namespace) -> int:
     opts = build_rectangle_options(doc)
     pde_guard: str | None = None
     if args.trajectory:
-        pde_trace: Any = read_trajectory_csv(args.trajectory)
+        pde_trace = read_trajectory_csv(args.trajectory)
     else:
         grid = build_grid(doc)
         pde_trace, _, _, _ = _run_from_config(doc, p, grid)

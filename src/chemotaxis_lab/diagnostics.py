@@ -13,6 +13,15 @@ import numpy as np
 from .model import FieldState, PreconditionError
 from .steady_states import ConstantState
 
+# The per-sample columns of a trajectory CSV, in order; the CSV header and
+# rows and the summary's final block follow this tuple.  w_mean is recorded
+# too, for the drift test in detect_steady, but is not written: the CSV
+# keeps its documented column set, so existing files and readers stay valid.
+TRAJECTORY_COLUMNS = (
+    "t", "u_min", "u_max", "u_mean", "v_min", "v_max", "v_mean",
+    "w_min", "w_max", "mass_u", "mass_v",
+)
+
 
 @dataclass
 class TrajectoryRecord:

@@ -40,19 +40,27 @@ class EllipticOperator:
         return out
 
 
-def assemble(p: ModelParams, grid: Grid1D) -> EllipticOperator:
-    n = grid.n_cells
-    r = p.d3 / (grid.dx * grid.dx)
-    diag = np.full(n, p.lam + 2.0 * r)
-    diag[0] = p.lam + r
-    diag[-1] = p.lam + r
-    off = -r
+def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and upper Cholesky band of shift*I - r*dx^2*D2 on n cells.
+
+    The zero-flux operator has boundary diagonal shift + r, interior
+    diagonal shift + 2r and off-diagonal -r.  The signal solve uses it with
+    (lam, d3/dx^2), the implicit diffusion with (1, dt*d/dx^2).
+    """
+    diag = np.full(n, shift + 2.0 * r)
+    diag[0] = shift + r
+    diag[-1] = shift + r
     ab = np.zeros((2, n))
-    ab[0, 1:] = off
+    ab[0, 1:] = -r
     ab[1, :] = diag
-    cho = cholesky_banded(ab, lower=False)
+    return diag, cholesky_banded(ab, lower=False)
+
+
+def assemble(p: ModelParams, grid: Grid1D) -> EllipticOperator:
+    r = p.d3 / (grid.dx * grid.dx)
+    diag, cho = neumann_factor(p.lam, r, grid.n_cells)
     return EllipticOperator(
-        grid=grid, d3=p.d3, lam=p.lam, diag=diag, off=off, cho_factor=cho
+        grid=grid, d3=p.d3, lam=p.lam, diag=diag, off=-r, cho_factor=cho
     )
 
 

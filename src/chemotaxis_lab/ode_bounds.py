@@ -1,4 +1,4 @@
-"""Rectangle ODE enclosures and the pairwise comparison envelope.
+"""Rectangle ODE enclosures of the PDE densities.
 
 The rectangle system evolves four scalars (u_hi, u_lo, v_hi, v_lo) whose
 box [u_lo, u_hi] x [v_lo, v_hi] encloses the spatial range of the PDE
@@ -212,77 +212,6 @@ def integrate_rectangles(
     if trace.states[-1].t < t:
         trace.states.append(RectangleState(t, u_hi, u_lo, v_hi, v_lo))
     return trace
-
-
-@dataclass(frozen=True)
-class EnvelopeConstants:
-    """Coefficient quadruple of the pairwise comparison inequalities
-
-        du/dt <= u (a0 - a1_coef u + a2_coef v)
-        dv/dt <= v (b0 + b1_coef u - b2_coef v)
-
-    together with the product bound m_const for u*v along such solutions.
-    The envelope requires a1_coef > (b1_coef)_+ and b2_coef > (a2_coef)_+.
-    """
-
-    a1_coef: float
-    a2_coef: float
-    b1_coef: float
-    b2_coef: float
-    m_const: float
-
-
-def comparison_envelope(
-    a1_coef: float,
-    a2_coef: float,
-    b1_coef: float,
-    b2_coef: float,
-    a0: float,
-    b0: float,
-    u_hi0: float,
-    v_hi0: float,
-) -> tuple[EnvelopeConstants, float, float]:
-    """Uniform caps for a cooperative pair of differential inequalities.
-
-    Returns (constants, cap_u, cap_v) where m_const bounds the product
-    u*v for all time and each cap dominates the corresponding component:
-
-        m_const = max{u_hi0 v_hi0, (a0+b0)^2 / (4 min{(A1-B1)^2, (B2-A2)^2})}
-        cap_u = max{u_hi0, (a0 + sqrt(a0^2 + 4 A1 (A2)_+ m)) / (2 A1)}
-        cap_v = max{v_hi0, (b0 + sqrt(b0^2 + 4 (B1)_+ B2 m)) / (2 B2)}
-
-    with A1 = a1_coef and so on.  When a coupling signed part vanishes the
-    quadratic root collapses to the plain logistic value (a0/A1 or b0/B2),
-    taken exactly rather than through the square root.
-    """
-    if not a1_coef > positive_part(b1_coef):
-        raise PreconditionError(
-            f"envelope requires a1_coef > (b1_coef)_+, got {a1_coef!r} vs {b1_coef!r}"
-        )
-    if not b2_coef > positive_part(a2_coef):
-        raise PreconditionError(
-            f"envelope requires b2_coef > (a2_coef)_+, got {b2_coef!r} vs {a2_coef!r}"
-        )
-    gap = min((a1_coef - b1_coef) ** 2, (b2_coef - a2_coef) ** 2)
-    m_const = max(u_hi0 * v_hi0, (a0 + b0) ** 2 / (4.0 * gap))
-    a2_pos = positive_part(a2_coef)
-    b1_pos = positive_part(b1_coef)
-    if a2_pos == 0.0:
-        root_u = a0 / a1_coef
-    else:
-        root_u = (a0 + math.sqrt(a0 * a0 + 4.0 * a1_coef * a2_pos * m_const)) / (2.0 * a1_coef)
-    if b1_pos == 0.0:
-        root_v = b0 / b2_coef
-    else:
-        root_v = (b0 + math.sqrt(b0 * b0 + 4.0 * b1_pos * b2_coef * m_const)) / (2.0 * b2_coef)
-    consts = EnvelopeConstants(
-        a1_coef=a1_coef,
-        a2_coef=a2_coef,
-        b1_coef=b1_coef,
-        b2_coef=b2_coef,
-        m_const=m_const,
-    )
-    return consts, max(u_hi0, root_u), max(v_hi0, root_v)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded
 
 from .diagnostics import TrajectoryRecord, detect_steady
-from .elliptic import assemble, solve_w
+from .elliptic import assemble, neumann_factor, solve_w
 from .model import FieldState, Grid1D, ModelParams, PreconditionError
 from .steady_states import ConstantState
 
@@ -60,27 +60,6 @@ class StepperConfig:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 
 
-@dataclass(frozen=True)
-class ReactionTerms:
-    """Per-cell interaction terms for both species, evaluated with one
-    shared quadrature for the nonlocal masses."""
-
-    ru: np.ndarray
-    rv: np.ndarray
-
-
-def nonlocal_integrals(state: FieldState, grid: Grid1D) -> tuple[float, float]:
-    """Midpoint-rule masses (dx * sum u, dx * sum v)."""
-    return (grid.integrate(state.u), grid.integrate(state.v))
-
-
-def reaction_terms(state: FieldState, p: ModelParams, grid: Grid1D) -> ReactionTerms:
-    mass_u, mass_v = nonlocal_integrals(state, grid)
-    ru = state.u * (p.a0 - p.a1 * state.u - p.a2 * state.v - p.a3 * mass_u - p.a4 * mass_v)
-    rv = state.v * (p.b0 - p.b1 * state.u - p.b2 * state.v - p.b3 * mass_u - p.b4 * mass_v)
-    return ReactionTerms(ru=ru, rv=rv)
-
-
 def chemotaxis_flux(u: np.ndarray, w: np.ndarray, chi: float, grid: Grid1D) -> np.ndarray:
     """Face fluxes of the attraction term, donor-cell upwinded.
 
@@ -112,33 +91,25 @@ class _Workspace:
         key = (d, dt)
         factor = self._factors.get(key)
         if factor is None:
-            n = self.grid.n_cells
             r = dt * d / (self.grid.dx * self.grid.dx)
-            diag = np.full(n, 1.0 + 2.0 * r)
-            diag[0] = 1.0 + r
-            diag[-1] = 1.0 + r
-            ab = np.zeros((2, n))
-            ab[0, 1:] = -r
-            ab[1, :] = diag
-            factor = cholesky_banded(ab, lower=False)
+            _, factor = neumann_factor(1.0, r, self.grid.n_cells)
             self._factors[key] = factor
         return factor
 
 
 def _check_stability(
-    ws: _Workspace, state: FieldState, dt: float, mass_u: float, mass_v: float
+    ws: _Workspace, state: FieldState, dt: float, bracket_u: np.ndarray, bracket_v: np.ndarray
 ) -> None:
+    """Raise when dt exceeds the advection CFL limit or 1/|J|, J the local
+    reaction Jacobian diagonal d(u*bracket_u)/du = bracket_u - a1*u (and
+    bracket_v - b2*v)."""
     p, grid = ws.p, ws.grid
     dx = grid.dx
     grad_max = float(np.abs(state.w[1:] - state.w[:-1]).max()) / dx if state.n_cells > 1 else 0.0
     speed = max(p.chi1, p.chi2) * grad_max
     adv_limit = math.inf if speed == 0.0 else ws.cfg.cfl_safety * dx / speed
-    ju = float(
-        np.abs(p.a0 - 2.0 * p.a1 * state.u - p.a2 * state.v - p.a3 * mass_u - p.a4 * mass_v).max()
-    )
-    jv = float(
-        np.abs(p.b0 - p.b1 * state.u - 2.0 * p.b2 * state.v - p.b3 * mass_u - p.b4 * mass_v).max()
-    )
+    ju = float(np.abs(bracket_u - p.a1 * state.u).max())
+    jv = float(np.abs(bracket_v - p.b2 * state.v).max())
     jmax = max(ju, jv)
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
     if dt > adv_limit or dt > rx_limit:
@@ -161,14 +132,14 @@ def _advance(ws: _Workspace, state: FieldState, dt: float) -> tuple[FieldState, 
     u, v, w = state.u, state.v, state.w
     mass_u = grid.integrate(u)
     mass_v = grid.integrate(v)
-    _check_stability(ws, state, dt, mass_u, mass_v)
+    bracket_u = p.a0 - p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v
+    bracket_v = p.b0 - p.b1 * u - p.b2 * v - p.b3 * mass_u - p.b4 * mass_v
+    _check_stability(ws, state, dt, bracket_u, bracket_v)
 
     flux_u = chemotaxis_flux(u, w, p.chi1, grid)
     flux_v = chemotaxis_flux(v, w, p.chi2, grid)
-    ru = u * (p.a0 - p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v)
-    rv = v * (p.b0 - p.b1 * u - p.b2 * v - p.b3 * mass_u - p.b4 * mass_v)
-    u_star = u + dt * (ru - np.diff(flux_u) / grid.dx)
-    v_star = v + dt * (rv - np.diff(flux_v) / grid.dx)
+    u_star = u + dt * (u * bracket_u - np.diff(flux_u) / grid.dx)
+    v_star = v + dt * (v * bracket_v - np.diff(flux_v) / grid.dx)
 
     u_new = cho_solve_banded((ws.diffusion_factor(p.d1, dt), False), u_star)
     v_new = cho_solve_banded((ws.diffusion_factor(p.d2, dt), False), v_star)
@@ -183,19 +154,6 @@ def _advance(ws: _Workspace, state: FieldState, dt: float) -> tuple[FieldState, 
 
     w_new = solve_w(ws.op, u_new, v_new, p)
     return FieldState(t=state.t + dt, u=u_new, v=v_new, w=w_new), clipped
-
-
-def step(state: FieldState, p: ModelParams, grid: Grid1D, cfg: StepperConfig) -> FieldState:
-    """Advance one step of width cfg.dt.
-
-    Re-solves the signal from (u, v) at entry, so the provided w is only a
-    placeholder.  For long runs prefer run_simulation, which factorizes the
-    implicit solves once.
-    """
-    ws = _Workspace(p, grid, cfg)
-    consistent = FieldState(t=state.t, u=state.u, v=state.v, w=solve_w(ws.op, state.u, state.v, p))
-    new_state, _ = _advance(ws, consistent, cfg.dt)
-    return new_state
 
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:

@@ -92,6 +92,26 @@ class TestConfigErrors:
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, key, literal",
+        [
+            ("simulate", "initial_data", "constant", "[NaN, 0.5]"),
+            ("simulate", "initial_data", "constant", "[1e400, 0.5]"),
+            ("simulate", "stepper", "blowup_guard", "NaN"),
+            ("bounds", "initial_data", "constant", "[NaN, 0.5]"),
+            ("check", "params", "a0", "1" + "0" * 400),
+        ],
+        ids=["nan-data", "overflow-data", "nan-guard", "nan-bounds", "huge-int"],
+    )
+    def test_numbers_must_be_finite(self, tmp_path, capsys, command, section, key, literal):
+        # JSON parsing accepts these literals; the config reader must not.
+        doc = base_config()
+        doc[section][key] = "@literal@"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc).replace('"@literal@"', literal))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_nonpositive_required_coefficient(self, tmp_path, capsys):
         doc = base_config()
         doc["params"]["chi1"] = 0.0
@@ -538,10 +558,14 @@ class TestInstalledEntryPoint:
         assert (tmp_path / "check.json").exists()
 
     def test_module_invocation(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
         cfg = write_config(tmp_path, base_config())
         proc = subprocess.run(
             [sys.executable, "-m", "chemotaxis_lab", "steady", "--config", cfg, "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "steady.json").exists()

@@ -11,7 +11,6 @@ from chemotaxis_lab import (
     RectangleTrace,
     TrajectoryRecord,
     check_enclosure,
-    comparison_envelope,
     initial_rectangle,
     integrate_rectangles,
     linf_bounds,
@@ -160,53 +159,6 @@ class TestIntegrateRectangles:
         )
         r = initial_rectangle(state)
         assert r == RectangleState(t=1.5, u_hi=0.9, u_lo=0.2, v_hi=1.0, v_lo=0.3)
-
-
-class TestComparisonEnvelope:
-    def test_reference_values(self):
-        consts, cap_u, cap_v = comparison_envelope(
-            2.0, 1.0, 1.0, 2.0, a0=1.0, b0=1.0, u_hi0=1.0, v_hi0=1.0
-        )
-        assert consts.m_const == 1.0
-        assert cap_u == 1.0
-        assert cap_v == 1.0
-
-    def test_zero_coupling_is_exact_logistic(self):
-        _, cap_u, cap_v = comparison_envelope(
-            2.0, 0.0, 0.0, 3.0, a0=1.0, b0=2.0, u_hi0=0.1, v_hi0=0.1
-        )
-        assert cap_u == 1.0 / 2.0
-        assert cap_v == 2.0 / 3.0
-
-    def test_initial_data_dominates(self):
-        _, cap_u, cap_v = comparison_envelope(
-            2.0, 0.0, 0.0, 3.0, a0=1.0, b0=2.0, u_hi0=5.0, v_hi0=4.0
-        )
-        assert cap_u == 5.0
-        assert cap_v == 4.0
-
-    def test_precondition_failures(self):
-        with pytest.raises(PreconditionError, match="a1_coef"):
-            comparison_envelope(1.0, 0.5, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(PreconditionError, match="b2_coef"):
-            comparison_envelope(2.0, 3.0, 0.5, 3.0, 1.0, 1.0, 1.0, 1.0)
-
-    def test_negative_couplings_use_positive_parts(self):
-        consts, cap_u, cap_v = comparison_envelope(
-            0.5, -2.0, -1.0, 0.5, a0=1.0, b0=1.0, u_hi0=0.1, v_hi0=0.1
-        )
-        assert cap_u == 1.0 / 0.5
-        assert cap_v == 1.0 / 0.5
-        assert consts.m_const == pytest.approx(4.0 / (4.0 * 1.5**2), rel=1e-14)
-
-    def test_larger_product_bound_raises_caps(self):
-        _, small_cap, _ = comparison_envelope(
-            2.0, 1.0, 1.0, 2.0, 1.0, 1.0, u_hi0=1.0, v_hi0=1.0
-        )
-        _, big_cap, _ = comparison_envelope(
-            2.0, 1.0, 1.0, 2.0, 1.0, 1.0, u_hi0=10.0, v_hi0=10.0
-        )
-        assert big_cap > small_cap
 
 
 class TestCheckEnclosure:

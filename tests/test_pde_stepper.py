@@ -11,11 +11,8 @@ from chemotaxis_lab import (
     chemotaxis_flux,
     coexistence_state,
     initial_state,
-    nonlocal_integrals,
-    reaction_terms,
     run_simulation,
     solve_w,
-    step,
 )
 from helpers import coexistence_params, mk_params
 
@@ -55,21 +52,18 @@ class TestLocalTerms:
         flux = chemotaxis_flux(u, w, 2.0, grid)
         np.testing.assert_array_equal(flux, [0.0, 8.0, 0.0, -32.0, 0.0])
 
-    def test_nonlocal_integrals(self):
-        grid = Grid1D(length=2.0, n_cells=8)
-        p = mk_params(omega_measure=2.0)
-        state = initial_state(np.full(8, 1.5), np.full(8, 0.25), p, grid)
-        assert nonlocal_integrals(state, grid) == (pytest.approx(3.0), pytest.approx(0.5))
-
     def test_reaction_terms_hand_value(self):
+        # On constant data the fluxes vanish and implicit diffusion returns
+        # the constant, so one step is explicit Euler on the reaction terms.
         grid = Grid1D(length=1.0, n_cells=4)
         p = mk_params(a0=1.0, a1=2.0, a2=0.5, a3=0.25, b0=2.0, b1=0.1, b2=1.0, b4=0.5)
         state = initial_state(np.full(4, 0.5), np.full(4, 1.0), p, grid)
-        terms = reaction_terms(state, p, grid)
+        dt = 0.01
+        rec = run_simulation(state, p, grid, StepperConfig(dt=dt, t_end=dt))
         ru = 0.5 * (1.0 - 2.0 * 0.5 - 0.5 * 1.0 - 0.25 * 0.5)
         rv = 1.0 * (2.0 - 0.1 * 0.5 - 1.0 * 1.0 - 0.5 * 1.0)
-        np.testing.assert_allclose(terms.ru, ru, rtol=1e-14)
-        np.testing.assert_allclose(terms.rv, rv, rtol=1e-14)
+        np.testing.assert_allclose(rec.final_state.u, 0.5 + dt * ru, rtol=1e-14)
+        np.testing.assert_allclose(rec.final_state.v, 1.0 + dt * rv, rtol=1e-14)
 
 
 class TestConservationAndReduction:
@@ -125,11 +119,29 @@ class TestStabilityGuards:
         grid = Grid1D(length=1.0, n_cells=16)
         s0 = initial_state(np.full(16, 0.5), np.full(16, 0.5), p, grid)
         with pytest.raises(CflViolationError) as exc_info:
-            step(s0, p, grid, StepperConfig(dt=10.0, t_end=10.0))
+            run_simulation(s0, p, grid, StepperConfig(dt=10.0, t_end=10.0))
         err = exc_info.value
         assert err.binding == "reaction"
         assert 0.0 < err.suggested_dt < 10.0
         assert "largest admissible" in str(err)
+
+    def test_reaction_limit_is_inverse_jacobian_diagonal(self):
+        # Constant state: no signal gradient, so only the reaction bound binds.
+        p = mk_params(
+            a0=1.5, a1=2.0, a2=0.5, a3=0.25, a4=-0.3,
+            b0=1.0, b1=0.7, b2=1.2, b3=0.4, b4=0.6, chi1=0.2, chi2=0.1,
+        )
+        grid = Grid1D(length=1.0, n_cells=16)
+        u, v = 0.6, 0.9
+        s0 = initial_state(np.full(16, u), np.full(16, v), p, grid)
+        with pytest.raises(CflViolationError) as exc_info:
+            run_simulation(s0, p, grid, StepperConfig(dt=10.0, t_end=10.0))
+        mass_u, mass_v = u * grid.length, v * grid.length
+        ju = abs(p.a0 - 2 * p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v)
+        jv = abs(p.b0 - p.b1 * u - 2 * p.b2 * v - p.b3 * mass_u - p.b4 * mass_v)
+        err = exc_info.value
+        assert err.binding == "reaction"
+        assert err.suggested_dt == pytest.approx(1.0 / max(ju, jv), rel=1e-12)
 
     def test_mid_run_cfl_becomes_guard_flag(self):
         grid = Grid1D(length=1.0, n_cells=64)
