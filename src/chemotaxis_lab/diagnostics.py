@@ -6,6 +6,7 @@ window width is always explicit in results.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,8 @@ class TrajectoryRecord:
 
     Holds, per sample: min/max/mean of each field, the two masses, and the
     sup-distance triple to every configured reference state (keyed by the
-    reference label).  Times are strictly increasing.  guard_tripped is
-    None for a clean run, otherwise names the guard ("blow_up" or
+    reference label).  Times are strictly increasing.  guard_tripped is None
+    for a clean run, otherwise names the guard ("blow_up", "non_finite" or
     "cfl_violation") and the record holds the partial trace up to the trip.
     """
 
@@ -69,20 +70,24 @@ class TrajectoryRecord:
             raise ValueError(
                 f"sample times must be strictly increasing: {state.t!r} after {self.t[-1]!r}"
             )
+        fields = np.array((state.u, state.v, state.w))
+        lo, hi, mean = (s.tolist() for s in (fields.min(1), fields.max(1), fields.mean(1)))
         self.t.append(state.t)
-        self.u_min.append(float(state.u.min()))
-        self.u_max.append(float(state.u.max()))
-        self.u_mean.append(float(state.u.mean()))
-        self.v_min.append(float(state.v.min()))
-        self.v_max.append(float(state.v.max()))
-        self.v_mean.append(float(state.v.mean()))
-        self.w_min.append(float(state.w.min()))
-        self.w_max.append(float(state.w.max()))
-        self.w_mean.append(float(state.w.mean()))
+        self.u_min.append(lo[0])
+        self.u_max.append(hi[0])
+        self.u_mean.append(mean[0])
+        self.v_min.append(lo[1])
+        self.v_max.append(hi[1])
+        self.v_mean.append(mean[1])
+        self.w_min.append(lo[2])
+        self.w_max.append(hi[2])
+        self.w_mean.append(mean[2])
         self.mass_u.append(mass_u)
         self.mass_v.append(mass_v)
-        for label, ref in references:
-            self.dist[label].append(sup_distance(state, ref))
+        if references:
+            labels, refs = zip(*references)
+            for label, triple in zip(labels, sup_distance(state, refs)):
+                self.dist[label].append(triple)
 
     @property
     def n_samples(self) -> int:
@@ -109,13 +114,16 @@ class TailStats:
     v_lo_tail: float
 
 
-def sup_distance(state: FieldState, ref: ConstantState) -> tuple[float, float, float]:
-    """Per-field sup-norm distance of a snapshot to a constant state."""
-    return (
-        float(np.abs(state.u - ref.u_star).max()),
-        float(np.abs(state.v - ref.v_star).max()),
-        float(np.abs(state.w - ref.w_star).max()),
-    )
+def sup_distance(
+    state: FieldState, ref: ConstantState | Sequence[ConstantState]
+) -> tuple[float, float, float] | list[tuple[float, float, float]]:
+    """Per-field sup-norm distance of a snapshot to a constant state: one
+    (u, v, w) triple, or for a sequence of states a list of triples, one per
+    state, from one array expression."""
+    refs = [ref] if isinstance(ref, ConstantState) else ref
+    levels = np.array([[r.u_star, r.v_star, r.w_star] for r in refs]).reshape(-1, 3, 1)
+    dist = np.abs(np.array((state.u, state.v, state.w)) - levels).max(axis=2).tolist()
+    return tuple(dist[0]) if isinstance(ref, ConstantState) else [tuple(d) for d in dist]
 
 
 def _tail_slice(rec: TrajectoryRecord, window: float) -> slice:

@@ -3,22 +3,23 @@
 Discretizes 0 = d3 * w'' + k*u + l*v - lam*w with zero-flux boundaries as
 (lam*I - d3*D2) w = k*u + l*v, where D2 is the standard second difference
 with mirrored ghost cells.  The matrix is symmetric positive definite and
-tridiagonal; it is factorized once per (params, grid) and solved directly,
-so there is no iteration tolerance anywhere in the signal solve.
+tridiagonal; LAPACK dpttrf factors it once per (params, grid) as L*D*L^T
+and dpttrs solves directly, so there is no iteration tolerance anywhere in
+the signal solve.  The stepper's implicit diffusion uses the same routines.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .model import Grid1D, ModelParams
+from .model import Grid1D, ModelParams, PreconditionError
 
 
 @dataclass(frozen=True)
 class EllipticOperator:
-    """Assembled operator lam*I - d3*D2 with its Cholesky factor.
+    """Assembled operator lam*I - d3*D2 with its dpttrf factor (d, e).
 
     diag holds the per-row diagonal (boundary rows lam + d3/dx^2, interior
     rows lam + 2*d3/dx^2); off the constant off-diagonal -d3/dx^2.  Row
@@ -30,7 +31,7 @@ class EllipticOperator:
     lam: float
     diag: np.ndarray
     off: float
-    cho_factor: np.ndarray
+    factor: tuple[np.ndarray, np.ndarray]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Matrix-vector product (lam*I - d3*D2) f."""
@@ -40,8 +41,8 @@ class EllipticOperator:
         return out
 
 
-def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and upper Cholesky band of shift*I - r*dx^2*D2 on n cells.
+def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and dpttrf factor d, e of shift*I - r*dx^2*D2 on n cells.
 
     The zero-flux operator has boundary diagonal shift + r, interior
     diagonal shift + 2r and off-diagonal -r.  The signal solve uses it with
@@ -50,18 +51,16 @@ def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarr
     diag = np.full(n, shift + 2.0 * r)
     diag[0] = shift + r
     diag[-1] = shift + r
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -r
-    ab[1, :] = diag
-    return diag, cholesky_banded(ab, lower=False)
+    d, e, info = dpttrf(diag, np.full(n - 1, -r))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{shift!r}*I - {r!r}*dx^2*D2 is not positive definite")
+    return diag, d, e
 
 
 def assemble(p: ModelParams, grid: Grid1D) -> EllipticOperator:
     r = p.d3 / (grid.dx * grid.dx)
-    diag, cho = neumann_factor(p.lam, r, grid.n_cells)
-    return EllipticOperator(
-        grid=grid, d3=p.d3, lam=p.lam, diag=diag, off=-r, cho_factor=cho
-    )
+    diag, d, e = neumann_factor(p.lam, r, grid.n_cells)
+    return EllipticOperator(grid=grid, d3=p.d3, lam=p.lam, diag=diag, off=-r, factor=(d, e))
 
 
 def solve_w(op: EllipticOperator, u: np.ndarray, v: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -72,4 +71,6 @@ def solve_w(op: EllipticOperator, u: np.ndarray, v: np.ndarray, p: ModelParams) 
     solver roundoff.
     """
     rhs = p.k * np.asarray(u, dtype=float) + p.l * np.asarray(v, dtype=float)
-    return cho_solve_banded((op.cho_factor, False), rhs)
+    if rhs.shape != op.diag.shape:
+        raise PreconditionError(f"densities of shape {rhs.shape} do not fit {op.grid!r}")
+    return dpttrs(*op.factor, rhs)[0]

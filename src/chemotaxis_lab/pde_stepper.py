@@ -6,7 +6,8 @@ gradient) and the mass-coupled reaction are advanced by explicit Euler,
 then each species is diffused implicitly (backward Euler), which leaves
 the step restricted only by the advection CFL and the explicit-reaction
 stability bound.  The signal w is re-solved once per step from the
-pre-step densities.
+pre-step densities.  The stepper holds u and v as the rows of one (2, n)
+array, so each stage is one array expression for both species.
 
 Spatially constant states reduce the step to plain explicit Euler for the
 homogeneous interaction ODE: the advection fluxes vanish, and the implicit
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dpttrs
 
 from .diagnostics import TrajectoryRecord, detect_steady
 from .elliptic import assemble, neumann_factor, solve_w
@@ -60,57 +61,64 @@ class StepperConfig:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 
 
-def chemotaxis_flux(u: np.ndarray, w: np.ndarray, chi: float, grid: Grid1D) -> np.ndarray:
+def chemotaxis_flux(
+    u: np.ndarray, w: np.ndarray, chi: float | np.ndarray, grid: Grid1D
+) -> np.ndarray:
     """Face fluxes of the attraction term, donor-cell upwinded.
 
     Face i+1/2 carries chi * u_donor * (w[i+1] - w[i]) / dx, the donor being
     the cell the signal gradient points away from.  The two boundary faces
-    carry zero flux.
+    carry zero flux.  u is one density (n,) with a scalar chi, giving (n + 1,)
+    fluxes, or m densities (m, n) with chi an (m, 1) column, giving (m, n + 1).
     """
-    n = u.shape[0]
-    flux = np.zeros(n + 1)
+    flux = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
     dw = w[1:] - w[:-1]
-    donor = np.where(dw > 0.0, u[:-1], u[1:])
-    flux[1:-1] = chi * donor * dw / grid.dx
+    donor = np.where(dw > 0.0, u[..., :-1], u[..., 1:])
+    flux[..., 1:-1] = chi * donor * dw / grid.dx
     return flux
 
 
 class _Workspace:
-    """Per-run cache: the assembled signal operator and the Cholesky
-    factors of the implicit diffusion matrices (keyed by dt, since the
-    final step of a run may be shorter)."""
+    """Per-run cache: the signal operator, the coefficients (row 0 for u, 1
+    for v) and the dpttrf factors of the implicit diffusion matrices (keyed
+    by dt, since the final step of a run may be shorter)."""
 
     def __init__(self, p: ModelParams, grid: Grid1D, cfg: StepperConfig):
         self.p = p
         self.grid = grid
         self.cfg = cfg
         self.op = assemble(p, grid)
-        self._factors: dict[tuple[float, float], np.ndarray] = {}
+        # bracket = growth - local_coupling @ (u, v) - mass_coupling @ (mass_u, mass_v)
+        self.growth = np.array([p.a0, p.b0])
+        self.local_coupling = np.array([[p.a1, p.a2], [p.b1, p.b2]])
+        self.mass_coupling = np.array([[p.a3, p.a4], [p.b3, p.b4]])
+        self.self_limit = np.array([[p.a1], [p.b2]])
+        self.chi = np.array([[p.chi1], [p.chi2]])
+        self._factors: dict[float, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def diffusion_factor(self, d: float, dt: float) -> np.ndarray:
-        key = (d, dt)
-        factor = self._factors.get(key)
-        if factor is None:
-            r = dt * d / (self.grid.dx * self.grid.dx)
-            _, factor = neumann_factor(1.0, r, self.grid.n_cells)
-            self._factors[key] = factor
-        return factor
+    def diffusion_factors(self, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One factor per species, or a single shared one when d1 == d2."""
+        factors = self._factors.get(dt)
+        if factors is None:
+            p, dx = self.p, self.grid.dx
+            ds = (p.d1,) if p.d1 == p.d2 else (p.d1, p.d2)
+            factors = [neumann_factor(1.0, dt * d / (dx * dx), self.grid.n_cells)[1:] for d in ds]
+            self._factors[dt] = factors
+        return factors
 
 
 def _check_stability(
-    ws: _Workspace, state: FieldState, dt: float, bracket_u: np.ndarray, bracket_v: np.ndarray
+    ws: _Workspace, uv: np.ndarray, w: np.ndarray, dt: float, bracket: np.ndarray
 ) -> None:
     """Raise when dt exceeds the advection CFL limit or 1/|J|, J the local
     reaction Jacobian diagonal d(u*bracket_u)/du = bracket_u - a1*u (and
     bracket_v - b2*v)."""
     p, grid = ws.p, ws.grid
     dx = grid.dx
-    grad_max = float(np.abs(state.w[1:] - state.w[:-1]).max()) / dx if state.n_cells > 1 else 0.0
+    grad_max = float(np.abs(w[1:] - w[:-1]).max()) / dx if w.shape[0] > 1 else 0.0
     speed = max(p.chi1, p.chi2) * grad_max
     adv_limit = math.inf if speed == 0.0 else ws.cfg.cfl_safety * dx / speed
-    ju = float(np.abs(bracket_u - p.a1 * state.u).max())
-    jv = float(np.abs(bracket_v - p.b2 * state.v).max())
-    jmax = max(ju, jv)
+    jmax = float(np.abs(bracket - ws.self_limit * uv).max())
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
     if dt > adv_limit or dt > rx_limit:
         if dt > adv_limit and dt > rx_limit:
@@ -122,38 +130,36 @@ def _check_stability(
         raise CflViolationError(binding, dt, min(adv_limit, rx_limit))
 
 
-def _advance(ws: _Workspace, state: FieldState, dt: float) -> tuple[FieldState, float]:
-    """One split step of width dt; returns the new state and clipped mass.
+def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: tuple, dt: float) -> tuple:
+    """One split step of width dt on the (2, n) densities uv.
 
-    Trusts state.w to be the signal solve of (state.u, state.v); every
-    producer in this module maintains that invariant.
+    Trusts w to be the signal solve of uv and mass its two integrals; every
+    producer in this module maintains that invariant.  Returns the same
+    three for the new densities, then the clipped mass.
     """
     p, grid = ws.p, ws.grid
-    u, v, w = state.u, state.v, state.w
-    mass_u = grid.integrate(u)
-    mass_v = grid.integrate(v)
-    bracket_u = p.a0 - p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v
-    bracket_v = p.b0 - p.b1 * u - p.b2 * v - p.b3 * mass_u - p.b4 * mass_v
-    _check_stability(ws, state, dt, bracket_u, bracket_v)
+    bracket = (ws.growth - ws.mass_coupling @ mass)[:, None] - ws.local_coupling @ uv
+    _check_stability(ws, uv, w, dt, bracket)
 
-    flux_u = chemotaxis_flux(u, w, p.chi1, grid)
-    flux_v = chemotaxis_flux(v, w, p.chi2, grid)
-    u_star = u + dt * (u * bracket_u - np.diff(flux_u) / grid.dx)
-    v_star = v + dt * (v * bracket_v - np.diff(flux_v) / grid.dx)
+    flux = chemotaxis_flux(uv, w, ws.chi, grid)
+    uv_star = uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / grid.dx)
 
-    u_new = cho_solve_banded((ws.diffusion_factor(p.d1, dt), False), u_star)
-    v_new = cho_solve_banded((ws.diffusion_factor(p.d2, dt), False), v_star)
+    factors = ws.diffusion_factors(dt)
+    if len(factors) == 1:
+        # Both species in one call: uv_star.T is an F-contiguous (n, 2) view.
+        uv_new = dpttrs(*factors[0], uv_star.T)[0].T
+    else:
+        uv_new = np.array([dpttrs(*f, row)[0] for f, row in zip(factors, uv_star)])
 
     clipped = 0.0
     if ws.cfg.positivity_clip:
-        neg = np.minimum(u_new, 0.0).sum() + np.minimum(v_new, 0.0).sum()
+        neg = float(np.minimum(uv_new, 0.0).sum())
         if neg < 0.0:
-            clipped = -grid.dx * float(neg)
-            u_new = np.maximum(u_new, 0.0)
-            v_new = np.maximum(v_new, 0.0)
+            clipped = -grid.dx * neg
+            uv_new = np.maximum(uv_new, 0.0)
 
-    w_new = solve_w(ws.op, u_new, v_new, p)
-    return FieldState(t=state.t + dt, u=u_new, v=v_new, w=w_new), clipped
+    w_new = solve_w(ws.op, *uv_new, p)
+    return uv_new, w_new, (grid.integrate(uv_new[0]), grid.integrate(uv_new[1])), clipped
 
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
@@ -177,8 +183,9 @@ def run_simulation(
     """Drive the stepper from state0 to cfg.t_end, recording summaries.
 
     Records every record_every-th step plus the initial and final
-    snapshots.  Stops early when a field exceeds blowup_guard (recorded as
-    guard_tripped="blow_up" with the partial trace kept) or, when
+    snapshots.  Stops early when a density becomes NaN or infinite
+    (guard_tripped="non_finite") or exceeds blowup_guard ("blow_up"), in
+    both cases with the partial trace kept, or, when
     steady_tol and steady_window are both given, once the trailing window
     certifies stationarity at that tolerance.  A stability violation after
     at least one completed step is likewise recorded as a guard trip
@@ -190,42 +197,47 @@ def run_simulation(
             f"grid length {grid.length!r} must equal omega_measure {p.omega_measure!r}"
         )
     ws = _Workspace(p, grid, cfg)
-    state = FieldState(
-        t=state0.t, u=state0.u, v=state0.v, w=solve_w(ws.op, state0.u, state0.v, p)
-    )
+    t = state0.t
+    uv = np.array([state0.u, state0.v], dtype=float)
+    w = solve_w(ws.op, *uv, p)
+    mass = (grid.integrate(uv[0]), grid.integrate(uv[1]))
     rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
 
-    def record(s: FieldState) -> None:
-        if rec.t and s.t <= rec.t[-1]:
-            return
-        m_u, m_v = grid.integrate(s.u), grid.integrate(s.v)
-        rec.append_sample(s, m_u, m_v, references)
+    def record() -> FieldState:
+        state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
+        if not rec.t or t > rec.t[-1]:
+            rec.append_sample(state, mass[0], mass[1], references)
+        return state
 
-    record(state)
+    record()
     time_scale = max(cfg.t_end, 1.0)
     steps_done = 0
-    while state.t < cfg.t_end - 1e-12 * time_scale:
-        dt = min(cfg.dt, cfg.t_end - state.t)
+    while t < cfg.t_end - 1e-12 * time_scale:
+        dt = min(cfg.dt, cfg.t_end - t)
         try:
-            state, clipped = _advance(ws, state, dt)
+            uv, w, mass, clipped = _advance(ws, uv, w, mass, dt)
         except CflViolationError as exc:
             if steps_done == 0:
                 raise
             rec.guard_tripped = "cfl_violation"
             rec.notes.append(str(exc))
             break
+        t += dt
         steps_done += 1
         rec.clipped_mass += clipped
-        if max(float(state.u.max()), float(state.v.max())) > blowup_guard:
-            record(state)
+        peak = float(uv.max())
+        if not math.isfinite(peak):
+            rec.guard_tripped = "non_finite"
+            rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
+        elif peak > blowup_guard:
             rec.guard_tripped = "blow_up"
-            rec.notes.append(
-                f"field maximum exceeded the blow-up guard {blowup_guard!r} at t={state.t!r}"
-            )
+            rec.notes.append(f"field maximum exceeded the blow-up guard {blowup_guard!r} at t={t!r}")
+        if rec.guard_tripped:
+            record()
             break
         at_stride = steps_done % cfg.record_every == 0
-        if at_stride or state.t >= cfg.t_end - 1e-12 * time_scale:
-            record(state)
+        if at_stride or t >= cfg.t_end - 1e-12 * time_scale:
+            record()
             if (
                 steady_tol is not None
                 and steady_window is not None
@@ -235,9 +247,8 @@ def run_simulation(
                     rec.stopped_early = True
                     rec.notes.append(
                         f"stationary at tol={steady_tol!r} over window={steady_window!r}; "
-                        f"stopped at t={state.t!r}"
+                        f"stopped at t={t!r}"
                     )
                     break
-    record(state)
-    rec.final_state = state
+    rec.final_state = record()
     return rec

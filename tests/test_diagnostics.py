@@ -81,6 +81,15 @@ class TestSupDistance:
             for a, b, g in zip(d1, d2, gaps):
                 assert a <= b + g + 1e-14
 
+    def test_several_references_at_once(self):
+        rng = np.random.default_rng(7)
+        state = FieldState(
+            t=0.0, u=rng.uniform(0.0, 2.0, 8), v=rng.uniform(0.0, 2.0, 8), w=rng.uniform(0.0, 2.0, 8)
+        )
+        refs = [ConstantState(*rng.uniform(0.0, 2.0, 3)) for _ in range(4)]
+        assert sup_distance(state, refs) == [sup_distance(state, ref) for ref in refs]
+        assert sup_distance(state, []) == []
+
 
 class TestTrajectoryRecord:
     def test_rejects_non_increasing_times(self):

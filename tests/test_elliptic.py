@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chemotaxis_lab import Grid1D, assemble, solve_w
+from chemotaxis_lab import Grid1D, PreconditionError, assemble, solve_w
+from chemotaxis_lab.elliptic import neumann_factor
 from helpers import mk_params
 
 
@@ -27,6 +28,10 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         f = rng.standard_normal(16)
         np.testing.assert_allclose(op.apply(f.copy()), dense @ f, rtol=1e-13)
+
+    def test_indefinite_matrix_is_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            neumann_factor(-1.0, 0.25, 8)
 
 
 class TestSolve:
@@ -101,3 +106,10 @@ class TestSolve:
         u = 1.0 + 0.5 * np.cos(20.0 * np.pi * grid.cell_centers())
         w = solve_w(op, u, np.zeros(64), p)
         assert w.max() - w.min() < 0.1 * (u.max() - u.min())
+
+    @pytest.mark.parametrize("m", [6, 10])
+    def test_densities_off_the_grid_are_rejected(self, m):
+        p = mk_params()
+        op = assemble(p, Grid1D(length=1.0, n_cells=8))
+        with pytest.raises(PreconditionError, match="n_cells=8"):
+            solve_w(op, np.ones(m), np.ones(m), p)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,14 @@ class TestLocalTerms:
         flux = chemotaxis_flux(u, w, 2.0, grid)
         np.testing.assert_array_equal(flux, [0.0, 8.0, 0.0, -32.0, 0.0])
 
+    def test_flux_of_stacked_densities_matches_each_row(self):
+        grid = Grid1D(length=1.0, n_cells=4)
+        uv = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]])
+        w = np.array([0.0, 1.0, 1.0, 0.0])
+        flux = chemotaxis_flux(uv, w, np.array([[2.0], [0.5]]), grid)
+        np.testing.assert_array_equal(flux[0], chemotaxis_flux(uv[0], w, 2.0, grid))
+        np.testing.assert_array_equal(flux[1], chemotaxis_flux(uv[1], w, 0.5, grid))
+
     def test_reaction_terms_hand_value(self):
         # On constant data the fluxes vanish and implicit diffusion returns
         # the constant, so one step is explicit Euler on the reaction terms.
@@ -81,6 +91,64 @@ class TestConservationAndReduction:
         assert rec.guard_tripped is None
         assert rec.mass_u[-1] == pytest.approx(m_u0, rel=1e-10)
         assert rec.mass_v[-1] == pytest.approx(m_v0, rel=1e-10)
+
+    def test_one_step_mass_balance_is_exact(self):
+        # Zero-boundary upwinding and Neumann backward Euler both conserve
+        # dx*sum, so each step changes a mass by dt*dx*sum(density*bracket).
+        grid = Grid1D(length=1.0, n_cells=64)
+        p = mk_params(
+            d1=0.02, d2=0.05, chi1=0.4, chi2=0.3,
+            a0=1.0, a1=1.5, a2=0.5, a3=0.3, a4=-0.2,
+            b0=0.8, b1=0.4, b2=1.2, b3=-0.1, b4=0.25,
+        )
+        x = grid.cell_centers()
+        u0 = np.exp(-0.5 * ((x - 0.3) / 0.08) ** 2)
+        v0 = 0.8 * np.exp(-0.5 * ((x - 0.7) / 0.12) ** 2)
+        state = initial_state(u0, v0, p, grid)
+        dt = 2e-3
+        for _ in range(5):
+            u, v = state.u, state.v
+            mass_u, mass_v = grid.integrate(u), grid.integrate(v)
+            bracket_u = p.a0 - p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v
+            bracket_v = p.b0 - p.b1 * u - p.b2 * v - p.b3 * mass_u - p.b4 * mass_v
+            rec = run_simulation(state, p, grid, StepperConfig(dt=dt, t_end=dt))
+            assert rec.guard_tripped is None and rec.clipped_mass == 0.0
+            state = replace(rec.final_state, t=0.0)
+            res_u = grid.integrate(state.u) - mass_u - dt * grid.dx * np.sum(u * bracket_u)
+            res_v = grid.integrate(state.v) - mass_v - dt * grid.dx * np.sum(v * bracket_v)
+            assert abs(res_u) <= 1e-12 * mass_u
+            assert abs(res_v) <= 1e-12 * mass_v
+
+    @pytest.mark.parametrize("d2_over_d1", [1.0, 2.0])
+    def test_one_step_matches_dense_solve(self, d2_over_d1):
+        # d2 == d1 shares one tridiagonal solve for both species; d2 != d1
+        # solves each species with its own factor.
+        n = 24
+        grid = Grid1D(length=1.0, n_cells=n)
+        dx = grid.dx
+        p = mk_params(d1=0.03, d2=0.03 * d2_over_d1, chi1=0.5, chi2=0.2, a2=0.4, b1=0.3, a3=0.1)
+        x = grid.cell_centers()
+        s0 = initial_state(1.0 + 0.5 * np.cos(np.pi * x), 1.0 + 0.4 * np.sin(2.0 * np.pi * x), p, grid)
+        dt = 1e-3
+        rec = run_simulation(s0, p, grid, StepperConfig(dt=dt, t_end=dt))
+
+        u, v, w = s0.u, s0.v, s0.w
+        mass_u, mass_v = grid.integrate(u), grid.integrate(v)
+        second_diff = np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)
+        second_diff[0, 0] = second_diff[-1, -1] = -1.0
+        for f, chi, d, bracket, got in (
+            (u, p.chi1, p.d1, p.a0 - p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v,
+             rec.final_state.u),
+            (v, p.chi2, p.d2, p.b0 - p.b1 * u - p.b2 * v - p.b3 * mass_u - p.b4 * mass_v,
+             rec.final_state.v),
+        ):
+            face = np.zeros(n + 1)
+            for i in range(n - 1):
+                dw = w[i + 1] - w[i]
+                face[i + 1] = chi * (f[i] if dw > 0.0 else f[i + 1]) * dw / dx
+            explicit = f + dt * (f * bracket - (face[1:] - face[:-1]) / dx)
+            dense = np.eye(n) - dt * d / (dx * dx) * second_diff
+            np.testing.assert_allclose(got, np.linalg.solve(dense, explicit), rtol=1e-12)
 
     def test_constant_equilibrium_is_a_fixed_point(self):
         p = coexistence_params(0.1)
@@ -165,6 +233,18 @@ class TestStabilityGuards:
         assert 0.0 < rec.t[-1] < 3.0
         assert rec.u_max[-1] >= 1e3
         assert rec.final_state.t == rec.t[-1]
+
+    def test_non_finite_field_trips_guard(self):
+        grid = Grid1D(length=1.0, n_cells=16)
+        p = coexistence_params(0.1)
+        u0 = np.full(16, 0.5)
+        u0[5] = np.nan
+        s0 = FieldState(t=0.0, u=u0, v=np.full(16, 0.5), w=np.zeros(16))
+        rec = run_simulation(s0, p, grid, StepperConfig(dt=0.01, t_end=1.0))
+        assert rec.guard_tripped == "non_finite"
+        assert rec.t == pytest.approx([0.0, 0.01])
+        assert rec.final_state.t == rec.t[-1]
+        assert any("non-finite" in note for note in rec.notes)
 
     def test_positivity_clip_restores_nonnegativity(self):
         n = 8
