@@ -86,7 +86,7 @@ class TrajectoryRecord:
         self.mass_v.append(mass_v)
         if references:
             labels, refs = zip(*references)
-            for label, triple in zip(labels, sup_distance(state, refs)):
+            for label, triple in zip(labels, sup_distance(fields, refs)):
                 self.dist[label].append(triple)
 
     @property
@@ -115,15 +115,15 @@ class TailStats:
 
 
 def sup_distance(
-    state: FieldState, ref: ConstantState | Sequence[ConstantState]
-) -> tuple[float, float, float] | list[tuple[float, float, float]]:
-    """Per-field sup-norm distance of a snapshot to a constant state: one
-    (u, v, w) triple, or for a sequence of states a list of triples, one per
-    state, from one array expression."""
-    refs = [ref] if isinstance(ref, ConstantState) else ref
+    fields: np.ndarray, refs: Sequence[ConstantState]
+) -> list[tuple[float, float, float]]:
+    """Per-field sup-norm distances of a snapshot to constant states.
+
+    fields is the snapshot's (3, n) stack with rows u, v, w.  Returns one
+    (u, v, w) triple per state, from one array expression.
+    """
     levels = np.array([[r.u_star, r.v_star, r.w_star] for r in refs]).reshape(-1, 3, 1)
-    dist = np.abs(np.array((state.u, state.v, state.w)) - levels).max(axis=2).tolist()
-    return tuple(dist[0]) if isinstance(ref, ConstantState) else [tuple(d) for d in dist]
+    return [tuple(d) for d in np.abs(fields - levels).max(axis=2).tolist()]
 
 
 def _tail_slice(rec: TrajectoryRecord, window: float) -> slice:

@@ -145,7 +145,7 @@ class Grid1D:
 
     def integrate(self, f: np.ndarray) -> float:
         """Midpoint-rule integral dx * sum(f) over the domain."""
-        return self.dx * float(f.sum())
+        return self.dx * float(np.sum(f))
 
 
 def _as_field(values, name: str) -> np.ndarray:

@@ -81,7 +81,8 @@ def chemotaxis_flux(
 class _Workspace:
     """Per-run cache: the signal operator, the coefficients (row 0 for u, 1
     for v) and the dpttrf factors of the implicit diffusion matrices (keyed
-    by dt, since the final step of a run may be shorter)."""
+    by (d, dt): equal diffusivities share one, and the final step of a run
+    may be shorter)."""
 
     def __init__(self, p: ModelParams, grid: Grid1D, cfg: StepperConfig):
         self.p = p
@@ -94,17 +95,16 @@ class _Workspace:
         self.mass_coupling = np.array([[p.a3, p.a4], [p.b3, p.b4]])
         self.self_limit = np.array([[p.a1], [p.b2]])
         self.chi = np.array([[p.chi1], [p.chi2]])
-        self._factors: dict[float, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._factors: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
-    def diffusion_factors(self, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One factor per species, or a single shared one when d1 == d2."""
-        factors = self._factors.get(dt)
-        if factors is None:
-            p, dx = self.p, self.grid.dx
-            ds = (p.d1,) if p.d1 == p.d2 else (p.d1, p.d2)
-            factors = [neumann_factor(1.0, dt * d / (dx * dx), self.grid.n_cells)[1:] for d in ds]
-            self._factors[dt] = factors
-        return factors
+    def diffusion_factor(self, d: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        key = (d, dt)
+        factor = self._factors.get(key)
+        if factor is None:
+            r = dt * d / (self.grid.dx * self.grid.dx)
+            factor = neumann_factor(1.0, r, self.grid.n_cells)[1:]
+            self._factors[key] = factor
+        return factor
 
 
 def _check_stability(
@@ -144,12 +144,9 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: tuple, dt: flo
     flux = chemotaxis_flux(uv, w, ws.chi, grid)
     uv_star = uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / grid.dx)
 
-    factors = ws.diffusion_factors(dt)
-    if len(factors) == 1:
-        # Both species in one call: uv_star.T is an F-contiguous (n, 2) view.
-        uv_new = dpttrs(*factors[0], uv_star.T)[0].T
-    else:
-        uv_new = np.array([dpttrs(*f, row)[0] for f, row in zip(factors, uv_star)])
+    uv_new = np.array(
+        [dpttrs(*ws.diffusion_factor(d, dt), row)[0] for d, row in zip((p.d1, p.d2), uv_star)]
+    )
 
     clipped = 0.0
     if ws.cfg.positivity_clip:

@@ -14,6 +14,11 @@ from chemotaxis_lab import (
 )
 
 
+def stack(state):
+    """The (3, n) stack of a snapshot's u, v, w rows that sup_distance takes."""
+    return np.array((state.u, state.v, state.w))
+
+
 def record_from_rows(rows):
     """Build a record from (t, u_center, u_halfspread, v_center, v_halfspread)."""
     rec = TrajectoryRecord()
@@ -37,7 +42,7 @@ class TestSupDistance:
             v=np.full(4, 1.0 / 3.0),
             w=np.full(4, 2.0 / 3.0),
         )
-        assert sup_distance(state, ref) == (0.0, 0.0, 0.0)
+        assert sup_distance(stack(state), [ref]) == [(0.0, 0.0, 0.0)]
 
     def test_constant_offset(self):
         ref = ConstantState(u_star=1.0, v_star=2.0, w_star=3.0)
@@ -47,7 +52,7 @@ class TestSupDistance:
             v=np.full(4, 2.0),
             w=np.full(4, 2.5),
         )
-        d = sup_distance(state, ref)
+        (d,) = sup_distance(stack(state), [ref])
         assert d == pytest.approx((1.0 / 3.0, 0.0, 0.5), rel=1e-15)
 
     def test_takes_worst_cell(self):
@@ -58,7 +63,7 @@ class TestSupDistance:
             v=np.zeros(2),
             w=np.zeros(2),
         )
-        assert sup_distance(state, ref)[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert sup_distance(stack(state), [ref])[0][0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_triangle_inequality_against_second_reference(self):
         rng = np.random.default_rng(31)
@@ -71,8 +76,7 @@ class TestSupDistance:
             )
             r1 = ConstantState(*rng.uniform(0.0, 2.0, 3))
             r2 = ConstantState(*rng.uniform(0.0, 2.0, 3))
-            d1 = sup_distance(state, r1)
-            d2 = sup_distance(state, r2)
+            d1, d2 = sup_distance(stack(state), [r1, r2])
             gaps = (
                 abs(r1.u_star - r2.u_star),
                 abs(r1.v_star - r2.v_star),
@@ -87,8 +91,15 @@ class TestSupDistance:
             t=0.0, u=rng.uniform(0.0, 2.0, 8), v=rng.uniform(0.0, 2.0, 8), w=rng.uniform(0.0, 2.0, 8)
         )
         refs = [ConstantState(*rng.uniform(0.0, 2.0, 3)) for _ in range(4)]
-        assert sup_distance(state, refs) == [sup_distance(state, ref) for ref in refs]
-        assert sup_distance(state, []) == []
+        one_at_a_time = [
+            tuple(
+                float(np.abs(f - level).max())
+                for f, level in zip(stack(state), (ref.u_star, ref.v_star, ref.w_star))
+            )
+            for ref in refs
+        ]
+        assert sup_distance(stack(state), refs) == one_at_a_time
+        assert sup_distance(stack(state), []) == []
 
 
 class TestTrajectoryRecord:
@@ -97,6 +108,22 @@ class TestTrajectoryRecord:
         state = FieldState(t=0.0, u=np.ones(2), v=np.ones(2), w=np.ones(2))
         with pytest.raises(ValueError, match="strictly increasing"):
             rec.append_sample(state, 1.0, 1.0)
+
+    def test_sample_statistics_match_each_field(self):
+        rng = np.random.default_rng(5)
+        state = FieldState(
+            t=0.0, u=rng.uniform(0.0, 2.0, 8), v=rng.uniform(0.0, 2.0, 8), w=rng.uniform(0.0, 2.0, 8)
+        )
+        ref = ConstantState(*rng.uniform(0.0, 2.0, 3))
+        rec = TrajectoryRecord(ref_labels=("ref",))
+        rec.append_sample(state, 0.5, 0.25, (("ref", ref),))
+        for name in ("u", "v", "w"):
+            f = getattr(state, name)
+            assert getattr(rec, f"{name}_min") == [float(f.min())]
+            assert getattr(rec, f"{name}_max") == [float(f.max())]
+            assert getattr(rec, f"{name}_mean") == [float(f.mean())]
+        assert (rec.mass_u, rec.mass_v) == ([0.5], [0.25])
+        assert rec.dist["ref"] == sup_distance(stack(state), [ref])
 
     def test_reference_labels_preallocate_series(self):
         rec = TrajectoryRecord(ref_labels=("coexistence",))

@@ -121,8 +121,8 @@ class TestConservationAndReduction:
 
     @pytest.mark.parametrize("d2_over_d1", [1.0, 2.0])
     def test_one_step_matches_dense_solve(self, d2_over_d1):
-        # d2 == d1 shares one tridiagonal solve for both species; d2 != d1
-        # solves each species with its own factor.
+        # d2 == d1 gives both species one cached factor; d2 != d1 gives
+        # each species its own.
         n = 24
         grid = Grid1D(length=1.0, n_cells=n)
         dx = grid.dx
