@@ -30,10 +30,8 @@ from .model import (
     HypothesisViolationError,
     ModelParams,
     PreconditionError,
-    SignedParts,
     negative_part,
     positive_part,
-    signed_parts,
     validate_params,
 )
 from .ode_bounds import (

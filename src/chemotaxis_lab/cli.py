@@ -6,7 +6,9 @@ CSV plus summary JSON), rectangles (bounding-ODE run plus enclosure check).
 
 Configs are strict JSON: every section has a fixed key set and unknown or
 missing keys are hard errors, since silent typos are the dominant failure
-mode in a model with this many coefficients.  CSV cells use round-trip
+mode in a model with this many coefficients.  The flat sections are written
+down once, in `_SCHEMA`, and `load_config` checks the keys and value types
+of every section a config gives before any subcommand computes anything.  CSV cells use round-trip
 float formatting so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 hypothesis or precondition
@@ -19,7 +21,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +42,6 @@ from .ode_bounds import (
     integrate_rectangles,
 )
 from .pde_stepper import (
-    DEFAULT_BLOWUP_GUARD,
     CflViolationError,
     StepperConfig,
     initial_state,
@@ -59,9 +59,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config loading and section builders
-
-_TOP_KEYS = ("params", "grid", "stepper", "initial_data", "references", "outputs", "rectangles")
+# config schema, loading and section builders
 
 _PARAM_KEYS = (
     "d1", "d2", "d3", "chi1", "chi2",
@@ -70,13 +68,40 @@ _PARAM_KEYS = (
     "k", "l", "lambda", "omega_measure",
 )
 
-_OUTPUT_KEYS = (
-    "trajectory_csv", "summary_json", "check_json", "steady_json",
-    "bounds_json", "rectangles_csv", "enclosure_json",
-)
+_REQUIRED = object()
+_OWNED = object()  # optional; the object built from the section has the default
+
+# Every flat section as key -> (type, _REQUIRED, _OWNED or the default).  The
+# ranges of grid and stepper values are checked by Grid1D and StepperConfig.
+_SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
+    "params": dict.fromkeys(_PARAM_KEYS, (float, _REQUIRED)),
+    "grid": {"length": (float, _REQUIRED), "n_cells": (int, _REQUIRED)},
+    "stepper": {
+        "dt": (float, _REQUIRED), "t_end": (float, _REQUIRED),
+        "cfl_safety": (float, _OWNED), "positivity_clip": (bool, _OWNED),
+        "record_every": (int, _OWNED), "blowup_guard": (float, _OWNED),
+        "steady_tol": (float, _OWNED), "steady_window": (float, _OWNED),
+    },
+    "rectangles": {
+        "dt": (float, 1e-3), "record_every": (int, 10), "tol": (float, 1e-3),
+        # None: the extrema of the first trajectory sample
+        "u_hi0": (float, None), "u_lo0": (float, None),
+        "v_hi0": (float, None), "v_lo0": (float, None),
+    },
+    "outputs": {
+        "trajectory_csv": (str, "trajectory.csv"), "summary_json": (str, "summary.json"),
+        "check_json": (str, "check.json"), "steady_json": (str, "steady.json"),
+        "bounds_json": (str, "bounds.json"), "rectangles_csv": (str, "rectangles.csv"),
+        "enclosure_json": (str, "enclosure.json"),
+    },
+}
+
+_EXPECTED = {int: "an integer", bool: "true or false", str: "a nonempty path string"}
 
 
 def load_config(path: str) -> dict:
+    """Parse a config and check the keys and value types of every section
+    it gives, filling in the defaults of `rectangles` and `outputs`."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -89,7 +114,12 @@ def load_config(path: str) -> dict:
         ) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(doc, "config", required=("params",), optional=tuple(k for k in _TOP_KEYS if k != "params"))
+    _check_keys(doc, "config", required=("params",), optional=(*_SCHEMA, "initial_data", "references"))
+    for name in ("rectangles", "outputs"):
+        doc.setdefault(name, {})
+    for name, table in _SCHEMA.items():
+        if name in doc:
+            doc[name] = _validate(doc[name], name, table)
     return doc
 
 
@@ -104,6 +134,27 @@ def _check_keys(section: dict, where: str, required: tuple[str, ...], optional: 
         raise ConfigError(f"{where}: unknown key(s): {', '.join(unknown)}")
 
 
+def _validate(section: Any, where: str, table: dict[str, tuple[type, Any]]) -> dict:
+    """The section's values checked against its table, plus the table's defaults."""
+    required = tuple(key for key, (_, default) in table.items() if default is _REQUIRED)
+    _check_keys(section, where, required, optional=tuple(table))
+    values = {
+        key: default for key, (_, default) in table.items() if default not in (_REQUIRED, _OWNED)
+    }
+    for key, value in section.items():
+        kind, _ = table[key]
+        values[key] = _typed(value, kind, f"{where}.{key}")
+    return values
+
+
+def _typed(value: Any, kind: type, where: str) -> Any:
+    if kind is float:
+        return _finite(value, where)
+    if type(value) is kind and value != "":  # a bool is no int, an empty path no path
+        return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+
+
 def _finite(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
@@ -116,24 +167,6 @@ def _finite(value: Any, where: str) -> float:
     return number
 
 
-def _number(section: dict, where: str, key: str) -> float:
-    return _finite(section[key], f"{where}.{key}")
-
-
-def _integer(section: dict, where: str, key: str) -> int:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _boolean(section: dict, where: str, key: str) -> bool:
-    value = section[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
-    return value
-
-
 def _number_list(value: Any, where: str, length: tuple[int, ...]) -> list[float]:
     if not isinstance(value, list) or len(value) not in length:
         wanted = " or ".join(str(n) for n in length)
@@ -141,10 +174,14 @@ def _number_list(value: Any, where: str, length: tuple[int, ...]) -> list[float]
     return [_finite(item, f"{where}[{i}]") for i, item in enumerate(value)]
 
 
+def _section(doc: dict, name: str) -> Any:
+    if name not in doc:
+        raise ConfigError(f"{name}: section is required for this command")
+    return doc[name]
+
+
 def build_params(doc: dict) -> ModelParams:
-    section = doc["params"]
-    _check_keys(section, "params", required=_PARAM_KEYS)
-    values = {key: _number(section, "params", key) for key in _PARAM_KEYS}
+    values = dict(doc["params"])
     values["lam"] = values.pop("lambda")
     p = ModelParams(**values)
     violations = validate_params(p)
@@ -154,64 +191,21 @@ def build_params(doc: dict) -> ModelParams:
 
 
 def build_grid(doc: dict) -> Grid1D:
-    if "grid" not in doc:
-        raise ConfigError("grid: section is required for this command")
-    section = doc["grid"]
-    _check_keys(section, "grid", required=("length", "n_cells"))
     try:
-        return Grid1D(length=_number(section, "grid", "length"), n_cells=_integer(section, "grid", "n_cells"))
+        return Grid1D(**_section(doc, "grid"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    """Solver knobs that sit outside the core stepper schedule."""
-
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD
-    steady_tol: float | None = None
-    steady_window: float | None = None
-
-
-def build_stepper(doc: dict) -> tuple[StepperConfig, RunOptions]:
-    if "stepper" not in doc:
-        raise ConfigError("stepper: section is required for this command")
-    section = doc["stepper"]
-    _check_keys(
-        section,
-        "stepper",
-        required=("dt", "t_end"),
-        optional=("cfl_safety", "positivity_clip", "record_every",
-                  "blowup_guard", "steady_tol", "steady_window"),
-    )
-    kwargs: dict[str, Any] = {
-        "dt": _number(section, "stepper", "dt"),
-        "t_end": _number(section, "stepper", "t_end"),
-    }
-    if "cfl_safety" in section:
-        kwargs["cfl_safety"] = _number(section, "stepper", "cfl_safety")
-    if "positivity_clip" in section:
-        kwargs["positivity_clip"] = _boolean(section, "stepper", "positivity_clip")
-    if "record_every" in section:
-        kwargs["record_every"] = _integer(section, "stepper", "record_every")
+def build_stepper(doc: dict) -> StepperConfig:
     try:
-        cfg = StepperConfig(**kwargs)
+        return StepperConfig(**_section(doc, "stepper"))
     except ValueError as exc:
         raise ConfigError(f"stepper: {exc}") from exc
-    guard = _number(section, "stepper", "blowup_guard") if "blowup_guard" in section else DEFAULT_BLOWUP_GUARD
-    if guard <= 0:
-        raise ConfigError(f"stepper.blowup_guard: must be positive, got {guard!r}")
-    tol = _number(section, "stepper", "steady_tol") if "steady_tol" in section else None
-    window = _number(section, "stepper", "steady_window") if "steady_window" in section else None
-    if (tol is None) != (window is None):
-        raise ConfigError("stepper: steady_tol and steady_window must be given together")
-    return cfg, RunOptions(blowup_guard=guard, steady_tol=tol, steady_window=window)
 
 
 def build_initial(doc: dict, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    if "initial_data" not in doc:
-        raise ConfigError("initial_data: section is required for this command")
-    section = doc["initial_data"]
+    section = _section(doc, "initial_data")
     if not isinstance(section, dict) or len(section) != 1:
         raise ConfigError(
             "initial_data: must contain exactly one of constant, perturbed_constant, two_bumps"
@@ -283,48 +277,8 @@ def build_references(doc: dict, p: ModelParams) -> tuple[tuple[str, ConstantStat
     return tuple(refs)
 
 
-@dataclass(frozen=True)
-class RectangleOptions:
-    dt: float = 1e-3
-    record_every: int = 10
-    tol: float = 1e-3
-    u_hi0: float | None = None
-    u_lo0: float | None = None
-    v_hi0: float | None = None
-    v_lo0: float | None = None
-
-
-def build_rectangle_options(doc: dict) -> RectangleOptions:
-    section = doc.get("rectangles", {})
-    _check_keys(
-        section, "rectangles", required=(),
-        optional=("dt", "record_every", "tol", "u_hi0", "u_lo0", "v_hi0", "v_lo0"),
-    )
-    opts = RectangleOptions(
-        dt=_number(section, "rectangles", "dt") if "dt" in section else 1e-3,
-        record_every=_integer(section, "rectangles", "record_every") if "record_every" in section else 10,
-        tol=_number(section, "rectangles", "tol") if "tol" in section else 1e-3,
-        u_hi0=_number(section, "rectangles", "u_hi0") if "u_hi0" in section else None,
-        u_lo0=_number(section, "rectangles", "u_lo0") if "u_lo0" in section else None,
-        v_hi0=_number(section, "rectangles", "v_hi0") if "v_hi0" in section else None,
-        v_lo0=_number(section, "rectangles", "v_lo0") if "v_lo0" in section else None,
-    )
-    if opts.dt <= 0 or not math.isfinite(opts.dt):
-        raise ConfigError(f"rectangles.dt: must be positive and finite, got {opts.dt!r}")
-    if opts.record_every < 1:
-        raise ConfigError(f"rectangles.record_every: must be >= 1, got {opts.record_every!r}")
-    if opts.tol < 0:
-        raise ConfigError(f"rectangles.tol: must be nonnegative, got {opts.tol!r}")
-    return opts
-
-
-def resolve_output(doc: dict, out_dir: str, key: str, default_name: str) -> Path:
-    outputs = doc.get("outputs", {})
-    _check_keys(outputs, "outputs", required=(), optional=_OUTPUT_KEYS)
-    name = outputs.get(key, default_name)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"outputs.{key}: expected a nonempty path string, got {name!r}")
-    path = Path(name)
+def resolve_output(doc: dict, out_dir: str, key: str) -> Path:
+    path = Path(doc["outputs"][key])
     if not path.is_absolute():
         path = Path(out_dir) / path
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -419,7 +373,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "notes": list(classification.notes),
         },
     }
-    path = resolve_output(doc, args.out, "check_json", "check.json")
+    path = resolve_output(doc, args.out, "check_json")
     write_json(path, document)
     for name, rep in hyp_reports.items():
         print(_report_line(name.upper(), rep))
@@ -463,7 +417,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
     attempt("coexistence", lambda: steady_states.coexistence_state(p))
     attempt("exclusion", lambda: steady_states.exclusion_state(p))
     attempt("semi_trivial", lambda: steady_states.semi_trivial_states(p))
-    path = resolve_output(doc, args.out, "steady_json", "steady.json")
+    path = resolve_output(doc, args.out, "steady_json")
     write_json(path, document)
     for line in lines:
         print(line)
@@ -512,7 +466,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return {"alpha": alpha, "beta": beta, "mass_sum_cap": cap}
 
     attempt("mass_sum", mass_sum_family)
-    path = resolve_output(doc, args.out, "bounds_json", "bounds.json")
+    path = resolve_output(doc, args.out, "bounds_json")
     write_json(path, document)
     for line in lines:
         print(line)
@@ -593,28 +547,21 @@ def _envelope_sections(
 
 
 def _run_from_config(
-    doc: dict, p: ModelParams, grid: Grid1D
+    doc: dict, p: ModelParams, grid: Grid1D, references: tuple[tuple[str, ConstantState], ...]
 ) -> tuple[TrajectoryRecord, StepperConfig, np.ndarray, np.ndarray]:
-    cfg, opts = build_stepper(doc)
+    cfg = build_stepper(doc)
     u0, v0 = build_initial(doc, grid)
-    references = build_references(doc, p)
     state0 = initial_state(u0, v0, p, grid)
-    rec = run_simulation(
-        state0, p, grid, cfg,
-        references=references,
-        blowup_guard=opts.blowup_guard,
-        steady_tol=opts.steady_tol,
-        steady_window=opts.steady_window,
-    )
-    return rec, cfg, u0, v0
+    return run_simulation(state0, p, grid, cfg, references=references), cfg, u0, v0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     p = build_params(doc)
     grid = build_grid(doc)
-    rec, cfg, u0, v0 = _run_from_config(doc, p, grid)
-    csv_path = resolve_output(doc, args.out, "trajectory_csv", "trajectory.csv")
+    references = build_references(doc, p)
+    rec, cfg, u0, v0 = _run_from_config(doc, p, grid, references)
+    csv_path = resolve_output(doc, args.out, "trajectory_csv")
     _write_trajectory_csv(csv_path, rec)
 
     summary: dict[str, Any] = {
@@ -657,7 +604,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         measured["steady"] = {"skipped": "record spans zero time"}
     summary["measured"] = measured
 
-    references = build_references(doc, p)
     summary["predicted"] = {
         "references": {label: _state_doc(state) for label, state in references},
     }
@@ -665,7 +611,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mass_u0, mass_v0 = grid.integrate(u0), grid.integrate(v0)
     summary["envelopes"] = _envelope_sections(p, rec, sup_u0, sup_v0, mass_u0, mass_v0)
 
-    json_path = resolve_output(doc, args.out, "summary_json", "summary.json")
+    json_path = resolve_output(doc, args.out, "summary_json")
     write_json(json_path, summary)
     print(f"simulated to t={rec.t[-1]:.6g} ({rec.n_samples} samples)")
     for label in rec.ref_labels:
@@ -712,28 +658,34 @@ def _write_rectangles_csv(path: Path, trace: RectangleTrace) -> None:
 def cmd_rectangles(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     p = build_params(doc)
-    opts = build_rectangle_options(doc)
+    opts = doc["rectangles"]
+    if opts["dt"] <= 0:
+        raise ConfigError(f"rectangles.dt: must be positive, got {opts['dt']!r}")
+    if opts["record_every"] < 1:
+        raise ConfigError(f"rectangles.record_every: must be >= 1, got {opts['record_every']!r}")
+    if opts["tol"] < 0:
+        raise ConfigError(f"rectangles.tol: must be nonnegative, got {opts['tol']!r}")
     pde_guard: str | None = None
     if args.trajectory:
         pde_trace = read_trajectory_csv(args.trajectory)
     else:
         grid = build_grid(doc)
-        pde_trace, _, _, _ = _run_from_config(doc, p, grid)
+        pde_trace = _run_from_config(doc, p, grid, build_references(doc, p))[0]
         pde_guard = pde_trace.guard_tripped
 
     s0 = RectangleState(
         t=pde_trace.t[0],
-        u_hi=opts.u_hi0 if opts.u_hi0 is not None else pde_trace.u_max[0],
-        u_lo=opts.u_lo0 if opts.u_lo0 is not None else pde_trace.u_min[0],
-        v_hi=opts.v_hi0 if opts.v_hi0 is not None else pde_trace.v_max[0],
-        v_lo=opts.v_lo0 if opts.v_lo0 is not None else pde_trace.v_min[0],
+        u_hi=pde_trace.u_max[0] if opts["u_hi0"] is None else opts["u_hi0"],
+        u_lo=pde_trace.u_min[0] if opts["u_lo0"] is None else opts["u_lo0"],
+        v_hi=pde_trace.v_max[0] if opts["v_hi0"] is None else opts["v_hi0"],
+        v_lo=pde_trace.v_min[0] if opts["v_lo0"] is None else opts["v_lo0"],
     )
     rect_trace = integrate_rectangles(
-        s0, p, t_end=pde_trace.t[-1], dt=opts.dt, record_every=opts.record_every
+        s0, p, t_end=pde_trace.t[-1], dt=opts["dt"], record_every=opts["record_every"]
     )
-    csv_path = resolve_output(doc, args.out, "rectangles_csv", "rectangles.csv")
+    csv_path = resolve_output(doc, args.out, "rectangles_csv")
     _write_rectangles_csv(csv_path, rect_trace)
-    report = check_enclosure(pde_trace, rect_trace, opts.tol)
+    report = check_enclosure(pde_trace, rect_trace, opts["tol"])
     document = {
         "passed": report.passed,
         "tol": report.tol,
@@ -747,7 +699,7 @@ def cmd_rectangles(args: argparse.Namespace) -> int:
         "rectangle_guard_tripped": rect_trace.guard_tripped,
         "pde_guard_tripped": pde_guard,
     }
-    json_path = resolve_output(doc, args.out, "enclosure_json", "enclosure.json")
+    json_path = resolve_output(doc, args.out, "enclosure_json")
     write_json(json_path, document)
     verdict = "pass" if report.passed else "fail"
     print(

@@ -1,4 +1,4 @@
-"""Core data types: model coefficients, the 1-D grid, field snapshots, signed parts.
+"""Core data types: model coefficients, the 1-D grid, field snapshots, positive/negative parts.
 
 Everything downstream (hypothesis checks, bound constants, the PDE stepper,
 the comparison ODE system) consumes these types.  All values are 64-bit
@@ -32,21 +32,6 @@ def negative_part(a: float) -> float:
 def positive_part(a: float) -> float:
     """Return max{0, a}."""
     return max(0.0, a)
-
-
-@dataclass(frozen=True)
-class SignedParts:
-    """Decomposition of a real number into positive and negative parts.
-
-    Satisfies pos - neg == a, pos * neg == 0, pos >= 0, neg >= 0.
-    """
-
-    pos: float
-    neg: float
-
-
-def signed_parts(a: float) -> SignedParts:
-    return SignedParts(pos=positive_part(a), neg=negative_part(a))
 
 
 # Fields that must be strictly positive; the remaining interaction

@@ -26,8 +26,6 @@ from .elliptic import assemble, neumann_factor, solve_w
 from .model import FieldState, Grid1D, ModelParams, PreconditionError
 from .steady_states import ConstantState
 
-DEFAULT_BLOWUP_GUARD = 1e8
-
 
 class CflViolationError(RuntimeError):
     """The configured dt violates an explicit stability constraint."""
@@ -44,11 +42,18 @@ class CflViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """The run schedule and its stopping rules: a density above blowup_guard
+    ends the run, and steady_tol with steady_window (given together) stop it
+    once the trailing window is stationary."""
+
     dt: float
     t_end: float
     cfl_safety: float = 0.9
     positivity_clip: bool = False
     record_every: int = 1
+    blowup_guard: float = 1e8
+    steady_tol: float | None = None
+    steady_window: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -59,6 +64,10 @@ class StepperConfig:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        if not self.blowup_guard > 0:
+            raise ValueError(f"blowup_guard must be positive, got {self.blowup_guard!r}")
+        if (self.steady_tol is None) != (self.steady_window is None):
+            raise ValueError("steady_tol and steady_window must be given together")
 
 
 def chemotaxis_flux(
@@ -173,18 +182,15 @@ def run_simulation(
     grid: Grid1D,
     cfg: StepperConfig,
     references: tuple[tuple[str, ConstantState], ...] = (),
-    blowup_guard: float = DEFAULT_BLOWUP_GUARD,
-    steady_tol: float | None = None,
-    steady_window: float | None = None,
 ) -> TrajectoryRecord:
     """Drive the stepper from state0 to cfg.t_end, recording summaries.
 
     Records every record_every-th step plus the initial and final
     snapshots.  Stops early when a density becomes NaN or infinite
-    (guard_tripped="non_finite") or exceeds blowup_guard ("blow_up"), in
-    both cases with the partial trace kept, or, when
-    steady_tol and steady_window are both given, once the trailing window
-    certifies stationarity at that tolerance.  A stability violation after
+    (guard_tripped="non_finite") or exceeds cfg.blowup_guard ("blow_up"), in
+    both cases with the partial trace kept, or, when cfg.steady_tol and
+    cfg.steady_window are given, once the trailing window certifies
+    stationarity at that tolerance.  A stability violation after
     at least one completed step is likewise recorded as a guard trip
     ("cfl_violation"); on the very first step it propagates, since then
     the configured dt was never admissible.
@@ -226,25 +232,21 @@ def run_simulation(
         if not math.isfinite(peak):
             rec.guard_tripped = "non_finite"
             rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
-        elif peak > blowup_guard:
+        elif peak > cfg.blowup_guard:
             rec.guard_tripped = "blow_up"
-            rec.notes.append(f"field maximum exceeded the blow-up guard {blowup_guard!r} at t={t!r}")
+            rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
         if rec.guard_tripped:
             record()
             break
         at_stride = steps_done % cfg.record_every == 0
         if at_stride or t >= cfg.t_end - 1e-12 * time_scale:
             record()
-            if (
-                steady_tol is not None
-                and steady_window is not None
-                and rec.span >= steady_window
-            ):
-                if detect_steady(rec, steady_tol, steady_window).steady:
+            tol, window = cfg.steady_tol, cfg.steady_window
+            if tol is not None and rec.span >= window:
+                if detect_steady(rec, tol, window).steady:
                     rec.stopped_early = True
                     rec.notes.append(
-                        f"stationary at tol={steady_tol!r} over window={steady_window!r}; "
-                        f"stopped at t={t!r}"
+                        f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}"
                     )
                     break
     rec.final_state = record()

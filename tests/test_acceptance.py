@@ -35,7 +35,6 @@ from chemotaxis_lab import (
     negative_part,
     positive_part,
     run_simulation,
-    signed_parts,
     solve_w,
 )
 from chemotaxis_lab.cli import main as cli_main
@@ -327,13 +326,11 @@ def test_property_suites(tmp_path):
     # signed-part algebra on 200 random coefficients
     for _ in range(200):
         a = float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
-        sp = signed_parts(a)
-        assert sp.pos == positive_part(a)
-        assert sp.neg == negative_part(a)
-        assert sp.pos >= 0.0 and sp.neg >= 0.0
-        assert sp.pos - sp.neg == a
-        assert sp.pos + sp.neg == abs(a)
-        assert sp.pos * sp.neg == 0.0
+        pos, neg = positive_part(a), negative_part(a)
+        assert pos >= 0.0 and neg >= 0.0
+        assert pos - neg == a
+        assert pos + neg == abs(a)
+        assert pos * neg == 0.0
 
     # signal solve: mass identity and maximum principle on 200 random fields
     grid = Grid1D(length=1.0, n_cells=32)

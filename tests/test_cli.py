@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chemotaxis_lab import cli, steady_states
 from chemotaxis_lab.cli import main
 
 
@@ -220,6 +221,55 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_config_errors_come_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_simulation called before the config was checked")
+
+        monkeypatch.setattr(cli, "run_simulation", fail)
+        doc = base_config()
+        doc["outputs"] = {"movie_mp4": "out.mp4"}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "outputs: unknown key(s): movie_mp4" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("grid", "length", "1.0"),
+            ("grid", "n_cells", 32.0),
+            ("stepper", "dt", "0.01"),
+            ("stepper", "t_end", None),
+            ("stepper", "cfl_safety", [0.5]),
+            ("stepper", "positivity_clip", 1),
+            ("stepper", "record_every", 2.5),
+            ("stepper", "blowup_guard", True),
+            ("stepper", "steady_tol", "1e-6"),
+            ("stepper", "steady_window", {}),
+            ("rectangles", "dt", "0.001"),
+            ("rectangles", "record_every", 10.0),
+            ("rectangles", "tol", False),
+            ("rectangles", "u_hi0", None),
+            ("rectangles", "u_lo0", "0"),
+            ("rectangles", "v_hi0", [1.0]),
+            ("rectangles", "v_lo0", True),
+            ("outputs", "trajectory_csv", 1),
+            ("outputs", "summary_json", ""),
+            ("outputs", "check_json", None),
+            ("outputs", "steady_json", ["steady.json"]),
+            ("outputs", "bounds_json", True),
+            ("outputs", "rectangles_csv", 2.0),
+            ("outputs", "enclosure_json", {}),
+        ],
+    )
+    def test_wrong_type_names_the_key(self, tmp_path, capsys, section, key, value):
+        # Every section present is checked at load, whatever the subcommand.
+        doc = base_config()
+        doc.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: {section}.{key}: expected " in capsys.readouterr().err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -416,6 +466,15 @@ class TestSimulateOutputs:
         capsys.readouterr()
         rows = read_csv_rows(tmp_path / "trajectory.csv")
         assert float(rows[1][1]) >= 0.0
+
+    def test_each_reference_is_solved_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        solve = steady_states.coexistence_state
+        monkeypatch.setattr(steady_states, "coexistence_state", lambda p: calls.append(p) or solve(p))
+        cfg = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_output_paths_are_configurable(self, tmp_path, capsys):
         doc = base_config()

@@ -10,7 +10,6 @@ from chemotaxis_lab import (
     Grid1D,
     negative_part,
     positive_part,
-    signed_parts,
     validate_params,
 )
 from helpers import mk_params
@@ -31,20 +30,15 @@ class TestSignedParts:
         assert positive_part(0.0) == 0.0
         assert negative_part(0.0) == 0.0
 
-    def test_dataclass_fields(self):
-        sp = signed_parts(-1.25)
-        assert sp.pos == 0.0
-        assert sp.neg == 1.25
-
     @settings(max_examples=200, deadline=None)
     @given(finite_floats)
     def test_algebra(self, a):
-        sp = signed_parts(a)
-        assert sp.pos >= 0.0
-        assert sp.neg >= 0.0
-        assert sp.pos - sp.neg == a
-        assert sp.pos + sp.neg == abs(a)
-        assert sp.pos * sp.neg == 0.0
+        pos, neg = positive_part(a), negative_part(a)
+        assert pos >= 0.0
+        assert neg >= 0.0
+        assert pos - neg == a
+        assert pos + neg == abs(a)
+        assert pos * neg == 0.0
 
 
 class TestValidateParams:

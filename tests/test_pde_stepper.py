@@ -30,6 +30,10 @@ class TestStepperConfig:
             dict(dt=0.1, t_end=1.0, cfl_safety=1.5),
             dict(dt=0.1, t_end=1.0, record_every=0),
             dict(dt=0.1, t_end=1.0, record_every=2.5),
+            dict(dt=0.1, t_end=1.0, blowup_guard=0.0),
+            dict(dt=0.1, t_end=1.0, blowup_guard=float("nan")),
+            dict(dt=0.1, t_end=1.0, steady_tol=1e-6),
+            dict(dt=0.1, t_end=1.0, steady_window=0.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -226,9 +230,7 @@ class TestStabilityGuards:
         grid = Grid1D(length=1.0, n_cells=16)
         p = mk_params(a0=5.0, a1=0.0, b0=0.0)
         s0 = initial_state(np.full(16, 0.5), np.zeros(16), p, grid)
-        rec = run_simulation(
-            s0, p, grid, StepperConfig(dt=0.01, t_end=3.0), blowup_guard=1e3
-        )
+        rec = run_simulation(s0, p, grid, StepperConfig(dt=0.01, t_end=3.0, blowup_guard=1e3))
         assert rec.guard_tripped == "blow_up"
         assert 0.0 < rec.t[-1] < 3.0
         assert rec.u_max[-1] >= 1e3
@@ -306,8 +308,7 @@ class TestRunSimulation:
         s0 = initial_state(np.full(16, eq.u_star), np.full(16, eq.v_star), p, grid)
         rec = run_simulation(
             s0, p, grid,
-            StepperConfig(dt=0.1, t_end=100.0),
-            steady_tol=1e-8, steady_window=0.5,
+            StepperConfig(dt=0.1, t_end=100.0, steady_tol=1e-8, steady_window=0.5),
         )
         assert rec.stopped_early is True
         assert rec.t[-1] == pytest.approx(0.5)
