@@ -39,7 +39,6 @@ from .ode_bounds import (
     RectangleState,
     RectangleTrace,
     check_enclosure,
-    initial_rectangle,
     integrate_rectangles,
     rectangle_rhs,
 )

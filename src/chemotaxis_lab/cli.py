@@ -648,11 +648,12 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
 
 
 def _write_rectangles_csv(path: Path, trace: RectangleTrace) -> None:
+    # Rows are streamed, not joined into one string of the whole file,
+    # which would raise peak memory.  repr() cells need no CSV quoting.
+    cols = (trace.t, trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "u_hi", "u_lo", "v_hi", "v_lo"])
-        for s in trace.states:
-            writer.writerow([repr(x) for x in (s.t, s.u_hi, s.u_lo, s.v_hi, s.v_lo)])
+        fh.write("t,u_hi,u_lo,v_hi,v_lo\n")
+        fh.writelines(",".join(r) + "\n" for r in zip(*(map(repr, c) for c in cols)))
 
 
 def cmd_rectangles(args: argparse.Namespace) -> int:
@@ -670,7 +671,7 @@ def cmd_rectangles(args: argparse.Namespace) -> int:
         pde_trace = read_trajectory_csv(args.trajectory)
     else:
         grid = build_grid(doc)
-        pde_trace = _run_from_config(doc, p, grid, build_references(doc, p))[0]
+        pde_trace = _run_from_config(doc, p, grid, ())[0]
         pde_guard = pde_trace.guard_tripped
 
     s0 = RectangleState(

@@ -9,24 +9,19 @@ bounding curve moves at least as fast outward as the field it dominates.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    FieldState,
-    ModelParams,
-    PreconditionError,
-    negative_part,
-    positive_part,
-)
+from .model import ModelParams, PreconditionError, negative_part, positive_part
 
 DIVERGENCE_GUARD = 1e8
 
 
 @dataclass(frozen=True)
 class RectangleState:
-    """One sample of the four bounding curves at time t."""
+    """The four bounding curves at time t: the initial data of integrate_rectangles."""
 
     t: float
     u_hi: float
@@ -40,97 +35,81 @@ class RectangleState:
 
 @dataclass
 class RectangleTrace:
-    """Recorded rectangle trajectory.  guard_tripped is None for a clean
-    run and "blow_up" when a component passed the divergence guard, in
-    which case states holds the partial trace up to the trip."""
+    """Recorded rectangle trajectory, one list per column.  guard_tripped
+    is None for a clean run and "blow_up" when a component passed the
+    divergence guard, in which case the columns hold the partial trace up
+    to and including the tripping step."""
 
-    states: list[RectangleState] = field(default_factory=list)
+    t: list[float] = field(default_factory=list)
+    u_hi: list[float] = field(default_factory=list)
+    u_lo: list[float] = field(default_factory=list)
+    v_hi: list[float] = field(default_factory=list)
+    v_lo: list[float] = field(default_factory=list)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    def component(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.states])
-
-
-def initial_rectangle(state: FieldState) -> RectangleState:
-    """Rectangle data at the field extrema, the canonical initialization."""
-    return RectangleState(
-        t=state.t,
-        u_hi=float(state.u.max()),
-        u_lo=float(state.u.min()),
-        v_hi=float(state.v.max()),
-        v_lo=float(state.v.min()),
-    )
+    def append(self, t: float, u_hi: float, u_lo: float, v_hi: float, v_lo: float) -> None:
+        self.t.append(t)
+        self.u_hi.append(u_hi)
+        self.u_lo.append(u_lo)
+        self.v_hi.append(v_hi)
+        self.v_lo.append(v_lo)
 
 
-class _RhsConstants:
-    """Signed-part coefficient groups precomputed once per integration."""
-
-    __slots__ = (
-        "c1", "c2", "k", "l", "a0", "b0",
-        "a_self", "a_self_opp", "a_cross_up", "a_cross_down",
-        "b_self", "b_self_opp", "b_cross_up", "b_cross_down",
-    )
-
-    def __init__(self, p: ModelParams):
-        w = p.omega_measure
-        self.c1 = p.chi1 / p.d3
-        self.c2 = p.chi2 / p.d3
-        self.k = p.k
-        self.l = p.l
-        self.a0 = p.a0
-        self.b0 = p.b0
-        self.a_self = p.a1 - w * negative_part(p.a3)
-        self.a_self_opp = w * positive_part(p.a3)
-        self.a_cross_up = negative_part(p.a2) + w * negative_part(p.a4)
-        self.a_cross_down = positive_part(p.a2) + w * positive_part(p.a4)
-        self.b_self = p.b2 - w * negative_part(p.b4)
-        self.b_self_opp = w * positive_part(p.b4)
-        self.b_cross_up = negative_part(p.b1) + w * negative_part(p.b3)
-        self.b_cross_down = positive_part(p.b1) + w * positive_part(p.b3)
-
-
-def _rhs(
-    c: _RhsConstants, u_hi: float, u_lo: float, v_hi: float, v_lo: float
-) -> tuple[float, float, float, float]:
-    signal_hi = c.k * u_hi + c.l * v_hi - c.k * u_lo - c.l * v_lo
-    signal_lo = c.k * u_lo + c.l * v_lo - c.k * u_hi - c.l * v_hi
-    du_hi = (
-        c.c1 * u_hi * signal_hi
-        + u_hi * (c.a0 - c.a_self * u_hi - c.a_self_opp * u_lo)
-        + u_hi * (c.a_cross_up * v_hi - c.a_cross_down * v_lo)
-    )
-    du_lo = (
-        c.c1 * u_lo * signal_lo
-        + u_lo * (c.a0 - c.a_self * u_lo - c.a_self_opp * u_hi)
-        + u_lo * (c.a_cross_up * v_lo - c.a_cross_down * v_hi)
-    )
-    dv_hi = (
-        c.c2 * v_hi * signal_hi
-        + v_hi * (c.b0 - c.b_self * v_hi - c.b_self_opp * v_lo)
-        + v_hi * (c.b_cross_up * u_hi - c.b_cross_down * u_lo)
-    )
-    dv_lo = (
-        c.c2 * v_lo * signal_lo
-        + v_lo * (c.b0 - c.b_self * v_lo - c.b_self_opp * v_hi)
-        + v_lo * (c.b_cross_up * u_lo - c.b_cross_down * u_hi)
-    )
-    return du_hi, du_lo, dv_hi, dv_lo
-
-
-def rectangle_rhs(s: RectangleState, p: ModelParams) -> tuple[float, float, float, float]:
-    """Time derivatives (du_hi, du_lo, dv_hi, dv_lo) of the rectangle system.
+def rectangle_rhs(
+    p: ModelParams,
+) -> Callable[[float, float, float, float], tuple[float, float, float, float]]:
+    """The rectangle system's right-hand side for parameters p, as a
+    function (u_hi, u_lo, v_hi, v_lo) -> (du_hi, du_lo, dv_hi, dv_lo).
 
     The hi equations push the upper curves outward with the favorable
     signed parts of the cross terms; the lo equations are the exact mirror
     with hi and lo swapped, so a diagonal state (u_hi = u_lo, v_hi = v_lo)
-    recombines to the plain interaction ODE.
+    recombines to the plain interaction ODE.  The signed-part coefficient
+    groups are computed once here; integrate_rectangles calls the returned
+    function four times per RK4 step.
     """
-    return _rhs(_RhsConstants(p), s.u_hi, s.u_lo, s.v_hi, s.v_lo)
+    w = p.omega_measure
+    c1 = p.chi1 / p.d3
+    c2 = p.chi2 / p.d3
+    k = p.k
+    l = p.l
+    a0 = p.a0
+    b0 = p.b0
+    a_self = p.a1 - w * negative_part(p.a3)
+    a_self_opp = w * positive_part(p.a3)
+    a_cross_up = negative_part(p.a2) + w * negative_part(p.a4)
+    a_cross_down = positive_part(p.a2) + w * positive_part(p.a4)
+    b_self = p.b2 - w * negative_part(p.b4)
+    b_self_opp = w * positive_part(p.b4)
+    b_cross_up = negative_part(p.b1) + w * negative_part(p.b3)
+    b_cross_down = positive_part(p.b1) + w * positive_part(p.b3)
+
+    def rhs(u_hi: float, u_lo: float, v_hi: float, v_lo: float) -> tuple[float, float, float, float]:
+        # Each signal keeps its own left-to-right sum: signal_lo is not
+        # -signal_hi in floating point, and the recorded digits depend on it.
+        ku_hi = k * u_hi
+        ku_lo = k * u_lo
+        lv_hi = l * v_hi
+        lv_lo = l * v_lo
+        signal_hi = ku_hi + lv_hi - ku_lo - lv_lo
+        signal_lo = ku_lo + lv_lo - ku_hi - lv_hi
+        return (
+            c1 * u_hi * signal_hi
+            + u_hi * (a0 - a_self * u_hi - a_self_opp * u_lo)
+            + u_hi * (a_cross_up * v_hi - a_cross_down * v_lo),
+            c1 * u_lo * signal_lo
+            + u_lo * (a0 - a_self * u_lo - a_self_opp * u_hi)
+            + u_lo * (a_cross_up * v_lo - a_cross_down * v_hi),
+            c2 * v_hi * signal_hi
+            + v_hi * (b0 - b_self * v_hi - b_self_opp * v_lo)
+            + v_hi * (b_cross_up * u_hi - b_cross_down * u_lo),
+            c2 * v_lo * signal_lo
+            + v_lo * (b0 - b_self * v_lo - b_self_opp * v_hi)
+            + v_lo * (b_cross_up * u_lo - b_cross_down * u_hi),
+        )
+
+    return rhs
 
 
 def integrate_rectangles(
@@ -160,57 +139,57 @@ def integrate_rectangles(
     if min(s0.u_lo, s0.v_lo) < 0:
         raise PreconditionError(f"initial rectangle must be nonnegative, got {s0!r}")
 
-    c = _RhsConstants(p)
-    trace = RectangleTrace(states=[s0])
+    rhs = rectangle_rhs(p)
     t, u_hi, u_lo, v_hi, v_lo = s0.t, s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo
-    time_scale = max(abs(t_end), 1.0)
+    trace = RectangleTrace([t], [u_hi], [u_lo], [v_hi], [v_lo])
+    record = trace.append
+    t_stop = t_end - 1e-12 * max(abs(t_end), 1.0)
+    guard = DIVERGENCE_GUARD
+    ninf = -math.inf
+    last_t = t
     steps_done = 0
-    while t < t_end - 1e-12 * time_scale:
-        h = min(dt, t_end - t)
-        k1 = _rhs(c, u_hi, u_lo, v_hi, v_lo)
-        k2 = _rhs(
-            c,
-            u_hi + 0.5 * h * k1[0],
-            u_lo + 0.5 * h * k1[1],
-            v_hi + 0.5 * h * k1[2],
-            v_lo + 0.5 * h * k1[3],
+    # Every rewrite below keeps each floating-point operation and its
+    # order: 0.5 * h * x is (0.5 * h) * x, so 0.5 * h and h / 6 can be
+    # computed once per step size, and the chained comparisons trip exactly
+    # when a component is non-finite or above the guard.
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    while t < t_stop:
+        rest = t_end - t
+        if rest < dt:
+            h, half, sixth = rest, 0.5 * rest, rest / 6.0
+        else:
+            h, half, sixth = dt, half_dt, sixth_dt
+        k1_0, k1_1, k1_2, k1_3 = rhs(u_hi, u_lo, v_hi, v_lo)
+        k2_0, k2_1, k2_2, k2_3 = rhs(
+            u_hi + half * k1_0, u_lo + half * k1_1, v_hi + half * k1_2, v_lo + half * k1_3
         )
-        k3 = _rhs(
-            c,
-            u_hi + 0.5 * h * k2[0],
-            u_lo + 0.5 * h * k2[1],
-            v_hi + 0.5 * h * k2[2],
-            v_lo + 0.5 * h * k2[3],
+        k3_0, k3_1, k3_2, k3_3 = rhs(
+            u_hi + half * k2_0, u_lo + half * k2_1, v_hi + half * k2_2, v_lo + half * k2_3
         )
-        k4 = _rhs(
-            c,
-            u_hi + h * k3[0],
-            u_lo + h * k3[1],
-            v_hi + h * k3[2],
-            v_lo + h * k3[3],
+        k4_0, k4_1, k4_2, k4_3 = rhs(
+            u_hi + h * k3_0, u_lo + h * k3_1, v_hi + h * k3_2, v_lo + h * k3_3
         )
-        sixth = h / 6.0
-        u_hi += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u_lo += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        v_hi += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        v_lo += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        u_hi += sixth * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
+        u_lo += sixth * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
+        v_hi += sixth * (k1_2 + 2.0 * k2_2 + 2.0 * k3_2 + k4_2)
+        v_lo += sixth * (k1_3 + 2.0 * k2_3 + 2.0 * k3_3 + k4_3)
         t += h
         steps_done += 1
-        components = (u_hi, u_lo, v_hi, v_lo)
-        finite = all(math.isfinite(x) for x in components)
-        if not finite or max(components) > DIVERGENCE_GUARD:
-            trace.states.append(RectangleState(t, u_hi, u_lo, v_hi, v_lo))
+        if not (
+            ninf < u_hi <= guard and ninf < u_lo <= guard
+            and ninf < v_hi <= guard and ninf < v_lo <= guard
+        ):
             trace.guard_tripped = "blow_up"
             trace.notes.append(
                 f"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} "
                 f"at t={t!r} (finite-time blow-up of the bounding system)"
             )
             break
-        if steps_done % record_every == 0 or t >= t_end - 1e-12 * time_scale:
-            if trace.states[-1].t < t:
-                trace.states.append(RectangleState(t, u_hi, u_lo, v_hi, v_lo))
-    if trace.states[-1].t < t:
-        trace.states.append(RectangleState(t, u_hi, u_lo, v_hi, v_lo))
+        if steps_done % record_every == 0 and last_t < t:
+            record(t, u_hi, u_lo, v_hi, v_lo)
+            last_t = t
+    if last_t < t:  # the final step, when off the stride or tripped
+        record(t, u_hi, u_lo, v_hi, v_lo)
     return trace
 
 
@@ -241,10 +220,10 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    if not rect_trace.states:
+    if not rect_trace.t:
         raise PreconditionError("rectangle trace has no samples")
     pde_t = np.asarray(pde_trace.t, dtype=float)
-    rect_t = rect_trace.times
+    rect_t = np.asarray(rect_trace.t, dtype=float)
     inside = (pde_t >= rect_t[0] - 1e-12) & (pde_t <= rect_t[-1] + 1e-12)
     notes: list[str] = []
     if not inside.all():
@@ -265,10 +244,10 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
             n_times=0,
             notes=tuple(notes + ["no overlapping sample times"]),
         )
-    u_hi = np.interp(t_cmp, rect_t, rect_trace.component("u_hi"))
-    u_lo = np.interp(t_cmp, rect_t, rect_trace.component("u_lo"))
-    v_hi = np.interp(t_cmp, rect_t, rect_trace.component("v_hi"))
-    v_lo = np.interp(t_cmp, rect_t, rect_trace.component("v_lo"))
+    u_hi = np.interp(t_cmp, rect_t, rect_trace.u_hi)
+    u_lo = np.interp(t_cmp, rect_t, rect_trace.u_lo)
+    v_hi = np.interp(t_cmp, rect_t, rect_trace.v_hi)
+    v_lo = np.interp(t_cmp, rect_t, rect_trace.v_lo)
     u_min = np.asarray(pde_trace.u_min, dtype=float)[inside]
     u_max = np.asarray(pde_trace.u_max, dtype=float)[inside]
     v_min = np.asarray(pde_trace.v_min, dtype=float)[inside]

@@ -16,6 +16,7 @@ from scipy.integrate import solve_ivp
 
 from chemotaxis_lab import (
     Grid1D,
+    RectangleState,
     StepperConfig,
     alpha_beta,
     assemble,
@@ -27,7 +28,6 @@ from chemotaxis_lab import (
     coexistence_state,
     exclusion_dominance_margin,
     exclusion_state,
-    initial_rectangle,
     initial_state,
     integrate_rectangles,
     linf_bounds,
@@ -67,7 +67,6 @@ def coexistence_run():
     return {
         "params": p,
         "grid": grid,
-        "state0": state0,
         "u0": u0,
         "v0": v0,
         "rec": rec,
@@ -225,7 +224,10 @@ def test_mass_sum_envelope_holds():
 def test_rectangle_enclosure_holds(coexistence_run):
     p = coexistence_run["params"]
     rec = coexistence_run["rec"]
-    rect0 = initial_rectangle(coexistence_run["state0"])
+    # the initial rectangle at the first sample's extrema, as the rectangles subcommand builds it
+    rect0 = RectangleState(
+        t=rec.t[0], u_hi=rec.u_max[0], u_lo=rec.u_min[0], v_hi=rec.v_max[0], v_lo=rec.v_min[0]
+    )
     trace = integrate_rectangles(rect0, p, t_end=rec.t[-1], dt=1e-3, record_every=10)
     assert trace.guard_tripped is None
     report = check_enclosure(rec, trace, tol=1e-3)
@@ -364,13 +366,11 @@ def test_property_suites(tmp_path):
     assert rec.mass_v[-1] == pytest.approx(gridc.integrate(v0), rel=1e-10)
 
     # diagonal rectangle data stays diagonal under integration
-    from chemotaxis_lab import RectangleState
-
     pd = coexistence_params(0.1)
     s0 = RectangleState(t=0.0, u_hi=0.7, u_lo=0.7, v_hi=0.2, v_lo=0.2)
     trace = integrate_rectangles(s0, pd, t_end=20.0, dt=1e-2, record_every=10)
-    gap_u = np.abs(trace.component("u_hi") - trace.component("u_lo")).max()
-    gap_v = np.abs(trace.component("v_hi") - trace.component("v_lo")).max()
+    gap_u = np.abs(np.array(trace.u_hi) - np.array(trace.u_lo)).max()
+    gap_v = np.abs(np.array(trace.v_hi) - np.array(trace.v_lo)).max()
     assert gap_u <= 1e-12 and gap_v <= 1e-12
 
     # identical configs must give byte-identical CSV output

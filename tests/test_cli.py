@@ -523,6 +523,36 @@ class TestRectangles:
         reuse = read_json(out_reuse / "enclosure.json")
         assert sub == reuse
 
+    def test_subrun_does_not_evaluate_references(self, tmp_path, capsys, monkeypatch):
+        doc = self.make_scenario(tmp_path)
+        doc["references"] = ["coexistence"]
+        cfg = write_config(tmp_path, doc)
+
+        def refuse(*_):
+            raise AssertionError("rectangles evaluated the references")
+
+        monkeypatch.setattr(cli, "build_references", refuse)
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "enclosure: pass" in capsys.readouterr().out
+
+    def test_initial_rectangle_from_first_row_extrema(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.make_scenario(tmp_path))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        initial = read_json(tmp_path / "enclosure.json")["rectangle_initial"]
+        assert initial == {
+            "t": float(first["t"]),
+            "u_hi": float(first["u_max"]),
+            "u_lo": float(first["u_min"]),
+            "v_hi": float(first["v_max"]),
+            "v_lo": float(first["v_min"]),
+        }
+        rows = read_csv_rows(tmp_path / "rectangles.csv")
+        assert rows[1] == [first["t"], first["u_max"], first["u_min"], first["v_max"], first["v_min"]]
+
     def test_shrunken_start_fails_enclosure_but_exits_zero(self, tmp_path, capsys):
         doc = self.make_scenario(tmp_path)
         doc["rectangles"] = {"u_hi0": 0.46}

@@ -11,11 +11,13 @@ from chemotaxis_lab import (
     RectangleTrace,
     TrajectoryRecord,
     check_enclosure,
-    initial_rectangle,
     integrate_rectangles,
     linf_bounds,
+    negative_part,
+    positive_part,
     rectangle_rhs,
 )
+from chemotaxis_lab.ode_bounds import DIVERGENCE_GUARD
 from helpers import coexistence_params, mk_params
 
 
@@ -33,15 +35,21 @@ def make_pde_trace(samples):
     return rec
 
 
+def box_trace(times):
+    """Rectangle trace holding the box [0, 1] x [0, 1] at every time."""
+    n = len(times)
+    return RectangleTrace(
+        t=list(times), u_hi=[1.0] * n, u_lo=[0.0] * n, v_hi=[1.0] * n, v_lo=[0.0] * n
+    )
+
+
 class TestRectangleRhs:
     def test_signal_term_hand_value(self):
-        s = RectangleState(t=0.0, u_hi=1.0, u_lo=1.0, v_hi=1.0, v_lo=0.0)
-        assert rectangle_rhs(s, mk_params(chi1=1.0)) == (1.0, -1.0, 0.0, 0.0)
+        assert rectangle_rhs(mk_params(chi1=1.0))(1.0, 1.0, 1.0, 0.0) == (1.0, -1.0, 0.0, 0.0)
 
     def test_signed_part_hand_value(self):
         p = mk_params(a0=1.0, a1=3.0, a2=-2.0, a3=1.0, a4=1.0, omega_measure=2.0)
-        s = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=3.0, v_lo=0.5)
-        assert rectangle_rhs(s, p) == (-4.0, -11.0, -6.0, 0.25)
+        assert rectangle_rhs(p)(2.0, 1.0, 3.0, 0.5) == (-4.0, -11.0, -6.0, 0.25)
 
     def test_diagonal_recombines_to_interaction_ode(self):
         rng = np.random.default_rng(23)
@@ -63,8 +71,7 @@ class TestRectangleRhs:
             )
             u = float(rng.uniform(0.0, 2.0))
             v = float(rng.uniform(0.0, 2.0))
-            s = RectangleState(t=0.0, u_hi=u, u_lo=u, v_hi=v, v_lo=v)
-            d_uhi, d_ulo, d_vhi, d_vlo = rectangle_rhs(s, p)
+            d_uhi, d_ulo, d_vhi, d_vlo = rectangle_rhs(p)(u, u, v, v)
             assert d_uhi == d_ulo
             assert d_vhi == d_vlo
             w = p.omega_measure
@@ -92,8 +99,8 @@ class TestIntegrateRectangles:
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=0.6, u_lo=0.6, v_hi=0.4, v_lo=0.4)
         trace = integrate_rectangles(s0, p, t_end=20.0, dt=1e-2, record_every=10)
-        gaps_u = trace.component("u_hi") - trace.component("u_lo")
-        gaps_v = trace.component("v_hi") - trace.component("v_lo")
+        gaps_u = np.array(trace.u_hi) - np.array(trace.u_lo)
+        gaps_v = np.array(trace.v_hi) - np.array(trace.v_lo)
         assert np.max(np.abs(gaps_u)) <= 1e-12
         assert np.max(np.abs(gaps_v)) <= 1e-12
 
@@ -101,9 +108,9 @@ class TestIntegrateRectangles:
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=1.5, u_lo=0.2, v_hi=1.2, v_lo=0.1)
         trace = integrate_rectangles(s0, p, t_end=50.0, dt=1e-3, record_every=50)
-        for s in trace.states:
-            assert s.u_lo <= s.u_hi + 1e-9
-            assert s.v_lo <= s.v_hi + 1e-9
+        for u_hi, u_lo, v_hi, v_lo in zip(trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo):
+            assert u_lo <= u_hi + 1e-9
+            assert v_lo <= v_hi + 1e-9
 
     def test_diagonal_matches_reference_integrator(self):
         p = coexistence_params(0.0)
@@ -118,54 +125,41 @@ class TestIntegrateRectangles:
         )
         s0 = RectangleState(t=0.0, u_hi=0.2, u_lo=0.2, v_hi=0.6, v_lo=0.6)
         trace = integrate_rectangles(s0, p, t_end=10.0, dt=1e-3, record_every=100)
-        for s in trace.states:
-            u_ref, v_ref = sol.sol(s.t)
-            assert abs(s.u_hi - u_ref) <= 1e-9
-            assert abs(s.v_hi - v_ref) <= 1e-9
+        for t, u_hi, v_hi in zip(trace.t, trace.u_hi, trace.v_hi):
+            u_ref, v_ref = sol.sol(t)
+            assert abs(u_hi - u_ref) <= 1e-9
+            assert abs(v_hi - v_ref) <= 1e-9
 
     def test_components_respect_sup_caps(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=2.0, v_lo=1.0)
         trace = integrate_rectangles(s0, p, t_end=100.0, dt=1e-3, record_every=100)
         bc = linf_bounds(p, s0.u_hi, s0.v_hi)
-        assert trace.component("u_hi").max() <= bc.sup_cap_u * (1.0 + 1e-6)
-        assert trace.component("v_hi").max() <= bc.sup_cap_v * (1.0 + 1e-6)
+        assert max(trace.u_hi) <= bc.sup_cap_u * (1.0 + 1e-6)
+        assert max(trace.v_hi) <= bc.sup_cap_v * (1.0 + 1e-6)
         assert trace.guard_tripped is None
 
     def test_contracts_to_coexistence_point(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=2.0, v_lo=1.0)
         trace = integrate_rectangles(s0, p, t_end=100.0, dt=1e-3, record_every=100)
-        final = trace.states[-1]
         third = 1.0 / 3.0
-        assert abs(final.u_hi - third) < 1e-8
-        assert abs(final.u_lo - third) < 1e-8
-        assert abs(final.v_hi - third) < 1e-8
+        assert abs(trace.u_hi[-1] - third) < 1e-8
+        assert abs(trace.u_lo[-1] - third) < 1e-8
+        assert abs(trace.v_hi[-1] - third) < 1e-8
 
     def test_divergence_guard_keeps_partial_trace(self):
         p = mk_params(chi1=10.0)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=0.0, v_hi=1.0, v_lo=1.0)
         trace = integrate_rectangles(s0, p, t_end=1.0, dt=1e-3)
         assert trace.guard_tripped == "blow_up"
-        assert trace.states[-1].t < 1.0
+        assert trace.t[-1] < 1.0
         assert any("divergence guard" in note for note in trace.notes)
-
-    def test_initial_rectangle_from_field_extrema(self):
-        state = FieldState(
-            t=1.5,
-            u=np.array([0.2, 0.9, 0.4]),
-            v=np.array([1.0, 0.3, 0.6]),
-            w=np.zeros(3),
-        )
-        r = initial_rectangle(state)
-        assert r == RectangleState(t=1.5, u_hi=0.9, u_lo=0.2, v_hi=1.0, v_lo=0.3)
 
 
 class TestCheckEnclosure:
     def test_containment_with_slack(self):
-        rect = RectangleTrace(
-            states=[RectangleState(t, 1.0, 0.0, 1.0, 0.0) for t in (0.0, 0.5, 1.0)]
-        )
+        rect = box_trace((0.0, 0.5, 1.0))
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (1.0, 0.3, 0.7, 0.3, 0.7)])
         report = check_enclosure(pde, rect, tol=1e-3)
         assert report.passed
@@ -173,9 +167,7 @@ class TestCheckEnclosure:
         assert report.n_times == 2
 
     def test_violation_is_located(self):
-        rect = RectangleTrace(
-            states=[RectangleState(t, 1.0, 0.0, 1.0, 0.0) for t in (0.0, 1.0)]
-        )
+        rect = box_trace((0.0, 1.0))
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (1.0, 0.2, 1.2, 0.2, 0.8)])
         report = check_enclosure(pde, rect, tol=1e-3)
         assert not report.passed
@@ -183,9 +175,7 @@ class TestCheckEnclosure:
         assert report.worst_violation == pytest.approx(0.2 - 1e-3, rel=1e-12)
 
     def test_uncovered_samples_are_flagged(self):
-        rect = RectangleTrace(
-            states=[RectangleState(t, 1.0, 0.0, 1.0, 0.0) for t in (0.0, 1.0)]
-        )
+        rect = box_trace((0.0, 1.0))
         pde = make_pde_trace(
             [(0.0, 0.2, 0.8, 0.2, 0.8), (2.0, 0.0, 5.0, 0.0, 5.0)]
         )
@@ -195,7 +185,7 @@ class TestCheckEnclosure:
         assert any("not compared" in note for note in report.notes)
 
     def test_no_overlap_fails_explicitly(self):
-        rect = RectangleTrace(states=[RectangleState(5.0, 1.0, 0.0, 1.0, 0.0)])
+        rect = box_trace((5.0,))
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8)])
         report = check_enclosure(pde, rect, tol=1e-3)
         assert not report.passed
@@ -206,6 +196,135 @@ class TestCheckEnclosure:
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8)])
         with pytest.raises(PreconditionError):
             check_enclosure(pde, RectangleTrace(), tol=1e-3)
-        rect = RectangleTrace(states=[RectangleState(0.0, 1.0, 0.0, 1.0, 0.0)])
+        rect = box_trace((0.0,))
         with pytest.raises(ValueError):
             check_enclosure(pde, rect, tol=-1.0)
+
+
+def reference_rk4(s0, p, t_end, dt, record_every):
+    """Textbook RK4 for the rectangle system with the right-hand side
+    written out in the reference operation order, and the recording and
+    divergence-guard rules of integrate_rectangles.  Returns the recorded
+    (t, u_hi, u_lo, v_hi, v_lo) rows, the guard status and the notes."""
+    w = p.omega_measure
+    c1, c2, k, l, a0, b0 = p.chi1 / p.d3, p.chi2 / p.d3, p.k, p.l, p.a0, p.b0
+    a_self = p.a1 - w * negative_part(p.a3)
+    a_self_opp = w * positive_part(p.a3)
+    a_cross_up = negative_part(p.a2) + w * negative_part(p.a4)
+    a_cross_down = positive_part(p.a2) + w * positive_part(p.a4)
+    b_self = p.b2 - w * negative_part(p.b4)
+    b_self_opp = w * positive_part(p.b4)
+    b_cross_up = negative_part(p.b1) + w * negative_part(p.b3)
+    b_cross_down = positive_part(p.b1) + w * positive_part(p.b3)
+
+    def f(y):
+        u_hi, u_lo, v_hi, v_lo = y
+        signal_hi = k * u_hi + l * v_hi - k * u_lo - l * v_lo
+        signal_lo = k * u_lo + l * v_lo - k * u_hi - l * v_hi
+        return (
+            c1 * u_hi * signal_hi
+            + u_hi * (a0 - a_self * u_hi - a_self_opp * u_lo)
+            + u_hi * (a_cross_up * v_hi - a_cross_down * v_lo),
+            c1 * u_lo * signal_lo
+            + u_lo * (a0 - a_self * u_lo - a_self_opp * u_hi)
+            + u_lo * (a_cross_up * v_lo - a_cross_down * v_hi),
+            c2 * v_hi * signal_hi
+            + v_hi * (b0 - b_self * v_hi - b_self_opp * v_lo)
+            + v_hi * (b_cross_up * u_hi - b_cross_down * u_lo),
+            c2 * v_lo * signal_lo
+            + v_lo * (b0 - b_self * v_lo - b_self_opp * v_hi)
+            + v_lo * (b_cross_up * u_lo - b_cross_down * u_hi),
+        )
+
+    t, y = s0.t, (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
+    rows = [(t, *y)]
+    guard, notes = None, []
+    time_scale = max(abs(t_end), 1.0)
+    steps = 0
+    while t < t_end - 1e-12 * time_scale:
+        h = min(dt, t_end - t)
+        k1 = f(y)
+        k2 = f(tuple(y[i] + 0.5 * h * k1[i] for i in range(4)))
+        k3 = f(tuple(y[i] + 0.5 * h * k2[i] for i in range(4)))
+        k4 = f(tuple(y[i] + h * k3[i] for i in range(4)))
+        y = tuple(y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4))
+        t += h
+        steps += 1
+        if not all(math.isfinite(x) for x in y) or max(y) > DIVERGENCE_GUARD:
+            rows.append((t, *y))
+            guard = "blow_up"
+            notes.append(
+                f"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} "
+                f"at t={t!r} (finite-time blow-up of the bounding system)"
+            )
+            break
+        if (steps % record_every == 0 or t >= t_end - 1e-12 * time_scale) and rows[-1][0] < t:
+            rows.append((t, *y))
+    if rows[-1][0] < t:
+        rows.append((t, *y))
+    return rows, guard, notes
+
+
+def assert_matches_reference(s0, p, t_end, dt, record_every):
+    """integrate_rectangles records exactly the reference's values (NaN
+    compares equal to NaN); returns the trace."""
+    trace = integrate_rectangles(s0, p, t_end=t_end, dt=dt, record_every=record_every)
+    rows, guard, notes = reference_rk4(s0, p, t_end, dt, record_every)
+    got = np.column_stack([trace.t, trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo])
+    assert got.shape == (len(rows), 5)
+    np.testing.assert_array_equal(got, np.array(rows))
+    assert trace.guard_tripped == guard
+    assert trace.notes == notes
+    return trace
+
+
+SIGNED_NONLOCAL = dict(
+    a2=-0.3, b1=-0.2, a3=0.15, a4=-0.1, b3=-0.05, b4=0.2,
+    chi1=0.3, chi2=0.2, omega_measure=1.5,
+)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize(
+        "params, s0, t_end, dt, guard",
+        [
+            # signed local and nonlocal coefficients, t_end off the dt grid
+            (
+                mk_params(**SIGNED_NONLOCAL), RectangleState(0.0, 1.2, 0.1, 0.9, 0.05),
+                3.3337, 1e-2, None,
+            ),
+            # coexistence regime from a nonzero start time
+            (coexistence_params(0.1), RectangleState(0.25, 1.5, 0.2, 1.2, 0.1), 5.07, 2e-3, None),
+            # strong chemotaxis: the bounding system blows up
+            (mk_params(chi1=10.0), RectangleState(0.0, 2.0, 0.0, 1.0, 1.0), 1.0, 1e-3, "blow_up"),
+        ],
+        ids=["signed-nonlocal", "coexistence", "blow-up"],
+    )
+    def test_matches_textbook_rk4(self, params, s0, t_end, dt, guard, record_every):
+        trace = assert_matches_reference(s0, params, t_end, dt, record_every)
+        assert trace.guard_tripped == guard
+
+
+class TestDivergenceGuard:
+    def test_overflow_to_non_finite(self):
+        # The first step's stages overflow: the new state is not finite.
+        p = mk_params(chi1=1e200)
+        s0 = RectangleState(0.0, 1.0, 0.0, 0.0, 0.0)
+        trace = assert_matches_reference(s0, p, 1.0, 1e-3, 10)
+        assert trace.guard_tripped == "blow_up"
+        assert trace.t == [0.0, 1e-3]
+        last = (trace.u_hi[-1], trace.u_lo[-1], trace.v_hi[-1], trace.v_lo[-1])
+        assert not all(math.isfinite(x) for x in last)
+        assert any("divergence guard" in note for note in trace.notes)
+
+    def test_finite_crossing_of_the_guard(self):
+        # Near-exponential growth carries u_hi past the guard in one step
+        # while every component stays finite.
+        p = mk_params(a1=1e-12)
+        s0 = RectangleState(0.0, 0.999e8, 0.0, 0.0, 0.0)
+        trace = assert_matches_reference(s0, p, 1.0, 1e-2, 10)
+        assert trace.guard_tripped == "blow_up"
+        assert trace.t == [0.0, 1e-2]
+        assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] > DIVERGENCE_GUARD
+        assert any("divergence guard" in note for note in trace.notes)
