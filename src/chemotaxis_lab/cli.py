@@ -478,18 +478,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _write_trajectory_csv(path: Path, rec: TrajectoryRecord) -> None:
+    # Streamed like rectangles.csv: repr() cells need no CSV quoting.
     header = list(TRAJECTORY_COLUMNS)
+    cols = [getattr(rec, name) for name in TRAJECTORY_COLUMNS]
     for label in rec.ref_labels:
         header.extend([f"dist_u_{label}", f"dist_v_{label}", f"dist_w_{label}"])
-    columns = [getattr(rec, name) for name in TRAJECTORY_COLUMNS]
+        cols.extend(rec.dist[label])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(rec.n_samples):
-            row = [column[i] for column in columns]
-            for label in rec.ref_labels:
-                row.extend(rec.dist[label][i])
-            writer.writerow([repr(x) for x in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(r) + "\n" for r in zip(*(map(repr, c) for c in cols)))
 
 
 def _envelope_sections(
@@ -581,7 +578,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     measured: dict[str, Any] = {
         "final": {name: getattr(rec, name)[-1] for name in TRAJECTORY_COLUMNS},
         "final_distances": {
-            label: dict(zip(("u", "v", "w"), rec.dist[label][-1])) for label in rec.ref_labels
+            label: {f: col[-1] for f, col in zip("uvw", rec.dist[label])}
+            for label in rec.ref_labels
         },
     }
     if rec.span > 0.0:
@@ -615,7 +613,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_json(json_path, summary)
     print(f"simulated to t={rec.t[-1]:.6g} ({rec.n_samples} samples)")
     for label in rec.ref_labels:
-        du, dv, dw = rec.dist[label][-1]
+        du, dv, dw = (col[-1] for col in rec.dist[label])
         print(f"distance to {label}: u={du:.3e} v={dv:.3e} w={dw:.3e}")
     if rec.guard_tripped:
         print(f"guard tripped: {rec.guard_tripped}", file=sys.stderr)

@@ -6,13 +6,12 @@ window width is always explicit in results.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import FieldState, PreconditionError
-from .steady_states import ConstantState
 
 # The per-sample columns of a trajectory CSV, in order; the CSV header and
 # rows and the summary's final block follow this tuple.  w_mean is recorded
@@ -29,10 +28,11 @@ class TrajectoryRecord:
     """Time series of per-snapshot summaries emitted by a simulation run.
 
     Holds, per sample: min/max/mean of each field, the two masses, and the
-    sup-distance triple to every configured reference state (keyed by the
-    reference label).  Times are strictly increasing.  guard_tripped is None
-    for a clean run, otherwise names the guard ("blow_up", "non_finite" or
-    "cfl_violation") and the record holds the partial trace up to the trip.
+    sup-distances to every configured reference state: dist[label] is the
+    column triple (du, dv, dw) of float lists, one entry per sample.  Times
+    are strictly increasing.  guard_tripped is None for a clean run,
+    otherwise names the guard ("blow_up", "non_finite" or "cfl_violation")
+    and the record holds the partial trace up to the trip.
     """
 
     ref_labels: tuple[str, ...] = ()
@@ -48,7 +48,7 @@ class TrajectoryRecord:
     w_mean: list[float] = field(default_factory=list)
     mass_u: list[float] = field(default_factory=list)
     mass_v: list[float] = field(default_factory=list)
-    dist: dict[str, list[tuple[float, float, float]]] = field(default_factory=dict)
+    dist: dict[str, tuple[list[float], list[float], list[float]]] = field(default_factory=dict)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
     clipped_mass: float = 0.0
@@ -57,37 +57,48 @@ class TrajectoryRecord:
 
     def __post_init__(self) -> None:
         for label in self.ref_labels:
-            self.dist.setdefault(label, [])
+            self.dist.setdefault(label, ([], [], []))
 
     def append_sample(
         self,
-        state: FieldState,
+        t: float,
+        fields: np.ndarray,
         mass_u: float,
         mass_v: float,
-        references: tuple[tuple[str, ConstantState], ...] = (),
+        levels: np.ndarray | None = None,
     ) -> None:
-        if self.t and state.t <= self.t[-1]:
+        """Record the (3, n) stack fields (rows u, v, w) at time t.
+
+        levels holds one (u*, v*, w*) row per entry of ref_labels, in order;
+        it may be omitted when the record has no reference.
+        """
+        if self.t and t <= self.t[-1]:
             raise ValueError(
-                f"sample times must be strictly increasing: {state.t!r} after {self.t[-1]!r}"
+                f"sample times must be strictly increasing: {t!r} after {self.t[-1]!r}"
             )
-        fields = np.array((state.u, state.v, state.w))
-        lo, hi, mean = (s.tolist() for s in (fields.min(1), fields.max(1), fields.mean(1)))
-        self.t.append(state.t)
-        self.u_min.append(lo[0])
-        self.u_max.append(hi[0])
+        lo = np.minimum.reduce(fields, axis=1)
+        hi = np.maximum.reduce(fields, axis=1)
+        # ndarray.mean is this sum over the count, without its Python wrapper.
+        mean = (np.add.reduce(fields, axis=1) / fields.shape[1]).tolist()
+        (u_lo, v_lo, w_lo), (u_hi, v_hi, w_hi) = lo.tolist(), hi.tolist()
+        self.t.append(t)
+        self.u_min.append(u_lo)
+        self.u_max.append(u_hi)
         self.u_mean.append(mean[0])
-        self.v_min.append(lo[1])
-        self.v_max.append(hi[1])
+        self.v_min.append(v_lo)
+        self.v_max.append(v_hi)
         self.v_mean.append(mean[1])
-        self.w_min.append(lo[2])
-        self.w_max.append(hi[2])
+        self.w_min.append(w_lo)
+        self.w_max.append(w_hi)
         self.w_mean.append(mean[2])
         self.mass_u.append(mass_u)
         self.mass_v.append(mass_v)
-        if references:
-            labels, refs = zip(*references)
-            for label, triple in zip(labels, sup_distance(fields, refs)):
-                self.dist[label].append(triple)
+        if self.ref_labels:
+            for label, (du, dv, dw) in zip(self.ref_labels, sup_distance(lo, hi, levels).tolist()):
+                cols = self.dist[label]
+                cols[0].append(du)
+                cols[1].append(dv)
+                cols[2].append(dw)
 
     @property
     def n_samples(self) -> int:
@@ -114,16 +125,17 @@ class TailStats:
     v_lo_tail: float
 
 
-def sup_distance(
-    fields: np.ndarray, refs: Sequence[ConstantState]
-) -> list[tuple[float, float, float]]:
+def sup_distance(lo: np.ndarray, hi: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per-field sup-norm distances of a snapshot to constant states.
 
-    fields is the snapshot's (3, n) stack with rows u, v, w.  Returns one
-    (u, v, w) triple per state, from one array expression.
+    lo and hi are the snapshot's per-field minima and maxima (u, v, w);
+    levels is an (R, 3) array with one (u*, v*, w*) row per state.  Returns
+    the (R, 3) distances max_i |f_i - c| without a pass over the cells:
+    fl(x - c) is monotone in x and fl(c - x) = -fl(x - c), so the largest
+    |f_i - c| is hi - c or c - lo, bit for bit.  NaN propagates as in a
+    cellwise maximum, and the abs keeps a zero distance +0.0.
     """
-    levels = np.array([[r.u_star, r.v_star, r.w_star] for r in refs]).reshape(-1, 3, 1)
-    return [tuple(d) for d in np.abs(fields - levels).max(axis=2).tolist()]
+    return np.abs(np.maximum(hi - levels, levels - lo))
 
 
 def _tail_slice(rec: TrajectoryRecord, window: float) -> slice:
@@ -135,10 +147,9 @@ def _tail_slice(rec: TrajectoryRecord, window: float) -> slice:
         raise PreconditionError(
             f"window {window!r} exceeds the recorded span {rec.span!r}"
         )
-    cutoff = rec.t[-1] - window
-    times = np.asarray(rec.t)
-    start = int(np.searchsorted(times, cutoff, side="left"))
-    return slice(start, None)
+    # rec.t is sorted (append_sample enforces it), so bisect finds the
+    # window's first sample without converting the list to an array.
+    return slice(bisect.bisect_left(rec.t, rec.t[-1] - window), None)
 
 
 def tail_stats(rec: TrajectoryRecord, window: float) -> TailStats:

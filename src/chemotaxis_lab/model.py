@@ -128,9 +128,21 @@ class Grid1D:
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_cells, dtype=float) + 0.5) * self.dx
 
-    def integrate(self, f: np.ndarray) -> float:
-        """Midpoint-rule integral dx * sum(f) over the domain."""
-        return self.dx * float(np.sum(f))
+    def integrate(self, f: np.ndarray) -> float | list[float]:
+        """Midpoint-rule integral dx * sum(f) over the domain: a float for
+        one field (n,), a list of floats, one per row, for a stack (m, n)."""
+        return (self.dx * np.add.reduce(f, axis=-1)).tolist()
+
+
+def check_time_resolution(t0: float, t_end: float, dt: float) -> None:
+    """Raise when a fixed-step run from t0 to t_end could stall: dt is at
+    most half the float spacing at the run's largest |t|, so somewhere on
+    the way t + dt rounds back to t and a `t += dt` loop never ends."""
+    if t0 < t_end and dt <= 0.5 * math.ulp(max(abs(t0), abs(t_end))):
+        raise PreconditionError(
+            f"dt={dt!r} is below the float resolution of t between {t0!r} and {t_end!r}: "
+            f"t + dt would round back to t"
+        )
 
 
 def _as_field(values, name: str) -> np.ndarray:

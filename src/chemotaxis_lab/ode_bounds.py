@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, PreconditionError, negative_part, positive_part
+from .model import (
+    ModelParams,
+    PreconditionError,
+    check_time_resolution,
+    negative_part,
+    positive_part,
+)
 
 DIVERGENCE_GUARD = 1e8
 
@@ -126,7 +132,8 @@ def integrate_rectangles(
     exceeds the divergence guard (or turns non-finite) the run stops with
     guard_tripped = "blow_up" and the partial trace kept; the rectangle
     system can genuinely blow up in finite time outside the
-    global-existence parameter regions.
+    global-existence parameter regions.  A dt too small to advance t at
+    the run's largest |t| raises PreconditionError before the first step.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -138,6 +145,7 @@ def integrate_rectangles(
         )
     if min(s0.u_lo, s0.v_lo) < 0:
         raise PreconditionError(f"initial rectangle must be nonnegative, got {s0!r}")
+    check_time_resolution(s0.t, t_end, dt)
 
     rhs = rectangle_rhs(p)
     t, u_hi, u_lo, v_hi, v_lo = s0.t, s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo
@@ -228,9 +236,11 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     notes: list[str] = []
     if not inside.all():
         n_out = int((~inside).sum())
+        # Python floats: a NumPy scalar's repr depends on the NumPy version.
+        first, last = float(rect_trace.t[0]), float(rect_trace.t[-1])
         notes.append(
             f"{n_out} PDE sample(s) fall outside the rectangle time span "
-            f"[{rect_t[0]!r}, {rect_t[-1]!r}] and were not compared"
+            f"[{first!r}, {last!r}] and were not compared"
         )
     if rect_trace.guard_tripped is not None:
         notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")

@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dpttrs
 
 from .diagnostics import TrajectoryRecord, detect_steady
 from .elliptic import assemble, neumann_factor, solve_w
-from .model import FieldState, Grid1D, ModelParams, PreconditionError
+from .model import FieldState, Grid1D, ModelParams, PreconditionError, check_time_resolution
 from .steady_states import ConstantState
 
 
@@ -139,7 +139,7 @@ def _check_stability(
         raise CflViolationError(binding, dt, min(adv_limit, rx_limit))
 
 
-def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: tuple, dt: float) -> tuple:
+def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: list[float], dt: float) -> tuple:
     """One split step of width dt on the (2, n) densities uv.
 
     Trusts w to be the signal solve of uv and mass its two integrals; every
@@ -165,7 +165,7 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: tuple, dt: flo
             uv_new = np.maximum(uv_new, 0.0)
 
     w_new = solve_w(ws.op, *uv_new, p)
-    return uv_new, w_new, (grid.integrate(uv_new[0]), grid.integrate(uv_new[1])), clipped
+    return uv_new, w_new, grid.integrate(uv_new), clipped
 
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
@@ -193,24 +193,30 @@ def run_simulation(
     stationarity at that tolerance.  A stability violation after
     at least one completed step is likewise recorded as a guard trip
     ("cfl_violation"); on the very first step it propagates, since then
-    the configured dt was never admissible.
+    the configured dt was never admissible.  A dt too small to advance t
+    at the run's largest |t| raises PreconditionError before any step.
     """
     if grid.length != p.omega_measure:
         raise PreconditionError(
             f"grid length {grid.length!r} must equal omega_measure {p.omega_measure!r}"
         )
+    check_time_resolution(state0.t, cfg.t_end, cfg.dt)
     ws = _Workspace(p, grid, cfg)
     t = state0.t
     uv = np.array([state0.u, state0.v], dtype=float)
     w = solve_w(ws.op, *uv, p)
-    mass = (grid.integrate(uv[0]), grid.integrate(uv[1]))
+    mass = grid.integrate(uv)
     rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
+    levels = np.array(
+        [(r.u_star, r.v_star, r.w_star) for _, r in references], dtype=float
+    ).reshape(-1, 3)
+    fields = np.empty((3, uv.shape[1]))  # the sample stack: rows u, v, w
 
-    def record() -> FieldState:
-        state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
+    def record() -> None:
         if not rec.t or t > rec.t[-1]:
-            rec.append_sample(state, mass[0], mass[1], references)
-        return state
+            fields[:2] = uv
+            fields[2] = w
+            rec.append_sample(t, fields, mass[0], mass[1], levels)
 
     record()
     time_scale = max(cfg.t_end, 1.0)
@@ -249,5 +255,6 @@ def run_simulation(
                         f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}"
                     )
                     break
-    rec.final_state = record()
+    record()
+    rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
     return rec

@@ -152,7 +152,7 @@ def test_coexistence_limit_is_reached(coexistence_run):
 
     rec = coexistence_run["rec"]
     assert rec.guard_tripped is None
-    du, dv, dw = rec.dist["coexistence"][-1]
+    du, dv, dw = (series[-1] for series in rec.dist["coexistence"])
     assert du < 1e-3 and dv < 1e-3 and dw < 1e-3, (du, dv, dw)
     assert coexistence_run["elapsed"] < 60.0
 

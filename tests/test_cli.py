@@ -6,10 +6,14 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chemotaxis_lab import cli, steady_states
 from chemotaxis_lab.cli import main
+from chemotaxis_lab.diagnostics import TRAJECTORY_COLUMNS
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_params():
@@ -29,6 +33,19 @@ def base_config():
         "initial_data": {"constant": [0.5, 0.5]},
         "references": ["coexistence"],
     }
+
+
+def run_module(*args):
+    """Run `python -m chemotaxis_lab` on the repo's sources in its own
+    process, so that a command that never ends fails the test by timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "chemotaxis_lab", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -307,6 +324,17 @@ class TestExitCodes:
         assert len(rows) >= 3
         assert float(rows[-1][2]) > 30.0
 
+    def test_dt_below_time_resolution_exits_3(self, tmp_path):
+        # From t = 0 to 1e10 in steps of 1e-7, t stops advancing once its
+        # float spacing passes 2e-7, long before t_end.
+        doc = base_config()
+        doc["stepper"] = {"dt": 1e-7, "t_end": 1e10}
+        cfg = write_config(tmp_path, doc)
+        proc = run_module("simulate", "--config", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 3, proc.stderr
+        assert "float resolution" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bounds_exit_3_when_no_family_applies(self, tmp_path, capsys):
         doc = base_config()
         doc["params"]["a3"] = -5.0
@@ -387,7 +415,45 @@ class TestDocumentContents:
         assert document["coexistence"]["w_star"] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
+def write_trajectory_with_csv_writer(path, rec):
+    """The csv.writer layout that _write_trajectory_csv replaced."""
+    header = list(TRAJECTORY_COLUMNS)
+    for label in rec.ref_labels:
+        header.extend([f"dist_u_{label}", f"dist_v_{label}", f"dist_w_{label}"])
+    columns = [getattr(rec, name) for name in TRAJECTORY_COLUMNS]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(rec.n_samples):
+            row = [column[i] for column in columns]
+            for label in rec.ref_labels:
+                row.extend(series[i] for series in rec.dist[label])
+            writer.writerow([repr(x) for x in row])
+
+
 class TestSimulateOutputs:
+    @pytest.mark.parametrize(
+        "references", [[], ["coexistence"], ["coexistence", "semi_trivial"]]
+    )
+    def test_trajectory_csv_matches_csv_writer_layout(self, tmp_path, references):
+        doc = base_config()
+        doc["initial_data"] = {"perturbed_constant": [0.5, 0.5, 0.1]}
+        doc["references"] = references
+        p = cli.build_params(doc)
+        grid = cli.build_grid(doc)
+        refs = cli.build_references(doc, p)
+        rec = cli._run_from_config(doc, p, grid, refs)[0]
+        # Cells whose repr is unusual: NaN, infinities, signed zero, subnormal.
+        odd = np.array([[np.nan, -0.0, 5e-324], [np.inf, -np.inf, 0.0], [1e300, -1e-300, 2.0]])
+        levels = np.array([(r.u_star, r.v_star, r.w_star) for _, r in refs]).reshape(-1, 3)
+        with np.errstate(invalid="ignore"):  # the mean of inf and -inf
+            rec.append_sample(rec.t[-1] + 1.0, odd, -0.0, np.nan, levels)
+        assert len(rec.ref_labels) == {0: 0, 1: 1, 2: 3}[len(references)]
+        cli._write_trajectory_csv(tmp_path / "streamed.csv", rec)
+        write_trajectory_with_csv_writer(tmp_path / "oracle.csv", rec)
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert len(read_csv_rows(tmp_path / "streamed.csv")) == rec.n_samples + 1
+
     def test_zero_horizon_single_row(self, tmp_path, capsys):
         doc = base_config()
         doc["stepper"]["t_end"] = 0.0
@@ -587,6 +653,24 @@ class TestRectangles:
         doc_out = read_json(tmp_path / "enclosure.json")
         assert doc_out["pde_guard_tripped"] == "blow_up"
 
+    def test_dt_below_time_resolution_exits_3(self, tmp_path):
+        # At t = 1e10 the float spacing is 1.9e-6, so t + 1e-7 == t: the
+        # RK4 loop would never advance.  Run in a subprocess so that a
+        # regression shows as a timeout, not a hung suite.
+        trajectory = tmp_path / "late.csv"
+        trajectory.write_text(
+            "t,u_min,u_max,v_min,v_max\n"
+            "10000000000.0,0.4,0.6,0.4,0.6\n"
+            "10000000001.0,0.4,0.6,0.4,0.6\n"
+        )
+        cfg = write_config(tmp_path, {"params": base_params(), "rectangles": {"dt": 1e-7}})
+        proc = run_module(
+            "rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "float resolution" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_reused_trajectory_must_have_columns(self, tmp_path, capsys):
         stub = tmp_path / "stub.csv"
         stub.write_text("t,u_min,u_max,v_min\n0.0,0.1,0.2,0.1\n")
@@ -606,9 +690,6 @@ class TestRectangles:
             "--trajectory", str(stub),
         ]) == 2
         assert "no data rows" in capsys.readouterr().err
-
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def declared_console_script(name):

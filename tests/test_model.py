@@ -12,6 +12,7 @@ from chemotaxis_lab import (
     positive_part,
     validate_params,
 )
+from chemotaxis_lab.model import PreconditionError, check_time_resolution
 from helpers import mk_params
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -68,6 +69,28 @@ class TestValidateParams:
         assert any("b4" in msg for msg in problems)
 
 
+class TestCheckTimeResolution:
+    # Direct calls: a missing check in a stepper would hang its loop, so the
+    # steppers' own wiring is tested in subprocesses (tests/test_cli.py).
+    def test_dt_below_half_spacing_raises(self):
+        # At t = 1e10 the float spacing is 2**-19 (1.9e-6): t + 1e-7 == t.
+        with pytest.raises(PreconditionError, match="float resolution"):
+            check_time_resolution(1e10, 1e10 + 1.0, 1e-7)
+        with pytest.raises(PreconditionError, match="float resolution"):
+            check_time_resolution(-1e10 - 1.0, -1e10, 1e-7)
+
+    def test_boundary_is_half_spacing_of_largest_time(self):
+        half = 0.5 * math.ulp(1e10 + 1.0)
+        with pytest.raises(PreconditionError):
+            check_time_resolution(0.0, 1e10 + 1.0, half)  # ties round to even: may stall
+        check_time_resolution(0.0, 1e10 + 1.0, math.nextafter(half, 1.0))
+        assert 1e10 + math.nextafter(half, 1.0) > 1e10
+
+    def test_empty_run_never_raises(self):
+        check_time_resolution(1e10, 1e10, 1e-7)
+        check_time_resolution(1e10 + 1.0, 1e10, 1e-7)
+
+
 class TestGrid1D:
     def test_dx(self):
         assert Grid1D(length=2.0, n_cells=8).dx == 0.25
@@ -79,6 +102,20 @@ class TestGrid1D:
     def test_integrate_constant_exact(self):
         g = Grid1D(length=3.0, n_cells=16)
         assert g.integrate(np.full(16, 2.0)) == pytest.approx(6.0, rel=1e-15)
+
+    def test_integrate_stack_matches_per_row_sum(self):
+        # The midpoint rule on an (m, n) stack carries the bits of the
+        # per-field dx * float(np.sum(row)) it replaced in the stepper.
+        rng = np.random.default_rng(17)
+        for n in (4, 7, 8, 9, 127, 128, 129, 1000, 8192, 10007):
+            g = Grid1D(length=float(rng.uniform(0.5, 3.0)), n_cells=n)
+            for m in (1, 2, 3):
+                stack = rng.uniform(0.0, 2.0, (m, n)) * 10.0 ** rng.uniform(-8, 8, (m, 1))
+                masses = g.integrate(stack)
+                assert masses == [g.dx * float(np.sum(row)) for row in stack]
+                assert all(type(mass) is float for mass in masses)
+            one = g.integrate(stack[0])
+            assert type(one) is float and one == g.dx * float(np.sum(stack[0]))
 
     def test_too_few_cells(self):
         with pytest.raises(ValueError, match="n_cells"):

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from chemotaxis_lab import (
-    FieldState,
     PreconditionError,
     RectangleState,
     RectangleTrace,
@@ -25,13 +24,8 @@ def make_pde_trace(samples):
     """Synthetic trajectory record from (t, u_lo, u_hi, v_lo, v_hi) rows."""
     rec = TrajectoryRecord()
     for t, u_lo, u_hi, v_lo, v_hi in samples:
-        state = FieldState(
-            t=t,
-            u=np.array([u_lo, u_hi]),
-            v=np.array([v_lo, v_hi]),
-            w=np.zeros(2),
-        )
-        rec.append_sample(state, mass_u=0.0, mass_v=0.0)
+        fields = np.array([[u_lo, u_hi], [v_lo, v_hi], [0.0, 0.0]])
+        rec.append_sample(t, fields, mass_u=0.0, mass_v=0.0)
     return rec
 
 
@@ -94,6 +88,15 @@ class TestIntegrateRectangles:
         negative = RectangleState(t=0.0, u_hi=1.0, u_lo=-0.1, v_hi=1.0, v_lo=0.5)
         with pytest.raises(PreconditionError, match="nonnegative"):
             integrate_rectangles(negative, mk_params(), 1.0)
+
+    def test_dt_just_above_half_spacing_advances(self):
+        # Each step moves t by one float spacing: slow, but the run ends.
+        s0 = RectangleState(t=1.0, u_hi=0.6, u_lo=0.4, v_hi=0.6, v_lo=0.4)
+        t_end = 1.0 + 8192 * math.ulp(1.0)
+        dt = math.nextafter(0.5 * math.ulp(1.0), 1.0)
+        trace = integrate_rectangles(s0, mk_params(), t_end, dt=dt, record_every=1000)
+        assert trace.t[-1] > 1.0
+        assert trace.t == sorted(set(trace.t))
 
     def test_diagonal_stays_diagonal(self):
         p = coexistence_params(0.1)
@@ -183,6 +186,17 @@ class TestCheckEnclosure:
         assert report.passed
         assert report.n_times == 1
         assert any("not compared" in note for note in report.notes)
+
+    def test_uncovered_note_prints_plain_floats(self):
+        # The span is printed from Python floats, so the note reads the same
+        # under every NumPy version, whatever float type the trace holds.
+        pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (2.0, 0.0, 5.0, 0.0, 5.0)])
+        for times in ((0.0, 0.5), np.array([0.0, 0.5])):
+            report = check_enclosure(pde, box_trace(times), tol=1e-3)
+            assert report.notes == (
+                "1 PDE sample(s) fall outside the rectangle time span [0.0, 0.5] "
+                "and were not compared",
+            )
 
     def test_no_overlap_fails_explicitly(self):
         rect = box_trace((5.0,))

@@ -344,6 +344,6 @@ class TestRunSimulation:
             s0, p, grid, StepperConfig(dt=1e-2, t_end=2.0),
             references=(("coexistence", eq),),
         )
-        series = rec.dist["coexistence"]
-        assert len(series) == rec.n_samples
-        assert series[-1][0] < series[0][0]
+        series_u, _, _ = rec.dist["coexistence"]
+        assert all(len(series) == rec.n_samples for series in rec.dist["coexistence"])
+        assert series_u[-1] < series_u[0]
