@@ -1,9 +1,14 @@
 """Numerical laboratory for a two-species chemotaxis system with nonlocal
 Lotka-Volterra coupling: hypothesis regions, constant states, a-priori
 bounds, a PDE stepper, bounding-rectangle ODEs, and trajectory diagnostics.
+
+The signal solve and the stepper (`elliptic`, `pde_stepper`) import SciPy's
+LAPACK, so their names are resolved on first access; importing the package
+does not import SciPy.
 """
+import importlib
+
 from .diagnostics import SteadyReport, TailStats, TrajectoryRecord, detect_steady, sup_distance, tail_stats
-from .elliptic import EllipticOperator, assemble, solve_w
 from .hypotheses import (
     HypothesisReport,
     Margin,
@@ -24,12 +29,14 @@ from .hypotheses import (
     gamma_star,
 )
 from .model import (
+    CflViolationError,
     DegenerateStateError,
     FieldState,
     Grid1D,
     HypothesisViolationError,
     ModelParams,
     PreconditionError,
+    StepperConfig,
     negative_part,
     positive_part,
     validate_params,
@@ -41,13 +48,6 @@ from .ode_bounds import (
     check_enclosure,
     integrate_rectangles,
     rectangle_rhs,
-)
-from .pde_stepper import (
-    CflViolationError,
-    StepperConfig,
-    chemotaxis_flux,
-    initial_state,
-    run_simulation,
 )
 from .steady_states import (
     BoundConstants,
@@ -64,3 +64,17 @@ from .steady_states import (
 )
 
 __version__ = "0.1.0"
+
+# Name -> the submodule that defines it, imported on first access (PEP 562).
+_LAZY = {
+    **dict.fromkeys(("EllipticOperator", "assemble", "solve_w"), "elliptic"),
+    **dict.fromkeys(("chemotaxis_flux", "initial_state", "run_simulation"), "pde_stepper"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

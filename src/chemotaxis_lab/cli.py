@@ -29,10 +29,12 @@ import numpy as np
 from . import hypotheses, steady_states
 from .diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, detect_steady, tail_stats
 from .model import (
+    CflViolationError,
     DegenerateStateError,
     Grid1D,
     ModelParams,
     PreconditionError,
+    StepperConfig,
     validate_params,
 )
 from .ode_bounds import (
@@ -40,12 +42,6 @@ from .ode_bounds import (
     RectangleTrace,
     check_enclosure,
     integrate_rectangles,
-)
-from .pde_stepper import (
-    CflViolationError,
-    StepperConfig,
-    initial_state,
-    run_simulation,
 )
 from .steady_states import ConstantState
 
@@ -543,13 +539,31 @@ def _envelope_sections(
     return doc
 
 
+# The stepper is the one part of a run that needs SciPy (LAPACK), so it is
+# imported when a run first builds one, not with this module: check, steady,
+# bounds and rectangles --trajectory never import SciPy.
+_STEPPER_NAMES = ("initial_state", "run_simulation")
+
+
+def __getattr__(name: str) -> Any:
+    """Bind initial_state and run_simulation from pde_stepper on first
+    access (PEP 562).  Only an unset name is bound: one set from outside,
+    say a wrapper around the real function, is kept."""
+    if name not in _STEPPER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import pde_stepper
+
+    return globals().setdefault(name, getattr(pde_stepper, name))
+
+
 def _run_from_config(
     doc: dict, p: ModelParams, grid: Grid1D, references: tuple[tuple[str, ConstantState], ...]
 ) -> tuple[TrajectoryRecord, StepperConfig, np.ndarray, np.ndarray]:
     cfg = build_stepper(doc)
     u0, v0 = build_initial(doc, grid)
-    state0 = initial_state(u0, v0, p, grid)
-    return run_simulation(state0, p, grid, cfg, references=references), cfg, u0, v0
+    this = sys.modules[__name__]  # attribute lookups reach __getattr__
+    state0 = this.initial_state(u0, v0, p, grid)
+    return this.run_simulation(state0, p, grid, cfg, references=references), cfg, u0, v0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

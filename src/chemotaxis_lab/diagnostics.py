@@ -199,3 +199,22 @@ def detect_steady(rec: TrajectoryRecord, tol: float, window: float) -> SteadyRep
     }
     steady = all(value < tol for value in certificate.values())
     return SteadyReport(steady=steady, tol=tol, window=window, certificate=certificate)
+
+
+def may_be_steady(rec: TrajectoryRecord, tol: float, window: float) -> bool:
+    """False when detect_steady(rec, tol, window) cannot be steady, found
+    without a pass over the window: the newest sample's three spatial
+    spreads and each spatial mean's change from the window's first sample
+    to its last must all be below tol.  Float subtraction is monotone in
+    each operand, so each of these is at most the certificate value it
+    stands for (a maximum over the window, or max - min of values that
+    include both ends), bit for bit."""
+    first = _tail_slice(rec, window).start
+    return (
+        rec.u_max[-1] - rec.u_min[-1] < tol
+        and rec.v_max[-1] - rec.v_min[-1] < tol
+        and rec.w_max[-1] - rec.w_min[-1] < tol
+        and abs(rec.u_mean[-1] - rec.u_mean[first]) < tol
+        and abs(rec.v_mean[-1] - rec.v_mean[first]) < tol
+        and abs(rec.w_mean[-1] - rec.w_mean[first]) < tol
+    )

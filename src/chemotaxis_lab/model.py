@@ -1,8 +1,10 @@
-"""Core data types: model coefficients, the 1-D grid, field snapshots, positive/negative parts.
+"""Core data types: model coefficients, the 1-D grid, the stepper's run
+schedule and its stability error, field snapshots, positive/negative parts.
 
 Everything downstream (hypothesis checks, bound constants, the PDE stepper,
 the comparison ODE system) consumes these types.  All values are 64-bit
-floats; types are immutable after construction.
+floats; types are immutable after construction.  Nothing here needs SciPy,
+so the CLI can build and validate a whole config without importing it.
 """
 from __future__ import annotations
 
@@ -143,6 +145,49 @@ def check_time_resolution(t0: float, t_end: float, dt: float) -> None:
             f"dt={dt!r} is below the float resolution of t between {t0!r} and {t_end!r}: "
             f"t + dt would round back to t"
         )
+
+
+class CflViolationError(RuntimeError):
+    """The configured dt violates an explicit stability constraint."""
+
+    def __init__(self, binding: str, dt: float, suggested_dt: float):
+        self.binding = binding
+        self.dt = dt
+        self.suggested_dt = suggested_dt
+        super().__init__(
+            f"dt={dt!r} violates the {binding} constraint; "
+            f"largest admissible dt here is {suggested_dt!r}"
+        )
+
+
+@dataclass(frozen=True)
+class StepperConfig:
+    """The run schedule and its stopping rules: a density above blowup_guard
+    ends the run, and steady_tol with steady_window (given together) stop it
+    once the trailing window is stationary."""
+
+    dt: float
+    t_end: float
+    cfl_safety: float = 0.9
+    positivity_clip: bool = False
+    record_every: int = 1
+    blowup_guard: float = 1e8
+    steady_tol: float | None = None
+    steady_window: float | None = None
+
+    def __post_init__(self) -> None:
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (0.0 < self.cfl_safety <= 1.0):
+            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
+        if not (self.t_end >= 0 and math.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
+        if not isinstance(self.record_every, int) or self.record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        if not self.blowup_guard > 0:
+            raise ValueError(f"blowup_guard must be positive, got {self.blowup_guard!r}")
+        if (self.steady_tol is None) != (self.steady_window is None):
+            raise ValueError("steady_tol and steady_window must be given together")
 
 
 def _as_field(values, name: str) -> np.ndarray:

@@ -161,9 +161,13 @@ def integrate_rectangles(
     # computed once per step size, and the chained comparisons trip exactly
     # when a component is non-finite or above the guard.
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    # t is a sum of steps and drifts off the dt grid.  A remainder within
+    # the stop tolerance of dt is taken whole, so the run ends on t_end
+    # (t + (t_end - t) == t_end near t_end) rather than short of it.
+    last_step = dt + (t_end - t_stop)
     while t < t_stop:
         rest = t_end - t
-        if rest < dt:
+        if rest < last_step:
             h, half, sixth = rest, 0.5 * rest, rest / 6.0
         else:
             h, half, sixth = dt, half_dt, sixth_dt

@@ -16,58 +16,22 @@ diffusion of a constant is the constant itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpttrs
 
-from .diagnostics import TrajectoryRecord, detect_steady
+from .diagnostics import TrajectoryRecord, detect_steady, may_be_steady
 from .elliptic import assemble, neumann_factor, solve_w
-from .model import FieldState, Grid1D, ModelParams, PreconditionError, check_time_resolution
+from .model import (
+    CflViolationError,
+    FieldState,
+    Grid1D,
+    ModelParams,
+    PreconditionError,
+    StepperConfig,
+    check_time_resolution,
+)
 from .steady_states import ConstantState
-
-
-class CflViolationError(RuntimeError):
-    """The configured dt violates an explicit stability constraint."""
-
-    def __init__(self, binding: str, dt: float, suggested_dt: float):
-        self.binding = binding
-        self.dt = dt
-        self.suggested_dt = suggested_dt
-        super().__init__(
-            f"dt={dt!r} violates the {binding} constraint; "
-            f"largest admissible dt here is {suggested_dt!r}"
-        )
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    """The run schedule and its stopping rules: a density above blowup_guard
-    ends the run, and steady_tol with steady_window (given together) stop it
-    once the trailing window is stationary."""
-
-    dt: float
-    t_end: float
-    cfl_safety: float = 0.9
-    positivity_clip: bool = False
-    record_every: int = 1
-    blowup_guard: float = 1e8
-    steady_tol: float | None = None
-    steady_window: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
-        if not (self.t_end >= 0 and math.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
-        if not isinstance(self.record_every, int) or self.record_every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        if not self.blowup_guard > 0:
-            raise ValueError(f"blowup_guard must be positive, got {self.blowup_guard!r}")
-        if (self.steady_tol is None) != (self.steady_window is None):
-            raise ValueError("steady_tol and steady_window must be given together")
 
 
 def chemotaxis_flux(
@@ -248,7 +212,7 @@ def run_simulation(
         if at_stride or t >= cfg.t_end - 1e-12 * time_scale:
             record()
             tol, window = cfg.steady_tol, cfg.steady_window
-            if tol is not None and rec.span >= window:
+            if tol is not None and rec.span >= window and may_be_steady(rec, tol, window):
                 if detect_steady(rec, tol, window).steady:
                     rec.stopped_early = True
                     rec.notes.append(

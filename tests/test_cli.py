@@ -589,6 +589,21 @@ class TestRectangles:
         reuse = read_json(out_reuse / "enclosure.json")
         assert sub == reuse
 
+    def test_every_sample_of_a_long_run_is_compared(self, tmp_path, capsys):
+        # 10,000 PDE steps to t = 50 replayed at rectangles.dt = 1e-3: the
+        # rectangle trace ends on the last sample's t = 50.0, not 2.6e-11
+        # before it, so the last sample is compared too.
+        doc = self.make_scenario(tmp_path)
+        doc["grid"]["n_cells"] = 8
+        doc["stepper"] = {"dt": 0.005, "t_end": 50.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        report = read_json(tmp_path / "enclosure.json")
+        assert report["n_times"] == 10001
+        assert report["notes"] == []
+        assert read_csv_rows(tmp_path / "rectangles.csv")[-1][0] == "50.0"
+
     def test_subrun_does_not_evaluate_references(self, tmp_path, capsys, monkeypatch):
         doc = self.make_scenario(tmp_path)
         doc["references"] = ["coexistence"]

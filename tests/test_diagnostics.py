@@ -12,7 +12,7 @@ from chemotaxis_lab import (
     sup_distance,
     tail_stats,
 )
-from chemotaxis_lab.diagnostics import _tail_slice
+from chemotaxis_lab.diagnostics import _tail_slice, may_be_steady
 
 
 def stack(state):
@@ -224,6 +224,49 @@ class TestDetectSteady:
             assert ts.u_hi_tail - ts.u_lo_tail <= 3.0 * tol
             assert ts.v_hi_tail - ts.v_lo_tail <= 3.0 * tol
         assert certified >= 10
+
+
+class TestMayBeSteady:
+    """may_be_steady is a necessary condition: False only where
+    detect_steady cannot certify, so a stepper that asks it first stops at
+    the same sample."""
+
+    def test_never_false_where_detect_steady_certifies(self):
+        rng = np.random.default_rng(61)
+        tol = 1e-3
+        outcomes = set()
+        for trial in range(300):
+            # Spreads and drifts straddle tol, so both verdicts occur.
+            scale = tol * (0.3, 0.6, 1.2)[trial % 3]
+            rows = [
+                (
+                    0.5 * t,
+                    0.4 + scale * float(rng.uniform(-1.0, 1.0)),
+                    0.5 * scale * float(rng.uniform(0.0, 1.0)),
+                    0.3 + scale * float(rng.uniform(-1.0, 1.0)),
+                    0.5 * scale * float(rng.uniform(0.0, 1.0)),
+                )
+                for t in range(12)
+            ]
+            rec = record_from_rows(rows)
+            window = float(rng.choice([0.5, 2.0, 5.5]))
+            steady = detect_steady(rec, tol, window).steady
+            may = may_be_steady(rec, tol, window)
+            assert may or not steady
+            outcomes.add((may, steady))
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_equal_to_tol_at_either_end_rules_out(self):
+        # Certificate values must be strictly below tol, and a value equal
+        # to tol at the newest sample or across the window's ends is one.
+        rec = record_from_rows([(float(t), 0.5, 0.0, 0.25, 0.0) for t in range(4)])
+        rec.u_max[-1] += 0.25
+        assert not may_be_steady(rec, 0.25, 2.0)
+        assert not detect_steady(rec, 0.25, 2.0).steady
+        rec = record_from_rows([(float(t), 0.5 + 0.25 * (t == 3), 0.0, 0.25, 0.0) for t in range(4)])
+        assert not may_be_steady(rec, 0.25, 2.0)
+        assert not detect_steady(rec, 0.25, 2.0).steady
+        assert may_be_steady(rec, 0.25 + 1e-12, 2.0)
 
 
 def cellwise_sup_distance(fields, levels):

@@ -253,10 +253,11 @@ def reference_rk4(s0, p, t_end, dt, record_every):
     t, y = s0.t, (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
     rows = [(t, *y)]
     guard, notes = None, []
-    time_scale = max(abs(t_end), 1.0)
+    t_stop = t_end - 1e-12 * max(abs(t_end), 1.0)
     steps = 0
-    while t < t_end - 1e-12 * time_scale:
-        h = min(dt, t_end - t)
+    while t < t_stop:
+        # A remainder within the stop tolerance of dt is taken whole.
+        h = t_end - t if t_end - t < dt + (t_end - t_stop) else dt
         k1 = f(y)
         k2 = f(tuple(y[i] + 0.5 * h * k1[i] for i in range(4)))
         k3 = f(tuple(y[i] + 0.5 * h * k2[i] for i in range(4)))
@@ -272,7 +273,7 @@ def reference_rk4(s0, p, t_end, dt, record_every):
                 f"at t={t!r} (finite-time blow-up of the bounding system)"
             )
             break
-        if (steps % record_every == 0 or t >= t_end - 1e-12 * time_scale) and rows[-1][0] < t:
+        if (steps % record_every == 0 or t >= t_stop) and rows[-1][0] < t:
             rows.append((t, *y))
     if rows[-1][0] < t:
         rows.append((t, *y))
@@ -318,6 +319,19 @@ class TestBitIdentity:
     def test_matches_textbook_rk4(self, params, s0, t_end, dt, guard, record_every):
         trace = assert_matches_reference(s0, params, t_end, dt, record_every)
         assert trace.guard_tripped == guard
+
+
+class TestEndsOnTEnd:
+    def test_drifted_step_sum_ends_on_t_end(self):
+        # t is a sum of steps: 49,999 steps of 1e-3 leave a remainder just
+        # above dt, and a full last step would end at 49.99999999997417.
+        trace = integrate_rectangles(
+            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1),
+            t_end=50.0, dt=1e-3, record_every=10,
+        )
+        assert trace.t[-1] == 50.0
+        assert len(trace.t) == 5001
+        assert trace.t[-2] == pytest.approx(49.99)
 
 
 class TestDivergenceGuard:

@@ -9,13 +9,19 @@ from chemotaxis_lab import (
     Grid1D,
     PreconditionError,
     StepperConfig,
+    TrajectoryRecord,
     assemble,
     chemotaxis_flux,
     coexistence_state,
+    detect_steady,
+    exclusion_state,
     initial_state,
+    pde_stepper,
     run_simulation,
+    semi_trivial_states,
     solve_w,
 )
+from chemotaxis_lab.diagnostics import TRAJECTORY_COLUMNS
 from helpers import coexistence_params, mk_params
 
 
@@ -347,3 +353,65 @@ class TestRunSimulation:
         series_u, _, _ = rec.dist["coexistence"]
         assert all(len(series) == rec.n_samples for series in rec.dist["coexistence"])
         assert series_u[-1] < series_u[0]
+
+
+def prefix(rec, n):
+    """The record of rec's first n samples (no distances)."""
+    return TrajectoryRecord(**{name: getattr(rec, name)[:n] for name in (*TRAJECTORY_COLUMNS, "w_mean")})
+
+
+class TestSteadyStop:
+    """run_simulation asks may_be_steady before detect_steady scans the window."""
+
+    def test_stops_at_the_first_certified_sample(self):
+        # Oracle: the unstopped run's first sample whose trailing window
+        # detect_steady certifies.  The stopped run ends there, sample for sample.
+        p = coexistence_params(0.1)
+        grid = Grid1D(length=1.0, n_cells=16)
+        wave = 0.1 * np.cos(np.pi * grid.cell_centers())
+        s0 = initial_state(0.5 + wave, 0.5 - wave, p, grid)
+        tol, window = 1e-6, 0.5
+        stopped = run_simulation(
+            s0, p, grid, StepperConfig(dt=0.05, t_end=40.0, steady_tol=tol, steady_window=window)
+        )
+        full = run_simulation(s0, p, grid, StepperConfig(dt=0.05, t_end=40.0))
+        first = next(
+            i for i in range(full.n_samples)
+            if full.t[i] - full.t[0] >= window and detect_steady(prefix(full, i + 1), tol, window).steady
+        )
+        assert stopped.stopped_early
+        assert 1.0 < stopped.t[-1] < 39.0
+        for name in (*TRAJECTORY_COLUMNS, "w_mean"):
+            assert getattr(stopped, name) == getattr(full, name)[: first + 1], name
+
+    def test_drifting_means_skip_the_window_scan(self, monkeypatch):
+        # The record-dense seed-1 scenario at t_end = 40 with steady_tol =
+        # 1e-12: the fields are flat to 1e-12 from t = 2.77 on, but the means
+        # drift by more than that over every window, so no sample passes
+        # may_be_steady and detect_steady is never called.
+        calls = []
+        monkeypatch.setattr(
+            pde_stepper, "detect_steady", lambda *args: calls.append(args[1:]) or detect_steady(*args)
+        )
+        p = coexistence_params(0.1)
+        grid = Grid1D(length=1.0, n_cells=128)
+        x = grid.cell_centers()
+        u0 = 1.0 * np.exp(-0.5 * ((x - 0.23279650330470053) / 0.12475544880969197) ** 2)
+        v0 = 0.8 * np.exp(-0.5 * ((x - 0.6949000812598557) / 0.08222768335098536) ** 2)
+        first, second = semi_trivial_states(p)
+        references = (
+            ("coexistence", coexistence_state(p)), ("exclusion", exclusion_state(p)),
+            ("semi_trivial_u", first), ("semi_trivial_v", second),
+        )
+        rec = run_simulation(
+            initial_state(u0, v0, p, grid), p, grid,
+            StepperConfig(dt=5e-3, t_end=40.0, steady_tol=1e-12, steady_window=1.0),
+            references=references,
+        )
+        assert calls == []
+        assert not rec.stopped_early and rec.t[-1] == 40.0
+        spreads = zip(
+            *(np.subtract(hi, lo) for hi, lo in
+              ((rec.u_max, rec.u_min), (rec.v_max, rec.v_min), (rec.w_max, rec.w_min)))
+        )
+        assert sum(max(sample) < 1e-12 for sample in spreads) > 7000
