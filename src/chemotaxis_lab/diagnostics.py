@@ -67,38 +67,49 @@ class TrajectoryRecord:
         mass_v: float,
         levels: np.ndarray | None = None,
     ) -> None:
-        """Record the (3, n) stack fields (rows u, v, w) at time t.
+        """Record the (3, n) stack fields (rows u, v, w) at time t: a block
+        of one sample (see append_block)."""
+        self.append_block([t], np.asarray(fields)[None], [(mass_u, mass_v)], levels)
+
+    def append_block(
+        self,
+        t: list[float],
+        fields: np.ndarray,
+        mass: np.ndarray,
+        levels: np.ndarray | None = None,
+    ) -> None:
+        """Record k samples: their k times t, the (k, 3, n) stack fields
+        (rows u, v, w of each sample) and the (k, 2) masses (mass_u, mass_v).
 
         levels holds one (u*, v*, w*) row per entry of ref_labels, in order;
-        it may be omitted when the record has no reference.
+        it may be omitted when the record has no reference.  Each statistic
+        is one reduction over the block, so a block gives every sample the
+        bits it would get alone.
         """
-        if self.t and t <= self.t[-1]:
-            raise ValueError(
-                f"sample times must be strictly increasing: {t!r} after {self.t[-1]!r}"
-            )
-        lo = np.minimum.reduce(fields, axis=1)
-        hi = np.maximum.reduce(fields, axis=1)
+        last = self.t[-1] if self.t else None
+        for s in t:
+            if last is not None and s <= last:
+                raise ValueError(
+                    f"sample times must be strictly increasing: {s!r} after {last!r}"
+                )
+            last = s
+        lo = np.minimum.reduce(fields, axis=2)
+        hi = np.maximum.reduce(fields, axis=2)
         # ndarray.mean is this sum over the count, without its Python wrapper.
-        mean = (np.add.reduce(fields, axis=1) / fields.shape[1]).tolist()
-        (u_lo, v_lo, w_lo), (u_hi, v_hi, w_hi) = lo.tolist(), hi.tolist()
-        self.t.append(t)
-        self.u_min.append(u_lo)
-        self.u_max.append(u_hi)
-        self.u_mean.append(mean[0])
-        self.v_min.append(v_lo)
-        self.v_max.append(v_hi)
-        self.v_mean.append(mean[1])
-        self.w_min.append(w_lo)
-        self.w_max.append(w_hi)
-        self.w_mean.append(mean[2])
-        self.mass_u.append(mass_u)
-        self.mass_v.append(mass_v)
+        mean = np.add.reduce(fields, axis=2) / fields.shape[2]
+        self.t.extend(t)
+        columns = (
+            self.u_min, self.v_min, self.w_min, self.u_max, self.v_max, self.w_max,
+            self.u_mean, self.v_mean, self.w_mean, self.mass_u, self.mass_v,
+        )
+        values = np.concatenate((lo, hi, mean, np.asarray(mass, dtype=float)), axis=1)
+        for column, series in zip(columns, values.T.tolist()):
+            column.extend(series)
         if self.ref_labels:
-            for label, (du, dv, dw) in zip(self.ref_labels, sup_distance(lo, hi, levels).tolist()):
-                cols = self.dist[label]
-                cols[0].append(du)
-                cols[1].append(dv)
-                cols[2].append(dw)
+            dist = sup_distance(lo[:, None], hi[:, None], levels)  # (k, R, 3)
+            for label, series in zip(self.ref_labels, dist.transpose(1, 2, 0).tolist()):
+                for column, values_of_field in zip(self.dist[label], series):
+                    column.extend(values_of_field)
 
     @property
     def n_samples(self) -> int:
@@ -130,7 +141,8 @@ def sup_distance(lo: np.ndarray, hi: np.ndarray, levels: np.ndarray) -> np.ndarr
 
     lo and hi are the snapshot's per-field minima and maxima (u, v, w);
     levels is an (R, 3) array with one (u*, v*, w*) row per state.  Returns
-    the (R, 3) distances max_i |f_i - c| without a pass over the cells:
+    the (R, 3) distances max_i |f_i - c| without a pass over the cells
+    (k snapshots as (k, 1, 3) extrema give (k, R, 3) distances):
     fl(x - c) is monotone in x and fl(c - x) = -fl(x - c), so the largest
     |f_i - c| is hi - c or c - lo, bit for bit.  NaN propagates as in a
     cellwise maximum, and the abs keeps a zero distance +0.0.

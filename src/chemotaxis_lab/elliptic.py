@@ -70,7 +70,8 @@ def solve_w(op: EllipticOperator, u: np.ndarray, v: np.ndarray, p: ModelParams) 
     min(k*u + l*v)/lam and max(k*u + l*v)/lam (discrete comparison), up to
     solver roundoff.
     """
-    rhs = p.k * np.asarray(u, dtype=float) + p.l * np.asarray(v, dtype=float)
+    rhs = np.multiply(p.k, u, dtype=float)
+    rhs += np.multiply(p.l, v, dtype=float)
     if rhs.shape != op.diag.shape:
         raise PreconditionError(f"densities of shape {rhs.shape} do not fit {op.grid!r}")
-    return dpttrs(*op.factor, rhs)[0]
+    return dpttrs(*op.factor, rhs, overwrite_b=True)[0]

@@ -33,33 +33,42 @@ from .model import (
 )
 from .steady_states import ConstantState
 
+# Recorded (3, n) stacks are reduced a block at a time; a block holds at
+# most this many values (256 KiB), and at least one stack.
+BLOCK_VALUES = 1 << 15
+
 
 def chemotaxis_flux(
-    u: np.ndarray, w: np.ndarray, chi: float | np.ndarray, grid: Grid1D
+    u: np.ndarray, dw: np.ndarray, chi: float | np.ndarray, dx: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Face fluxes of the attraction term, donor-cell upwinded.
 
-    Face i+1/2 carries chi * u_donor * (w[i+1] - w[i]) / dx, the donor being
+    dw holds the signal differences w[i+1] - w[i] across the n - 1 interior
+    faces.  Face i+1/2 carries chi * u_donor * dw[i] / dx, the donor being
     the cell the signal gradient points away from.  The two boundary faces
     carry zero flux.  u is one density (n,) with a scalar chi, giving (n + 1,)
     fluxes, or m densities (m, n) with chi an (m, 1) column, giving (m, n + 1).
+    The fluxes go into out when it is given, whose boundary faces must
+    already hold zeros; otherwise into a new array.
     """
-    flux = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
-    dw = w[1:] - w[:-1]
-    donor = np.where(dw > 0.0, u[..., :-1], u[..., 1:])
-    flux[..., 1:-1] = chi * donor * dw / grid.dx
-    return flux
+    if out is None:
+        out = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+    inner = out[..., 1:-1]
+    np.multiply(chi, np.where(dw > 0.0, u[..., :-1], u[..., 1:]), out=inner)
+    inner *= dw
+    inner /= dx
+    return out
 
 
 class _Workspace:
     """Per-run cache: the signal operator, the coefficients (row 0 for u, 1
-    for v) and the dpttrf factors of the implicit diffusion matrices (keyed
-    by (d, dt): equal diffusivities share one, and the final step of a run
-    may be shorter)."""
+    for v), the stage buffers and the dpttrf factors of the implicit
+    diffusion matrices, one pair per step width (the final step of a run
+    may be shorter; equal diffusivities share one factor)."""
 
     def __init__(self, p: ModelParams, grid: Grid1D, cfg: StepperConfig):
         self.p = p
-        self.grid = grid
+        self.dx = grid.dx
         self.cfg = cfg
         self.op = assemble(p, grid)
         # bracket = growth - local_coupling @ (u, v) - mass_coupling @ (mass_u, mass_v)
@@ -68,30 +77,42 @@ class _Workspace:
         self.mass_coupling = np.array([[p.a3, p.a4], [p.b3, p.b4]])
         self.self_limit = np.array([[p.a1], [p.b2]])
         self.chi = np.array([[p.chi1], [p.chi2]])
-        self._factors: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+        self.chi_max = max(p.chi1, p.chi2)
+        self.n_cells = n = grid.n_cells
+        # The face fluxes, whose boundary faces stay zero, and their views
+        # right and left of each cell; the flux divergence; the scratch of
+        # the reaction Jacobian diagonal.
+        self.flux = np.zeros((2, n + 1))
+        self.flux_right, self.flux_left = self.flux[:, 1:], self.flux[:, :-1]
+        self.div = np.empty((2, n))
+        self.jac = np.empty((2, n))
+        self.factors: dict[float, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
 
-    def diffusion_factor(self, d: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        key = (d, dt)
-        factor = self._factors.get(key)
-        if factor is None:
-            r = dt * d / (self.grid.dx * self.grid.dx)
-            factor = neumann_factor(1.0, r, self.grid.n_cells)[1:]
-            self._factors[key] = factor
-        return factor
+    def diffusion_factors(self, dt: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The dpttrf factors of u's and v's diffusion matrix for a step dt."""
+        pair = self.factors.get(dt)
+        if pair is None:
+            d1, d2, dx2 = self.p.d1, self.p.d2, self.dx * self.dx
+            first = neumann_factor(1.0, dt * d1 / dx2, self.n_cells)[1:]
+            second = first if d2 == d1 else neumann_factor(1.0, dt * d2 / dx2, self.n_cells)[1:]
+            pair = self.factors[dt] = (first, second)
+        return pair
 
 
 def _check_stability(
-    ws: _Workspace, uv: np.ndarray, w: np.ndarray, dt: float, bracket: np.ndarray
+    ws: _Workspace, uv: np.ndarray, dw: np.ndarray, dt: float, bracket: np.ndarray
 ) -> None:
     """Raise when dt exceeds the advection CFL limit or 1/|J|, J the local
     reaction Jacobian diagonal d(u*bracket_u)/du = bracket_u - a1*u (and
-    bracket_v - b2*v)."""
-    p, grid = ws.p, ws.grid
-    dx = grid.dx
-    grad_max = float(np.abs(w[1:] - w[:-1]).max()) / dx if w.shape[0] > 1 else 0.0
-    speed = max(p.chi1, p.chi2) * grad_max
+    bracket_v - b2*v).  dw holds the signal differences across the interior
+    faces."""
+    dx = ws.dx
+    grad_max = float(np.maximum.reduce(np.abs(dw))) / dx
+    speed = ws.chi_max * grad_max
     adv_limit = math.inf if speed == 0.0 else ws.cfg.cfl_safety * dx / speed
-    jmax = float(np.abs(bracket - ws.self_limit * uv).max())
+    jac = np.multiply(ws.self_limit, uv, out=ws.jac)
+    np.subtract(bracket, jac, out=jac)
+    jmax = float(np.maximum.reduce(np.abs(jac, out=jac), axis=None))
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
     if dt > adv_limit or dt > rx_limit:
         if dt > adv_limit and dt > rx_limit:
@@ -103,33 +124,44 @@ def _check_stability(
         raise CflViolationError(binding, dt, min(adv_limit, rx_limit))
 
 
-def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: list[float], dt: float) -> tuple:
+def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt: float) -> tuple:
     """One split step of width dt on the (2, n) densities uv.
 
-    Trusts w to be the signal solve of uv and mass its two integrals; every
-    producer in this module maintains that invariant.  Returns the same
-    three for the new densities, then the clipped mass.
+    Trusts w to be the signal solve of uv and mass the (2,) array of their
+    integrals; every producer in this module maintains that invariant.
+    Returns the same three for the new densities, then the clipped mass.
+    Each stage is written in place into one new (2, n) array, with the
+    operations and operand order of the expression
+    uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / dx).
     """
-    p, grid = ws.p, ws.grid
-    bracket = (ws.growth - ws.mass_coupling @ mass)[:, None] - ws.local_coupling @ uv
-    _check_stability(ws, uv, w, dt, bracket)
+    dx = ws.dx
+    dw = w[1:] - w[:-1]
+    stage = ws.local_coupling @ uv
+    np.subtract((ws.growth - ws.mass_coupling @ mass)[:, None], stage, out=stage)  # the bracket
+    _check_stability(ws, uv, dw, dt, stage)
 
-    flux = chemotaxis_flux(uv, w, ws.chi, grid)
-    uv_star = uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / grid.dx)
+    chemotaxis_flux(uv, dw, ws.chi, dx, out=ws.flux)
+    div = np.subtract(ws.flux_right, ws.flux_left, out=ws.div)
+    div /= dx
+    np.multiply(uv, stage, out=stage)
+    np.subtract(stage, div, out=stage)
+    np.multiply(dt, stage, out=stage)
+    np.add(uv, stage, out=stage)
 
-    uv_new = np.array(
-        [dpttrs(*ws.diffusion_factor(d, dt), row)[0] for d, row in zip((p.d1, p.d2), uv_star)]
-    )
+    # Each row is contiguous, so dpttrs solves it in place.
+    for factor, row in zip(ws.diffusion_factors(dt), stage):
+        dpttrs(*factor, row, overwrite_b=True)
 
     clipped = 0.0
     if ws.cfg.positivity_clip:
-        neg = float(np.minimum(uv_new, 0.0).sum())
+        neg = float(np.add.reduce(np.minimum(stage, 0.0), axis=None))
         if neg < 0.0:
-            clipped = -grid.dx * neg
-            uv_new = np.maximum(uv_new, 0.0)
+            clipped = -dx * neg
+            np.maximum(stage, 0.0, out=stage)
 
-    w_new = solve_w(ws.op, *uv_new, p)
-    return uv_new, w_new, grid.integrate(uv_new), clipped
+    mass_new = np.add.reduce(stage, axis=1)
+    mass_new *= dx
+    return stage, solve_w(ws.op, *stage, ws.p), mass_new, clipped
 
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
@@ -159,6 +191,10 @@ def run_simulation(
     ("cfl_violation"); on the very first step it propagates, since then
     the configured dt was never admissible.  A dt too small to advance t
     at the run's largest |t| raises PreconditionError before any step.
+
+    Recorded samples are copied into a block of (3, n) stacks (rows u, v,
+    w) that the record reduces in one call when the block is full, before
+    each steady-state test, and at the end of the run.
     """
     if grid.length != p.omega_measure:
         raise PreconditionError(
@@ -169,23 +205,36 @@ def run_simulation(
     t = state0.t
     uv = np.array([state0.u, state0.v], dtype=float)
     w = solve_w(ws.op, *uv, p)
-    mass = grid.integrate(uv)
+    mass = np.array(grid.integrate(uv))
     rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
     levels = np.array(
         [(r.u_star, r.v_star, r.w_star) for _, r in references], dtype=float
     ).reshape(-1, 3)
-    fields = np.empty((3, uv.shape[1]))  # the sample stack: rows u, v, w
+    n = grid.n_cells
+    block = np.empty((max(1, BLOCK_VALUES // (3 * n)), 3, n))
+    slots = [(stack[:2], stack[2]) for stack in block]
+    masses = np.empty((block.shape[0], 2))
+    times: list[float] = []  # of the samples held in the block
+
+    def flush() -> None:
+        if times:
+            rec.append_block(times, block[: len(times)], masses[: len(times)], levels)
+            times.clear()
 
     def record() -> None:
-        if not rec.t or t > rec.t[-1]:
-            fields[:2] = uv
-            fields[2] = w
-            rec.append_sample(t, fields, mass[0], mass[1], levels)
+        i = len(times)
+        uv_slot, w_slot = slots[i]
+        uv_slot[...] = uv
+        w_slot[...] = w
+        masses[i] = mass
+        times.append(t)
+        if i + 1 == len(slots):
+            flush()
 
     record()
-    time_scale = max(cfg.t_end, 1.0)
+    t_stop = cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
     steps_done = 0
-    while t < cfg.t_end - 1e-12 * time_scale:
+    while t < t_stop:
         dt = min(cfg.dt, cfg.t_end - t)
         try:
             uv, w, mass, clipped = _advance(ws, uv, w, mass, dt)
@@ -198,7 +247,7 @@ def run_simulation(
         t += dt
         steps_done += 1
         rec.clipped_mass += clipped
-        peak = float(uv.max())
+        peak = float(np.maximum.reduce(uv, axis=None))
         if not math.isfinite(peak):
             rec.guard_tripped = "non_finite"
             rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
@@ -208,17 +257,20 @@ def run_simulation(
         if rec.guard_tripped:
             record()
             break
-        at_stride = steps_done % cfg.record_every == 0
-        if at_stride or t >= cfg.t_end - 1e-12 * time_scale:
+        if steps_done % cfg.record_every == 0 or t >= t_stop:
             record()
             tol, window = cfg.steady_tol, cfg.steady_window
-            if tol is not None and rec.span >= window and may_be_steady(rec, tol, window):
-                if detect_steady(rec, tol, window).steady:
-                    rec.stopped_early = True
-                    rec.notes.append(
-                        f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}"
-                    )
-                    break
-    record()
+            if tol is not None:
+                flush()
+                if rec.span >= window and may_be_steady(rec, tol, window):
+                    if detect_steady(rec, tol, window).steady:
+                        rec.stopped_early = True
+                        rec.notes.append(
+                            f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}"
+                        )
+                        break
+    if t > (times[-1] if times else rec.t[-1]):
+        record()
+    flush()
     rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
     return rec

@@ -1,7 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrs
 
 from chemotaxis_lab import (
     CflViolationError,
@@ -21,7 +23,8 @@ from chemotaxis_lab import (
     semi_trivial_states,
     solve_w,
 )
-from chemotaxis_lab.diagnostics import TRAJECTORY_COLUMNS
+from chemotaxis_lab.diagnostics import TRAJECTORY_COLUMNS, may_be_steady
+from chemotaxis_lab.elliptic import neumann_factor
 from helpers import coexistence_params, mk_params
 
 
@@ -50,27 +53,33 @@ class TestStepperConfig:
         assert StepperConfig(dt=0.1, t_end=0.0).t_end == 0.0
 
 
+def face_differences(w):
+    """The signal differences w[i+1] - w[i] across the interior faces."""
+    w = np.asarray(w, dtype=float)
+    return w[1:] - w[:-1]
+
+
 class TestLocalTerms:
     def test_flux_boundary_faces_are_zero(self):
         grid = Grid1D(length=1.0, n_cells=4)
-        flux = chemotaxis_flux(np.ones(4), np.array([0.0, 1.0, 1.0, 0.0]), 2.0, grid)
+        flux = chemotaxis_flux(np.ones(4), face_differences([0.0, 1.0, 1.0, 0.0]), 2.0, grid.dx)
         assert flux.shape == (5,)
         assert flux[0] == 0.0 and flux[-1] == 0.0
 
     def test_flux_donor_cell_values(self):
         grid = Grid1D(length=1.0, n_cells=4)
         u = np.array([1.0, 2.0, 3.0, 4.0])
-        w = np.array([0.0, 1.0, 1.0, 0.0])
-        flux = chemotaxis_flux(u, w, 2.0, grid)
+        dw = face_differences([0.0, 1.0, 1.0, 0.0])
+        flux = chemotaxis_flux(u, dw, 2.0, grid.dx)
         np.testing.assert_array_equal(flux, [0.0, 8.0, 0.0, -32.0, 0.0])
 
     def test_flux_of_stacked_densities_matches_each_row(self):
         grid = Grid1D(length=1.0, n_cells=4)
         uv = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]])
-        w = np.array([0.0, 1.0, 1.0, 0.0])
-        flux = chemotaxis_flux(uv, w, np.array([[2.0], [0.5]]), grid)
-        np.testing.assert_array_equal(flux[0], chemotaxis_flux(uv[0], w, 2.0, grid))
-        np.testing.assert_array_equal(flux[1], chemotaxis_flux(uv[1], w, 0.5, grid))
+        dw = face_differences([0.0, 1.0, 1.0, 0.0])
+        flux = chemotaxis_flux(uv, dw, np.array([[2.0], [0.5]]), grid.dx)
+        np.testing.assert_array_equal(flux[0], chemotaxis_flux(uv[0], dw, 2.0, grid.dx))
+        np.testing.assert_array_equal(flux[1], chemotaxis_flux(uv[1], dw, 0.5, grid.dx))
 
     def test_reaction_terms_hand_value(self):
         # On constant data the fluxes vanish and implicit diffusion returns
@@ -415,3 +424,268 @@ class TestSteadyStop:
               ((rec.u_max, rec.u_min), (rec.v_max, rec.v_min), (rec.w_max, rec.w_min)))
         )
         assert sum(max(sample) < 1e-12 for sample in spreads) > 7000
+
+
+def reference_advance(p, grid, cfg, uv, w, mass, dt):
+    """One split step written as whole-array expressions in the stepper's
+    operation order: a new array per operation, the masses as a list, the
+    maxima by ndarray.max.  Returns the new densities, signal and masses and
+    the clipped mass, or raises CflViolationError as the stepper does."""
+    n, dx = grid.n_cells, grid.dx
+    growth = np.array([p.a0, p.b0])
+    local_coupling = np.array([[p.a1, p.a2], [p.b1, p.b2]])
+    mass_coupling = np.array([[p.a3, p.a4], [p.b3, p.b4]])
+    bracket = (growth - mass_coupling @ mass)[:, None] - local_coupling @ uv
+
+    grad_max = float(np.abs(w[1:] - w[:-1]).max()) / dx
+    speed = max(p.chi1, p.chi2) * grad_max
+    adv_limit = math.inf if speed == 0.0 else cfg.cfl_safety * dx / speed
+    jmax = float(np.abs(bracket - np.array([[p.a1], [p.b2]]) * uv).max())
+    rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
+    if dt > adv_limit or dt > rx_limit:
+        if dt > adv_limit and dt > rx_limit:
+            binding = "advection and reaction"
+        elif dt > adv_limit:
+            binding = "advection"
+        else:
+            binding = "reaction"
+        raise CflViolationError(binding, dt, min(adv_limit, rx_limit))
+
+    flux = np.zeros((2, n + 1))
+    dw = w[1:] - w[:-1]
+    donor = np.where(dw > 0.0, uv[:, :-1], uv[:, 1:])
+    flux[:, 1:-1] = np.array([[p.chi1], [p.chi2]]) * donor * dw / dx
+    uv_star = uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / dx)
+    uv_new = np.array([
+        dpttrs(*neumann_factor(1.0, dt * d / (dx * dx), n)[1:], row)[0]
+        for d, row in zip((p.d1, p.d2), uv_star)
+    ])
+    clipped = 0.0
+    if cfg.positivity_clip:
+        neg = float(np.minimum(uv_new, 0.0).sum())
+        if neg < 0.0:
+            clipped = -dx * neg
+            uv_new = np.maximum(uv_new, 0.0)
+    signal = neumann_factor(p.lam, p.d3 / (dx * dx), n)[1:]
+    w_new = dpttrs(*signal, p.k * uv_new[0] + p.l * uv_new[1])[0]
+    return uv_new, w_new, (dx * np.add.reduce(uv_new, axis=-1)).tolist(), clipped
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def bumps(grid, rng, floor=0.0):
+    """Two Gaussian bumps per density at random centres, plus a floor."""
+    x = grid.cell_centers()
+    return np.array([
+        floor + h * np.exp(-0.5 * ((x - c) / s) ** 2)
+        for h, c, s in zip(rng.uniform(0.5, 1.5, 2), rng.uniform(0.2, 0.8, 2), rng.uniform(0.05, 0.2, 2))
+    ])
+
+
+MIXED = dict(
+    d1=0.02, d2=0.05, chi1=0.4, chi2=0.3,
+    a0=1.0, a1=1.5, a2=0.5, a3=0.3, a4=-0.2,
+    b0=0.8, b1=0.4, b2=1.2, b3=-0.1, b4=0.25,
+)
+
+
+class TestStepBitIdentity:
+    """_advance, with its in-place stages, gives the bits of reference_advance."""
+
+    @staticmethod
+    def steps(p, grid, cfg, uv, dts):
+        """Step uv over the widths dts, comparing each step's outputs with
+        the reference's for the same inputs, bit for bit, and checking
+        that the inputs are left untouched; returns the clipped masses."""
+        ws = pde_stepper._Workspace(p, grid, cfg)
+        w = solve_w(ws.op, *uv, p)
+        mass = np.array(grid.integrate(uv))
+        clipped = []
+        for dt in dts:
+            before = [a.copy() for a in (uv, w, mass)]
+            want = reference_advance(p, grid, cfg, uv, w, mass.tolist(), dt)
+            got = pde_stepper._advance(ws, uv, w, mass, dt)
+            for a, b in zip(before, (uv, w, mass)):
+                assert np.array_equal(bits(a), bits(b))
+            for a, b in zip(got, want):
+                assert np.array_equal(bits(a), bits(b))
+            uv, w, mass, clip = got
+            clipped.append(clip)
+        return clipped
+
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    @pytest.mark.parametrize("params", [coexistence_params(0.1), mk_params(**MIXED)], ids=["coexistence", "mixed"])
+    def test_steps_match_reference(self, n, params):
+        grid = Grid1D(length=1.7, n_cells=n)
+        cfg = StepperConfig(dt=1e-3, t_end=1.0)
+        uv = bumps(grid, np.random.default_rng(n), floor=0.05)
+        # the last width is a shorter final step, with its own factors
+        self.steps(params, grid, cfg, uv, [1e-3] * 4 + [3.7e-4])
+
+    def test_positivity_clip_matches_reference(self):
+        n = 32
+        grid = Grid1D(length=1.7, n_cells=n)
+        p = mk_params(chi1=1.0, chi2=0.5, d1=1e-6, d2=2e-6, k=0.0, l=1.0, a0=0.0, b0=0.0, a1=1e-3, b2=1e-3)
+        uv = np.vstack([np.full(n, 0.2), np.ones(n)])
+        uv[0, 1::4] = 1.0
+        uv[1, 1::4] = 0.0
+        w = solve_w(assemble(p, grid), *uv, p)
+        dt = 0.89 * grid.dx / (np.abs(np.diff(w)).max() / grid.dx)
+        cfg = StepperConfig(dt=dt, t_end=1.0, positivity_clip=True)
+        clipped = self.steps(p, grid, cfg, uv, [dt, dt])
+        assert clipped[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "binding, chi, dt",
+        [("advection", 50.0, 1e-2), ("reaction", 1e-3, 10.0), ("advection and reaction", 50.0, 10.0)],
+    )
+    def test_stability_errors_match_reference(self, binding, chi, dt):
+        n = 64
+        grid = Grid1D(length=1.7, n_cells=n)
+        p = mk_params(**{**MIXED, "chi1": chi, "chi2": 0.5 * chi})
+        cfg = StepperConfig(dt=dt, t_end=10.0)
+        uv = bumps(grid, np.random.default_rng(3), floor=0.1)
+        ws = pde_stepper._Workspace(p, grid, cfg)
+        w = solve_w(ws.op, *uv, p)
+        mass = grid.integrate(uv)
+        with pytest.raises(CflViolationError) as got:
+            pde_stepper._advance(ws, uv, w, np.array(mass), dt)
+        with pytest.raises(CflViolationError) as want:
+            reference_advance(p, grid, cfg, uv, w, mass, dt)
+        assert got.value.binding == want.value.binding == binding
+        assert bits(got.value.suggested_dt) == bits(want.value.suggested_dt)
+        assert str(got.value) == str(want.value)
+
+
+def reference_run(state0, p, grid, cfg, references=()):
+    """run_simulation's schedule and guards with one append_sample call per
+    recorded sample, the record path the sample blocks replace."""
+    ws = pde_stepper._Workspace(p, grid, cfg)
+    t = state0.t
+    uv = np.array([state0.u, state0.v], dtype=float)
+    w = solve_w(ws.op, *uv, p)
+    mass = np.array(grid.integrate(uv))
+    rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
+    levels = np.array([(r.u_star, r.v_star, r.w_star) for _, r in references], dtype=float).reshape(-1, 3)
+
+    def record():
+        if not rec.t or t > rec.t[-1]:
+            rec.append_sample(t, np.vstack([uv, w]), *mass.tolist(), levels)
+
+    record()
+    t_stop = cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
+    steps_done = 0
+    while t < t_stop:
+        dt = min(cfg.dt, cfg.t_end - t)
+        try:
+            uv, w, mass, clipped = pde_stepper._advance(ws, uv, w, mass, dt)
+        except CflViolationError as exc:
+            if steps_done == 0:
+                raise
+            rec.guard_tripped = "cfl_violation"
+            rec.notes.append(str(exc))
+            break
+        t += dt
+        steps_done += 1
+        rec.clipped_mass += clipped
+        peak = float(uv.max())
+        if not math.isfinite(peak):
+            rec.guard_tripped = "non_finite"
+            rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
+        elif peak > cfg.blowup_guard:
+            rec.guard_tripped = "blow_up"
+            rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
+        if rec.guard_tripped:
+            record()
+            break
+        if steps_done % cfg.record_every == 0 or t >= t_stop:
+            record()
+            tol, window = cfg.steady_tol, cfg.steady_window
+            if tol is not None and rec.span >= window and may_be_steady(rec, tol, window):
+                if detect_steady(rec, tol, window).steady:
+                    rec.stopped_early = True
+                    rec.notes.append(f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}")
+                    break
+    record()
+    rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
+    return rec
+
+
+def four_references(p):
+    first, second = semi_trivial_states(p)
+    return (
+        ("coexistence", coexistence_state(p)), ("exclusion", exclusion_state(p)),
+        ("semi_trivial_u", first), ("semi_trivial_v", second),
+    )
+
+
+def block_case(name):
+    """(state0, params, grid, config, references) of one record scenario."""
+    grid = Grid1D(length=1.0, n_cells=24)
+    wave = 0.1 * np.cos(np.pi * grid.cell_centers())
+    if name == "many-blocks":
+        p = coexistence_params(0.1)
+        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, StepperConfig(dt=0.01, t_end=12.0), four_references(p)
+    if name == "stride":
+        p = coexistence_params(0.1)
+        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, StepperConfig(dt=0.01, t_end=3.0, record_every=7), ()
+    if name == "blow-up":
+        # v, the second row, crosses the guard
+        p = mk_params(a0=1e-9, b0=5.0, b2=1e-9, chi1=0.1, chi2=0.1)
+        cfg = StepperConfig(dt=0.01, t_end=3.0, blowup_guard=1e3, record_every=3)
+        return initial_state(np.full(24, 0.01), 0.5 + wave, p, grid), p, grid, cfg, four_references(coexistence_params())
+    if name == "non-finite":
+        # u doubles every ten steps until the mass overflows to inf, which
+        # turns the bracket into NaN: no stability bound trips before it.
+        p = mk_params(a1=5e-324, b3=-1e-320, chi1=5e-324, chi2=5e-324)
+        cfg = StepperConfig(dt=0.1, t_end=100.0, blowup_guard=1.7976931348623157e308, record_every=7)
+        return initial_state(np.full(24, 5e304), np.full(24, 0.5), p, grid), p, grid, cfg, ()
+    if name == "cfl":
+        grid = Grid1D(length=1.0, n_cells=60)
+        p = mk_params(chi1=5.0, chi2=0.0, a0=2.0, a1=0.0, b0=0.0, b2=1.0)
+        u0 = 1.0 + 0.01 * np.cos(np.pi * grid.cell_centers())
+        cfg = StepperConfig(dt=0.05, t_end=10.0, record_every=5)
+        return initial_state(u0, np.zeros(60), p, grid), p, grid, cfg, four_references(coexistence_params())
+    p = coexistence_params(0.1)
+    cfg = StepperConfig(dt=0.05, t_end=40.0, steady_tol=1e-6, steady_window=0.5, record_every=3)
+    return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, cfg, four_references(p)
+
+
+def reprs(rec):
+    """Every recorded series and run outcome, floats as repr (NaN and -0.0 included)."""
+    series = {name: list(map(repr, getattr(rec, name))) for name in (*TRAJECTORY_COLUMNS, "w_mean")}
+    for label in rec.ref_labels:
+        series.update({f"{f}_{label}": list(map(repr, col)) for f, col in zip("uvw", rec.dist[label])})
+    fs = rec.final_state
+    outcome = (rec.guard_tripped, rec.notes, repr(rec.clipped_mass), rec.stopped_early, repr(fs.t))
+    return series, outcome, [bits(f).tolist() for f in (fs.u, fs.v, fs.w)]
+
+
+class TestSampleBlocks:
+    """run_simulation's block-reduced record equals the per-sample one."""
+
+    @pytest.mark.parametrize("block_stacks", [None, 1, 4])
+    @pytest.mark.parametrize(
+        "name", ["many-blocks", "stride", "blow-up", "non-finite", "cfl", "steady"]
+    )
+    def test_record_matches_per_sample_reference(self, name, block_stacks, monkeypatch):
+        state0, p, grid, cfg, references = block_case(name)
+        if block_stacks is not None:
+            monkeypatch.setattr(pde_stepper, "BLOCK_VALUES", 3 * grid.n_cells * block_stacks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = run_simulation(state0, p, grid, cfg, references=references)
+            want = reference_run(state0, p, grid, cfg, references)
+        assert reprs(got) == reprs(want)
+        block = pde_stepper.BLOCK_VALUES // (3 * grid.n_cells)
+        expected = {
+            "many-blocks": (None, False), "stride": (None, False), "blow-up": ("blow_up", False),
+            "non-finite": ("non_finite", False), "cfl": ("cfl_violation", False), "steady": (None, True),
+        }[name]
+        assert (got.guard_tripped, got.stopped_early) == expected
+        if name == "many-blocks":
+            assert got.n_samples > block
+        elif block > 1 and name in ("blow-up", "non-finite", "cfl"):
+            # the trip ends the run in the middle of a block
+            assert got.n_samples % block != 0
