@@ -233,9 +233,14 @@ def run_simulation(
 
     record()
     t_stop = cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
+    # t is a sum of steps and drifts off the dt grid.  A remainder within
+    # the stop tolerance of dt is taken whole, so the run ends on t_end
+    # (t + (t_end - t) == t_end near t_end) rather than short of it.
+    last_step = cfg.dt + (cfg.t_end - t_stop)
     steps_done = 0
     while t < t_stop:
-        dt = min(cfg.dt, cfg.t_end - t)
+        rest = cfg.t_end - t
+        dt = rest if rest < last_step else cfg.dt
         try:
             uv, w, mass, clipped = _advance(ws, uv, w, mass, dt)
         except CflViolationError as exc:

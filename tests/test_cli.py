@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -503,6 +504,19 @@ class TestSimulateOutputs:
         capsys.readouterr()
         assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    def test_readme_config_ends_on_t_end(self, tmp_path, capsys):
+        # 40,000 steps of 5e-3 leave a remainder just above dt; the run takes
+        # it whole and records its 1,001 samples, the last at t = 200.
+        readme = (REPO_ROOT / "README.md").read_text()
+        block = re.search(r"### Example config\s+```json\n(.*?)```", readme, re.S).group(1)
+        cfg = write_config(tmp_path, json.loads(block))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        run = read_json(tmp_path / "summary.json")["run"]
+        assert (run["final_t"], run["samples"]) == (200.0, 1001)
+        rows = read_csv_rows(tmp_path / "trajectory.csv")
+        assert len(rows) == 1002 and rows[-1][0] == "200.0"
 
     def test_steady_stop_from_config(self, tmp_path, capsys):
         doc = base_config()

@@ -578,7 +578,8 @@ def reference_run(state0, p, grid, cfg, references=()):
     t_stop = cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
     steps_done = 0
     while t < t_stop:
-        dt = min(cfg.dt, cfg.t_end - t)
+        rest = cfg.t_end - t
+        dt = rest if rest < cfg.dt + (cfg.t_end - t_stop) else cfg.dt
         try:
             uv, w, mass, clipped = pde_stepper._advance(ws, uv, w, mass, dt)
         except CflViolationError as exc:
@@ -689,3 +690,25 @@ class TestSampleBlocks:
         elif block > 1 and name in ("blow-up", "non-finite", "cfl"):
             # the trip ends the run in the middle of a block
             assert got.n_samples % block != 0
+
+
+class TestEndsOnTEnd:
+    @pytest.mark.parametrize(
+        "dt, t_end, steps",
+        [
+            # 3,499 steps of 2e-3 leave a remainder just above dt; a full
+            # last step would end at 6.999999999999451
+            (2e-3, 7.0, 3500),
+            # a shorter last step of 0.01
+            (0.03, 1.0, 34),
+            (0.1, 1.0, 10),
+        ],
+    )
+    def test_run_ends_on_t_end(self, dt, t_end, steps):
+        p = coexistence_params(0.1)
+        grid = Grid1D(length=1.0, n_cells=8)
+        s0 = initial_state(np.full(8, 0.4), np.full(8, 0.6), p, grid)
+        rec = run_simulation(s0, p, grid, StepperConfig(dt=dt, t_end=t_end))
+        assert rec.t[-1] == t_end and rec.final_state.t == t_end
+        assert rec.n_samples == steps + 1
+        assert rec.t[-2] == pytest.approx((steps - 1) * dt)
