@@ -33,8 +33,10 @@ from .model import (
 )
 from .steady_states import ConstantState
 
-# Recorded (3, n) stacks are reduced a block at a time; a block holds at
-# most this many values (256 KiB), and at least one stack.
+# Recorded (3, n) stacks are reduced a block at a time, one NumPy call per
+# statistic for the whole block, which costs about what one call per
+# sample did.  A block holds at most this many values (256 KiB), and at
+# least one stack.
 BLOCK_VALUES = 1 << 15
 
 
