@@ -72,6 +72,9 @@ class TestLocalTerms:
         dw = face_differences([0.0, 1.0, 1.0, 0.0])
         flux = chemotaxis_flux(u, dw, 2.0, grid.dx)
         np.testing.assert_array_equal(flux, [0.0, 8.0, 0.0, -32.0, 0.0])
+        out = np.zeros(5)
+        assert chemotaxis_flux(u, dw, 2.0, grid.dx, out=out) is out
+        np.testing.assert_array_equal(out, flux)
 
     def test_flux_of_stacked_densities_matches_each_row(self):
         grid = Grid1D(length=1.0, n_cells=4)
