@@ -37,12 +37,7 @@ from .model import (
     StepperConfig,
     validate_params,
 )
-from .ode_bounds import (
-    RectangleState,
-    RectangleTrace,
-    check_enclosure,
-    integrate_rectangles,
-)
+from .ode_bounds import RectangleState, check_enclosure, integrate_rectangles
 from .steady_states import ConstantState
 
 ENVELOPE_REL_TOL = 1e-6
@@ -473,16 +468,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_csv(path: Path, header: list[str], cols: list) -> None:
+    """Write the float columns cols under header.  Rows are streamed, not
+    joined into one string of the whole file, which would raise peak
+    memory.  repr() cells need no CSV quoting."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(r) + "\n" for r in zip(*(map(repr, c) for c in cols)))
+
+
 def _write_trajectory_csv(path: Path, rec: TrajectoryRecord) -> None:
-    # Streamed like rectangles.csv: repr() cells need no CSV quoting.
     header = list(TRAJECTORY_COLUMNS)
     cols = [getattr(rec, name) for name in TRAJECTORY_COLUMNS]
     for label in rec.ref_labels:
         header.extend([f"dist_u_{label}", f"dist_v_{label}", f"dist_w_{label}"])
         cols.extend(rec.dist[label])
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(r) + "\n" for r in zip(*(map(repr, c) for c in cols)))
+    _write_csv(path, header, cols)
 
 
 def _envelope_sections(
@@ -659,15 +660,6 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
     return trace
 
 
-def _write_rectangles_csv(path: Path, trace: RectangleTrace) -> None:
-    # Rows are streamed, not joined into one string of the whole file,
-    # which would raise peak memory.  repr() cells need no CSV quoting.
-    cols = (trace.t, trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo)
-    with path.open("w", newline="") as fh:
-        fh.write("t,u_hi,u_lo,v_hi,v_lo\n")
-        fh.writelines(",".join(r) + "\n" for r in zip(*(map(repr, c) for c in cols)))
-
-
 def cmd_rectangles(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     p = build_params(doc)
@@ -697,7 +689,8 @@ def cmd_rectangles(args: argparse.Namespace) -> int:
         s0, p, t_end=pde_trace.t[-1], dt=opts["dt"], record_every=opts["record_every"]
     )
     csv_path = resolve_output(doc, args.out, "rectangles_csv")
-    _write_rectangles_csv(csv_path, rect_trace)
+    columns = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]
+    _write_csv(csv_path, columns, [getattr(rect_trace, c) for c in columns])
     report = check_enclosure(pde_trace, rect_trace, opts["tol"])
     document = {
         "passed": report.passed,

@@ -19,30 +19,14 @@ from .model import Grid1D, ModelParams, PreconditionError
 
 @dataclass(frozen=True)
 class EllipticOperator:
-    """Assembled operator lam*I - d3*D2 with its dpttrf factor (d, e).
-
-    diag holds the per-row diagonal (boundary rows lam + d3/dx^2, interior
-    rows lam + 2*d3/dx^2); off the constant off-diagonal -d3/dx^2.  Row
-    sums all equal lam, so constants map to lam * constant.
-    """
+    """The operator lam*I - d3*D2 on grid, held as its dpttrf factor (d, e)."""
 
     grid: Grid1D
-    d3: float
-    lam: float
-    diag: np.ndarray
-    off: float
     factor: tuple[np.ndarray, np.ndarray]
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Matrix-vector product (lam*I - d3*D2) f."""
-        out = self.diag * f
-        out[:-1] += self.off * f[1:]
-        out[1:] += self.off * f[:-1]
-        return out
 
-
-def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal and dpttrf factor d, e of shift*I - r*dx^2*D2 on n cells.
+def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dpttrf factor d, e of shift*I - r*dx^2*D2 on n cells.
 
     The zero-flux operator has boundary diagonal shift + r, interior
     diagonal shift + 2r and off-diagonal -r.  The signal solve uses it with
@@ -54,13 +38,12 @@ def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarr
     d, e, info = dpttrf(diag, np.full(n - 1, -r))
     if info != 0:
         raise np.linalg.LinAlgError(f"{shift!r}*I - {r!r}*dx^2*D2 is not positive definite")
-    return diag, d, e
+    return d, e
 
 
 def assemble(p: ModelParams, grid: Grid1D) -> EllipticOperator:
     r = p.d3 / (grid.dx * grid.dx)
-    diag, d, e = neumann_factor(p.lam, r, grid.n_cells)
-    return EllipticOperator(grid=grid, d3=p.d3, lam=p.lam, diag=diag, off=-r, factor=(d, e))
+    return EllipticOperator(grid=grid, factor=neumann_factor(p.lam, r, grid.n_cells))
 
 
 def solve_w(op: EllipticOperator, u: np.ndarray, v: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -72,6 +55,6 @@ def solve_w(op: EllipticOperator, u: np.ndarray, v: np.ndarray, p: ModelParams) 
     """
     rhs = np.multiply(p.k, u, dtype=float)
     rhs += np.multiply(p.l, v, dtype=float)
-    if rhs.shape != op.diag.shape:
+    if rhs.shape != (op.grid.n_cells,):
         raise PreconditionError(f"densities of shape {rhs.shape} do not fit {op.grid!r}")
     return dpttrs(*op.factor, rhs, overwrite_b=True)[0]

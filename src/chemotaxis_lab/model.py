@@ -136,15 +136,25 @@ class Grid1D:
         return (self.dx * np.add.reduce(f, axis=-1)).tolist()
 
 
-def check_time_resolution(t0: float, t_end: float, dt: float) -> None:
-    """Raise when a fixed-step run from t0 to t_end could stall: dt is at
-    most half the float spacing at the run's largest |t|, so somewhere on
-    the way t + dt rounds back to t and a `t += dt` loop never ends."""
+def check_time_resolution(t0: float, t_end: float, dt: float) -> tuple[float, float]:
+    """The stop rule of a fixed-step run from t0 to t_end: (t_stop, last_step).
+
+    The run steps while t < t_stop and takes a remainder t_end - t below
+    last_step whole: t is a sum of steps and drifts off the dt grid, so a
+    remainder within the stop tolerance of dt ends the run on t_end
+    (t + (t_end - t) == t_end near t_end) rather than short of it.
+
+    Raises when the run could stall: dt is at most half the float spacing
+    at the run's largest |t|, so somewhere on the way t + dt rounds back to
+    t and a `t += dt` loop never ends.
+    """
     if t0 < t_end and dt <= 0.5 * math.ulp(max(abs(t0), abs(t_end))):
         raise PreconditionError(
             f"dt={dt!r} is below the float resolution of t between {t0!r} and {t_end!r}: "
             f"t + dt would round back to t"
         )
+    t_stop = t_end - 1e-12 * max(abs(t_end), 1.0)
+    return t_stop, dt + (t_end - t_stop)
 
 
 class CflViolationError(RuntimeError):
@@ -202,9 +212,7 @@ class FieldState:
     """Snapshot of the discrete solution triple (u, v, w) at time t.
 
     u and v are the species densities, w the quasi-static signal solved
-    from them.  Nonnegativity of u and v is a property of admissible
-    dynamics rather than a constructor constraint; ``check_nonnegative``
-    verifies it up to a tolerance for numerical dust.
+    from them.
     """
 
     t: float
@@ -226,6 +234,3 @@ class FieldState:
     @property
     def n_cells(self) -> int:
         return self.u.shape[0]
-
-    def check_nonnegative(self, tol: float = 0.0) -> bool:
-        return bool(self.u.min() >= -tol and self.v.min() >= -tol)

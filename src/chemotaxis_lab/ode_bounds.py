@@ -145,13 +145,12 @@ def integrate_rectangles(
         )
     if min(s0.u_lo, s0.v_lo) < 0:
         raise PreconditionError(f"initial rectangle must be nonnegative, got {s0!r}")
-    check_time_resolution(s0.t, t_end, dt)
+    t_stop, last_step = check_time_resolution(s0.t, t_end, dt)
 
     rhs = rectangle_rhs(p)
     t, u_hi, u_lo, v_hi, v_lo = s0.t, s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo
     trace = RectangleTrace([t], [u_hi], [u_lo], [v_hi], [v_lo])
     record = trace.append
-    t_stop = t_end - 1e-12 * max(abs(t_end), 1.0)
     guard = DIVERGENCE_GUARD
     ninf = -math.inf
     last_t = t
@@ -161,10 +160,6 @@ def integrate_rectangles(
     # computed once per step size, and the chained comparisons trip exactly
     # when a component is non-finite or above the guard.
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    # t is a sum of steps and drifts off the dt grid.  A remainder within
-    # the stop tolerance of dt is taken whole, so the run ends on t_end
-    # (t + (t_end - t) == t_end near t_end) rather than short of it.
-    last_step = dt + (t_end - t_stop)
     while t < t_stop:
         rest = t_end - t
         if rest < last_step:

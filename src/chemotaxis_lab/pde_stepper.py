@@ -95,8 +95,8 @@ class _Workspace:
         pair = self.factors.get(dt)
         if pair is None:
             d1, d2, dx2 = self.p.d1, self.p.d2, self.dx * self.dx
-            first = neumann_factor(1.0, dt * d1 / dx2, self.n_cells)[1:]
-            second = first if d2 == d1 else neumann_factor(1.0, dt * d2 / dx2, self.n_cells)[1:]
+            first = neumann_factor(1.0, dt * d1 / dx2, self.n_cells)
+            second = first if d2 == d1 else neumann_factor(1.0, dt * d2 / dx2, self.n_cells)
             pair = self.factors[dt] = (first, second)
         return pair
 
@@ -202,7 +202,7 @@ def run_simulation(
         raise PreconditionError(
             f"grid length {grid.length!r} must equal omega_measure {p.omega_measure!r}"
         )
-    check_time_resolution(state0.t, cfg.t_end, cfg.dt)
+    t_stop, last_step = check_time_resolution(state0.t, cfg.t_end, cfg.dt)
     ws = _Workspace(p, grid, cfg)
     t = state0.t
     uv = np.array([state0.u, state0.v], dtype=float)
@@ -234,50 +234,49 @@ def run_simulation(
             flush()
 
     record()
-    t_stop = cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
-    # t is a sum of steps and drifts off the dt grid.  A remainder within
-    # the stop tolerance of dt is taken whole, so the run ends on t_end
-    # (t + (t_end - t) == t_end near t_end) rather than short of it.
-    last_step = cfg.dt + (cfg.t_end - t_stop)
     steps_done = 0
-    while t < t_stop:
-        rest = cfg.t_end - t
-        dt = rest if rest < last_step else cfg.dt
-        try:
-            uv, w, mass, clipped = _advance(ws, uv, w, mass, dt)
-        except CflViolationError as exc:
-            if steps_done == 0:
-                raise
-            rec.guard_tripped = "cfl_violation"
-            rec.notes.append(str(exc))
-            break
-        t += dt
-        steps_done += 1
-        rec.clipped_mass += clipped
-        peak = float(np.maximum.reduce(uv, axis=None))
-        if not math.isfinite(peak):
-            rec.guard_tripped = "non_finite"
-            rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
-        elif peak > cfg.blowup_guard:
-            rec.guard_tripped = "blow_up"
-            rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
-        if rec.guard_tripped:
-            record()
-            break
-        if steps_done % cfg.record_every == 0 or t >= t_stop:
-            record()
-            tol, window = cfg.steady_tol, cfg.steady_window
-            if tol is not None:
-                flush()
-                if rec.span >= window and may_be_steady(rec, tol, window):
-                    if detect_steady(rec, tol, window).steady:
+    # An overflowing run turns the densities to inf and NaN, which the
+    # non_finite and blow_up guards report; NumPy's warnings would only
+    # repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_stop:
+            rest = cfg.t_end - t
+            dt = rest if rest < last_step else cfg.dt
+            try:
+                uv, w, mass, clipped = _advance(ws, uv, w, mass, dt)
+            except CflViolationError as exc:
+                if steps_done == 0:
+                    raise
+                rec.guard_tripped = "cfl_violation"
+                rec.notes.append(str(exc))
+                break
+            t += dt
+            steps_done += 1
+            rec.clipped_mass += clipped
+            peak = float(np.maximum.reduce(uv, axis=None))
+            if not math.isfinite(peak):
+                rec.guard_tripped = "non_finite"
+                rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
+            elif peak > cfg.blowup_guard:
+                rec.guard_tripped = "blow_up"
+                rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
+            if rec.guard_tripped:
+                record()
+                break
+            if steps_done % cfg.record_every == 0 or t >= t_stop:
+                record()
+                tol, window = cfg.steady_tol, cfg.steady_window
+                if tol is not None:
+                    flush()
+                    if (rec.span >= window and may_be_steady(rec, tol, window)
+                            and detect_steady(rec, tol, window).steady):
                         rec.stopped_early = True
                         rec.notes.append(
                             f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}"
                         )
                         break
-    if t > (times[-1] if times else rec.t[-1]):
-        record()
-    flush()
+        if t > (times[-1] if times else rec.t[-1]):
+            record()
+        flush()
     rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
     return rec

@@ -172,9 +172,9 @@ def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> BoundConstants:
     """Sup-norm envelope constants M00, M01, M02, L and the resulting caps.
 
     Requires both H1 margins strictly positive (that is what makes L and
-    the quadratic denominators positive); raises otherwise.  The caps are
-    max{sup_u0, M01} and max{sup_v0, M02}: the solution's sup norm never
-    exceeds them for admissible dynamics.
+    the quadratic denominators positive) and 4*L*L not to underflow to 0;
+    raises otherwise.  The caps are max{sup_u0, M01} and max{sup_v0, M02}:
+    the solution's sup norm never exceeds them for admissible dynamics.
     """
     m1, m2 = h1_margins(p)
     l_const = min(m1, m2)
@@ -182,12 +182,17 @@ def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> BoundConstants:
         raise HypothesisViolationError(
             f"sup-norm bounds need both H1 margins positive, got ({m1!r}, {m2!r})"
         )
+    denom = 4.0 * l_const * l_const
+    if denom == 0.0:
+        raise HypothesisViolationError(
+            f"sup-norm bounds need 4*L*L > 0, but L = {l_const!r} squares to 0 in floating point"
+        )
     w = p.omega_measure
     a1c = p.a1 - p.k * p.chi1 / p.d3 - w * negative_part(p.a3)
     a2c = negative_part(p.a2) + w * negative_part(p.a4) + p.l * p.chi1 / p.d3
     b1c = negative_part(p.b1) + w * negative_part(p.b3) + p.k * p.chi2 / p.d3
     b2c = p.b2 - p.l * p.chi2 / p.d3 - w * negative_part(p.b4)
-    m00 = max(sup_u0 * sup_v0, (p.a0 + p.b0) ** 2 / (4.0 * l_const * l_const))
+    m00 = max(sup_u0 * sup_v0, (p.a0 + p.b0) ** 2 / denom)
     m01 = _logistic_root(p.a0, a1c, a2c, m00)
     m02 = _logistic_root(p.b0, b2c, b1c, m00)
     return BoundConstants(
@@ -203,22 +208,25 @@ def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> BoundConstants:
 def l1_bounds(p: ModelParams, mass_u0: float, mass_v0: float) -> BoundConstants:
     """Per-species mass envelope: the constant M and the two mass caps.
 
-    Requires both H2 margins strictly positive.  Intended for parameters
-    with a2 >= 0 and b1 >= 0 (local competition); the formulas evaluate
-    regardless.
+    Requires both H2 margins strictly positive and their squares not to
+    underflow to 0.  Intended for parameters with a2 >= 0 and b1 >= 0
+    (local competition); the formulas evaluate regardless.
     """
     m1, m2 = h2_margins(p)
     if min(m1, m2) <= 0.0:
         raise HypothesisViolationError(
             f"mass bounds need both H2 margins positive, got ({m1!r}, {m2!r})"
         )
+    denom = 4.0 * min(m1 * m1, m2 * m2)
+    if denom == 0.0:
+        raise HypothesisViolationError(
+            f"mass bounds need 4*min(m1*m1, m2*m2) > 0, but the H2 margins "
+            f"({m1!r}, {m2!r}) square to 0 in floating point"
+        )
     w = p.omega_measure
     a1t = (p.a1 - w * negative_part(p.a3)) / w
     b2t = (p.b2 - w * negative_part(p.b4)) / w
-    m_l1 = max(
-        mass_u0 * mass_v0,
-        (p.a0 + p.b0) ** 2 * w * w / (4.0 * min(m1 * m1, m2 * m2)),
-    )
+    m_l1 = max(mass_u0 * mass_v0, (p.a0 + p.b0) ** 2 * w * w / denom)
     cap_u = max(mass_u0, _logistic_root(p.a0, a1t, negative_part(p.a4), m_l1))
     cap_v = max(mass_v0, _logistic_root(p.b0, b2t, negative_part(p.b3), m_l1))
     return BoundConstants(m_l1=m_l1, mass_u_cap=cap_u, mass_v_cap=cap_v)

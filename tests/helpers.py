@@ -4,7 +4,7 @@ BASE is a neutral, mostly-decoupled parameter set; tests override the
 handful of coefficients they exercise.  The named factories below are the
 three dynamical regimes the acceptance scenarios revolve around.
 """
-from chemotaxis_lab import ModelParams
+from chemotaxis_lab.model import ModelParams
 
 BASE = dict(
     d1=1.0, d2=1.0, d3=1.0, chi1=0.0, chi2=0.0,

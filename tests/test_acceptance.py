@@ -14,28 +14,23 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from chemotaxis_lab import (
-    Grid1D,
-    RectangleState,
-    StepperConfig,
-    alpha_beta,
-    assemble,
+from chemotaxis_lab.elliptic import assemble, solve_w
+from chemotaxis_lab.hypotheses import (
     check_coexistence,
-    check_enclosure,
     check_exclusion,
     check_h3,
     check_h6,
-    coexistence_state,
     exclusion_dominance_margin,
+)
+from chemotaxis_lab.model import Grid1D, StepperConfig, negative_part, positive_part
+from chemotaxis_lab.ode_bounds import RectangleState, check_enclosure, integrate_rectangles
+from chemotaxis_lab.pde_stepper import initial_state, run_simulation
+from chemotaxis_lab.steady_states import (
+    alpha_beta,
+    coexistence_state,
     exclusion_state,
-    initial_state,
-    integrate_rectangles,
     linf_bounds,
     mass_sum_cap,
-    negative_part,
-    positive_part,
-    run_simulation,
-    solve_w,
 )
 from chemotaxis_lab.cli import main as cli_main
 from helpers import coexistence_params, cooperative_params, exclusion_params, mk_params

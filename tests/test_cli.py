@@ -336,6 +336,50 @@ class TestExitCodes:
         assert "float resolution" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @staticmethod
+    def tiny_margin_config():
+        # The H1 and H2 margins are about a1 = 1e-300: positive, but their
+        # squares underflow to 0.0.
+        doc = base_config()
+        doc["params"].update({"a1": 1e-300, "chi1": 1e-320, "chi2": 1e-320})
+        doc["references"] = []
+        return doc
+
+    def test_bounds_with_underflowing_margins(self, tmp_path):
+        cfg = write_config(tmp_path, self.tiny_margin_config())
+        proc = run_module("bounds", "--config", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        document = read_json(tmp_path / "bounds.json")
+        assert not document["sup_norm"]["holds"]
+        assert not document["mass_per_species"]["holds"]
+        assert document["mass_sum"]["holds"]
+
+    def test_simulate_with_underflowing_margins(self, tmp_path):
+        cfg = write_config(tmp_path, self.tiny_margin_config())
+        proc = run_module("simulate", "--config", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        envelopes = read_json(tmp_path / "summary.json")["envelopes"]
+        assert "skipped" in envelopes["sup_norm"]
+        assert "skipped" in envelopes["mass_per_species"]
+        assert "cap" in envelopes["mass_sum"]
+
+    def test_overflowing_run_warns_nothing(self, tmp_path):
+        # u doubles every ten steps until its mass overflows to inf; the
+        # non_finite guard reports it, and NumPy stays silent.
+        doc = base_config()
+        doc["params"].update({"a1": 5e-324, "a2": 0.0, "b1": 0.0, "b3": -1e-320, "chi1": 5e-324, "chi2": 5e-324})
+        doc["references"] = []
+        doc["grid"]["n_cells"] = 24
+        doc["initial_data"] = {"constant": [5e304, 0.5]}
+        doc["stepper"] = {"dt": 0.1, "t_end": 100.0, "blowup_guard": 1.7976931348623157e308}
+        cfg = write_config(tmp_path, doc)
+        proc = run_module("simulate", "--config", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 4, proc.stderr
+        assert read_json(tmp_path / "summary.json")["run"]["guard_tripped"] == "non_finite"
+        assert "Warning" not in proc.stderr
+
     def test_bounds_exit_3_when_no_family_applies(self, tmp_path, capsys):
         doc = base_config()
         doc["params"]["a3"] = -5.0

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from chemotaxis_lab import (
-    ConstantState,
-    FieldState,
-    PreconditionError,
+from chemotaxis_lab.diagnostics import (
     TrajectoryRecord,
+    _tail_slice,
     detect_steady,
+    may_be_steady,
     sup_distance,
     tail_stats,
 )
-from chemotaxis_lab.diagnostics import _tail_slice, may_be_steady
+from chemotaxis_lab.model import FieldState, PreconditionError
+from chemotaxis_lab.steady_states import ConstantState
 
 
 def stack(state):

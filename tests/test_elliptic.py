@@ -1,33 +1,46 @@
 import numpy as np
 import pytest
 
-from chemotaxis_lab import Grid1D, PreconditionError, assemble, solve_w
-from chemotaxis_lab.elliptic import neumann_factor
+from chemotaxis_lab.elliptic import assemble, neumann_factor, solve_w
+from chemotaxis_lab.model import Grid1D, PreconditionError
 from helpers import mk_params
+
+
+def dense_operator(p, grid):
+    """lam*I - d3*D2 as a dense matrix, D2 the second difference with
+    mirrored ghost cells: each boundary row loses one neighbour."""
+    n = grid.n_cells
+    d2 = (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / (grid.dx * grid.dx)
+    d2[0, 0] = d2[-1, -1] = -1.0 / (grid.dx * grid.dx)
+    return p.lam * np.eye(n) - p.d3 * d2
+
+
+def unfactor(op):
+    """L*D*L^T from the dpttrf factor (d, e): L is unit lower bidiagonal
+    with subdiagonal e."""
+    d, e = op.factor
+    lower = np.eye(d.size) + np.diag(e, k=-1)
+    return lower @ np.diag(d) @ lower.T
 
 
 class TestAssembly:
     def test_stencil_entries(self):
         grid = Grid1D(length=1.0, n_cells=4)
-        op = assemble(mk_params(), grid)
-        assert op.off == -16.0
-        np.testing.assert_array_equal(op.diag, [17.0, 33.0, 33.0, 17.0])
+        p = mk_params()
+        expected = np.diag([17.0, 33.0, 33.0, 17.0]) - 16.0 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        np.testing.assert_array_equal(dense_operator(p, grid), expected)
+        np.testing.assert_allclose(unfactor(assemble(p, grid)), expected, rtol=1e-14, atol=1e-14)
 
     def test_row_sums_equal_lam(self):
         grid = Grid1D(length=2.0, n_cells=37)
         p = mk_params(d3=0.7, lam=1.3)
-        op = assemble(p, grid)
-        ones = np.ones(grid.n_cells)
-        np.testing.assert_allclose(op.apply(ones), p.lam, rtol=1e-14)
+        np.testing.assert_allclose(dense_operator(p, grid).sum(axis=1), p.lam, rtol=1e-14)
 
-    def test_apply_matches_dense_matrix(self):
+    def test_factor_matches_dense_matrix(self):
         grid = Grid1D(length=1.0, n_cells=16)
         p = mk_params(d3=0.5, lam=2.0)
-        op = assemble(p, grid)
-        dense = np.diag(op.diag) + op.off * (np.eye(16, k=1) + np.eye(16, k=-1))
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal(16)
-        np.testing.assert_allclose(op.apply(f.copy()), dense @ f, rtol=1e-13)
+        dense = dense_operator(p, grid)
+        np.testing.assert_allclose(unfactor(assemble(p, grid)), dense, rtol=1e-13, atol=1e-13 * dense.max())
 
     def test_indefinite_matrix_is_rejected(self):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
@@ -53,8 +66,9 @@ class TestSolve:
         u = rng.uniform(0.0, 2.0, 50)
         v = rng.uniform(0.0, 2.0, 50)
         w = solve_w(op, u, v, p)
-        residual = op.apply(w.copy()) - (1.5 * u + 0.5 * v)
-        assert np.max(np.abs(residual)) <= 100.0 * np.finfo(float).eps * np.max(op.diag)
+        dense = dense_operator(p, grid)
+        residual = dense @ w - (1.5 * u + 0.5 * v)
+        assert np.max(np.abs(residual)) <= 100.0 * np.finfo(float).eps * np.max(np.diag(dense))
 
     def test_second_order_convergence(self):
         p = mk_params(d3=1.0, k=1.0, l=0.0, lam=1.0)

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chemotaxis_lab import (
-    DegenerateStateError,
-    PreconditionError,
+from chemotaxis_lab.hypotheses import (
     check_coexistence,
     check_coexistence_competitive,
     check_exclusion,
@@ -21,6 +19,7 @@ from chemotaxis_lab import (
     exclusion_dominance_margin,
     gamma_star,
 )
+from chemotaxis_lab.model import DegenerateStateError, PreconditionError
 from helpers import coexistence_params, exclusion_params, mk_params
 
 

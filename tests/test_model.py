@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemotaxis_lab import (
+from chemotaxis_lab.model import (
     FieldState,
     Grid1D,
+    PreconditionError,
+    check_time_resolution,
     negative_part,
     positive_part,
     validate_params,
 )
-from chemotaxis_lab.model import PreconditionError, check_time_resolution
 from helpers import mk_params
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -149,10 +150,3 @@ class TestFieldState:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="1-D"):
             FieldState(t=0.0, u=np.zeros((2, 2)), v=np.zeros(4), w=np.zeros(4))
-
-    def test_check_nonnegative(self):
-        s = FieldState(t=0.0, u=[0.0, 1.0], v=[0.5, 0.5], w=[0.0, 0.0])
-        assert s.check_nonnegative()
-        dusty = FieldState(t=0.0, u=[-1e-12, 1.0], v=[0.5, 0.5], w=[0.0, 0.0])
-        assert not dusty.check_nonnegative()
-        assert dusty.check_nonnegative(tol=1e-10)

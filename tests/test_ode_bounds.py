@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from chemotaxis_lab import (
-    PreconditionError,
+from chemotaxis_lab.diagnostics import TrajectoryRecord
+from chemotaxis_lab.model import PreconditionError, negative_part, positive_part
+from chemotaxis_lab.ode_bounds import (
+    DIVERGENCE_GUARD,
     RectangleState,
     RectangleTrace,
-    TrajectoryRecord,
     check_enclosure,
     integrate_rectangles,
-    linf_bounds,
-    negative_part,
-    positive_part,
     rectangle_rhs,
 )
-from chemotaxis_lab.ode_bounds import DIVERGENCE_GUARD
+from chemotaxis_lab.steady_states import linf_bounds
 from helpers import coexistence_params, mk_params
 
 

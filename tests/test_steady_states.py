@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chemotaxis_lab import (
-    DegenerateStateError,
-    HypothesisViolationError,
+from chemotaxis_lab.model import DegenerateStateError, HypothesisViolationError
+from chemotaxis_lab.steady_states import (
     alpha_beta,
     coexistence_state,
     exclusion_state,
@@ -179,6 +178,11 @@ class TestLinfBounds:
         with pytest.raises(HypothesisViolationError, match="margins"):
             linf_bounds(coexistence_params(10.0), 0.5, 0.5)
 
+    def test_underflowing_margin_is_a_violation(self):
+        # L = 1e-300 is positive, but 4*L*L is 0.0 in floating point.
+        with pytest.raises(HypothesisViolationError, match="squares to 0"):
+            linf_bounds(mk_params(a1=1e-300, chi1=1e-320, chi2=1e-320), 0.5, 0.5)
+
 
 class TestL1Bounds:
     def test_reference_constants(self):
@@ -202,6 +206,10 @@ class TestL1Bounds:
     def test_requires_h2(self):
         with pytest.raises(HypothesisViolationError):
             l1_bounds(mk_params(a3=-3.0), 1.0, 1.0)
+
+    def test_underflowing_margin_is_a_violation(self):
+        with pytest.raises(HypothesisViolationError, match="square to 0"):
+            l1_bounds(mk_params(a1=1e-300), 1.0, 1.0)
 
 
 class TestMassSumCap:
