@@ -244,14 +244,8 @@ def build_references(doc: dict, p: ModelParams) -> tuple[tuple[str, ConstantStat
     for i, entry in enumerate(entries):
         where = f"references[{i}]"
         try:
-            if entry == "coexistence":
-                refs.append(("coexistence", steady_states.coexistence_state(p)))
-            elif entry == "exclusion":
-                refs.append(("exclusion", steady_states.exclusion_state(p)))
-            elif entry == "semi_trivial":
-                first, second = steady_states.semi_trivial_states(p)
-                refs.append(("semi_trivial_u", first))
-                refs.append(("semi_trivial_v", second))
+            if isinstance(entry, str) and entry in steady_states.CONSTANT_FAMILIES:
+                refs.extend(steady_states.constant_family(p, entry))
             elif isinstance(entry, dict) and set(entry) == {"custom"}:
                 triple = _number_list(entry["custom"], f"{where}.custom", (3,))
                 refs.append((f"custom_{i}", ConstantState(*triple)))
@@ -296,7 +290,9 @@ def write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n")
 
 
-def _report_doc(rep: hypotheses.HypothesisReport) -> dict:
+def _report_doc(rep: hypotheses.HypothesisReport | DegenerateStateError) -> dict:
+    if isinstance(rep, DegenerateStateError):
+        return {"error": str(rep)}
     return {
         "holds": rep.holds,
         "margins": [
@@ -307,11 +303,9 @@ def _report_doc(rep: hypotheses.HypothesisReport) -> dict:
     }
 
 
-def _state_doc(state: ConstantState) -> dict:
-    return {"u_star": state.u_star, "v_star": state.v_star, "w_star": state.w_star}
-
-
-def _report_line(name: str, rep: hypotheses.HypothesisReport) -> str:
+def _report_line(name: str, rep: hypotheses.HypothesisReport | DegenerateStateError) -> str:
+    if isinstance(rep, DegenerateStateError):
+        return f"{name}: not evaluable ({rep})"
     if rep.holds:
         return f"{name}: holds"
     bad = [m for m in rep.margins if not m.satisfied]
@@ -326,54 +320,29 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     p = build_params(doc)
     n_dim = args.n_dim
-    hyp_reports = {
-        "h1": hypotheses.check_h1(p),
-        "h2": hypotheses.check_h2(p),
-        "h3": hypotheses.check_h3(p),
-        "h4": hypotheses.check_h4(p, n_dim),
-        "h5": hypotheses.check_h5(p),
-        "h6": hypotheses.check_h6(p, n_dim),
-    }
-    route_reports: dict[str, Any] = {
-        "coexistence": hypotheses.check_coexistence(p),
-        "coexistence_competitive": hypotheses.check_coexistence_competitive(p),
-    }
-    route_errors: dict[str, str] = {}
-    try:
-        route_reports["exclusion"] = hypotheses.check_exclusion(p)
-    except DegenerateStateError as exc:
-        route_errors["exclusion"] = str(exc)
+    reports = hypotheses.check_all(p, n_dim)
+    routes = hypotheses.ASYMPTOTIC_ROUTES
     try:
         gamma = hypotheses.gamma_star(p)
         gamma_doc: dict[str, Any] = {"value": gamma}
     except PreconditionError as exc:
         gamma_doc = {"error": str(exc)}
-    classification = hypotheses.classify_regime(p, n_dim)
+    classification = hypotheses.classify_regime(reports, n_dim)
     document = {
         "n_dim": n_dim,
-        "hypotheses": {name: _report_doc(rep) for name, rep in hyp_reports.items()},
-        "asymptotic_routes": {
-            **{name: _report_doc(rep) for name, rep in route_reports.items()},
-            **{name: {"error": msg} for name, msg in route_errors.items()},
+        "hypotheses": {
+            name: _report_doc(rep) for name, rep in reports.items() if name not in routes
         },
+        "asymptotic_routes": {name: _report_doc(reports[name]) for name in routes},
         "gamma_star": gamma_doc,
-        "classification": {
-            "global_existence": list(classification.global_existence),
-            "asymptotics": classification.asymptotics,
-            "n_dim": classification.n_dim,
-            "notes": list(classification.notes),
-        },
+        "classification": vars(classification),
     }
     path = resolve_output(doc, args.out, "check_json")
     write_json(path, document)
-    for name, rep in hyp_reports.items():
-        print(_report_line(name.upper(), rep))
-    for name, rep in route_reports.items():
-        print(_report_line(name, rep))
-    for name, msg in route_errors.items():
-        print(f"{name}: not evaluable ({msg})")
-    routes = ", ".join(classification.global_existence) or "none"
-    print(f"global existence routes: {routes}")
+    for name, rep in reports.items():
+        print(_report_line(name if name in routes else name.upper(), rep))
+    routes_line = ", ".join(classification.global_existence) or "none"
+    print(f"global existence routes: {routes_line}")
     print(f"asymptotics: {classification.asymptotics}")
     print(f"wrote {path}")
     return 0
@@ -384,85 +353,60 @@ def cmd_steady(args: argparse.Namespace) -> int:
     p = build_params(doc)
     document: dict[str, Any] = {}
     lines: list[str] = []
-
-    def attempt(name: str, producer) -> None:
+    for name in steady_states.CONSTANT_FAMILIES:
         try:
-            result = producer()
+            states = [state for _, state in steady_states.constant_family(p, name)]
         except DegenerateStateError as exc:
             document[name] = {"error": str(exc)}
             lines.append(f"{name}: not computable ({exc})")
-            return
-        if isinstance(result, ConstantState):
-            document[name] = _state_doc(result)
+            continue
+        if len(states) == 1:
+            (state,) = states
+            document[name] = vars(state)
             lines.append(
-                f"{name}: u*={result.u_star:.6g} v*={result.v_star:.6g} w*={result.w_star:.6g}"
+                f"{name}: u*={state.u_star:.6g} v*={state.v_star:.6g} w*={state.w_star:.6g}"
             )
         else:
-            first, second = result
-            document[name] = [_state_doc(first), _state_doc(second)]
+            first, second = states
+            document[name] = [vars(first), vars(second)]
             lines.append(
                 f"{name}: ({first.u_star:.6g}, 0, {first.w_star:.6g}) and "
                 f"(0, {second.v_star:.6g}, {second.w_star:.6g})"
             )
-
-    attempt("coexistence", lambda: steady_states.coexistence_state(p))
-    attempt("exclusion", lambda: steady_states.exclusion_state(p))
-    attempt("semi_trivial", lambda: steady_states.semi_trivial_states(p))
     path = resolve_output(doc, args.out, "steady_json")
     write_json(path, document)
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     print(f"wrote {path}")
     return 0
 
 
-def _bound_constants_doc(bc: steady_states.BoundConstants) -> dict:
-    return {k: v for k, v in vars(bc).items() if v is not None}
+def _initial_norms(grid: Grid1D, u0: np.ndarray, v0: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """The initial sup norms and the initial masses of u and v: the data of the bound families."""
+    return (float(u0.max()), float(v0.max())), (grid.integrate(u0), grid.integrate(v0))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     p = build_params(doc)
     grid = build_grid(doc)
-    u0, v0 = build_initial(doc, grid)
-    sup_u0, sup_v0 = float(u0.max()), float(v0.max())
-    mass_u0, mass_v0 = grid.integrate(u0), grid.integrate(v0)
-    document: dict[str, Any] = {
-        "initial": {
-            "sup_u0": sup_u0,
-            "sup_v0": sup_v0,
-            "mass_u0": mass_u0,
-            "mass_v0": mass_v0,
-        }
-    }
+    sup0, mass0 = _initial_norms(grid, *build_initial(doc, grid))
+    initial = dict(zip(("sup_u0", "sup_v0", "mass_u0", "mass_v0"), (*sup0, *mass0)))
+    document: dict[str, Any] = {"initial": initial}
     lines: list[str] = []
-    n_failed = 0
-
-    def attempt(name: str, producer) -> None:
-        nonlocal n_failed
+    for name in steady_states.BOUND_FAMILIES:
         try:
-            document[name] = {"holds": True, **producer()}
-            lines.append(f"{name}: available")
+            bc = steady_states.bound_family(p, name, sup0, mass0)
         except PreconditionError as exc:
             document[name] = {"holds": False, "error": str(exc)}
             lines.append(f"{name}: unavailable ({exc})")
-            n_failed += 1
-
-    attempt("sup_norm", lambda: _bound_constants_doc(steady_states.linf_bounds(p, sup_u0, sup_v0)))
-    attempt("mass_per_species", lambda: _bound_constants_doc(steady_states.l1_bounds(p, mass_u0, mass_v0)))
-
-    def mass_sum_family() -> dict:
-        alpha, beta = steady_states.alpha_beta(p)
-        cap = steady_states.mass_sum_cap(p, mass_u0 + mass_v0)
-        return {"alpha": alpha, "beta": beta, "mass_sum_cap": cap}
-
-    attempt("mass_sum", mass_sum_family)
+            continue
+        document[name] = {"holds": True, **{k: v for k, v in vars(bc).items() if v is not None}}
+        lines.append(f"{name}: available")
     path = resolve_output(doc, args.out, "bounds_json")
     write_json(path, document)
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     print(f"wrote {path}")
-    if n_failed == 3:
+    if not any(document[name]["holds"] for name in steady_states.BOUND_FAMILIES):
         print("no bound family is available for these parameters", file=sys.stderr)
         return 3
     return 0
@@ -486,57 +430,39 @@ def _write_trajectory_csv(path: Path, rec: TrajectoryRecord) -> None:
     _write_csv(path, header, cols)
 
 
+# Per bound family, one (key suffix, BoundConstants field, recorded series)
+# for each cap that _envelope_sections checks.
+_ENVELOPE_CAPS = {
+    "sup_norm": (("_u", "sup_cap_u", "u_max"), ("_v", "sup_cap_v", "v_max")),
+    "mass_per_species": (("_u", "mass_u_cap", "mass_u"), ("_v", "mass_v_cap", "mass_v")),
+    "mass_sum": (("", "mass_sum_cap", "mass_sum"),),
+}
+
+
 def _envelope_sections(
-    p: ModelParams,
-    rec: TrajectoryRecord,
-    sup_u0: float,
-    sup_v0: float,
-    mass_u0: float,
-    mass_v0: float,
+    p: ModelParams, rec: TrajectoryRecord, sup0: tuple[float, float], mass0: tuple[float, float]
 ) -> dict:
     """Per-family envelope verdicts: predicted caps plus violation counters."""
+    series = {
+        name: np.asarray(getattr(rec, name)) for name in ("u_max", "v_max", "mass_u", "mass_v")
+    }
+    series["mass_sum"] = series["mass_u"] + series["mass_v"]
     doc: dict[str, Any] = {}
-    u_max = np.asarray(rec.u_max)
-    v_max = np.asarray(rec.v_max)
-    mass_u = np.asarray(rec.mass_u)
-    mass_v = np.asarray(rec.mass_v)
-    try:
-        bc = steady_states.linf_bounds(p, sup_u0, sup_v0)
-        over_u = int((u_max > bc.sup_cap_u * (1.0 + ENVELOPE_REL_TOL)).sum())
-        over_v = int((v_max > bc.sup_cap_v * (1.0 + ENVELOPE_REL_TOL)).sum())
-        doc["sup_norm"] = {
-            "cap_u": bc.sup_cap_u,
-            "cap_v": bc.sup_cap_v,
-            "rel_tol": ENVELOPE_REL_TOL,
-            "violations_u": over_u,
-            "violations_v": over_v,
-            "max_u_recorded": float(u_max.max()),
-            "max_v_recorded": float(v_max.max()),
-        }
-    except PreconditionError as exc:
-        doc["sup_norm"] = {"skipped": str(exc)}
-    try:
-        bc = steady_states.l1_bounds(p, mass_u0, mass_v0)
-        doc["mass_per_species"] = {
-            "cap_u": bc.mass_u_cap,
-            "cap_v": bc.mass_v_cap,
-            "rel_tol": ENVELOPE_REL_TOL,
-            "violations_u": int((mass_u > bc.mass_u_cap * (1.0 + ENVELOPE_REL_TOL)).sum()),
-            "violations_v": int((mass_v > bc.mass_v_cap * (1.0 + ENVELOPE_REL_TOL)).sum()),
-        }
-    except PreconditionError as exc:
-        doc["mass_per_species"] = {"skipped": str(exc)}
-    try:
-        cap = steady_states.mass_sum_cap(p, mass_u0 + mass_v0)
-        total = mass_u + mass_v
-        doc["mass_sum"] = {
-            "cap": cap,
-            "rel_tol": ENVELOPE_REL_TOL,
-            "violations": int((total > cap * (1.0 + ENVELOPE_REL_TOL)).sum()),
-            "max_recorded": float(total.max()),
-        }
-    except PreconditionError as exc:
-        doc["mass_sum"] = {"skipped": str(exc)}
+    for name in steady_states.BOUND_FAMILIES:
+        try:
+            bc = steady_states.bound_family(p, name, sup0, mass0)
+        except PreconditionError as exc:
+            doc[name] = {"skipped": str(exc)}
+            continue
+        caps = [(sfx, getattr(bc, field), series[col]) for sfx, field, col in _ENVELOPE_CAPS[name]]
+        section: dict[str, Any] = {f"cap{sfx}": cap for sfx, cap, _ in caps}
+        section["rel_tol"] = ENVELOPE_REL_TOL
+        for sfx, cap, recorded in caps:
+            section[f"violations{sfx}"] = int((recorded > cap * (1.0 + ENVELOPE_REL_TOL)).sum())
+        if name != "mass_per_species":  # the per-species section records no maxima
+            for sfx, _, recorded in caps:
+                section[f"max{sfx}_recorded"] = float(recorded.max())
+        doc[name] = section
     return doc
 
 
@@ -618,11 +544,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     summary["measured"] = measured
 
     summary["predicted"] = {
-        "references": {label: _state_doc(state) for label, state in references},
+        "references": {label: vars(state) for label, state in references},
     }
-    sup_u0, sup_v0 = float(u0.max()), float(v0.max())
-    mass_u0, mass_v0 = grid.integrate(u0), grid.integrate(v0)
-    summary["envelopes"] = _envelope_sections(p, rec, sup_u0, sup_v0, mass_u0, mass_v0)
+    summary["envelopes"] = _envelope_sections(p, rec, *_initial_norms(grid, u0, v0))
 
     json_path = resolve_output(doc, args.out, "summary_json")
     write_json(json_path, summary)

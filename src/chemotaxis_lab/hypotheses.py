@@ -45,6 +45,10 @@ class HypothesisReport:
     notes: tuple[str, ...] = ()
 
 
+# Report name -> its report, or the error that makes the report undefined.
+Reports = dict[str, HypothesisReport | DegenerateStateError]
+
+
 def _report(name: str, margins: list[Margin], notes: tuple[str, ...] = ()) -> HypothesisReport:
     return HypothesisReport(
         name=name,
@@ -338,6 +342,33 @@ def check_exclusion(p: ModelParams) -> HypothesisReport:
     return _report("exclusion", margins, (f"dominance branch: {branch}",))
 
 
+# The long-time routes in the priority order of classify_regime.
+ASYMPTOTIC_ROUTES = ("coexistence", "coexistence_competitive", "exclusion")
+
+# Each global-existence route holds when every hypothesis it joins with "+" holds.
+EXISTENCE_ROUTES = ("h1", "h2+h4", "h3+h4", "h3+h5", "h3+h6")
+
+
+def check_all(p: ModelParams, n_dim: int = 1) -> Reports:
+    """H1-H6, then the asymptotic routes, each evaluated once.  An exclusion
+    route that is undefined for these params maps to its DegenerateStateError."""
+    reports: Reports = {
+        "h1": check_h1(p),
+        "h2": check_h2(p),
+        "h3": check_h3(p),
+        "h4": check_h4(p, n_dim),
+        "h5": check_h5(p),
+        "h6": check_h6(p, n_dim),
+        "coexistence": check_coexistence(p),
+        "coexistence_competitive": check_coexistence_competitive(p),
+    }
+    try:
+        reports["exclusion"] = check_exclusion(p)
+    except DegenerateStateError as exc:
+        reports["exclusion"] = exc
+    return reports
+
+
 @dataclass(frozen=True)
 class RegimeClassification:
     """Which sufficient-condition routes the parameters satisfy.
@@ -353,43 +384,17 @@ class RegimeClassification:
     notes: tuple[str, ...] = field(default=())
 
 
-def classify_regime(p: ModelParams, n_dim: int = 1) -> RegimeClassification:
-    h1 = check_h1(p)
-    h2 = check_h2(p)
-    h3 = check_h3(p)
-    h4 = check_h4(p, n_dim)
-    h5 = check_h5(p)
-    h6 = check_h6(p, n_dim)
-    routes: list[str] = []
-    if h1.holds:
-        routes.append("h1")
-    if h2.holds and h4.holds:
-        routes.append("h2+h4")
-    if h3.holds and h4.holds:
-        routes.append("h3+h4")
-    if h3.holds and h5.holds:
-        routes.append("h3+h5")
-    if h3.holds and h6.holds:
-        routes.append("h3+h6")
-
+def classify_regime(reports: Reports, n_dim: int = 1) -> RegimeClassification:
+    """Classify from the reports of check_all(p, n_dim).  A route that is not
+    evaluable is noted only when the priority order reaches it."""
+    routes = tuple(r for r in EXISTENCE_ROUTES if all(reports[h].holds for h in r.split("+")))
     notes: list[str] = []
-    if check_coexistence(p).holds:
-        asymptotics = "coexistence"
-    elif check_coexistence_competitive(p).holds:
-        asymptotics = "coexistence_competitive"
-    else:
-        try:
-            exclusion = check_exclusion(p)
-        except DegenerateStateError as exc:
-            exclusion = None
-            notes.append(f"exclusion route not evaluable: {exc}")
-        if exclusion is not None and exclusion.holds:
-            asymptotics = "exclusion"
-        else:
-            asymptotics = "unclassified"
-    return RegimeClassification(
-        global_existence=tuple(routes),
-        asymptotics=asymptotics,
-        n_dim=n_dim,
-        notes=tuple(notes),
-    )
+    asymptotics = "unclassified"
+    for name in ASYMPTOTIC_ROUTES:
+        report = reports[name]
+        if isinstance(report, DegenerateStateError):
+            notes.append(f"{name} route not evaluable: {report}")
+        elif report.holds:
+            asymptotics = name
+            break
+    return RegimeClassification(routes, asymptotics, n_dim, tuple(notes))

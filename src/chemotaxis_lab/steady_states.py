@@ -192,7 +192,7 @@ def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> BoundConstants:
     a2c = negative_part(p.a2) + w * negative_part(p.a4) + p.l * p.chi1 / p.d3
     b1c = negative_part(p.b1) + w * negative_part(p.b3) + p.k * p.chi2 / p.d3
     b2c = p.b2 - p.l * p.chi2 / p.d3 - w * negative_part(p.b4)
-    m00 = max(sup_u0 * sup_v0, (p.a0 + p.b0) ** 2 / denom)
+    m00 = max(sup_u0 * sup_v0, (p.a0 + p.b0) * (p.a0 + p.b0) / denom)
     m01 = _logistic_root(p.a0, a1c, a2c, m00)
     m02 = _logistic_root(p.b0, b2c, b1c, m00)
     return BoundConstants(
@@ -226,7 +226,7 @@ def l1_bounds(p: ModelParams, mass_u0: float, mass_v0: float) -> BoundConstants:
     w = p.omega_measure
     a1t = (p.a1 - w * negative_part(p.a3)) / w
     b2t = (p.b2 - w * negative_part(p.b4)) / w
-    m_l1 = max(mass_u0 * mass_v0, (p.a0 + p.b0) ** 2 * w * w / denom)
+    m_l1 = max(mass_u0 * mass_v0, (p.a0 + p.b0) * (p.a0 + p.b0) * w * w / denom)
     cap_u = max(mass_u0, _logistic_root(p.a0, a1t, negative_part(p.a4), m_l1))
     cap_v = max(mass_v0, _logistic_root(p.b0, b2t, negative_part(p.b3), m_l1))
     return BoundConstants(m_l1=m_l1, mass_u_cap=cap_u, mass_v_cap=cap_v)
@@ -244,3 +244,40 @@ def mass_sum_cap(p: ModelParams, mass_sum_0: float) -> float:
             f"combined-mass bound needs min(alpha, beta) > 0, got ({alpha!r}, {beta!r})"
         )
     return max(mass_sum_0, 2.0 * p.omega_measure * max(p.a0, p.b0) / floor)
+
+
+def _mass_sum_bounds(p: ModelParams, mass_sum_0: float) -> BoundConstants:
+    alpha, beta = alpha_beta(p)
+    return BoundConstants(alpha=alpha, beta=beta, mass_sum_cap=mass_sum_cap(p, mass_sum_0))
+
+
+# The two family tables map a name to its producer.  The lambdas look the
+# producers up by module-global name when called, so a wrapper set on this
+# module's attributes sees every call.
+
+# name -> the family's labelled states; raises DegenerateStateError.
+CONSTANT_FAMILIES = {
+    "coexistence": lambda p: (("coexistence", coexistence_state(p)),),
+    "exclusion": lambda p: (("exclusion", exclusion_state(p)),),
+    "semi_trivial": lambda p: tuple(
+        zip(("semi_trivial_u", "semi_trivial_v"), semi_trivial_states(p))
+    ),
+}
+
+# name -> the family's constants from (p, (sup_u0, sup_v0), (mass_u0, mass_v0));
+# raises PreconditionError when the hypothesis it needs fails.
+BOUND_FAMILIES = {
+    "sup_norm": lambda p, sup0, mass0: linf_bounds(p, *sup0),
+    "mass_per_species": lambda p, sup0, mass0: l1_bounds(p, *mass0),
+    "mass_sum": lambda p, sup0, mass0: _mass_sum_bounds(p, mass0[0] + mass0[1]),
+}
+
+
+def constant_family(p: ModelParams, name: str) -> tuple[tuple[str, ConstantState], ...]:
+    return CONSTANT_FAMILIES[name](p)
+
+
+def bound_family(
+    p: ModelParams, name: str, sup0: tuple[float, float], mass0: tuple[float, float]
+) -> BoundConstants:
+    return BOUND_FAMILIES[name](p, sup0, mass0)

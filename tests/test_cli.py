@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chemotaxis_lab import cli, steady_states
+from chemotaxis_lab import cli, hypotheses, steady_states
 from chemotaxis_lab.cli import main
 from chemotaxis_lab.diagnostics import TRAJECTORY_COLUMNS
 
@@ -34,6 +35,11 @@ def base_config():
         "initial_data": {"constant": [0.5, 0.5]},
         "references": ["coexistence"],
     }
+
+
+def readme_config():
+    readme = (REPO_ROOT / "README.md").read_text()
+    return json.loads(re.search(r"### Example config\s+```json\n(.*?)```", readme, re.S).group(1))
 
 
 def run_module(*args):
@@ -391,6 +397,29 @@ class TestExitCodes:
         assert not document["mass_per_species"]["holds"]
         assert not document["mass_sum"]["holds"]
 
+    def test_bounds_with_overflowing_growth_rates(self, tmp_path):
+        # (a0 + b0)^2 overflows: the sup-norm caps are inf, not an OverflowError.
+        doc = readme_config()
+        doc["params"]["a0"] = 1e200
+        cfg = write_config(tmp_path, doc)
+        proc = run_module("bounds", "--config", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        sup_norm = read_json(tmp_path / "bounds.json")["sup_norm"]
+        assert sup_norm["holds"] is True
+        assert sup_norm["sup_cap_u"] == sup_norm["sup_cap_v"] == "inf"
+
+    def test_simulate_with_overflowing_growth_rates(self, tmp_path):
+        doc = readme_config()
+        doc["params"]["a0"] = 1e155
+        doc["stepper"] = {"dt": 1e-158, "t_end": 2e-158}
+        cfg = write_config(tmp_path, doc)
+        proc = run_module("simulate", "--config", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        sup_norm = read_json(tmp_path / "summary.json")["envelopes"]["sup_norm"]
+        assert sup_norm["cap_u"] == sup_norm["cap_v"] == "inf"
+
 
 class TestDocumentContents:
     def test_check_document(self, tmp_path, capsys):
@@ -416,6 +445,36 @@ class TestDocumentContents:
         assert main(["check", "--config", cfg, "--out", str(tmp_path), "--n-dim", "3"]) == 0
         capsys.readouterr()
         assert read_json(tmp_path / "check.json")["n_dim"] == 3
+
+    def test_check_evaluates_each_report_once(self, tmp_path, capsys, monkeypatch):
+        names = [f"check_h{i}" for i in range(1, 7)]
+        names += ["check_coexistence", "check_coexistence_competitive", "check_exclusion"]
+        calls = Counter()
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(hypotheses, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(hypotheses, name, counted)
+        cfg = write_config(tmp_path, base_config())
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert calls == Counter(names)
+
+    def test_undefined_exclusion_route_is_noted_only_when_reached(self, tmp_path, capsys):
+        # a2 + a4*|Omega| = 0 leaves the exclusion route undefined, but the
+        # coexistence route holds first, so the classification never reaches it.
+        doc = base_config()
+        doc["params"]["a2"] = 0.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "exclusion: not evaluable" in capsys.readouterr().out
+        document = read_json(tmp_path / "check.json")
+        assert document["classification"]["asymptotics"] == "coexistence"
+        assert document["classification"]["notes"] == []
+        assert document["asymptotic_routes"]["exclusion"] == {
+            "error": "exclusion threshold is undefined: a2 + a4*|Omega| = 0"
+        }
 
     def test_steady_document(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
@@ -449,6 +508,40 @@ class TestDocumentContents:
         assert doc["sup_norm"]["l_const"] == pytest.approx(1.8, rel=1e-14)
         assert doc["mass_sum"]["holds"] is True
         assert doc["mass_sum"]["alpha"] == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "config, bounds_exit, simulate_exit", [("readme", 0, 0), ("no_family", 3, 4)]
+    )
+    def test_simulate_envelopes_agree_with_bounds(
+        self, tmp_path, capsys, config, bounds_exit, simulate_exit
+    ):
+        if config == "readme":
+            # The caps depend on the params and the initial data only, so a
+            # short run of the README config checks them.
+            doc = readme_config()
+            doc["stepper"]["t_end"] = 1.0
+        else:
+            doc = base_config()
+            doc["params"]["a3"] = -5.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == bounds_exit
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == simulate_exit
+        capsys.readouterr()
+        bounds = read_json(tmp_path / "bounds.json")
+        envelopes = read_json(tmp_path / "summary.json")["envelopes"]
+        cap_fields = {
+            "sup_norm": {"cap_u": "sup_cap_u", "cap_v": "sup_cap_v"},
+            "mass_per_species": {"cap_u": "mass_u_cap", "cap_v": "mass_v_cap"},
+            "mass_sum": {"cap": "mass_sum_cap"},
+        }
+        for family, fields in cap_fields.items():
+            bound, envelope = bounds[family], envelopes[family]
+            if bound["holds"]:
+                assert "skipped" not in envelope
+                for cap, field in fields.items():
+                    assert envelope[cap] == bound[field]
+            else:
+                assert envelope == {"skipped": bound["error"]}
 
     def test_lambda_key_maps_to_signal_decay(self, tmp_path, capsys):
         doc = base_config()
@@ -552,9 +645,7 @@ class TestSimulateOutputs:
     def test_readme_config_ends_on_t_end(self, tmp_path, capsys):
         # 40,000 steps of 5e-3 leave a remainder just above dt; the run takes
         # it whole and records its 1,001 samples, the last at t = 200.
-        readme = (REPO_ROOT / "README.md").read_text()
-        block = re.search(r"### Example config\s+```json\n(.*?)```", readme, re.S).group(1)
-        cfg = write_config(tmp_path, json.loads(block))
+        cfg = write_config(tmp_path, readme_config())
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         run = read_json(tmp_path / "summary.json")["run"]

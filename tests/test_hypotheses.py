@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemotaxis_lab.hypotheses import (
+    check_all,
     check_coexistence,
     check_coexistence_competitive,
     check_exclusion,
@@ -200,20 +201,29 @@ class TestExclusionRoute:
 
 class TestClassifyRegime:
     def test_coexistence_scenario(self):
-        cls = classify_regime(coexistence_params(0.1))
+        cls = classify_regime(check_all(coexistence_params(0.1)))
         assert cls.asymptotics == "coexistence"
         assert cls.global_existence == ("h1", "h2+h4", "h3+h4", "h3+h5", "h3+h6")
 
     def test_exclusion_scenario(self):
-        cls = classify_regime(exclusion_params(0.05))
+        cls = classify_regime(check_all(exclusion_params(0.05)))
         assert cls.asymptotics == "exclusion"
         assert "h1" in cls.global_existence
 
     def test_unclassified_with_no_routes(self):
-        cls = classify_regime(mk_params(a1=0.1, a3=-5.0, chi1=0.1, chi2=0.1))
+        cls = classify_regime(check_all(mk_params(a1=0.1, a3=-5.0, chi1=0.1, chi2=0.1)))
         assert cls.asymptotics == "unclassified"
         assert cls.global_existence == ()
         assert any("not evaluable" in note for note in cls.notes)
 
+    def test_check_all_maps_an_undefined_route_to_its_error(self):
+        reports = check_all(mk_params(b0=2.0), n_dim=3)
+        assert list(reports) == [
+            "h1", "h2", "h3", "h4", "h5", "h6",
+            "coexistence", "coexistence_competitive", "exclusion",
+        ]
+        assert isinstance(reports["exclusion"], DegenerateStateError)
+        assert reports["h4"] == check_h4(mk_params(b0=2.0), 3)
+
     def test_dimension_is_recorded(self):
-        assert classify_regime(coexistence_params(0.1), n_dim=2).n_dim == 2
+        assert classify_regime(check_all(coexistence_params(0.1), n_dim=2), n_dim=2).n_dim == 2

@@ -5,8 +5,13 @@ import pytest
 
 from chemotaxis_lab.model import DegenerateStateError, HypothesisViolationError
 from chemotaxis_lab.steady_states import (
+    BOUND_FAMILIES,
+    CONSTANT_FAMILIES,
+    BoundConstants,
     alpha_beta,
+    bound_family,
     coexistence_state,
+    constant_family,
     exclusion_state,
     h1_margins,
     h2_margins,
@@ -183,6 +188,11 @@ class TestLinfBounds:
         with pytest.raises(HypothesisViolationError, match="squares to 0"):
             linf_bounds(mk_params(a1=1e-300, chi1=1e-320, chi2=1e-320), 0.5, 0.5)
 
+    def test_overflowing_growth_rates_give_infinite_caps(self):
+        # (a0 + b0)^2 = 1e400 is inf in floating point; a ** 2 would raise.
+        bc = linf_bounds(coexistence_params(0.1, a0=1e200), 0.5, 0.5)
+        assert bc.m00 == bc.sup_cap_u == bc.sup_cap_v == math.inf
+
 
 class TestL1Bounds:
     def test_reference_constants(self):
@@ -211,6 +221,9 @@ class TestL1Bounds:
         with pytest.raises(HypothesisViolationError, match="square to 0"):
             l1_bounds(mk_params(a1=1e-300), 1.0, 1.0)
 
+    def test_overflowing_growth_rates_give_infinite_constant(self):
+        assert l1_bounds(coexistence_params(0.1, a0=1e200), 0.5, 0.5).m_l1 == math.inf
+
 
 class TestMassSumCap:
     def test_cooperative_reference(self):
@@ -223,3 +236,29 @@ class TestMassSumCap:
     def test_requires_h3(self):
         with pytest.raises(HypothesisViolationError, match="alpha"):
             mass_sum_cap(mk_params(a1=2.0, b2=2.0, a2=-5.0), 1.0)
+
+
+class TestFamilies:
+    def test_constant_families_label_their_states(self):
+        p = coexistence_params(0.1)
+        labelled = [item for name in CONSTANT_FAMILIES for item in constant_family(p, name)]
+        assert labelled == [
+            ("coexistence", coexistence_state(p)),
+            ("exclusion", exclusion_state(p)),
+            ("semi_trivial_u", semi_trivial_states(p)[0]),
+            ("semi_trivial_v", semi_trivial_states(p)[1]),
+        ]
+
+    def test_bound_families_return_their_constants(self):
+        p = cooperative_params(0.1)
+        sup0, mass0 = (0.6, 0.5), (0.25, 0.75)
+        alpha, beta = alpha_beta(p)
+        assert [bound_family(p, name, sup0, mass0) for name in BOUND_FAMILIES] == [
+            linf_bounds(p, *sup0),
+            l1_bounds(p, *mass0),
+            BoundConstants(alpha=alpha, beta=beta, mass_sum_cap=mass_sum_cap(p, 1.0)),
+        ]
+
+    def test_bound_family_raises_when_its_hypothesis_fails(self):
+        with pytest.raises(HypothesisViolationError, match="alpha"):
+            bound_family(mk_params(a1=2.0, b2=2.0, a2=-5.0), "mass_sum", (0.5, 0.5), (0.5, 0.5))
