@@ -69,9 +69,9 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     "grid": {"length": (float, _REQUIRED), "n_cells": (int, _REQUIRED)},
     "stepper": {
         "dt": (float, _REQUIRED), "t_end": (float, _REQUIRED),
-        "cfl_safety": (float, _OWNED), "positivity_clip": (bool, _OWNED),
-        "record_every": (int, _OWNED), "blowup_guard": (float, _OWNED),
-        "steady_tol": (float, _OWNED), "steady_window": (float, _OWNED),
+        "cfl_safety": (float, _OWNED), "record_every": (int, _OWNED),
+        "blowup_guard": (float, _OWNED), "steady_tol": (float, _OWNED),
+        "steady_window": (float, _OWNED),
     },
     "rectangles": {
         "dt": (float, 1e-3), "record_every": (int, 10), "tol": (float, 1e-3),
@@ -87,7 +87,7 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     },
 }
 
-_EXPECTED = {int: "an integer", bool: "true or false", str: "a nonempty path string"}
+_EXPECTED = {int: "an integer", str: "a nonempty path string"}
 
 
 def load_config(path: str) -> dict:
@@ -512,7 +512,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "final_t": rec.t[-1],
             "guard_tripped": rec.guard_tripped,
             "stopped_early": rec.stopped_early,
-            "clipped_mass": rec.clipped_mass,
             "notes": list(rec.notes),
         }
     }
@@ -525,19 +524,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if rec.span > 0.0:
         window = TAIL_FRACTION * rec.span
-        tail = tail_stats(rec, window)
-        steady = detect_steady(rec, SUMMARY_STEADY_TOL, window)
-        measured["tail"] = {
-            "window": tail.window,
-            "u_hi_tail": tail.u_hi_tail, "u_lo_tail": tail.u_lo_tail,
-            "v_hi_tail": tail.v_hi_tail, "v_lo_tail": tail.v_lo_tail,
-        }
-        measured["steady"] = {
-            "steady": steady.steady,
-            "tol": steady.tol,
-            "window": steady.window,
-            "certificate": steady.certificate,
-        }
+        measured["tail"] = vars(tail_stats(rec, window))
+        measured["steady"] = vars(detect_steady(rec, SUMMARY_STEADY_TOL, window))
     else:
         measured["tail"] = {"skipped": "record spans zero time"}
         measured["steady"] = {"skipped": "record spans zero time"}
@@ -579,6 +567,8 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
         raise ConfigError(f"cannot read trajectory {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric cell: {exc}") from exc
+    except TypeError as exc:  # DictReader fills the missing cells of a short row with None
+        raise ConfigError(f"{path}: line {reader.line_num}: too few cells") from exc
     if not trace.t:
         raise ConfigError(f"{path}: no data rows")
     return trace
@@ -617,15 +607,8 @@ def cmd_rectangles(args: argparse.Namespace) -> int:
     _write_csv(csv_path, columns, [getattr(rect_trace, c) for c in columns])
     report = check_enclosure(pde_trace, rect_trace, opts["tol"])
     document = {
-        "passed": report.passed,
-        "tol": report.tol,
-        "worst_violation": report.worst_violation,
-        "worst_time": report.worst_time,
-        "n_times": report.n_times,
-        "notes": list(report.notes),
-        "rectangle_initial": {
-            "t": s0.t, "u_hi": s0.u_hi, "u_lo": s0.u_lo, "v_hi": s0.v_hi, "v_lo": s0.v_lo,
-        },
+        **vars(report),
+        "rectangle_initial": vars(s0),
         "rectangle_guard_tripped": rect_trace.guard_tripped,
         "pde_guard_tripped": pde_guard,
     }

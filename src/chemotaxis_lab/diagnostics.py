@@ -51,7 +51,6 @@ class TrajectoryRecord:
     dist: dict[str, tuple[list[float], list[float], list[float]]] = field(default_factory=dict)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
-    clipped_mass: float = 0.0
     stopped_early: bool = False
     final_state: FieldState | None = None
 
@@ -159,7 +158,7 @@ def _tail_slice(rec: TrajectoryRecord, window: float) -> slice:
         raise PreconditionError(
             f"window {window!r} exceeds the recorded span {rec.span!r}"
         )
-    # rec.t is sorted (append_sample enforces it), so bisect finds the
+    # rec.t is sorted (append_block enforces it), so bisect finds the
     # window's first sample without converting the list to an array.
     return slice(bisect.bisect_left(rec.t, rec.t[-1] - window), None)
 

@@ -179,7 +179,6 @@ class StepperConfig:
     dt: float
     t_end: float
     cfl_safety: float = 0.9
-    positivity_clip: bool = False
     record_every: int = 1
     blowup_guard: float = 1e8
     steady_tol: float | None = None

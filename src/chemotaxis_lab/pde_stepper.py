@@ -4,10 +4,11 @@ One step is first-order operator splitting: the chemotactic advection
 (conservative face fluxes, donor-cell upwinding by the sign of the signal
 gradient) and the mass-coupled reaction are advanced by explicit Euler,
 then each species is diffused implicitly (backward Euler), which leaves
-the step restricted only by the advection CFL and the explicit-reaction
-stability bound.  The signal w is re-solved once per step from the
-pre-step densities.  The stepper holds u and v as the rows of one (2, n)
-array, so each stage is one array expression for both species.
+the step restricted only by the positivity limit of the explicit stage
+and the explicit-reaction stability bound.  The signal w is re-solved
+once per step from the pre-step densities.  The stepper holds u and v as
+the rows of one (2, n) array, so each stage is one array expression for
+both species.
 
 Spatially constant states reduce the step to plain explicit Euler for the
 homogeneous interaction ODE: the advection fluxes vanish, and the implicit
@@ -101,29 +102,42 @@ class _Workspace:
         return pair
 
 
+def _outflow_rate(ws: _Workspace, dw: np.ndarray, bracket: np.ndarray) -> float:
+    """max(out - bracket) over both species, out = chi*(max(dw_right, 0) +
+    max(-dw_left, 0))/dx² the upwind outflow rate of each cell."""
+    out = np.zeros(ws.n_cells)
+    np.maximum(dw, 0.0, out=out[:-1])
+    out[1:] += np.maximum(-dw, 0.0)
+    return float(np.maximum.reduce(ws.chi * out / (ws.dx * ws.dx) - bracket, axis=None))
+
+
 def _check_stability(
     ws: _Workspace, uv: np.ndarray, dw: np.ndarray, dt: float, bracket: np.ndarray
 ) -> None:
-    """Raise when dt exceeds the advection CFL limit or 1/|J|, J the local
-    reaction Jacobian diagonal d(u*bracket_u)/du = bracket_u - a1*u (and
-    bracket_v - b2*v).  dw holds the signal differences across the interior
-    faces."""
-    dx = ws.dx
-    grad_max = float(np.maximum.reduce(np.abs(dw))) / dx
-    speed = ws.chi_max * grad_max
-    adv_limit = math.inf if speed == 0.0 else ws.cfg.cfl_safety * dx / speed
+    """Raise when dt exceeds the positivity limit cfl_safety / max(out -
+    bracket) (see _outflow_rate), below which the explicit stage keeps every
+    cell nonnegative, or 1/|J|, J the reaction Jacobian diagonal bracket_u -
+    a1*u (and bracket_v - b2*v).  dw holds the signal differences across the
+    interior faces.  For u, v >= 0, -bracket <= |J| <= jmax and out <=
+    2*chi_max*max|dw|/dx², so the exact rate is computed only when their sum
+    does not admit dt."""
     jac = np.multiply(ws.self_limit, uv, out=ws.jac)
     np.subtract(bracket, jac, out=jac)
     jmax = float(np.maximum.reduce(np.abs(jac, out=jac), axis=None))
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
-    if dt > adv_limit or dt > rx_limit:
-        if dt > adv_limit and dt > rx_limit:
-            binding = "advection and reaction"
-        elif dt > adv_limit:
-            binding = "advection"
+    rate = 2.0 * ws.chi_max * float(np.maximum.reduce(np.abs(dw))) / (ws.dx * ws.dx) + jmax
+    pos_limit = math.inf if rate == 0.0 else ws.cfg.cfl_safety / rate
+    if dt > pos_limit:
+        rate = _outflow_rate(ws, dw, bracket)
+        pos_limit = math.inf if rate <= 0.0 else ws.cfg.cfl_safety / rate
+    if dt > pos_limit or dt > rx_limit:
+        if dt > pos_limit and dt > rx_limit:
+            binding = "positivity and reaction"
+        elif dt > pos_limit:
+            binding = "positivity"
         else:
             binding = "reaction"
-        raise CflViolationError(binding, dt, min(adv_limit, rx_limit))
+        raise CflViolationError(binding, dt, min(pos_limit, rx_limit))
 
 
 def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt: float) -> tuple:
@@ -131,9 +145,9 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt
 
     Trusts w to be the signal solve of uv and mass the (2,) array of their
     integrals; every producer in this module maintains that invariant.
-    Returns the same three for the new densities, then the clipped mass.
-    Each stage is written in place into one new (2, n) array, with the
-    operations and operand order of the expression
+    Returns the same three for the new densities.  Each stage is written
+    in place into one new (2, n) array, with the operations and operand
+    order of the expression
     uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / dx).
     """
     dx = ws.dx
@@ -150,20 +164,14 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt
     np.multiply(dt, stage, out=stage)
     np.add(uv, stage, out=stage)
 
-    # Each row is contiguous, so dpttrs solves it in place.
+    # Each row is contiguous, so dpttrs solves it in place; its M-matrix
+    # factor (d > 0, e < 0) adds only nonnegative terms, so no sign flips.
     for factor, row in zip(ws.diffusion_factors(dt), stage):
         dpttrs(*factor, row, overwrite_b=True)
 
-    clipped = 0.0
-    if ws.cfg.positivity_clip:
-        neg = float(np.add.reduce(np.minimum(stage, 0.0), axis=None))
-        if neg < 0.0:
-            clipped = -dx * neg
-            np.maximum(stage, 0.0, out=stage)
-
     mass_new = np.add.reduce(stage, axis=1)
     mass_new *= dx
-    return stage, solve_w(ws.op, *stage, ws.p), mass_new, clipped
+    return stage, solve_w(ws.op, *stage, ws.p), mass_new
 
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
@@ -192,7 +200,8 @@ def run_simulation(
     at least one completed step is likewise recorded as a guard trip
     ("cfl_violation"); on the very first step it propagates, since then
     the configured dt was never admissible.  A dt too small to advance t
-    at the run's largest |t| raises PreconditionError before any step.
+    at the run's largest |t|, or a negative initial density, raises
+    PreconditionError before any step.
 
     Recorded samples are copied into a block of (3, n) stacks (rows u, v,
     w) that the record reduces in one call when the block is full, before
@@ -202,10 +211,12 @@ def run_simulation(
         raise PreconditionError(
             f"grid length {grid.length!r} must equal omega_measure {p.omega_measure!r}"
         )
+    uv = np.array([state0.u, state0.v], dtype=float)
+    if (uv < 0.0).any():
+        raise PreconditionError("initial densities must be nonnegative")
     t_stop, last_step = check_time_resolution(state0.t, cfg.t_end, cfg.dt)
     ws = _Workspace(p, grid, cfg)
     t = state0.t
-    uv = np.array([state0.u, state0.v], dtype=float)
     w = solve_w(ws.op, *uv, p)
     mass = np.array(grid.integrate(uv))
     rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
@@ -243,7 +254,7 @@ def run_simulation(
             rest = cfg.t_end - t
             dt = rest if rest < last_step else cfg.dt
             try:
-                uv, w, mass, clipped = _advance(ws, uv, w, mass, dt)
+                uv, w, mass = _advance(ws, uv, w, mass, dt)
             except CflViolationError as exc:
                 if steps_done == 0:
                     raise
@@ -252,7 +263,6 @@ def run_simulation(
                 break
             t += dt
             steps_done += 1
-            rec.clipped_mass += clipped
             peak = float(np.maximum.reduce(uv, axis=None))
             if not math.isfinite(peak):
                 rec.guard_tripped = "non_finite"

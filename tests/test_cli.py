@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -265,7 +266,7 @@ class TestConfigErrors:
             ("stepper", "dt", "0.01"),
             ("stepper", "t_end", None),
             ("stepper", "cfl_safety", [0.5]),
-            ("stepper", "positivity_clip", 1),
+            ("stepper", "record_every", True),
             ("stepper", "record_every", 2.5),
             ("stepper", "blowup_guard", True),
             ("stepper", "steady_tol", "1e-6"),
@@ -293,6 +294,15 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, doc)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"config error: {section}.{key}: expected " in capsys.readouterr().err
+
+    def test_positivity_clip_is_an_unknown_key(self, tmp_path, capsys):
+        # The stepper admits no step that makes a density negative, so there
+        # is nothing left to clip.
+        doc = base_config()
+        doc["stepper"]["positivity_clip"] = True
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "stepper: unknown key(s): positivity_clip" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -330,6 +340,39 @@ class TestExitCodes:
         rows = read_csv_rows(tmp_path / "trajectory.csv")
         assert len(rows) >= 3
         assert float(rows[-1][2]) > 30.0
+
+    @staticmethod
+    def narrow_minimum_config(dt, t_end):
+        # Narrow bumps of u and v in cells 15 and 17 of 32, with almost no
+        # diffusion: w has a sharp minimum in cell 16, which loses mass
+        # through both faces.
+        doc = readme_config()
+        doc["params"].update({"d1": 1e-6, "d2": 1e-6, "d3": 1e-6, "chi1": 1.0, "chi2": 1.0})
+        doc["grid"] = {"length": 1.0, "n_cells": 32}
+        bumps = {"centers": [15.5 / 32, 17.5 / 32], "widths": [0.01, 0.01], "heights": [1.0, 1.0]}
+        doc["initial_data"] = {"two_bumps": bumps}
+        doc["stepper"] = {"dt": dt, "t_end": t_end}
+        return doc
+
+    def test_step_that_would_go_negative_exits_4(self, tmp_path, capsys):
+        # The max-gradient advection limit cfl_safety*dx/(chi*max|dw|/dx)
+        # admitted dt up to 8.883e-4 here, and one step of 8.87e-4 recorded
+        # u_min = v_min = -0.0059.  The positivity limit is 4.48e-4.
+        cfg = write_config(tmp_path, self.narrow_minimum_config(8.87e-4, 8.87e-4))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "violates the positivity constraint" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+        # One admitted step, after which the limit falls below dt.
+        cfg = write_config(tmp_path, self.narrow_minimum_config(4.4e-4, 4.4e-3))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
+        capsys.readouterr()
+        run = read_json(tmp_path / "summary.json")["run"]
+        assert run["guard_tripped"] == "cfl_violation"
+        assert "violates the positivity constraint" in run["notes"][0]
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["t"]) for row in rows] == [0.0, 4.4e-4]
+        assert min(float(row[col]) for row in rows for col in ("u_min", "v_min")) >= 0.0
 
     def test_dt_below_time_resolution_exits_3(self, tmp_path):
         # From t = 0 to 1e10 in steps of 1e-7, t stops advancing once its
@@ -642,9 +685,20 @@ class TestSimulateOutputs:
         assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
-    def test_readme_config_ends_on_t_end(self, tmp_path, capsys):
+    @staticmethod
+    def forbid_exact_positivity_rate(monkeypatch):
+        from chemotaxis_lab import pde_stepper
+
+        def fail(*args):
+            raise AssertionError("the exact positivity rate was computed")
+
+        monkeypatch.setattr(pde_stepper, "_outflow_rate", fail)
+
+    def test_readme_config_ends_on_t_end(self, tmp_path, capsys, monkeypatch):
         # 40,000 steps of 5e-3 leave a remainder just above dt; the run takes
-        # it whole and records its 1,001 samples, the last at t = 200.
+        # it whole and records its 1,001 samples, the last at t = 200.  The
+        # bound on the positivity rate admits every step (see below).
+        self.forbid_exact_positivity_rate(monkeypatch)
         cfg = write_config(tmp_path, readme_config())
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -652,6 +706,25 @@ class TestSimulateOutputs:
         assert (run["final_t"], run["samples"]) == (200.0, 1001)
         rows = read_csv_rows(tmp_path / "trajectory.csv")
         assert len(rows) == 1002 and rows[-1][0] == "200.0"
+
+    @pytest.mark.parametrize("name", ["record-dense", "rect-replay"])
+    def test_screen_admits_every_step(self, tmp_path, capsys, monkeypatch, name):
+        # On the benchmark's configs (seed 1; for rect-replay, the simulate
+        # run that writes the trajectory it replays), as on the README
+        # config, the bound 2*chi_max*max|dw|/dx² + jmax on the positivity
+        # rate admits every step, so the exact rate is never computed.
+        self.forbid_exact_positivity_rate(monkeypatch)
+        spec = importlib.util.spec_from_file_location(
+            "workloads", REPO_ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workload = workloads.generate(name, 1)
+        doc = (workload["source"] or workload)["config"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert read_json(tmp_path / "summary.json")["run"]["final_t"] == doc["stepper"]["t_end"]
 
     def test_steady_stop_from_config(self, tmp_path, capsys):
         doc = base_config()
@@ -844,6 +917,21 @@ class TestRectangles:
             "--trajectory", str(stub),
         ]) == 2
         assert "missing column" in capsys.readouterr().err
+
+    def test_truncated_trajectory_row_is_config_error(self, tmp_path):
+        # csv.DictReader fills the missing cells of a short row with None.
+        full = tmp_path / "full"
+        cfg = write_config(tmp_path, self.make_scenario(tmp_path))
+        assert main(["simulate", "--config", cfg, "--out", str(full)]) == 0
+        lines = (full / "trajectory.csv").read_text().splitlines()
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(lines[:3] + [",".join(lines[3].split(",")[:3])]) + "\n")
+        proc = run_module(
+            "rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(cut)
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"config error: {cut}: line 4: too few cells" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_reused_trajectory_must_have_rows(self, tmp_path, capsys):
         stub = tmp_path / "empty.csv"
