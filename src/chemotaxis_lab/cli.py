@@ -183,9 +183,13 @@ def build_params(doc: dict) -> ModelParams:
 
 def build_grid(doc: dict) -> Grid1D:
     try:
-        return Grid1D(**_section(doc, "grid"))
+        grid = Grid1D(**_section(doc, "grid"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    omega = doc["params"]["omega_measure"]
+    if grid.length != omega:
+        raise PreconditionError(f"grid length {grid.length!r} must equal omega_measure {omega!r}")
+    return grid
 
 
 def build_stepper(doc: dict) -> StepperConfig:
@@ -245,7 +249,7 @@ def build_references(doc: dict, p: ModelParams) -> tuple[tuple[str, ConstantStat
         where = f"references[{i}]"
         try:
             if isinstance(entry, str) and entry in steady_states.CONSTANT_FAMILIES:
-                refs.extend(steady_states.constant_family(p, entry))
+                refs.extend(steady_states.CONSTANT_FAMILIES[entry](p))
             elif isinstance(entry, dict) and set(entry) == {"custom"}:
                 triple = _number_list(entry["custom"], f"{where}.custom", (3,))
                 refs.append((f"custom_{i}", ConstantState(*triple)))
@@ -353,9 +357,9 @@ def cmd_steady(args: argparse.Namespace) -> int:
     p = build_params(doc)
     document: dict[str, Any] = {}
     lines: list[str] = []
-    for name in steady_states.CONSTANT_FAMILIES:
+    for name, family in steady_states.CONSTANT_FAMILIES.items():
         try:
-            states = [state for _, state in steady_states.constant_family(p, name)]
+            states = [state for _, state in family(p)]
         except DegenerateStateError as exc:
             document[name] = {"error": str(exc)}
             lines.append(f"{name}: not computable ({exc})")
@@ -393,14 +397,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     initial = dict(zip(("sup_u0", "sup_v0", "mass_u0", "mass_v0"), (*sup0, *mass0)))
     document: dict[str, Any] = {"initial": initial}
     lines: list[str] = []
-    for name in steady_states.BOUND_FAMILIES:
+    for name, family in steady_states.BOUND_FAMILIES.items():
         try:
-            bc = steady_states.bound_family(p, name, sup0, mass0)
+            constants = family(p, sup0, mass0)
         except PreconditionError as exc:
             document[name] = {"holds": False, "error": str(exc)}
             lines.append(f"{name}: unavailable ({exc})")
             continue
-        document[name] = {"holds": True, **{k: v for k, v in vars(bc).items() if v is not None}}
+        document[name] = {"holds": True, **constants}
         lines.append(f"{name}: available")
     path = resolve_output(doc, args.out, "bounds_json")
     write_json(path, document)
@@ -430,8 +434,8 @@ def _write_trajectory_csv(path: Path, rec: TrajectoryRecord) -> None:
     _write_csv(path, header, cols)
 
 
-# Per bound family, one (key suffix, BoundConstants field, recorded series)
-# for each cap that _envelope_sections checks.
+# Per bound family, one (key suffix, constant name, recorded series) for each
+# cap that _envelope_sections checks.
 _ENVELOPE_CAPS = {
     "sup_norm": (("_u", "sup_cap_u", "u_max"), ("_v", "sup_cap_v", "v_max")),
     "mass_per_species": (("_u", "mass_u_cap", "mass_u"), ("_v", "mass_v_cap", "mass_v")),
@@ -448,13 +452,13 @@ def _envelope_sections(
     }
     series["mass_sum"] = series["mass_u"] + series["mass_v"]
     doc: dict[str, Any] = {}
-    for name in steady_states.BOUND_FAMILIES:
+    for name, family in steady_states.BOUND_FAMILIES.items():
         try:
-            bc = steady_states.bound_family(p, name, sup0, mass0)
+            constants = family(p, sup0, mass0)
         except PreconditionError as exc:
             doc[name] = {"skipped": str(exc)}
             continue
-        caps = [(sfx, getattr(bc, field), series[col]) for sfx, field, col in _ENVELOPE_CAPS[name]]
+        caps = [(sfx, constants[key], series[col]) for sfx, key, col in _ENVELOPE_CAPS[name]]
         section: dict[str, Any] = {f"cap{sfx}": cap for sfx, cap, _ in caps}
         section["rel_tol"] = ENVELOPE_REL_TOL
         for sfx, cap, recorded in caps:
@@ -563,6 +567,10 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
             for row in reader:
                 for col in needed:
                     getattr(trace, col).append(float(row[col]))
+                if len(trace.t) > 1 and not trace.t[-1] > trace.t[-2]:
+                    raise ConfigError(f"{path}: line {reader.line_num}: t must increase strictly")
+    except ConfigError:
+        raise
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory {path!r}: {exc}") from exc
     except ValueError as exc:

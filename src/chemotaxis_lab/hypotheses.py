@@ -39,7 +39,6 @@ class Margin:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    name: str
     holds: bool
     margins: tuple[Margin, ...]
     notes: tuple[str, ...] = ()
@@ -49,9 +48,8 @@ class HypothesisReport:
 Reports = dict[str, HypothesisReport | DegenerateStateError]
 
 
-def _report(name: str, margins: list[Margin], notes: tuple[str, ...] = ()) -> HypothesisReport:
+def _report(margins: list[Margin], notes: tuple[str, ...] = ()) -> HypothesisReport:
     return HypothesisReport(
-        name=name,
         holds=all(m.satisfied for m in margins),
         margins=tuple(margins),
         notes=notes,
@@ -62,19 +60,19 @@ def check_h1(p: ModelParams) -> HypothesisReport:
     """Global existence condition: self-limitation dominates the negative
     cross terms, the negative mass couplings, and the chemotactic load."""
     m1, m2 = h1_margins(p)
-    return _report("h1", [Margin("a1_side", m1), Margin("b2_side", m2)])
+    return _report([Margin("a1_side", m1), Margin("b2_side", m2)])
 
 
 def check_h2(p: ModelParams) -> HypothesisReport:
     """Self-limitation dominates the negative mass couplings."""
     m1, m2 = h2_margins(p)
-    return _report("h2", [Margin("a1_side", m1), Margin("b2_side", m2)])
+    return _report([Margin("a1_side", m1), Margin("b2_side", m2)])
 
 
 def check_h3(p: ModelParams) -> HypothesisReport:
     """Equivalent to min{alpha, beta} > 0; margins are exactly (alpha, beta)."""
     alpha, beta = alpha_beta(p)
-    return _report("h3", [Margin("alpha", alpha), Margin("beta", beta)])
+    return _report([Margin("alpha", alpha), Margin("beta", beta)])
 
 
 def check_h4(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
@@ -89,14 +87,14 @@ def check_h4(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
         Margin("b2", p.b2 - max(0.0, p.chi2 * p.l * factor / p.d3)),
         Margin("b1", p.b1 - max(0.0, p.chi2 * p.k * factor / p.d3)),
     ]
-    return _report("h4", margins)
+    return _report(margins)
 
 
 def check_h5(p: ModelParams) -> HypothesisReport:
     """The large-exponent limits of f and g are positive."""
     m1 = p.a1 - (negative_part(p.a2) + (p.l + p.k) * p.chi1 / p.d3)
     m2 = p.b2 - (negative_part(p.b1) + (p.l + p.k) * p.chi2 / p.d3)
-    return _report("h5", [Margin("f_limit", m1), Margin("g_limit", m2)])
+    return _report([Margin("f_limit", m1), Margin("g_limit", m2)])
 
 
 def eval_f(p: ModelParams, gamma: float) -> float:
@@ -152,7 +150,6 @@ def check_h6(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
         raise PreconditionError(f"n_dim must be >= 1, got {n_dim}")
     half = n_dim / 2.0
     return _report(
-        "h6",
         [
             Margin("f_at_half_n", eval_f(p, half)),
             Margin("g_at_half_n", eval_g(p, half)),
@@ -241,7 +238,7 @@ def check_coexistence(p: ModelParams) -> HypothesisReport:
         Margin("h1_a1_side", h1a),
         Margin("h1_b2_side", h1b),
     ]
-    return _report("coexistence", margins, tuple(notes))
+    return _report(margins, tuple(notes))
 
 
 def check_coexistence_competitive(p: ModelParams) -> HypothesisReport:
@@ -272,7 +269,7 @@ def check_coexistence_competitive(p: ModelParams) -> HypothesisReport:
         Margin("cross_competition_min", cross_min, strict=False),
         Margin("interaction_product_signed", product),
     ]
-    return _report("coexistence_competitive", margins, tuple(notes))
+    return _report(margins, tuple(notes))
 
 
 def exclusion_dominance_margin(p: ModelParams, branch: str) -> float:
@@ -339,7 +336,7 @@ def check_exclusion(p: ModelParams) -> HypothesisReport:
         Margin("h1_a1_side", h1a),
         Margin("h1_b2_side", h1b),
     ]
-    return _report("exclusion", margins, (f"dominance branch: {branch}",))
+    return _report(margins, (f"dominance branch: {branch}",))
 
 
 # The long-time routes in the priority order of classify_regime.

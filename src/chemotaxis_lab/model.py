@@ -173,8 +173,8 @@ class CflViolationError(RuntimeError):
 @dataclass(frozen=True)
 class StepperConfig:
     """The run schedule and its stopping rules: a density above blowup_guard
-    ends the run, and steady_tol with steady_window (given together) stop it
-    once the trailing window is stationary."""
+    ends the run, and steady_tol with steady_window (given together, both
+    positive) stop it once the trailing window is stationary."""
 
     dt: float
     t_end: float
@@ -197,6 +197,10 @@ class StepperConfig:
             raise ValueError(f"blowup_guard must be positive, got {self.blowup_guard!r}")
         if (self.steady_tol is None) != (self.steady_window is None):
             raise ValueError("steady_tol and steady_window must be given together")
+        for name in ("steady_tol", "steady_window"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _as_field(values, name: str) -> np.ndarray:
@@ -229,7 +233,3 @@ class FieldState:
                 f"u, v, w must share one grid: lengths "
                 f"{self.u.shape[0]}, {self.v.shape[0]}, {self.w.shape[0]}"
             )
-
-    @property
-    def n_cells(self) -> int:
-        return self.u.shape[0]

@@ -28,29 +28,6 @@ class ConstantState:
     w_star: float
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Explicit bound ingredients; each producer fills its own slice.
-
-    m00/m01/m02/l_const and the sup caps come from the sup-norm envelope;
-    m_l1 and the mass caps from the per-species mass envelope; alpha, beta
-    and mass_sum_cap from the combined-mass envelope.
-    """
-
-    m00: float | None = None
-    m01: float | None = None
-    m02: float | None = None
-    l_const: float | None = None
-    sup_cap_u: float | None = None
-    sup_cap_v: float | None = None
-    m_l1: float | None = None
-    mass_u_cap: float | None = None
-    mass_v_cap: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    mass_sum_cap: float | None = None
-
-
 def h1_margins(p: ModelParams) -> tuple[float, float]:
     """Signed slacks of the two global-existence inequalities (H1).
 
@@ -168,8 +145,9 @@ def _logistic_root(r0: float, self_coef: float, coupling: float, m: float) -> fl
     return (r0 + math.sqrt(r0 * r0 + 4.0 * self_coef * coupling * m)) / (2.0 * self_coef)
 
 
-def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> BoundConstants:
-    """Sup-norm envelope constants M00, M01, M02, L and the resulting caps.
+def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> dict[str, float]:
+    """Sup-norm envelope constants m00, m01, m02, l_const and the resulting
+    caps sup_cap_u, sup_cap_v, by name.
 
     Requires both H1 margins strictly positive (that is what makes L and
     the quadratic denominators positive) and 4*L*L not to underflow to 0;
@@ -195,18 +173,19 @@ def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> BoundConstants:
     m00 = max(sup_u0 * sup_v0, (p.a0 + p.b0) * (p.a0 + p.b0) / denom)
     m01 = _logistic_root(p.a0, a1c, a2c, m00)
     m02 = _logistic_root(p.b0, b2c, b1c, m00)
-    return BoundConstants(
-        m00=m00,
-        m01=m01,
-        m02=m02,
-        l_const=l_const,
-        sup_cap_u=max(sup_u0, m01),
-        sup_cap_v=max(sup_v0, m02),
-    )
+    return {
+        "m00": m00,
+        "m01": m01,
+        "m02": m02,
+        "l_const": l_const,
+        "sup_cap_u": max(sup_u0, m01),
+        "sup_cap_v": max(sup_v0, m02),
+    }
 
 
-def l1_bounds(p: ModelParams, mass_u0: float, mass_v0: float) -> BoundConstants:
-    """Per-species mass envelope: the constant M and the two mass caps.
+def l1_bounds(p: ModelParams, mass_u0: float, mass_v0: float) -> dict[str, float]:
+    """Per-species mass envelope: the constant m_l1 and the two mass caps
+    mass_u_cap, mass_v_cap, by name.
 
     Requires both H2 margins strictly positive and their squares not to
     underflow to 0.  Intended for parameters with a2 >= 0 and b1 >= 0
@@ -229,7 +208,7 @@ def l1_bounds(p: ModelParams, mass_u0: float, mass_v0: float) -> BoundConstants:
     m_l1 = max(mass_u0 * mass_v0, (p.a0 + p.b0) * (p.a0 + p.b0) * w * w / denom)
     cap_u = max(mass_u0, _logistic_root(p.a0, a1t, negative_part(p.a4), m_l1))
     cap_v = max(mass_v0, _logistic_root(p.b0, b2t, negative_part(p.b3), m_l1))
-    return BoundConstants(m_l1=m_l1, mass_u_cap=cap_u, mass_v_cap=cap_v)
+    return {"m_l1": m_l1, "mass_u_cap": cap_u, "mass_v_cap": cap_v}
 
 
 def mass_sum_cap(p: ModelParams, mass_sum_0: float) -> float:
@@ -246,11 +225,6 @@ def mass_sum_cap(p: ModelParams, mass_sum_0: float) -> float:
     return max(mass_sum_0, 2.0 * p.omega_measure * max(p.a0, p.b0) / floor)
 
 
-def _mass_sum_bounds(p: ModelParams, mass_sum_0: float) -> BoundConstants:
-    alpha, beta = alpha_beta(p)
-    return BoundConstants(alpha=alpha, beta=beta, mass_sum_cap=mass_sum_cap(p, mass_sum_0))
-
-
 # The two family tables map a name to its producer.  The lambdas look the
 # producers up by module-global name when called, so a wrapper set on this
 # module's attributes sees every call.
@@ -264,20 +238,12 @@ CONSTANT_FAMILIES = {
     ),
 }
 
-# name -> the family's constants from (p, (sup_u0, sup_v0), (mass_u0, mass_v0));
-# raises PreconditionError when the hypothesis it needs fails.
+# name -> the family's constants by name from (p, (sup_u0, sup_v0), (mass_u0,
+# mass_v0)); raises PreconditionError when the hypothesis it needs fails.
 BOUND_FAMILIES = {
     "sup_norm": lambda p, sup0, mass0: linf_bounds(p, *sup0),
     "mass_per_species": lambda p, sup0, mass0: l1_bounds(p, *mass0),
-    "mass_sum": lambda p, sup0, mass0: _mass_sum_bounds(p, mass0[0] + mass0[1]),
+    "mass_sum": lambda p, sup0, mass0: dict(
+        zip(("alpha", "beta"), alpha_beta(p)), mass_sum_cap=mass_sum_cap(p, mass0[0] + mass0[1])
+    ),
 }
-
-
-def constant_family(p: ModelParams, name: str) -> tuple[tuple[str, ConstantState], ...]:
-    return CONSTANT_FAMILIES[name](p)
-
-
-def bound_family(
-    p: ModelParams, name: str, sup0: tuple[float, float], mass0: tuple[float, float]
-) -> BoundConstants:
-    return BOUND_FAMILIES[name](p, sup0, mass0)

@@ -189,8 +189,8 @@ def test_sup_norm_envelope_holds(coexistence_run):
     rec = coexistence_run["rec"]
     bc = linf_bounds(p, float(u0.max()), float(v0.max()))
     rel = 1e-6
-    over_u = [m for m in rec.u_max if m > bc.sup_cap_u * (1.0 + rel)]
-    over_v = [m for m in rec.v_max if m > bc.sup_cap_v * (1.0 + rel)]
+    over_u = [m for m in rec.u_max if m > bc["sup_cap_u"] * (1.0 + rel)]
+    over_v = [m for m in rec.v_max if m > bc["sup_cap_v"] * (1.0 + rel)]
     assert not over_u, over_u[:3]
     assert not over_v, over_v[:3]
 

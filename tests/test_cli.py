@@ -171,6 +171,16 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "together" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["steady_tol", "steady_window"])
+    def test_steady_rule_must_be_positive(self, tmp_path, capsys, key):
+        doc = base_config()
+        doc["stepper"].update(steady_tol=1e-6, steady_window=0.5)
+        doc["stepper"][key] = -1.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: stepper: {key} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_negative_blowup_guard(self, tmp_path):
         doc = base_config()
         doc["stepper"]["blowup_guard"] = -1.0
@@ -220,6 +230,13 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "references[0]" in capsys.readouterr().err
 
+    def test_custom_reference_needs_three_numbers(self, tmp_path, capsys):
+        doc = base_config()
+        doc["references"] = [{"custom": [0.5, 0.5]}]
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "references[0].custom: expected a list of 3 numbers" in capsys.readouterr().err
+
     def test_duplicate_references(self, tmp_path):
         doc = base_config()
         doc["references"] = ["coexistence", "coexistence"]
@@ -239,6 +256,22 @@ class TestConfigErrors:
         doc["rectangles"] = {"tol": -0.5}
         cfg = write_config(tmp_path, doc)
         assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("dt", 0.0), ("dt", -1e-3), ("record_every", 0), ("record_every", -2)]
+    )
+    def test_rectangle_schedule_is_checked_before_any_run(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_simulation called before the config was checked")
+
+        monkeypatch.setattr(cli, "run_simulation", fail)
+        doc = base_config()
+        doc["rectangles"] = {key: value}
+        cfg = write_config(tmp_path, doc)
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: rectangles.{key}: must be " in capsys.readouterr().err
 
     def test_outputs_unknown_key(self, tmp_path):
         doc = base_config()
@@ -316,6 +349,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "precondition failure" in capsys.readouterr().err
+
+    def test_every_grid_command_checks_the_domain(self, tmp_path, capsys):
+        doc = readme_config()
+        doc["grid"]["length"] = 2.0
+        cfg = write_config(tmp_path, doc)
+        errors = []
+        for command in ("bounds", "simulate", "rectangles"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors == [
+            "precondition failure: grid length 2.0 must equal omega_measure 1.0\n"
+        ] * 3
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_oversized_dt_is_numerical_guard(self, tmp_path, capsys):
         doc = base_config()
@@ -660,6 +706,22 @@ class TestSimulateOutputs:
         for cell in rows[1]:
             assert repr(float(cell)) == cell
 
+    def test_custom_reference_outputs(self, tmp_path, capsys):
+        doc = base_config()
+        doc["references"] = ["coexistence", {"custom": [0.5, 0.25, 0.75]}]
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "distance to custom_1: " in capsys.readouterr().out
+        rows = read_csv_rows(tmp_path / "trajectory.csv")
+        assert rows[0][-3:] == ["dist_u_custom_1", "dist_v_custom_1", "dist_w_custom_1"]
+        # The initial data is the constant (0.5, 0.5).
+        assert [float(cell) for cell in rows[1][-3:-1]] == [0.0, 0.25]
+        summary = read_json(tmp_path / "summary.json")
+        assert summary["predicted"]["references"]["custom_1"] == {
+            "u_star": 0.5, "v_star": 0.25, "w_star": 0.75,
+        }
+        assert list(summary["measured"]["final_distances"]) == ["coexistence", "custom_1"]
+
     def test_summary_agrees_with_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -916,7 +978,7 @@ class TestRectangles:
             "rectangles", "--config", cfg, "--out", str(tmp_path),
             "--trajectory", str(stub),
         ]) == 2
-        assert "missing column" in capsys.readouterr().err
+        assert f"config error: {stub}: missing column(s): v_max\n" in capsys.readouterr().err
 
     def test_truncated_trajectory_row_is_config_error(self, tmp_path):
         # csv.DictReader fills the missing cells of a short row with None.
@@ -932,6 +994,20 @@ class TestRectangles:
         assert proc.returncode == 2, proc.stderr
         assert f"config error: {cut}: line 4: too few cells" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("times, line", [((1.0, 0.5, 0.0), 3), ((0.0, 0.5, 0.5), 4)])
+    def test_reused_trajectory_times_must_increase(self, tmp_path, capsys, times, line):
+        stub = tmp_path / "unordered.csv"
+        rows = [f"{t!r},0.5,0.6,0.5,0.6" for t in times]
+        rows[-1] = f"{times[-1]!r},0.5,9.6,0.5,0.6"  # far outside any rectangle
+        stub.write_text("\n".join(["t,u_min,u_max,v_min,v_max", *rows]) + "\n")
+        cfg = write_config(tmp_path, self.make_scenario(tmp_path))
+        assert main([
+            "rectangles", "--config", cfg, "--out", str(tmp_path),
+            "--trajectory", str(stub),
+        ]) == 2
+        assert f"config error: {stub}: line {line}: t must increase strictly" in capsys.readouterr().err
+        assert not (tmp_path / "enclosure.json").exists()
 
     def test_reused_trajectory_must_have_rows(self, tmp_path, capsys):
         stub = tmp_path / "empty.csv"

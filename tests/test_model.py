@@ -141,7 +141,7 @@ class TestFieldState:
     def test_coerces_to_float_arrays(self):
         s = FieldState(t=0.0, u=[1, 2, 3], v=[0, 0, 0], w=[1, 1, 1])
         assert s.u.dtype == np.float64
-        assert s.n_cells == 3
+        assert s.u.shape[0] == 3
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="share one grid"):

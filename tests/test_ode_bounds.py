@@ -136,8 +136,8 @@ class TestIntegrateRectangles:
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=2.0, v_lo=1.0)
         trace = integrate_rectangles(s0, p, t_end=100.0, dt=1e-3, record_every=100)
         bc = linf_bounds(p, s0.u_hi, s0.v_hi)
-        assert max(trace.u_hi) <= bc.sup_cap_u * (1.0 + 1e-6)
-        assert max(trace.v_hi) <= bc.sup_cap_v * (1.0 + 1e-6)
+        assert max(trace.u_hi) <= bc["sup_cap_u"] * (1.0 + 1e-6)
+        assert max(trace.v_hi) <= bc["sup_cap_v"] * (1.0 + 1e-6)
         assert trace.guard_tripped is None
 
     def test_contracts_to_coexistence_point(self):

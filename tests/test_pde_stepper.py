@@ -44,6 +44,10 @@ class TestStepperConfig:
             dict(dt=0.1, t_end=1.0, blowup_guard=float("nan")),
             dict(dt=0.1, t_end=1.0, steady_tol=1e-6),
             dict(dt=0.1, t_end=1.0, steady_window=0.5),
+            dict(dt=0.1, t_end=1.0, steady_tol=0.0, steady_window=0.5),
+            dict(dt=0.1, t_end=1.0, steady_tol=-1.0, steady_window=0.5),
+            dict(dt=0.1, t_end=1.0, steady_tol=1e-6, steady_window=0.0),
+            dict(dt=0.1, t_end=1.0, steady_tol=1e-6, steady_window=-1.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

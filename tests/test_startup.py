@@ -143,6 +143,9 @@ class TestTracerContract:
             "pde_stepper.run_simulation", "pde_stepper.initial_state",
             "elliptic.solve_w", "elliptic.assemble",
             "linalg.banded_solve.diffusion", "linalg.banded_solve.signal", "linalg.factor",
+            # reached through the family tables by module-global name
+            "steady_states.linf_bounds", "steady_states.l1_bounds", "steady_states.mass_sum_cap",
+            "steady_states.alpha_beta", "steady_states.coexistence_state",
         ):
             assert layers.get(name, {}).get("calls", 0) > 0, name
 

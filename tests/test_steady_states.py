@@ -7,11 +7,8 @@ from chemotaxis_lab.model import DegenerateStateError, HypothesisViolationError
 from chemotaxis_lab.steady_states import (
     BOUND_FAMILIES,
     CONSTANT_FAMILIES,
-    BoundConstants,
     alpha_beta,
-    bound_family,
     coexistence_state,
-    constant_family,
     exclusion_state,
     h1_margins,
     h2_margins,
@@ -152,17 +149,17 @@ class TestMarginHelpers:
 class TestLinfBounds:
     def test_logistic_reference(self):
         bc = linf_bounds(mk_params(), 0.5, 0.5)
-        assert bc.l_const == 1.0
-        assert bc.m00 == 1.0
-        assert bc.m01 == 1.0
-        assert bc.m02 == 1.0
-        assert bc.sup_cap_u == 1.0
-        assert bc.sup_cap_v == 1.0
+        assert bc["l_const"] == 1.0
+        assert bc["m00"] == 1.0
+        assert bc["m01"] == 1.0
+        assert bc["m02"] == 1.0
+        assert bc["sup_cap_u"] == 1.0
+        assert bc["sup_cap_v"] == 1.0
 
     def test_initial_data_dominates_cap(self):
         bc = linf_bounds(mk_params(), 2.5, 3.0)
-        assert bc.sup_cap_u == 2.5
-        assert bc.sup_cap_v == 3.0
+        assert bc["sup_cap_u"] == 2.5
+        assert bc["sup_cap_v"] == 3.0
 
     def test_coexistence_scenario_constants(self):
         p = coexistence_params(0.1)
@@ -173,11 +170,11 @@ class TestLinfBounds:
         a1c = 2.0 - 0.1
         a2c = 0.1
         m01 = (1.0 + math.sqrt(1.0 + 4.0 * a1c * a2c * m00)) / (2.0 * a1c)
-        assert bc.l_const == pytest.approx(l_expected, rel=1e-14)
-        assert bc.m00 == pytest.approx(m00, rel=1e-14)
-        assert bc.m01 == pytest.approx(m01, rel=1e-14)
-        assert bc.m02 == pytest.approx(m01, rel=1e-14)
-        assert bc.sup_cap_u == pytest.approx(max(sup0, m01), rel=1e-14)
+        assert bc["l_const"] == pytest.approx(l_expected, rel=1e-14)
+        assert bc["m00"] == pytest.approx(m00, rel=1e-14)
+        assert bc["m01"] == pytest.approx(m01, rel=1e-14)
+        assert bc["m02"] == pytest.approx(m01, rel=1e-14)
+        assert bc["sup_cap_u"] == pytest.approx(max(sup0, m01), rel=1e-14)
 
     def test_requires_positive_margins(self):
         with pytest.raises(HypothesisViolationError, match="margins"):
@@ -191,7 +188,7 @@ class TestLinfBounds:
     def test_overflowing_growth_rates_give_infinite_caps(self):
         # (a0 + b0)^2 = 1e400 is inf in floating point; a ** 2 would raise.
         bc = linf_bounds(coexistence_params(0.1, a0=1e200), 0.5, 0.5)
-        assert bc.m00 == bc.sup_cap_u == bc.sup_cap_v == math.inf
+        assert bc["m00"] == bc["sup_cap_u"] == bc["sup_cap_v"] == math.inf
 
 
 class TestL1Bounds:
@@ -200,18 +197,18 @@ class TestL1Bounds:
         bc = l1_bounds(p, 1.0, 2.0)
         m1, m2 = 0.5, 2.4
         m = max(2.0, (2.0) ** 2 * 4.0 / (4.0 * min(m1 * m1, m2 * m2)))
-        assert bc.m_l1 == pytest.approx(m, rel=1e-14)
+        assert bc["m_l1"] == pytest.approx(m, rel=1e-14)
         a1t = (2.0 - 2.0 * 0.5) / 2.0
         cap_u = max(1.0, (1.0 + math.sqrt(1.0 + 4.0 * a1t * 0.1 * m)) / (2.0 * a1t))
         b2t = (3.0 - 2.0 * 0.2) / 2.0
         cap_v = max(2.0, (1.0 + math.sqrt(1.0 + 4.0 * b2t * 0.25 * m)) / (2.0 * b2t))
-        assert bc.mass_u_cap == pytest.approx(cap_u, rel=1e-14)
-        assert bc.mass_v_cap == pytest.approx(cap_v, rel=1e-14)
+        assert bc["mass_u_cap"] == pytest.approx(cap_u, rel=1e-14)
+        assert bc["mass_v_cap"] == pytest.approx(cap_v, rel=1e-14)
 
     def test_zero_coupling_reduces_to_mass_capacity(self):
         bc = l1_bounds(mk_params(a1=2.0), 0.25, 0.25)
-        assert bc.mass_u_cap == 0.5
-        assert bc.mass_v_cap == 1.0
+        assert bc["mass_u_cap"] == 0.5
+        assert bc["mass_v_cap"] == 1.0
 
     def test_requires_h2(self):
         with pytest.raises(HypothesisViolationError):
@@ -222,7 +219,7 @@ class TestL1Bounds:
             l1_bounds(mk_params(a1=1e-300), 1.0, 1.0)
 
     def test_overflowing_growth_rates_give_infinite_constant(self):
-        assert l1_bounds(coexistence_params(0.1, a0=1e200), 0.5, 0.5).m_l1 == math.inf
+        assert l1_bounds(coexistence_params(0.1, a0=1e200), 0.5, 0.5)["m_l1"] == math.inf
 
 
 class TestMassSumCap:
@@ -241,7 +238,7 @@ class TestMassSumCap:
 class TestFamilies:
     def test_constant_families_label_their_states(self):
         p = coexistence_params(0.1)
-        labelled = [item for name in CONSTANT_FAMILIES for item in constant_family(p, name)]
+        labelled = [item for family in CONSTANT_FAMILIES.values() for item in family(p)]
         assert labelled == [
             ("coexistence", coexistence_state(p)),
             ("exclusion", exclusion_state(p)),
@@ -253,12 +250,12 @@ class TestFamilies:
         p = cooperative_params(0.1)
         sup0, mass0 = (0.6, 0.5), (0.25, 0.75)
         alpha, beta = alpha_beta(p)
-        assert [bound_family(p, name, sup0, mass0) for name in BOUND_FAMILIES] == [
+        assert [family(p, sup0, mass0) for family in BOUND_FAMILIES.values()] == [
             linf_bounds(p, *sup0),
             l1_bounds(p, *mass0),
-            BoundConstants(alpha=alpha, beta=beta, mass_sum_cap=mass_sum_cap(p, 1.0)),
+            {"alpha": alpha, "beta": beta, "mass_sum_cap": mass_sum_cap(p, 1.0)},
         ]
 
     def test_bound_family_raises_when_its_hypothesis_fails(self):
         with pytest.raises(HypothesisViolationError, match="alpha"):
-            bound_family(mk_params(a1=2.0, b2=2.0, a2=-5.0), "mass_sum", (0.5, 0.5), (0.5, 0.5))
+            BOUND_FAMILIES["mass_sum"](mk_params(a1=2.0, b2=2.0, a2=-5.0), (0.5, 0.5), (0.5, 0.5))
