@@ -24,8 +24,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import hypotheses, steady_states
 from .diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, detect_steady, tail_stats
 from .model import (
@@ -200,6 +198,8 @@ def build_stepper(doc: dict) -> StepperConfig:
 
 
 def build_initial(doc: dict, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     section = _section(doc, "initial_data")
     if not isinstance(section, dict) or len(section) != 1:
         raise ConfigError(
@@ -447,6 +447,8 @@ def _envelope_sections(
     p: ModelParams, rec: TrajectoryRecord, sup0: tuple[float, float], mass0: tuple[float, float]
 ) -> dict:
     """Per-family envelope verdicts: predicted caps plus violation counters."""
+    import numpy as np
+
     series = {
         name: np.asarray(getattr(rec, name)) for name in ("u_max", "v_max", "mass_u", "mass_v")
     }
@@ -472,7 +474,8 @@ def _envelope_sections(
 
 # The stepper is the one part of a run that needs SciPy (LAPACK), so it is
 # imported when a run first builds one, not with this module: check, steady,
-# bounds and rectangles --trajectory never import SciPy.
+# bounds and rectangles --trajectory never import SciPy, and check, steady and
+# rectangles --trajectory call no function that imports NumPy.
 _STEPPER_NAMES = ("initial_state", "run_simulation")
 
 
@@ -567,6 +570,8 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
             for row in reader:
                 for col in needed:
                     getattr(trace, col).append(float(row[col]))
+                if not math.isfinite(trace.t[-1]):
+                    raise ConfigError(f"{path}: line {reader.line_num}: t must be finite, got {row['t']!r}")
                 if len(trace.t) > 1 and not trace.t[-1] > trace.t[-2]:
                     raise ConfigError(f"{path}: line {reader.line_num}: t must increase strictly")
     except ConfigError:

@@ -9,8 +9,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .model import FieldState, PreconditionError
 
 # The per-sample columns of a trajectory CSV, in order; the CSV header and
@@ -68,6 +66,8 @@ class TrajectoryRecord:
     ) -> None:
         """Record the (3, n) stack fields (rows u, v, w) at time t: a block
         of one sample (see append_block)."""
+        import numpy as np
+
         self.append_block([t], np.asarray(fields)[None], [(mass_u, mass_v)], levels)
 
     def append_block(
@@ -85,6 +85,8 @@ class TrajectoryRecord:
         is one reduction over the block, so a block gives every sample the
         bits it would get alone.
         """
+        import numpy as np
+
         last = self.t[-1] if self.t else None
         for s in t:
             if last is not None and s <= last:
@@ -146,6 +148,8 @@ def sup_distance(lo: np.ndarray, hi: np.ndarray, levels: np.ndarray) -> np.ndarr
     |f_i - c| is hi - c or c - lo, bit for bit.  NaN propagates as in a
     cellwise maximum, and the abs keeps a zero distance +0.0.
     """
+    import numpy as np
+
     return np.abs(np.maximum(hi - levels, levels - lo))
 
 

@@ -4,14 +4,13 @@ schedule and its stability error, field snapshots, positive/negative parts.
 Everything downstream (hypothesis checks, bound constants, the PDE stepper,
 the comparison ODE system) consumes these types.  All values are 64-bit
 floats; types are immutable after construction.  Nothing here needs SciPy,
-so the CLI can build and validate a whole config without importing it.
+and only the functions that build arrays import NumPy, so the CLI can build
+and validate a whole config without importing either.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 
 class PreconditionError(ValueError):
@@ -128,11 +127,15 @@ class Grid1D:
         return self.length / self.n_cells
 
     def cell_centers(self) -> np.ndarray:
+        import numpy as np
+
         return (np.arange(self.n_cells, dtype=float) + 0.5) * self.dx
 
     def integrate(self, f: np.ndarray) -> float | list[float]:
         """Midpoint-rule integral dx * sum(f) over the domain: a float for
         one field (n,), a list of floats, one per row, for a stack (m, n)."""
+        import numpy as np
+
         return (self.dx * np.add.reduce(f, axis=-1)).tolist()
 
 
@@ -204,6 +207,8 @@ class StepperConfig:
 
 
 def _as_field(values, name: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")

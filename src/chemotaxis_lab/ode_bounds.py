@@ -8,11 +8,10 @@ bounding curve moves at least as fast outward as the field it dominates.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .model import (
     ModelParams,
@@ -217,34 +216,54 @@ class EnclosureReport:
     notes: tuple[str, ...] = ()
 
 
+def _interp(x: float, t: list[float], j: int, f: list[float]) -> float:
+    """np.interp(x, t, f) bit for bit, given j = bisect_right(t, x) - 1:
+    f[0] before the first knot, f[-1] past the last, f[j] on a knot, else
+    NumPy's slope formula and its fallbacks for a NaN result."""
+    if j < 0:
+        return f[0]
+    if j == len(t) - 1 or t[j] == x:
+        return f[j]
+    slope = (f[j + 1] - f[j]) / (t[j + 1] - t[j])
+    value = slope * (x - t[j]) + f[j]
+    if value != value:
+        value = slope * (x - t[j + 1]) + f[j + 1]
+        if value != value and f[j] == f[j + 1]:
+            value = f[j]
+    return value
+
+
 def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> EnclosureReport:
     """Verify u_lo - tol <= min u, max u <= u_hi + tol (and v analogues).
 
     Rectangle components are linearly interpolated onto the PDE sample
     times.  PDE samples outside the rectangle trace's time span are
     excluded from the comparison and flagged in the notes, since constant
-    extrapolation would not be evidence of enclosure.
+    extrapolation would not be evidence of enclosure.  The worst excess is
+    NumPy's maximum.reduce over the four and argmax over the samples: a NaN
+    wins at its first sample; a tie of the four takes the later one (the
+    sign of a zero), a tie of samples the first.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    if not rect_trace.t:
+    rect_t = rect_trace.t
+    if not rect_t:
         raise PreconditionError("rectangle trace has no samples")
-    pde_t = np.asarray(pde_trace.t, dtype=float)
-    rect_t = np.asarray(rect_trace.t, dtype=float)
-    inside = (pde_t >= rect_t[0] - 1e-12) & (pde_t <= rect_t[-1] + 1e-12)
+    lo, hi = rect_t[0] - 1e-12, rect_t[-1] + 1e-12
+    rows = zip(pde_trace.t, pde_trace.u_min, pde_trace.u_max, pde_trace.v_min, pde_trace.v_max)
+    compared = [row for row in rows if lo <= row[0] <= hi]
     notes: list[str] = []
-    if not inside.all():
-        n_out = int((~inside).sum())
+    n_out = len(pde_trace.t) - len(compared)
+    if n_out:
         # Python floats: a NumPy scalar's repr depends on the NumPy version.
-        first, last = float(rect_trace.t[0]), float(rect_trace.t[-1])
+        first, last = float(rect_t[0]), float(rect_t[-1])
         notes.append(
             f"{n_out} PDE sample(s) fall outside the rectangle time span "
             f"[{first!r}, {last!r}] and were not compared"
         )
     if rect_trace.guard_tripped is not None:
         notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")
-    t_cmp = pde_t[inside]
-    if t_cmp.size == 0:
+    if not compared:
         return EnclosureReport(
             passed=False,
             tol=tol,
@@ -253,29 +272,26 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
             n_times=0,
             notes=tuple(notes + ["no overlapping sample times"]),
         )
-    u_hi = np.interp(t_cmp, rect_t, rect_trace.u_hi)
-    u_lo = np.interp(t_cmp, rect_t, rect_trace.u_lo)
-    v_hi = np.interp(t_cmp, rect_t, rect_trace.v_hi)
-    v_lo = np.interp(t_cmp, rect_t, rect_trace.v_lo)
-    u_min = np.asarray(pde_trace.u_min, dtype=float)[inside]
-    u_max = np.asarray(pde_trace.u_max, dtype=float)[inside]
-    v_min = np.asarray(pde_trace.v_min, dtype=float)[inside]
-    v_max = np.asarray(pde_trace.v_max, dtype=float)[inside]
-    excess = np.maximum.reduce(
-        [
-            (u_lo - u_min) - tol,
-            (u_max - u_hi) - tol,
-            (v_lo - v_min) - tol,
-            (v_max - v_hi) - tol,
-        ]
-    )
-    worst_idx = int(np.argmax(excess))
-    worst = float(excess[worst_idx])
+    excess = []
+    for s, u_min, u_max, v_min, v_max in compared:
+        j = bisect.bisect_right(rect_t, s) - 1
+        worst = (_interp(s, rect_t, j, rect_trace.u_lo) - u_min) - tol
+        for e in (
+            (u_max - _interp(s, rect_t, j, rect_trace.u_hi)) - tol,
+            (_interp(s, rect_t, j, rect_trace.v_lo) - v_min) - tol,
+            (v_max - _interp(s, rect_t, j, rect_trace.v_hi)) - tol,
+        ):
+            if not (worst > e or worst != worst):  # np.maximum
+                worst = e
+        excess.append(worst)
+    # np.argmax: the first NaN, else the first maximum (max keeps the first of equal keys)
+    k = max(range(len(excess)), key=lambda i: (excess[i] != excess[i], excess[i]))
+    worst = float(excess[k])
     return EnclosureReport(
         passed=worst <= 0.0,
         tol=tol,
         worst_violation=worst,
-        worst_time=float(t_cmp[worst_idx]),
-        n_times=int(t_cmp.size),
+        worst_time=float(compared[k][0]),
+        n_times=len(compared),
         notes=tuple(notes),
     )

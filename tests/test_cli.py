@@ -1009,6 +1009,24 @@ class TestRectangles:
         assert f"config error: {stub}: line {line}: t must increase strictly" in capsys.readouterr().err
         assert not (tmp_path / "enclosure.json").exists()
 
+    @pytest.mark.parametrize(
+        "times, line",
+        [(("nan",), 2), (("0.0", "inf"), 3), (("0.0", "-inf"), 3), (("0.0", "0.5", "nan"), 4)],
+    )
+    def test_reused_trajectory_times_must_be_finite(self, tmp_path, capsys, times, line):
+        # Non-finite densities stay accepted: a non_finite trip writes them.
+        stub = tmp_path / "non_finite.csv"
+        rows = [f"{t},0.5,nan,0.5,inf" for t in times]
+        stub.write_text("\n".join(["t,u_min,u_max,v_min,v_max", *rows]) + "\n")
+        cfg = write_config(tmp_path, self.make_scenario(tmp_path))
+        assert main([
+            "rectangles", "--config", cfg, "--out", str(tmp_path),
+            "--trajectory", str(stub),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {stub}: line {line}: t must be finite, got {times[-1]!r}\n"
+        assert not (tmp_path / "enclosure.json").exists()
+
     def test_reused_trajectory_must_have_rows(self, tmp_path, capsys):
         stub = tmp_path / "empty.csv"
         stub.write_text("t,u_min,u_max,v_min,v_max\n")

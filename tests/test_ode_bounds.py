@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from chemotaxis_lab.diagnostics import TrajectoryRecord
 from chemotaxis_lab.model import PreconditionError, negative_part, positive_part
 from chemotaxis_lab.ode_bounds import (
     DIVERGENCE_GUARD,
+    EnclosureReport,
     RectangleState,
     RectangleTrace,
     check_enclosure,
@@ -204,6 +207,17 @@ class TestCheckEnclosure:
         assert report.n_times == 0
         assert math.isinf(report.worst_violation)
 
+    def test_nan_sample_is_the_worst(self):
+        # A NaN density wins over a later, finite violation, and is reported
+        # at its own time.
+        rect = box_trace((0.0, 1.0, 2.0))
+        pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (1.0, math.nan, 0.8, 0.2, 0.8),
+                              (2.0, 0.2, 1.5, 0.2, 0.8)])
+        report = check_enclosure(pde, rect, tol=1e-3)
+        assert math.isnan(report.worst_violation)
+        assert report.worst_time == 1.0
+        assert not report.passed
+
     def test_input_validation(self):
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8)])
         with pytest.raises(PreconditionError):
@@ -211,6 +225,130 @@ class TestCheckEnclosure:
         rect = box_trace((0.0,))
         with pytest.raises(ValueError):
             check_enclosure(pde, rect, tol=-1.0)
+
+
+def numpy_check_enclosure(pde_trace, rect_trace, tol):
+    """check_enclosure as written with NumPy: np.interp onto the compared
+    sample times, np.maximum.reduce over the four excesses, np.argmax over
+    the samples.  The oracle of TestEnclosureMatchesNumpy."""
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+    if not rect_trace.t:
+        raise PreconditionError("rectangle trace has no samples")
+    pde_t = np.asarray(pde_trace.t, dtype=float)
+    rect_t = np.asarray(rect_trace.t, dtype=float)
+    inside = (pde_t >= rect_t[0] - 1e-12) & (pde_t <= rect_t[-1] + 1e-12)
+    notes = []
+    if not inside.all():
+        n_out = int((~inside).sum())
+        first, last = float(rect_trace.t[0]), float(rect_trace.t[-1])
+        notes.append(
+            f"{n_out} PDE sample(s) fall outside the rectangle time span "
+            f"[{first!r}, {last!r}] and were not compared"
+        )
+    if rect_trace.guard_tripped is not None:
+        notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")
+    t_cmp = pde_t[inside]
+    if t_cmp.size == 0:
+        return EnclosureReport(
+            passed=False, tol=tol, worst_violation=math.inf, worst_time=math.nan, n_times=0,
+            notes=tuple(notes + ["no overlapping sample times"]),
+        )
+    u_hi = np.interp(t_cmp, rect_t, rect_trace.u_hi)
+    u_lo = np.interp(t_cmp, rect_t, rect_trace.u_lo)
+    v_hi = np.interp(t_cmp, rect_t, rect_trace.v_hi)
+    v_lo = np.interp(t_cmp, rect_t, rect_trace.v_lo)
+    u_min = np.asarray(pde_trace.u_min, dtype=float)[inside]
+    u_max = np.asarray(pde_trace.u_max, dtype=float)[inside]
+    v_min = np.asarray(pde_trace.v_min, dtype=float)[inside]
+    v_max = np.asarray(pde_trace.v_max, dtype=float)[inside]
+    with np.errstate(all="ignore"):  # inf - inf in a blown-up trace
+        excess = np.maximum.reduce(
+            [(u_lo - u_min) - tol, (u_max - u_hi) - tol, (v_lo - v_min) - tol, (v_max - v_hi) - tol]
+        )
+    worst_idx = int(np.argmax(excess))
+    worst = float(excess[worst_idx])
+    return EnclosureReport(
+        passed=worst <= 0.0, tol=tol, worst_violation=worst,
+        worst_time=float(t_cmp[worst_idx]), n_times=int(t_cmp.size), notes=tuple(notes),
+    )
+
+
+def columns_trace(rows):
+    """A trajectory record holding only the columns check_enclosure reads,
+    from (t, u_min, u_max, v_min, v_max) rows."""
+    rec = TrajectoryRecord()
+    for row in rows:
+        for name, value in zip(("t", "u_min", "u_max", "v_min", "v_max"), row):
+            getattr(rec, name).append(value)
+    return rec
+
+
+class TestEnclosureMatchesNumpy:
+    """check_enclosure gives the NumPy oracle's report, compared by repr,
+    which tells -0.0 from 0.0 and writes NaN as nan."""
+
+    def assert_same(self, pde, rect, tol):
+        report = check_enclosure(pde, rect, tol)
+        assert repr(report) == repr(numpy_check_enclosure(pde, rect, tol))
+        return report
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_traces(self, seed):
+        rng = random.Random(seed)
+        n_rect = rng.choice((1, 2, 3, 17, 200))
+        rect_t = [rng.uniform(-1.0, 1.0)]
+        for _ in range(n_rect - 1):
+            rect_t.append(rect_t[-1] + rng.choice((1e-3, 0.1, rng.uniform(1e-6, 1.0))))
+        special = (math.inf, -math.inf, math.nan, 0.0, -0.0, 1e308)
+
+        def value():
+            return rng.choice(special) if rng.random() < 0.05 else rng.uniform(-2.0, 2.0)
+
+        columns = [[value() for _ in rect_t] for _ in range(4)]
+        rect = RectangleTrace(rect_t, *columns, guard_tripped=rng.choice((None, "blow_up")))
+        # exact knots, points between them, points just inside and beyond
+        # the 1e-12 margins at both ends, and points far outside
+        candidates = (
+            rect_t + [rng.uniform(rect_t[0], rect_t[-1]) for _ in range(3 * n_rect)]
+            + [rect_t[0] - 5e-13, rect_t[-1] + 5e-13, rect_t[0] - 1e-11, rect_t[-1] + 1e-11,
+               rect_t[0] - 3.0, rect_t[-1] + 3.0]
+        )
+        times = sorted(set(rng.sample(candidates, min(len(candidates), 60))))
+        pde = columns_trace([(t, value(), value(), value(), value()) for t in times])
+        for tol in (0.0, 1e-3, rng.uniform(0.0, 0.5)):
+            self.assert_same(pde, rect, tol)
+
+    def test_blown_up_rectangle(self):
+        p = mk_params(chi1=1e200)
+        rect = integrate_rectangles(RectangleState(0.0, 1.0, 0.0, 0.0, 0.0), p, t_end=1.0, dt=1e-3)
+        assert rect.guard_tripped == "blow_up"
+        rows = [(t, 0.1, 0.9, 0.0, 0.5) for t in (0.0, 2.5e-4, 5e-4, 1e-3, 2e-3)]
+        self.assert_same(columns_trace(rows), rect, 1e-3)
+        # A blow-up row holding inf, with the PDE at inf too; v_hi is inf on
+        # both knots around t = 0.6, where np.interp returns inf, not NaN.
+        inf = math.inf
+        rect = RectangleTrace([0.0, 0.5, 1.0], [1.0, 2.0, inf], [0.0, 0.0, -inf],
+                              [1.0, inf, inf], [0.0, 0.0, 0.0], guard_tripped="blow_up")
+        rows = [(0.0, 0.1, 0.9, 0.1, 0.9), (0.25, 0.1, inf, 0.1, 0.9), (0.6, 0.1, 0.9, 0.1, 0.9),
+                (0.75, 0.1, 0.9, 0.1, inf), (1.0, inf, inf, 0.1, 0.9)]
+        self.assert_same(columns_trace(rows), rect, 1e-3)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_ties_and_signed_zeros(self, order):
+        # With tol = 0 each excess is -0.0 (rectangle -0.0 against density
+        # 0.0), 0.0, or negative, per slot and per sample; three samples
+        # cover every pattern of zero ties within and between samples.
+        rect_t = [0.0, 1.0, 2.0]
+        rect = RectangleTrace(rect_t, [0.0] * 3, [-0.0] * 3, [0.0] * 3, [-0.0] * 3)
+        patterns = list(itertools.product((-0.0, 0.0, -1.0), repeat=4))
+        worst = set()
+        for start in range(0, len(patterns) - 2, 7):
+            picked = [patterns[start + i] for i in order]
+            # The lower slots read -0.0 - (-x) and the upper ones x - 0.0.
+            rows = [(t, -a, b, -c, d) for t, (a, b, c, d) in zip(rect_t, picked)]
+            worst.add(repr(self.assert_same(columns_trace(rows), rect, 0.0).worst_violation))
+        assert worst == {"-0.0", "0.0"}
 
 
 def reference_rk4(s0, p, t_end, dt, record_every):

@@ -1,5 +1,6 @@
-"""Start-up contract: SciPy is imported only when a PDE step runs, and the
-benchmark's tracer still reaches every layer it wraps.
+"""Start-up contract: SciPy is imported only when a PDE step runs, NumPy
+only when a subcommand builds arrays, and the benchmark's tracer still
+reaches every layer it wraps.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported SciPy long before.
@@ -39,16 +40,17 @@ TRAJECTORY = (
     "0.0,0.4,0.6,0.5,0.4,0.6,0.5,0.9,1.1,0.5,0.5\n"
 )
 
-# Runs cli.main on sys.argv[1:] and reports whether SciPy got imported; the
-# first argument "block" makes SciPy unimportable beforehand.
+# Runs cli.main on sys.argv[2:] and reports whether NumPy and SciPy got
+# imported; the first argument is a comma-separated list of the modules to
+# make unimportable beforehand, empty for none.
 MAIN = (
     "import sys\n"
-    "block = sys.argv.pop(1) == 'block'\n"
-    "if block:\n"
-    "    sys.modules['scipy'] = None\n"
+    "for name in filter(None, sys.argv.pop(1).split(',')):\n"
+    "    sys.modules[name] = None\n"
     "from chemotaxis_lab.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('scipy imported:', sys.modules.get('scipy') is not None, file=sys.stderr)\n"
+    "for name in ('numpy', 'scipy'):\n"
+    "    print(f'{name} imported:', sys.modules.get(name) is not None, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -75,10 +77,36 @@ def outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
 
 
+def run_blocked(tmp_path, command, blocked):
+    """Run command on the shared inputs with the modules `blocked` made
+    unimportable, and unblocked; returns both stderrs after asserting that
+    the two runs exit 0 with the same stdout and the same output bytes."""
+    cfg, traj = write_inputs(tmp_path)
+    argv = command.split()[:1] + ["--config", cfg]
+    if command.endswith("--trajectory"):
+        argv += ["--trajectory", traj]
+    runs, errs = {}, []
+    for mode in (blocked, ""):
+        out = tmp_path / (mode.replace(",", "-") or "normal")
+        proc = python("-c", MAIN, mode, *argv, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = (proc.stdout.replace(str(out), "<out>"), outputs(out))
+        errs.append(proc.stderr)
+    assert runs[blocked] == runs[""]
+    return errs
+
+
 class TestImports:
     @pytest.mark.parametrize("module", ["chemotaxis_lab", "chemotaxis_lab.cli"])
     def test_import_leaves_scipy_out(self, module):
         probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["chemotaxis_lab", "chemotaxis_lab.cli"])
+    def test_import_leaves_numpy_out(self, module):
+        probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
         proc = python("-c", probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -95,24 +123,28 @@ class TestScipyFreeSubcommands:
         "command", ["check", "steady", "bounds", "rectangles --trajectory"]
     )
     def test_runs_without_scipy_and_writes_the_same_bytes(self, tmp_path, command):
-        cfg, traj = write_inputs(tmp_path)
-        argv = command.split()[:1] + ["--config", cfg]
-        if command.endswith("--trajectory"):
-            argv += ["--trajectory", traj]
-        runs = {}
-        for mode in ("block", "normal"):
-            out = tmp_path / mode
-            proc = python("-c", MAIN, mode, *argv, "--out", str(out))
-            assert proc.returncode == 0, proc.stderr
-            assert "scipy imported: False" in proc.stderr
-            runs[mode] = (proc.stdout.replace(str(out), "<out>"), outputs(out))
-        assert runs["block"] == runs["normal"]
+        for err in run_blocked(tmp_path, command, "scipy"):
+            assert "scipy imported: False" in err
 
     def test_simulate_imports_scipy(self, tmp_path):
         cfg, _ = write_inputs(tmp_path)
-        proc = python("-c", MAIN, "normal", "simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+        proc = python("-c", MAIN, "", "simulate", "--config", cfg, "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "scipy imported: True" in proc.stderr
+
+
+class TestNumpyFreeSubcommands:
+    @pytest.mark.parametrize("command", ["check", "steady", "rectangles --trajectory"])
+    def test_runs_without_numpy_and_writes_the_same_bytes(self, tmp_path, command):
+        for err in run_blocked(tmp_path, command, "numpy,scipy"):
+            assert "numpy imported: False" in err and "scipy imported: False" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_array_subcommands_import_numpy(self, tmp_path, command):
+        cfg, _ = write_inputs(tmp_path)
+        proc = python("-c", MAIN, "", command, "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy imported: True" in proc.stderr
 
 
 def load_tracer():
