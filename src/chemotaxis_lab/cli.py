@@ -571,7 +571,7 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
                 for col in needed:
                     getattr(trace, col).append(float(row[col]))
                 if not math.isfinite(trace.t[-1]):
-                    raise ConfigError(f"{path}: line {reader.line_num}: t must be finite, got {row['t']!r}")
+                    raise ConfigError(f"{path}: line {reader.line_num}: t must be finite")
                 if len(trace.t) > 1 and not trace.t[-1] > trace.t[-2]:
                     raise ConfigError(f"{path}: line {reader.line_num}: t must increase strictly")
     except ConfigError:
