@@ -516,7 +516,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "n_cells": grid.n_cells,
             "length": grid.length,
             "samples": rec.n_samples,
+            "steps": rec.steps,
             "final_t": rec.t[-1],
+            "stationary_from_t": rec.stationary_from_t,
             "guard_tripped": rec.guard_tripped,
             "stopped_early": rec.stopped_early,
             "notes": list(rec.notes),

@@ -30,7 +30,9 @@ class TrajectoryRecord:
     column triple (du, dv, dw) of float lists, one entry per sample.  Times
     are strictly increasing.  guard_tripped is None for a clean run,
     otherwise names the guard ("blow_up", "non_finite" or "cfl_violation")
-    and the record holds the partial trace up to the trip.
+    and the record holds the partial trace up to the trip.  steps counts
+    the steps the run took; stationary_from_t is the time from which a full
+    step left u, v and w unchanged bit for bit, None if none did.
     """
 
     ref_labels: tuple[str, ...] = ()
@@ -50,6 +52,8 @@ class TrajectoryRecord:
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
     stopped_early: bool = False
+    steps: int = 0
+    stationary_from_t: float | None = None
     final_state: FieldState | None = None
 
     def __post_init__(self) -> None:

@@ -194,7 +194,7 @@ class StepperConfig:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
         if not (self.t_end >= 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
-        if not isinstance(self.record_every, int) or self.record_every < 1:
+        if type(self.record_every) is not int or self.record_every < 1:  # a bool is no int
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         if not self.blowup_guard > 0:
             raise ValueError(f"blowup_guard must be positive, got {self.blowup_guard!r}")

@@ -174,6 +174,12 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt
     return stage, solve_w(ws.op, *stage, ws.p), mass_new
 
 
+def _same_bits(new: tuple[np.ndarray, ...], old: tuple[np.ndarray, ...]) -> bool:
+    """Whether each float array of new equals its partner in old bit for
+    bit, so a signed zero is not the other zero."""
+    return all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(new, old))
+
+
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
     """Bundle initial densities with their signal solve at t = 0."""
     op = assemble(p, grid)
@@ -206,6 +212,12 @@ def run_simulation(
     Recorded samples are copied into a block of (3, n) stacks (rows u, v,
     w) that the record reduces in one call when the block is full, before
     each steady-state test, and at the end of the run.
+
+    Once a full step of width cfg.dt returns u, v, w and the masses bit for
+    bit as it got them, every later full step would too: those steps keep
+    the state and only advance t, with the guards, the recording and the
+    steady-state test run as before.  rec.stationary_from_t is the start of
+    that first unchanging step, and rec.steps counts every step taken.
     """
     if grid.length != p.omega_measure:
         raise PreconditionError(
@@ -253,14 +265,24 @@ def run_simulation(
         while t < t_stop:
             rest = cfg.t_end - t
             dt = rest if rest < last_step else cfg.dt
-            try:
-                uv, w, mass = _advance(ws, uv, w, mass, dt)
-            except CflViolationError as exc:
-                if steps_done == 0:
-                    raise
-                rec.guard_tripped = "cfl_violation"
-                rec.notes.append(str(exc))
-                break
+            if rec.stationary_from_t is None or dt != cfg.dt:
+                try:
+                    uv_new, w_new, mass_new = _advance(ws, uv, w, mass, dt)
+                except CflViolationError as exc:
+                    if steps_done == 0:
+                        raise
+                    rec.guard_tripped = "cfl_violation"
+                    rec.notes.append(str(exc))
+                    break
+                # A full step that leaves its inputs as they were, bit for
+                # bit, leaves them so at every later full step too.  The
+                # float compares of the masses fail first on almost every
+                # step, and on a NaN.
+                if (dt == cfg.dt and mass_new[0] == mass[0] and mass_new[1] == mass[1]
+                        and _same_bits((uv_new, w_new, mass_new), (uv, w, mass))):
+                    rec.stationary_from_t = t
+                else:
+                    uv, w, mass = uv_new, w_new, mass_new
             t += dt
             steps_done += 1
             peak = float(np.maximum.reduce(uv, axis=None))
@@ -288,5 +310,6 @@ def run_simulation(
         if t > (times[-1] if times else rec.t[-1]):
             record()
         flush()
+    rec.steps = steps_done
     rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
     return rec

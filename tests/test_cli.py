@@ -383,8 +383,10 @@ class TestExitCodes:
         summary = read_json(tmp_path / "summary.json")
         assert summary["run"]["guard_tripped"] == "blow_up"
         assert summary["run"]["final_t"] < 5.0
+        assert summary["run"]["stationary_from_t"] is None
         rows = read_csv_rows(tmp_path / "trajectory.csv")
         assert len(rows) >= 3
+        assert summary["run"]["steps"] == len(rows) - 2  # every step recorded, after the t = 0 row
         assert float(rows[-1][2]) > 30.0
 
     @staticmethod
@@ -765,7 +767,9 @@ class TestSimulateOutputs:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         run = read_json(tmp_path / "summary.json")["run"]
-        assert (run["final_t"], run["samples"]) == (200.0, 1001)
+        assert (run["final_t"], run["samples"], run["steps"]) == (200.0, 1001, 40000)
+        # u, v and w stop changing bit for bit from about t = 29.3 on
+        assert 25.0 < run["stationary_from_t"] < 35.0
         rows = read_csv_rows(tmp_path / "trajectory.csv")
         assert len(rows) == 1002 and rows[-1][0] == "200.0"
 

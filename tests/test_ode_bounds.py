@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from chemotaxis_lab import ode_bounds
 from chemotaxis_lab.diagnostics import TrajectoryRecord
 from chemotaxis_lab.model import PreconditionError, negative_part, positive_part
 from chemotaxis_lab.ode_bounds import (
@@ -18,7 +20,7 @@ from chemotaxis_lab.ode_bounds import (
     rectangle_rhs,
 )
 from chemotaxis_lab.steady_states import linf_bounds
-from helpers import coexistence_params, mk_params
+from helpers import coexistence_params, exclusion_params, mk_params
 
 
 def make_pde_trace(samples):
@@ -83,6 +85,8 @@ class TestIntegrateRectangles:
             integrate_rectangles(s, mk_params(), 1.0, dt=0.0)
         with pytest.raises(ValueError):
             integrate_rectangles(s, mk_params(), 1.0, record_every=0)
+        with pytest.raises(ValueError, match="record_every"):
+            integrate_rectangles(s, mk_params(), 1.0, record_every=True)
         bad_order = RectangleState(t=0.0, u_hi=0.5, u_lo=1.0, v_hi=1.0, v_lo=0.5)
         with pytest.raises(PreconditionError, match="ordered"):
             integrate_rectangles(bad_order, mk_params(), 1.0)
@@ -416,14 +420,18 @@ def reference_rk4(s0, p, t_end, dt, record_every):
     return rows, guard, notes
 
 
+def reprs(rows):
+    """The rows with every float as its repr, so -0.0 is not 0.0 and a NaN is a NaN."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
 def assert_matches_reference(s0, p, t_end, dt, record_every):
-    """integrate_rectangles records exactly the reference's values (NaN
-    compares equal to NaN); returns the trace."""
+    """integrate_rectangles records exactly the reference's values, bit for
+    bit but for a NaN's sign and payload; returns the trace."""
     trace = integrate_rectangles(s0, p, t_end=t_end, dt=dt, record_every=record_every)
     rows, guard, notes = reference_rk4(s0, p, t_end, dt, record_every)
-    got = np.column_stack([trace.t, trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo])
-    assert got.shape == (len(rows), 5)
-    np.testing.assert_array_equal(got, np.array(rows))
+    got = zip(trace.t, trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo)
+    assert reprs(got) == reprs(rows)
     assert trace.guard_tripped == guard
     assert trace.notes == notes
     return trace
@@ -455,6 +463,80 @@ class TestBitIdentity:
     def test_matches_textbook_rk4(self, params, s0, t_end, dt, guard, record_every):
         trace = assert_matches_reference(s0, params, t_end, dt, record_every)
         assert trace.guard_tripped == guard
+
+
+def first_fixed_row(s0, p, t_end, dt):
+    """The index i of the first row the reference maps to itself, bit for
+    bit, in the step from row i to row i + 1 (rows recorded every step)."""
+    rows = reprs(reference_rk4(s0, p, t_end, dt, 1)[0])
+    return next(i for i, (a, b) in enumerate(zip(rows, rows[1:])) if a[1:] == b[1:])
+
+
+def fixed_state(s0, p, dt, t_end):
+    """The first state that a full reference step from s0 maps to itself."""
+    rows = reference_rk4(s0, p, t_end, dt, 1)[0]
+    return RectangleState(*rows[first_fixed_row(s0, p, t_end, dt)])
+
+
+# u extinct and v at its level 1/2: a fixed point of the coexistence
+# rectangle with two zero components, first reached at t = 37.25.
+SEMI_TRIVIAL = (RectangleState(0.0, 0.0, 0.0, 0.7, 0.3), 5e-2, 60.0)
+
+
+class TestFixedPoint:
+    """Once a full step leaves the state as it was, integrate_rectangles
+    stops evaluating it; the reference steps every time."""
+
+    @staticmethod
+    def case(name):
+        """(s0, params, t_end, dt) of one scenario."""
+        p = coexistence_params(0.1)
+        if name == "mid-run":
+            # fixed from step 3,262; t_end off the dt grid ends on a short step
+            return RectangleState(0.0, 1.5, 0.2, 1.2, 0.1), p, 200.013, 5e-2
+        if name == "exclusion":
+            # u decays geometrically and reaches no fixed point
+            return RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), exclusion_params(0.05), 100.0, 5e-2
+        s0 = fixed_state(SEMI_TRIVIAL[0], p, *SEMI_TRIVIAL[1:])
+        if name == "signed-zero":
+            # -0.0 == 0.0, but the first step turns u_lo's -0.0 into 0.0
+            s0 = replace(s0, u_lo=-0.0)
+        return s0, p, s0.t + 5.013, 5e-2
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name", ["mid-run", "fixed-start", "signed-zero", "exclusion"])
+    def test_matches_reference(self, name, record_every):
+        s0, p, t_end, dt = self.case(name)
+        assert_matches_reference(s0, p, t_end, dt, record_every)
+
+    def test_signed_zero_start_is_not_fixed(self):
+        s0, p, t_end, dt = self.case("signed-zero")
+        first = reference_rk4(s0, p, t_end, dt, 1)[0][1]
+        assert first[2] == 0.0 and math.copysign(1.0, first[2]) == 1.0
+        assert first_fixed_row(s0, p, t_end, dt) == 1
+
+    @pytest.mark.parametrize("name", ["mid-run", "fixed-start", "exclusion"])
+    def test_steps_after_the_fixed_point_are_not_evaluated(self, name, monkeypatch):
+        s0, p, t_end, dt = self.case(name)
+        calls = []
+
+        def counted(params):
+            rhs = rectangle_rhs(params)
+
+            def f(*y):
+                calls.append(None)
+                return rhs(*y)
+
+            return f
+
+        monkeypatch.setattr(ode_bounds, "rectangle_rhs", counted)
+        trace = integrate_rectangles(s0, p, t_end, dt, record_every=1)
+        if name == "exclusion":
+            evaluated = len(trace.t) - 1
+        else:
+            # the steps up to the first unchanging one, then the short last step
+            evaluated = first_fixed_row(s0, p, t_end, dt) + 2
+        assert len(calls) == 4 * evaluated
 
 
 class TestEndsOnTEnd:

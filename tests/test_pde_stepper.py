@@ -26,7 +26,7 @@ from chemotaxis_lab.model import (
 )
 from chemotaxis_lab.pde_stepper import chemotaxis_flux, initial_state, run_simulation
 from chemotaxis_lab.steady_states import coexistence_state, exclusion_state, semi_trivial_states
-from helpers import coexistence_params, mk_params
+from helpers import coexistence_params, exclusion_params, mk_params
 
 
 class TestStepperConfig:
@@ -48,6 +48,7 @@ class TestStepperConfig:
             dict(dt=0.1, t_end=1.0, steady_tol=-1.0, steady_window=0.5),
             dict(dt=0.1, t_end=1.0, steady_tol=1e-6, steady_window=0.0),
             dict(dt=0.1, t_end=1.0, steady_tol=1e-6, steady_window=-1.0),
+            dict(dt=0.1, t_end=1.0, record_every=True),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -680,7 +681,8 @@ class TestNonnegativity:
 
 def reference_run(state0, p, grid, cfg, references=()):
     """run_simulation's schedule and guards with one append_sample call per
-    recorded sample, the record path the sample blocks replace."""
+    recorded sample, the record path the sample blocks replace, and an
+    _advance call for every step, the steps the stationary state skips."""
     ws = pde_stepper._Workspace(p, grid, cfg)
     t = state0.t
     uv = np.array([state0.u, state0.v], dtype=float)
@@ -700,13 +702,16 @@ def reference_run(state0, p, grid, cfg, references=()):
         rest = cfg.t_end - t
         dt = rest if rest < cfg.dt + (cfg.t_end - t_stop) else cfg.dt
         try:
-            uv, w, mass = pde_stepper._advance(ws, uv, w, mass, dt)
+            step = pde_stepper._advance(ws, uv, w, mass, dt)
         except CflViolationError as exc:
             if steps_done == 0:
                 raise
             rec.guard_tripped = "cfl_violation"
             rec.notes.append(str(exc))
             break
+        if rec.stationary_from_t is None and dt == cfg.dt and unchanged(step, (uv, w, mass)):
+            rec.stationary_from_t = t
+        uv, w, mass = step
         t += dt
         steps_done += 1
         peak = float(uv.max())
@@ -728,8 +733,14 @@ def reference_run(state0, p, grid, cfg, references=()):
                     rec.notes.append(f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}")
                     break
     record()
+    rec.steps = steps_done
     rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
     return rec
+
+
+def unchanged(step, state):
+    """Whether a step's (uv, w, mass) equal the state's bit for bit."""
+    return all(np.array_equal(bits(a), bits(b)) for a, b in zip(step, state))
 
 
 def four_references(p):
@@ -778,7 +789,10 @@ def reprs(rec):
     for label in rec.ref_labels:
         series.update({f"{f}_{label}": list(map(repr, col)) for f, col in zip("uvw", rec.dist[label])})
     fs = rec.final_state
-    outcome = (rec.guard_tripped, rec.notes, rec.stopped_early, repr(fs.t))
+    outcome = (
+        rec.guard_tripped, rec.notes, rec.stopped_early, repr(fs.t), rec.steps,
+        repr(rec.stationary_from_t),
+    )
     return series, outcome, [bits(f).tolist() for f in (fs.u, fs.v, fs.w)]
 
 
@@ -808,6 +822,102 @@ class TestSampleBlocks:
         elif block > 1 and name in ("blow-up", "non-finite", "cfl"):
             # the trip ends the run in the middle of a block
             assert got.n_samples % block != 0
+
+
+def fixed_densities(p, grid, uv, dt):
+    """The first densities that a full step of width dt maps to themselves,
+    with their signal and masses, bit for bit, stepping from uv."""
+    ws = pde_stepper._Workspace(p, grid, StepperConfig(dt=dt, t_end=1.0))
+    state = (uv, solve_w(ws.op, *uv, p), np.array(grid.integrate(uv)))
+    for _ in range(5000):
+        step = pde_stepper._advance(ws, *state, dt)
+        if unchanged(step, state):
+            return state[0]
+        state = step
+    raise AssertionError("no fixed point within 5000 steps")
+
+
+def stationary_case(name, record_every=1):
+    """(state0, params, grid, config) of one scenario of the stationary skip."""
+    grid = Grid1D(length=1.0, n_cells=24)
+    wave = 0.1 * np.cos(np.pi * grid.cell_centers())
+    p = coexistence_params(0.1)
+    cfg = StepperConfig(dt=0.05, t_end=40.013, record_every=record_every)
+    if name == "mid-run":
+        # fixed from t = 31.4; t_end off the dt grid ends on a short step
+        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, cfg
+    if name == "steady":
+        # the window certifies at t = 32.55
+        cfg = replace(cfg, steady_tol=3e-15, steady_window=2.0)
+        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, cfg
+    if name == "exclusion":
+        # u decays geometrically and reaches no fixed point by t_end
+        p = exclusion_params(0.05)
+        return initial_state(np.full(24, 0.5), np.full(24, 0.5), p, grid), p, grid, cfg
+    cfg = replace(cfg, t_end=2.013)
+    if name == "fixed-start":
+        uv = fixed_densities(p, grid, np.array([0.5 + wave, 0.5 - wave]), cfg.dt)
+    else:
+        # "signed-zero": u extinct, v at its level; the first step turns
+        # u's -0.0 into 0.0, which == alone would miss
+        uv = fixed_densities(p, grid, np.array([np.zeros(24), 0.5 - wave]), cfg.dt)
+        uv[0] = -0.0
+    w = solve_w(assemble(p, grid), *uv, p)
+    return FieldState(t=0.25, u=uv[0], v=uv[1], w=w), p, grid, cfg
+
+
+class TestStationarySkip:
+    """Once a full step leaves u, v, w and the masses as they were, bit for
+    bit, run_simulation stops calling _advance; the reference calls it on
+    every step."""
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize(
+        "name, stationary_from_t",
+        [
+            ("mid-run", 31.40000000000031), ("steady", 31.40000000000031),
+            ("fixed-start", 0.25), ("signed-zero", 0.3), ("exclusion", None),
+        ],
+    )
+    def test_matches_reference(self, name, stationary_from_t, record_every):
+        state0, p, grid, cfg = stationary_case(name, record_every)
+        got = run_simulation(state0, p, grid, cfg)
+        want = reference_run(state0, p, grid, cfg)
+        assert reprs(got) == reprs(want)
+        assert got.stationary_from_t == stationary_from_t
+        assert got.stopped_early == (name == "steady")
+
+    def test_signed_zero_start_is_not_fixed(self):
+        state0, p, grid, cfg = stationary_case("signed-zero")
+        ws = pde_stepper._Workspace(p, grid, cfg)
+        uv = np.array([state0.u, state0.v])
+        state = (uv, state0.w, np.array(grid.integrate(uv)))
+        step = pde_stepper._advance(ws, *state, cfg.dt)
+        assert np.array_equal(step[0], uv) and not unchanged(step, state)
+        assert unchanged(pde_stepper._advance(ws, *step, cfg.dt), step)
+
+    @pytest.mark.parametrize("name", ["mid-run", "fixed-start", "exclusion"])
+    def test_stationary_steps_make_no_advance_call(self, name, monkeypatch):
+        state0, p, grid, cfg = stationary_case(name)
+        advance = pde_stepper._advance
+        widths = []
+
+        def counted(ws, uv, w, mass, dt):
+            widths.append(dt)
+            return advance(ws, uv, w, mass, dt)
+
+        monkeypatch.setattr(pde_stepper, "_advance", counted)
+        rec = run_simulation(state0, p, grid, cfg)
+        if rec.stationary_from_t is None:
+            assert len(widths) == rec.steps
+        else:
+            # the full steps up to the first unchanging one, then the short last step
+            t, full = state0.t, 1
+            while t < rec.stationary_from_t:
+                t += cfg.dt
+                full += 1
+            assert widths == [cfg.dt] * full + [widths[-1]]
+            assert widths[-1] < cfg.dt
 
 
 class TestEndsOnTEnd:
