@@ -27,7 +27,6 @@ from typing import Any
 from . import hypotheses, steady_states
 from .diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, detect_steady, tail_stats
 from .model import (
-    CflViolationError,
     DegenerateStateError,
     Grid1D,
     ModelParams,
@@ -691,9 +690,6 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
-    except CflViolationError as exc:
-        print(f"numerical guard: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -9,20 +9,10 @@ the signal solve.  The stepper's implicit diffusion uses the same routines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import Grid1D, ModelParams, PreconditionError
-
-
-@dataclass(frozen=True)
-class EllipticOperator:
-    """The operator lam*I - d3*D2 on grid, held as its dpttrf factor (d, e)."""
-
-    grid: Grid1D
-    factor: tuple[np.ndarray, np.ndarray]
 
 
 def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,17 +27,21 @@ def neumann_factor(shift: float, r: float, n: int) -> tuple[np.ndarray, np.ndarr
     diag[-1] = shift + r
     d, e, info = dpttrf(diag, np.full(n - 1, -r))
     if info != 0:
-        raise np.linalg.LinAlgError(f"{shift!r}*I - {r!r}*dx^2*D2 is not positive definite")
+        raise PreconditionError(
+            f"the zero-flux operator {shift!r}*I - {r!r}*dx^2*D2 on {n} cells "
+            f"is not positive definite in floating point"
+        )
     return d, e
 
 
-def assemble(p: ModelParams, grid: Grid1D) -> EllipticOperator:
+def assemble(p: ModelParams, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """The dpttrf factor (d, e) of the signal operator lam*I - d3*D2 on grid."""
     r = p.d3 / (grid.dx * grid.dx)
-    return EllipticOperator(grid=grid, factor=neumann_factor(p.lam, r, grid.n_cells))
+    return neumann_factor(p.lam, r, grid.n_cells)
 
 
-def solve_w(op: EllipticOperator, u: np.ndarray, v: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Solve (lam*I - d3*D2) w = k*u + l*v by the prefactored direct solve.
+def solve_w(factor: tuple[np.ndarray, np.ndarray], u: np.ndarray, v: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Solve (lam*I - d3*D2) w = k*u + l*v with the operator's factor from assemble.
 
     For nonnegative u, v the result is nonnegative and squeezed between
     min(k*u + l*v)/lam and max(k*u + l*v)/lam (discrete comparison), up to
@@ -55,6 +49,6 @@ def solve_w(op: EllipticOperator, u: np.ndarray, v: np.ndarray, p: ModelParams) 
     """
     rhs = np.multiply(p.k, u, dtype=float)
     rhs += np.multiply(p.l, v, dtype=float)
-    if rhs.shape != (op.grid.n_cells,):
-        raise PreconditionError(f"densities of shape {rhs.shape} do not fit {op.grid!r}")
-    return dpttrs(*op.factor, rhs, overwrite_b=True)[0]
+    if rhs.shape != (len(factor[0]),):
+        raise PreconditionError(f"densities of shape {rhs.shape} do not fit n_cells={len(factor[0])}")
+    return dpttrs(*factor, rhs, overwrite_b=True)[0]

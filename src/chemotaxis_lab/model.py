@@ -1,5 +1,5 @@
 """Core data types: model coefficients, the 1-D grid, the stepper's run
-schedule and its stability error, field snapshots, positive/negative parts.
+schedule, field snapshots, positive/negative parts.
 
 Everything downstream (hypothesis checks, bound constants, the PDE stepper,
 the comparison ODE system) consumes these types.  All values are 64-bit
@@ -42,7 +42,6 @@ _POSITIVE_FIELDS = (
     "a0", "b0", "a1", "b2",
     "k", "l", "lam", "omega_measure",
 )
-_SIGNED_FIELDS = ("a2", "a3", "a4", "b1", "b3", "b4")
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,9 @@ def check_time_resolution(t0: float, t_end: float, dt: float) -> tuple[float, fl
     The run steps while t < t_stop and takes a remainder t_end - t below
     last_step whole: t is a sum of steps and drifts off the dt grid, so a
     remainder within the stop tolerance of dt ends the run on t_end
-    (t + (t_end - t) == t_end near t_end) rather than short of it.
+    (t + (t_end - t) == t_end near t_end) rather than short of it.  The
+    tolerance, 1e-12 relative to t_end, is at most half a step and half the
+    run, so a run with t0 < t_end takes at least one step and ends on t_end.
 
     Raises when the run could stall: dt is at most half the float spacing
     at the run's largest |t|, so somewhere on the way t + dt rounds back to
@@ -156,21 +157,8 @@ def check_time_resolution(t0: float, t_end: float, dt: float) -> tuple[float, fl
             f"dt={dt!r} is below the float resolution of t between {t0!r} and {t_end!r}: "
             f"t + dt would round back to t"
         )
-    t_stop = t_end - 1e-12 * max(abs(t_end), 1.0)
+    t_stop = t_end - min(1e-12 * max(abs(t_end), 1.0), 0.5 * dt, 0.5 * (t_end - t0))
     return t_stop, dt + (t_end - t_stop)
-
-
-class CflViolationError(RuntimeError):
-    """The configured dt violates an explicit stability constraint."""
-
-    def __init__(self, binding: str, dt: float, suggested_dt: float):
-        self.binding = binding
-        self.dt = dt
-        self.suggested_dt = suggested_dt
-        super().__init__(
-            f"dt={dt!r} violates the {binding} constraint; "
-            f"largest admissible dt here is {suggested_dt!r}"
-        )
 
 
 @dataclass(frozen=True)

@@ -263,16 +263,21 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     Rectangle components are linearly interpolated onto the PDE sample
     times.  PDE samples outside the rectangle trace's time span are
     excluded from the comparison and flagged in the notes, since constant
-    extrapolation would not be evidence of enclosure.  The worst excess is
-    NumPy's maximum.reduce over the four and argmax over the samples: a NaN
-    wins at its first sample; a tie of the four takes the later one (the
-    sign of a zero), a tie of samples the first.
+    extrapolation would not be evidence of enclosure.  The span of a trace
+    whose guard tripped ends on the row before the tripping one: that row
+    holds a state past the guard, and the interval up to it bounds nothing.
+    The worst excess is NumPy's maximum.reduce over the four and argmax over
+    the samples: a NaN wins at its first sample; a tie of the four takes the
+    later one (the sign of a zero), a tie of samples the first.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    rect_t = rect_trace.t
-    if not rect_t:
+    columns = rect_trace.t, rect_trace.u_hi, rect_trace.u_lo, rect_trace.v_hi, rect_trace.v_lo
+    if not columns[0]:
         raise PreconditionError("rectangle trace has no samples")
+    if rect_trace.guard_tripped is not None and len(columns[0]) > 1:
+        columns = tuple(c[:-1] for c in columns)
+    rect_t, u_hi, u_lo, v_hi, v_lo = columns
     lo, hi = rect_t[0] - 1e-12, rect_t[-1] + 1e-12
     rows = zip(pde_trace.t, pde_trace.u_min, pde_trace.u_max, pde_trace.v_min, pde_trace.v_max)
     compared = [row for row in rows if lo <= row[0] <= hi]
@@ -299,11 +304,11 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     excess = []
     for s, u_min, u_max, v_min, v_max in compared:
         j = bisect.bisect_right(rect_t, s) - 1
-        worst = (_interp(s, rect_t, j, rect_trace.u_lo) - u_min) - tol
+        worst = (_interp(s, rect_t, j, u_lo) - u_min) - tol
         for e in (
-            (u_max - _interp(s, rect_t, j, rect_trace.u_hi)) - tol,
-            (_interp(s, rect_t, j, rect_trace.v_lo) - v_min) - tol,
-            (v_max - _interp(s, rect_t, j, rect_trace.v_hi)) - tol,
+            (u_max - _interp(s, rect_t, j, u_hi)) - tol,
+            (_interp(s, rect_t, j, v_lo) - v_min) - tol,
+            (v_max - _interp(s, rect_t, j, v_hi)) - tol,
         ):
             if not (worst > e or worst != worst):  # np.maximum
                 worst = e

@@ -24,7 +24,6 @@ from scipy.linalg.lapack import dpttrs
 from .diagnostics import TrajectoryRecord, detect_steady, may_be_steady
 from .elliptic import assemble, neumann_factor, solve_w
 from .model import (
-    CflViolationError,
     FieldState,
     Grid1D,
     ModelParams,
@@ -63,8 +62,21 @@ def chemotaxis_flux(
     return out
 
 
+class CflViolationError(RuntimeError):
+    """A step's dt violates an explicit stability constraint: run_simulation's "cfl_violation"."""
+
+    def __init__(self, binding: str, dt: float, suggested_dt: float):
+        self.binding = binding
+        self.dt = dt
+        self.suggested_dt = suggested_dt
+        super().__init__(
+            f"dt={dt!r} violates the {binding} constraint; "
+            f"largest admissible dt here is {suggested_dt!r}"
+        )
+
+
 class _Workspace:
-    """Per-run cache: the signal operator, the coefficients (row 0 for u, 1
+    """Per-run cache: the signal factor, the coefficients (row 0 for u, 1
     for v), the stage buffers and the dpttrf factors of the implicit
     diffusion matrices, one pair per step width (the final step of a run
     may be shorter; equal diffusivities share one factor)."""
@@ -73,7 +85,7 @@ class _Workspace:
         self.p = p
         self.dx = grid.dx
         self.cfg = cfg
-        self.op = assemble(p, grid)
+        self.signal_factor = assemble(p, grid)
         # bracket = growth - local_coupling @ (u, v) - mass_coupling @ (mass_u, mass_v)
         self.growth = np.array([p.a0, p.b0])
         self.local_coupling = np.array([[p.a1, p.a2], [p.b1, p.b2]])
@@ -171,7 +183,7 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt
 
     mass_new = np.add.reduce(stage, axis=1)
     mass_new *= dx
-    return stage, solve_w(ws.op, *stage, ws.p), mass_new
+    return stage, solve_w(ws.signal_factor, *stage, ws.p), mass_new
 
 
 def _same_bits(new: tuple[np.ndarray, ...], old: tuple[np.ndarray, ...]) -> bool:
@@ -182,10 +194,9 @@ def _same_bits(new: tuple[np.ndarray, ...], old: tuple[np.ndarray, ...]) -> bool
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
     """Bundle initial densities with their signal solve at t = 0."""
-    op = assemble(p, grid)
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    return FieldState(t=0.0, u=u0, v=v0, w=solve_w(op, u0, v0, p))
+    return FieldState(t=0.0, u=u0, v=v0, w=solve_w(assemble(p, grid), u0, v0, p))
 
 
 def run_simulation(
@@ -202,12 +213,12 @@ def run_simulation(
     (guard_tripped="non_finite") or exceeds cfg.blowup_guard ("blow_up"), in
     both cases with the partial trace kept, or, when cfg.steady_tol and
     cfg.steady_window are given, once the trailing window certifies
-    stationarity at that tolerance.  A stability violation after
-    at least one completed step is likewise recorded as a guard trip
-    ("cfl_violation"); on the very first step it propagates, since then
-    the configured dt was never admissible.  A dt too small to advance t
-    at the run's largest |t|, or a negative initial density, raises
-    PreconditionError before any step.
+    stationarity at that tolerance.  A step whose dt fails the stability
+    check ends the run likewise ("cfl_violation", the binding constraint
+    and the largest admissible dt in the notes), also on the first step,
+    whose record then holds the initial sample alone.  A dt too small to
+    advance t at the run's largest |t|, or a negative initial density,
+    raises PreconditionError before any step.
 
     Recorded samples are copied into a block of (3, n) stacks (rows u, v,
     w) that the record reduces in one call when the block is full, before
@@ -229,7 +240,7 @@ def run_simulation(
     t_stop, last_step = check_time_resolution(state0.t, cfg.t_end, cfg.dt)
     ws = _Workspace(p, grid, cfg)
     t = state0.t
-    w = solve_w(ws.op, *uv, p)
+    w = solve_w(ws.signal_factor, *uv, p)
     mass = np.array(grid.integrate(uv))
     rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
     levels = np.array(
@@ -269,8 +280,6 @@ def run_simulation(
                 try:
                     uv_new, w_new, mass_new = _advance(ws, uv, w, mass, dt)
                 except CflViolationError as exc:
-                    if steps_done == 0:
-                        raise
                     rec.guard_tripped = "cfl_violation"
                     rec.notes.append(str(exc))
                     break

@@ -364,12 +364,49 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_oversized_dt_is_numerical_guard(self, tmp_path, capsys):
-        doc = base_config()
-        doc["stepper"]["dt"] = 10.0
-        doc["stepper"]["t_end"] = 20.0
+        # A dt rejected on the first step is a guard trip like any other:
+        # both subcommands write their outputs over the one initial sample.
+        doc = readme_config()
+        doc["stepper"].update({"dt": 10.0, "t_end": 20.0})
         cfg = write_config(tmp_path, doc)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert "numerical guard" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 4
+        assert capsys.readouterr().err == "guard tripped: cfl_violation\n"
+        run = read_json(tmp_path / "sim" / "summary.json")["run"]
+        assert (run["guard_tripped"], run["steps"], run["samples"], run["final_t"]) == (
+            "cfl_violation", 0, 1, 0.0
+        )
+        assert len(run["notes"]) == 1
+        assert "violates the positivity and reaction constraint" in run["notes"][0]
+        assert "largest admissible dt" in run["notes"][0]
+        assert len(read_csv_rows(tmp_path / "sim" / "trajectory.csv")) == 2
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path / "rect")]) == 4
+        capsys.readouterr()
+        enclosure = read_json(tmp_path / "rect" / "enclosure.json")
+        assert enclosure["pde_guard_tripped"] == "cfl_violation"
+        assert (enclosure["passed"], enclosure["n_times"]) == (True, 1)
+        assert len(read_csv_rows(tmp_path / "rect" / "rectangles.csv")) == 2
+
+    @pytest.mark.parametrize("param, value", [("lambda", 1e-300), ("d1", 1e300)])
+    def test_operator_not_positive_definite_exits_3(self, tmp_path, capsys, param, value):
+        # The signal operator with lambda = 1e-300, and the diffusion of u
+        # with d1 = 1e300, lose positive definiteness in floating point.
+        doc = readme_config()
+        doc["params"][param] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failure: the zero-flux operator ")
+        assert err.endswith("is not positive definite in floating point\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_run_shorter_than_the_stop_tolerance_reaches_t_end(self, tmp_path, capsys):
+        doc = readme_config()
+        doc["stepper"] = {"dt": 1e-14, "t_end": 1e-13}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        run = read_json(tmp_path / "summary.json")["run"]
+        assert (run["steps"], run["samples"], run["final_t"]) == (10, 11, 1e-13)
 
     def test_blowup_guard_returns_4_with_partial_outputs(self, tmp_path, capsys):
         doc = base_config()
@@ -408,8 +445,10 @@ class TestExitCodes:
         # u_min = v_min = -0.0059.  The positivity limit is 4.48e-4.
         cfg = write_config(tmp_path, self.narrow_minimum_config(8.87e-4, 8.87e-4))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert "violates the positivity constraint" in capsys.readouterr().err
-        assert not (tmp_path / "trajectory.csv").exists()
+        capsys.readouterr()
+        run = read_json(tmp_path / "summary.json")["run"]
+        assert (run["guard_tripped"], run["steps"]) == ("cfl_violation", 0)
+        assert "violates the positivity constraint" in run["notes"][0]
         # One admitted step, after which the limit falls below dt.
         cfg = write_config(tmp_path, self.narrow_minimum_config(4.4e-4, 4.4e-3))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4

@@ -15,10 +15,10 @@ def dense_operator(p, grid):
     return p.lam * np.eye(n) - p.d3 * d2
 
 
-def unfactor(op):
+def unfactor(factor):
     """L*D*L^T from the dpttrf factor (d, e): L is unit lower bidiagonal
     with subdiagonal e."""
-    d, e = op.factor
+    d, e = factor
     lower = np.eye(d.size) + np.diag(e, k=-1)
     return lower @ np.diag(d) @ lower.T
 
@@ -43,7 +43,7 @@ class TestAssembly:
         np.testing.assert_allclose(unfactor(assemble(p, grid)), dense, rtol=1e-13, atol=1e-13 * dense.max())
 
     def test_indefinite_matrix_is_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        with pytest.raises(PreconditionError, match="not positive definite"):
             neumann_factor(-1.0, 0.25, 8)
 
 

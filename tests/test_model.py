@@ -91,6 +91,24 @@ class TestCheckTimeResolution:
         check_time_resolution(1e10, 1e10, 1e-7)
         check_time_resolution(1e10 + 1.0, 1e10, 1e-7)
 
+    @pytest.mark.parametrize(
+        "t0, t_end, dt", [(0.0, 1e-13, 1e-14), (0.0, 1e-13, 1.0), (5.0, 5.0 + 4e-12, 1e-3)]
+    )
+    def test_short_run_takes_a_step_and_ends_on_t_end(self, t0, t_end, dt):
+        # Each run is shorter than the plain tolerance 1e-12*max(|t_end|, 1).
+        t_stop, last_step = check_time_resolution(t0, t_end, dt)
+        t, steps = t0, 0
+        while t < t_stop:
+            rest = t_end - t
+            t += rest if rest < last_step else dt
+            steps += 1
+        assert steps >= 1 and t == t_end
+
+    def test_tolerance_is_relative_where_its_bounds_do_not_bind(self):
+        t_stop, last_step = check_time_resolution(0.0, 200.0, 5e-3)
+        assert t_stop == 200.0 - 2e-10
+        assert last_step == 5e-3 + (200.0 - t_stop)
+
 
 class TestGrid1D:
     def test_dx(self):

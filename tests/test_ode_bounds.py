@@ -234,11 +234,15 @@ class TestCheckEnclosure:
 def numpy_check_enclosure(pde_trace, rect_trace, tol):
     """check_enclosure as written with NumPy: np.interp onto the compared
     sample times, np.maximum.reduce over the four excesses, np.argmax over
-    the samples.  The oracle of TestEnclosureMatchesNumpy."""
+    the samples, on the rows before the tripping one when the guard tripped.
+    The oracle of TestEnclosureMatchesNumpy."""
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     if not rect_trace.t:
         raise PreconditionError("rectangle trace has no samples")
+    if rect_trace.guard_tripped is not None and len(rect_trace.t) > 1:
+        columns = (getattr(rect_trace, c)[:-1] for c in ("t", "u_hi", "u_lo", "v_hi", "v_lo"))
+        rect_trace = RectangleTrace(*columns, guard_tripped=rect_trace.guard_tripped)
     pde_t = np.asarray(pde_trace.t, dtype=float)
     rect_t = np.asarray(rect_trace.t, dtype=float)
     inside = (pde_t >= rect_t[0] - 1e-12) & (pde_t <= rect_t[-1] + 1e-12)
@@ -328,15 +332,37 @@ class TestEnclosureMatchesNumpy:
         rect = integrate_rectangles(RectangleState(0.0, 1.0, 0.0, 0.0, 0.0), p, t_end=1.0, dt=1e-3)
         assert rect.guard_tripped == "blow_up"
         rows = [(t, 0.1, 0.9, 0.0, 0.5) for t in (0.0, 2.5e-4, 5e-4, 1e-3, 2e-3)]
-        self.assert_same(columns_trace(rows), rect, 1e-3)
-        # A blow-up row holding inf, with the PDE at inf too; v_hi is inf on
-        # both knots around t = 0.6, where np.interp returns inf, not NaN.
+        # the rectangle trips on its first step: only t = 0 lies before it
+        assert rect.t == [0.0, 1e-3]
+        assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 1
+        # Rows holding inf before the tripping row at t = 1.5, with the PDE
+        # at inf too; v_hi is inf on both knots around t = 0.6, where
+        # np.interp returns inf, not NaN.  The sample at t = 1.25 lies past
+        # the row before the trip and is not compared.
         inf = math.inf
-        rect = RectangleTrace([0.0, 0.5, 1.0], [1.0, 2.0, inf], [0.0, 0.0, -inf],
-                              [1.0, inf, inf], [0.0, 0.0, 0.0], guard_tripped="blow_up")
+        rect = RectangleTrace([0.0, 0.5, 1.0, 1.5], [1.0, 2.0, inf, inf], [0.0, 0.0, -inf, -inf],
+                              [1.0, inf, inf, inf], [0.0, 0.0, 0.0, 0.0], guard_tripped="blow_up")
         rows = [(0.0, 0.1, 0.9, 0.1, 0.9), (0.25, 0.1, inf, 0.1, 0.9), (0.6, 0.1, 0.9, 0.1, 0.9),
-                (0.75, 0.1, 0.9, 0.1, inf), (1.0, inf, inf, 0.1, 0.9)]
-        self.assert_same(columns_trace(rows), rect, 1e-3)
+                (0.75, 0.1, 0.9, 0.1, inf), (1.0, inf, inf, 0.1, 0.9), (1.25, 0.1, 0.9, 0.1, 0.9)]
+        assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 5
+
+    def test_tripping_interval_is_left_out(self):
+        # The PDE sample at t = 0.275 lies between the rectangle's last row
+        # before the trip (t = 0.27, u_hi = 20.96) and its tripping row (t =
+        # 0.277, u_lo = 6.4e8), where interpolation puts u_lo far above u_min.
+        rect = integrate_rectangles(
+            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(5.0), t_end=0.5, record_every=10
+        )
+        assert rect.guard_tripped == "blow_up"
+        assert rect.t[-2:] == pytest.approx([0.27, 0.277]) and rect.u_lo[-1] > 6e8
+        pde = columns_trace([(t, 0.45, 0.55, 0.45, 0.55) for t in (0.0, 0.25, 0.275, 0.3)])
+        report = self.assert_same(pde, rect, 1e-3)
+        assert report.passed and report.n_times == 2
+        assert report.notes == (
+            f"2 PDE sample(s) fall outside the rectangle time span [0.0, {rect.t[-2]!r}] "
+            "and were not compared",
+            "rectangle trace ended early: guard_tripped='blow_up'",
+        )
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_ties_and_signed_zeros(self, order):
@@ -393,7 +419,8 @@ def reference_rk4(s0, p, t_end, dt, record_every):
     t, y = s0.t, (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
     rows = [(t, *y)]
     guard, notes = None, []
-    t_stop = t_end - 1e-12 * max(abs(t_end), 1.0)
+    # The stop tolerance, at most half a step and half the run.
+    t_stop = t_end - min(1e-12 * max(abs(t_end), 1.0), 0.5 * dt, 0.5 * (t_end - t))
     steps = 0
     while t < t_stop:
         # A remainder within the stop tolerance of dt is taken whole.
@@ -550,6 +577,16 @@ class TestEndsOnTEnd:
         assert trace.t[-1] == 50.0
         assert len(trace.t) == 5001
         assert trace.t[-2] == pytest.approx(49.99)
+
+    @pytest.mark.parametrize("dt, rows", [(1e-14, 11), (1.0, 2)])
+    def test_run_shorter_than_the_stop_tolerance_ends_on_t_end(self, dt, rows):
+        # t_end = 1e-13 is below the plain tolerance 1e-12, which took no step.
+        s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
+        for record_every in (1, 100):
+            trace = integrate_rectangles(s0, coexistence_params(0.1), t_end=1e-13, dt=dt, record_every=record_every)
+            assert trace.t[-1] == 1e-13
+            assert len(trace.t) == (rows if record_every == 1 else 2)
+        assert_matches_reference(s0, coexistence_params(0.1), 1e-13, dt, 1)
 
 
 class TestDivergenceGuard:

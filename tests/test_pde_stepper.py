@@ -16,7 +16,6 @@ from chemotaxis_lab.diagnostics import (
 )
 from chemotaxis_lab.elliptic import assemble, neumann_factor, solve_w
 from chemotaxis_lab.model import (
-    CflViolationError,
     FieldState,
     Grid1D,
     ModelParams,
@@ -24,7 +23,12 @@ from chemotaxis_lab.model import (
     StepperConfig,
     validate_params,
 )
-from chemotaxis_lab.pde_stepper import chemotaxis_flux, initial_state, run_simulation
+from chemotaxis_lab.pde_stepper import (
+    CflViolationError,
+    chemotaxis_flux,
+    initial_state,
+    run_simulation,
+)
 from chemotaxis_lab.steady_states import coexistence_state, exclusion_state, semi_trivial_states
 from helpers import coexistence_params, exclusion_params, mk_params
 
@@ -209,17 +213,39 @@ class TestConservationAndReduction:
         assert fs.u.max() - fs.u.min() <= 1e-13
 
 
+def first_step(p, grid, u0, v0, cfg):
+    """_advance on a fresh _Workspace from u0, v0 with the step cfg.dt."""
+    ws = pde_stepper._Workspace(p, grid, cfg)
+    uv = np.array([u0, v0], dtype=float)
+    w = solve_w(ws.signal_factor, *uv, p)
+    return pde_stepper._advance(ws, uv, w, np.array(grid.integrate(uv)), cfg.dt)
+
+
 class TestStabilityGuards:
     def test_first_step_cfl_raises(self):
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=16)
-        s0 = initial_state(np.full(16, 0.5), np.full(16, 0.5), p, grid)
         with pytest.raises(CflViolationError) as exc_info:
-            run_simulation(s0, p, grid, StepperConfig(dt=10.0, t_end=10.0))
+            first_step(p, grid, np.full(16, 0.5), np.full(16, 0.5), StepperConfig(dt=10.0, t_end=10.0))
         err = exc_info.value
         assert err.binding == "positivity and reaction"
         assert 0.0 < err.suggested_dt < 10.0
         assert "largest admissible" in str(err)
+
+    def test_first_step_cfl_becomes_guard_flag(self):
+        # A dt rejected on the first step ends the run like a later one: the
+        # initial sample alone, no step, and the limit in the notes.
+        p = coexistence_params(0.1)
+        grid = Grid1D(length=1.0, n_cells=16)
+        u0, v0 = np.full(16, 0.5), np.full(16, 0.5)
+        cfg = StepperConfig(dt=10.0, t_end=20.0)
+        with pytest.raises(CflViolationError) as exc_info:
+            first_step(p, grid, u0, v0, cfg)
+        rec = run_simulation(initial_state(u0, v0, p, grid), p, grid, cfg)
+        assert rec.guard_tripped == "cfl_violation"
+        assert (rec.t, rec.steps, rec.final_state.t) == ([0.0], 0, 0.0)
+        assert rec.notes == [str(exc_info.value)]
+        np.testing.assert_array_equal(rec.final_state.u, u0)
 
     def test_reaction_limit_is_inverse_jacobian_diagonal(self):
         # Constant state: no signal gradient, so the positivity limit is
@@ -231,9 +257,8 @@ class TestStabilityGuards:
         )
         grid = Grid1D(length=1.0, n_cells=16)
         u, v = 0.6, 0.9
-        s0 = initial_state(np.full(16, u), np.full(16, v), p, grid)
         with pytest.raises(CflViolationError) as exc_info:
-            run_simulation(s0, p, grid, StepperConfig(dt=0.5, t_end=0.5))
+            first_step(p, grid, np.full(16, u), np.full(16, v), StepperConfig(dt=0.5, t_end=0.5))
         mass_u, mass_v = u * grid.length, v * grid.length
         ju = abs(p.a0 - 2 * p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v)
         jv = abs(p.b0 - p.b1 * u - 2 * p.b2 * v - p.b3 * mass_u - p.b4 * mass_v)
@@ -292,12 +317,12 @@ class TestStabilityGuards:
         w0 = solve_w(assemble(p, grid), u0, v0, p)
         speed = np.abs(np.diff(w0)).max() / grid.dx
         dt = 0.89 * grid.dx / speed
-        s0 = initial_state(u0, v0, p, grid)
         with pytest.raises(CflViolationError) as exc_info:
-            run_simulation(s0, p, grid, StepperConfig(dt=dt, t_end=dt))
+            first_step(p, grid, u0, v0, StepperConfig(dt=dt, t_end=dt))
         assert exc_info.value.binding == "positivity"
         limit = exc_info.value.suggested_dt
         assert limit < dt
+        s0 = initial_state(u0, v0, p, grid)
         rec = run_simulation(s0, p, grid, StepperConfig(dt=limit, t_end=limit))
         assert rec.guard_tripped is None
         assert rec.final_state.u.min() >= 0.0
@@ -531,7 +556,7 @@ class TestStepBitIdentity:
         the reference's for the same inputs, bit for bit, and checking
         that the inputs are left untouched; returns the last densities."""
         ws = pde_stepper._Workspace(p, grid, cfg)
-        w = solve_w(ws.op, *uv, p)
+        w = solve_w(ws.signal_factor, *uv, p)
         mass = np.array(grid.integrate(uv))
         for dt in dts:
             before = [a.copy() for a in (uv, w, mass)]
@@ -591,7 +616,7 @@ class TestStepBitIdentity:
         p, grid, cfg, uv = case
         dt = 1.5 * pos_limit
         ws = pde_stepper._Workspace(p, grid, cfg)
-        w = solve_w(ws.op, *uv, p)
+        w = solve_w(ws.signal_factor, *uv, p)
         mass = grid.integrate(uv)
         with pytest.raises(CflViolationError) as got:
             pde_stepper._advance(ws, uv, w, np.array(mass), dt)
@@ -612,7 +637,7 @@ class TestStepBitIdentity:
         cfg = StepperConfig(dt=dt, t_end=10.0)
         uv = bumps(grid, np.random.default_rng(3), floor=0.1)
         ws = pde_stepper._Workspace(p, grid, cfg)
-        w = solve_w(ws.op, *uv, p)
+        w = solve_w(ws.signal_factor, *uv, p)
         mass = grid.integrate(uv)
         with pytest.raises(CflViolationError) as got:
             pde_stepper._advance(ws, uv, w, np.array(mass), dt)
@@ -661,7 +686,7 @@ class TestNonnegativity:
         p, grid, uv, cfl, multiple = case
         assert validate_params(p) == []
         ws = pde_stepper._Workspace(p, grid, StepperConfig(dt=1.0, t_end=1.0, cfl_safety=cfl))
-        w = solve_w(ws.op, *uv, p)
+        w = solve_w(ws.signal_factor, *uv, p)
         mass = np.array(grid.integrate(uv))
         try:
             pde_stepper._advance(ws, uv, w, mass, 1e6)
@@ -686,7 +711,7 @@ def reference_run(state0, p, grid, cfg, references=()):
     ws = pde_stepper._Workspace(p, grid, cfg)
     t = state0.t
     uv = np.array([state0.u, state0.v], dtype=float)
-    w = solve_w(ws.op, *uv, p)
+    w = solve_w(ws.signal_factor, *uv, p)
     mass = np.array(grid.integrate(uv))
     rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
     levels = np.array([(r.u_star, r.v_star, r.w_star) for _, r in references], dtype=float).reshape(-1, 3)
@@ -696,7 +721,8 @@ def reference_run(state0, p, grid, cfg, references=()):
             rec.append_sample(t, np.vstack([uv, w]), *mass.tolist(), levels)
 
     record()
-    t_stop = cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
+    # The stop tolerance, at most half a step and half the run.
+    t_stop = cfg.t_end - min(1e-12 * max(cfg.t_end, 1.0), 0.5 * cfg.dt, 0.5 * (cfg.t_end - t))
     steps_done = 0
     while t < t_stop:
         rest = cfg.t_end - t
@@ -704,8 +730,6 @@ def reference_run(state0, p, grid, cfg, references=()):
         try:
             step = pde_stepper._advance(ws, uv, w, mass, dt)
         except CflViolationError as exc:
-            if steps_done == 0:
-                raise
             rec.guard_tripped = "cfl_violation"
             rec.notes.append(str(exc))
             break
@@ -828,7 +852,7 @@ def fixed_densities(p, grid, uv, dt):
     """The first densities that a full step of width dt maps to themselves,
     with their signal and masses, bit for bit, stepping from uv."""
     ws = pde_stepper._Workspace(p, grid, StepperConfig(dt=dt, t_end=1.0))
-    state = (uv, solve_w(ws.op, *uv, p), np.array(grid.integrate(uv)))
+    state = (uv, solve_w(ws.signal_factor, *uv, p), np.array(grid.integrate(uv)))
     for _ in range(5000):
         step = pde_stepper._advance(ws, *state, dt)
         if unchanged(step, state):
