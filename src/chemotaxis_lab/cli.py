@@ -644,6 +644,14 @@ def cmd_rectangles(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def dimension(text: str) -> int:
+    """The --n-dim value, a space dimension: an integer >= 1."""
+    value = int(text)  # argparse reports a ValueError as an invalid dimension value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chemotaxis-lab",
@@ -663,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     check = add("check", cmd_check, "evaluate hypothesis regions and classify the regime")
-    check.add_argument("--n-dim", type=int, default=1, help="space dimension for dimension-dependent hypotheses (default 1)")
+    check.add_argument("--n-dim", type=dimension, default=1, help="space dimension for dimension-dependent hypotheses (default 1)")
     add("steady", cmd_steady, "compute constant steady states")
     add("bounds", cmd_bounds, "compute a-priori bound constants for the configured initial data")
     add("simulate", cmd_simulate, "run the PDE solver; write trajectory CSV and summary JSON")

@@ -7,7 +7,8 @@ conditions pass at zero and are marked on their margins.
 
 Margin arithmetic shared with the bound constants (H1, H2, H3) is
 delegated to :mod:`.steady_states` so the equalities between hypothesis
-margins and bound ingredients hold bit-for-bit.
+margins and bound ingredients hold bit-for-bit.  A margin written for u
+gives v's on the exchanged params (``per_species``).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .model import (
     ModelParams,
     PreconditionError,
     negative_part,
+    per_species,
     positive_part,
 )
 from .steady_states import alpha_beta, h1_margins, h2_margins
@@ -81,19 +83,15 @@ def check_h4(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
     if n_dim < 1:
         raise PreconditionError(f"n_dim must be >= 1, got {n_dim}")
     factor = (n_dim - 2) / n_dim
-    margins = [
-        Margin("a1", p.a1 - max(0.0, p.chi1 * p.k * factor / p.d3)),
-        Margin("a2", p.a2 - max(0.0, p.chi1 * p.l * factor / p.d3)),
-        Margin("b2", p.b2 - max(0.0, p.chi2 * p.l * factor / p.d3)),
-        Margin("b1", p.b1 - max(0.0, p.chi2 * p.k * factor / p.d3)),
-    ]
-    return _report(margins)
+    (a1, a2), (b2, b1) = per_species(lambda q: (
+        q.a1 - max(0.0, q.chi1 * q.k * factor / q.d3), q.a2 - max(0.0, q.chi1 * q.l * factor / q.d3)
+    ), p)
+    return _report([Margin("a1", a1), Margin("a2", a2), Margin("b2", b2), Margin("b1", b1)])
 
 
 def check_h5(p: ModelParams) -> HypothesisReport:
     """The large-exponent limits of f and g are positive."""
-    m1 = p.a1 - (negative_part(p.a2) + (p.l + p.k) * p.chi1 / p.d3)
-    m2 = p.b2 - (negative_part(p.b1) + (p.l + p.k) * p.chi2 / p.d3)
+    m1, m2 = per_species(lambda q: q.a1 - (negative_part(q.a2) + (q.l + q.k) * q.chi1 / q.d3), p)
     return _report([Margin("f_limit", m1), Margin("g_limit", m2)])
 
 
@@ -107,7 +105,7 @@ def eval_f(p: ModelParams, gamma: float) -> float:
     Undefined at gamma in {0, -1}.
     """
     if gamma == 0.0 or gamma == -1.0:
-        raise PreconditionError(f"f is undefined at gamma={gamma!r}")
+        raise PreconditionError(f"f and g are undefined at gamma={gamma!r}")
     gp1 = gamma + 1.0
     gm1 = gamma - 1.0
     return (
@@ -121,20 +119,8 @@ def eval_f(p: ModelParams, gamma: float) -> float:
 
 
 def eval_g(p: ModelParams, gamma: float) -> float:
-    """Second coercivity function; mirror of f with the roles of the
-    species swapped (b1 <-> a2, chi2*l and chi2*k leading, chi1*l trailing)."""
-    if gamma == 0.0 or gamma == -1.0:
-        raise PreconditionError(f"g is undefined at gamma={gamma!r}")
-    gp1 = gamma + 1.0
-    gm1 = gamma - 1.0
-    return (
-        p.b2
-        - gamma * negative_part(p.b1) / gp1
-        - negative_part(p.a2) / gp1
-        - p.chi2 * p.l * gm1 / (p.d3 * gamma)
-        - p.chi2 * p.k * gm1 / (p.d3 * gp1)
-        - p.chi1 * p.l * gm1 / (p.d3 * gamma * gp1)
-    )
+    """Second coercivity function: f of the exchanged params, b2 leading."""
+    return eval_f(p.exchanged(), gamma)
 
 
 def check_h6(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
@@ -174,20 +160,17 @@ def gamma_star(p: ModelParams) -> float:
         gap = positive_part(num - coef)
         return math.inf if gap == 0.0 else num / gap
 
-    return min(
-        ratio(p.chi1 * p.k, p.a1),
-        ratio(p.chi2 * p.l, p.b2),
-        ratio(p.chi1 * p.l, p.a2),
-        ratio(p.chi2 * p.k, p.b1),
+    (u_self, u_cross), (v_self, v_cross) = per_species(
+        lambda q: (ratio(q.chi1 * q.k, q.a1), ratio(q.chi1 * q.l, q.a2)), p
     )
+    return min(u_self, v_self, u_cross, v_cross)
 
 
 def _coexistence_core(p: ModelParams) -> tuple[float, float, list[Margin], list[str]]:
     """Shared pieces of the two coexistence routes: the chemotaxis slacks
     of a1 and b2, and the two-sided growth-ratio condition."""
     w = p.omega_measure
-    slack_a1 = p.a1 - (2.0 * p.chi1 * p.k / p.d3 + w * abs(p.a3))
-    slack_b2 = p.b2 - (2.0 * p.chi2 * p.l / p.d3 + w * abs(p.b4))
+    slack_a1, slack_b2 = per_species(lambda q: q.a1 - (2.0 * q.chi1 * q.k / q.d3 + w * abs(q.a3)), p)
     notes: list[str] = []
     ratio_margins: list[Margin] = []
     denom_v = p.b2 + w * p.b4
@@ -225,10 +208,8 @@ def check_coexistence(p: ModelParams) -> HypothesisReport:
     """
     w = p.omega_measure
     slack_a1, slack_b2, ratio_margins, notes = _coexistence_core(p)
-    product = slack_a1 * slack_b2 - (
-        (abs(p.a2) + w * abs(p.a4) + p.l * p.chi1 / p.d3)
-        * (abs(p.b1) + w * abs(p.b3) + p.k * p.chi2 / p.d3)
-    )
+    load_u, load_v = per_species(lambda q: abs(q.a2) + w * abs(q.a4) + q.l * q.chi1 / q.d3, p)
+    product = slack_a1 * slack_b2 - load_u * load_v
     h1a, h1b = h1_margins(p)
     margins = [
         Margin("a1_chemotaxis_slack", slack_a1),
@@ -252,10 +233,11 @@ def check_coexistence_competitive(p: ModelParams) -> HypothesisReport:
     """
     w = p.omega_measure
     slack_a1, slack_b2, ratio_margins, notes = _coexistence_core(p)
-    cross_min = min(p.a2 - p.chi1 * p.l / p.d3, p.b1 - p.chi2 * p.k / p.d3)
-    product = (p.a1 - 2.0 * p.chi1 * p.k / p.d3 - w * p.a3) * (
-        p.b2 - 2.0 * p.chi2 * p.l / p.d3 - w * p.b4
-    ) - (p.a2 + w * p.a4) * (p.b1 + w * p.b3)
+    cross_min = min(per_species(lambda q: q.a2 - q.chi1 * q.l / q.d3, p))
+    (self_u, cross_u), (self_v, cross_v) = per_species(
+        lambda q: (q.a1 - 2.0 * q.chi1 * q.k / q.d3 - w * q.a3, q.a2 + w * q.a4), p
+    )
+    product = self_u * self_v - cross_u * cross_v
     competitive = min(p.a1, p.a2, p.a3, p.a4, p.b1, p.b2, p.b3, p.b4) > 0.0
     notes = list(notes)
     notes.append(

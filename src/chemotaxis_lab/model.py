@@ -10,6 +10,7 @@ and validate a whole config without importing either.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 
@@ -79,6 +80,23 @@ class ModelParams:
     l: float
     lam: float
     omega_measure: float
+
+    def exchanged(self) -> ModelParams:
+        """The same system with the species trading places: u's coefficients
+        d1, chi1, a0, a1, a2, a3, a4, k become v's d2, chi2, b0, b2, b1, b4,
+        b3, l, and the other way round."""
+        return ModelParams(
+            d1=self.d2, d2=self.d1, d3=self.d3, chi1=self.chi2, chi2=self.chi1,
+            a0=self.b0, a1=self.b2, a2=self.b1, a3=self.b4, a4=self.b3,
+            b0=self.a0, b1=self.a2, b2=self.a1, b3=self.a4, b4=self.a3,
+            k=self.l, l=self.k, lam=self.lam, omega_measure=self.omega_measure,
+        )
+
+
+def per_species(formula: Callable[[ModelParams], object], p: ModelParams) -> tuple:
+    """(formula(p), formula(p.exchanged())): a formula written for u, and
+    its mirror image for v."""
+    return formula(p), formula(p.exchanged())
 
 
 def validate_params(p: ModelParams) -> list[str]:

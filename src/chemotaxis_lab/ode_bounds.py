@@ -19,6 +19,7 @@ from .model import (
     PreconditionError,
     check_time_resolution,
     negative_part,
+    per_species,
     positive_part,
 )
 
@@ -72,24 +73,19 @@ def rectangle_rhs(
     signed parts of the cross terms; the lo equations are the exact mirror
     with hi and lo swapped, so a diagonal state (u_hi = u_lo, v_hi = v_lo)
     recombines to the plain interaction ODE.  The signed-part coefficient
-    groups are computed once here; integrate_rectangles calls the returned
-    function four times per RK4 step.
+    groups are computed once here, u's and their mirror images for v;
+    integrate_rectangles calls the returned function four times per RK4 step.
     """
     w = p.omega_measure
-    c1 = p.chi1 / p.d3
-    c2 = p.chi2 / p.d3
     k = p.k
     l = p.l
-    a0 = p.a0
-    b0 = p.b0
-    a_self = p.a1 - w * negative_part(p.a3)
-    a_self_opp = w * positive_part(p.a3)
-    a_cross_up = negative_part(p.a2) + w * negative_part(p.a4)
-    a_cross_down = positive_part(p.a2) + w * positive_part(p.a4)
-    b_self = p.b2 - w * negative_part(p.b4)
-    b_self_opp = w * positive_part(p.b4)
-    b_cross_up = negative_part(p.b1) + w * negative_part(p.b3)
-    b_cross_down = positive_part(p.b1) + w * positive_part(p.b3)
+    (c1, a0, a_self, a_self_opp, a_cross_up, a_cross_down), (
+        c2, b0, b_self, b_self_opp, b_cross_up, b_cross_down
+    ) = per_species(lambda q: (
+        q.chi1 / q.d3, q.a0, q.a1 - w * negative_part(q.a3), w * positive_part(q.a3),
+        negative_part(q.a2) + w * negative_part(q.a4),
+        positive_part(q.a2) + w * positive_part(q.a4),
+    ), p)
 
     def rhs(u_hi: float, u_lo: float, v_hi: float, v_lo: float) -> tuple[float, float, float, float]:
         # Each signal keeps its own left-to-right sum: signal_lo is not

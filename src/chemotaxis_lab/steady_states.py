@@ -4,7 +4,8 @@ This module owns the margin arithmetic shared between the bound formulas
 and the hypothesis reports (``h1_margins``, ``h2_margins``, ``alpha_beta``):
 the sup-norm constant L is by definition the smaller H1 margin and the
 caps reuse the identical expressions, so computing them in one place keeps
-the cross-module equality checks exact to the last bit.
+the cross-module equality checks exact to the last bit.  A formula written
+for u gives v's on the exchanged params (``per_species``).
 """
 from __future__ import annotations
 
@@ -16,16 +17,23 @@ from .model import (
     HypothesisViolationError,
     ModelParams,
     negative_part,
+    per_species,
 )
 
 
 @dataclass(frozen=True)
 class ConstantState:
-    """A spatially constant solution triple (u*, v*, w*)."""
+    """A spatially constant solution triple (u*, v*, w*); raises
+    DegenerateStateError when a component is inf or NaN."""
 
     u_star: float
     v_star: float
     w_star: float
+
+    def __post_init__(self) -> None:
+        triple = (self.u_star, self.v_star, self.w_star)
+        if not all(map(math.isfinite, triple)):
+            raise DegenerateStateError(f"constant state (u*, v*, w*) = {triple!r} is not finite")
 
 
 def h1_margins(p: ModelParams) -> tuple[float, float]:
@@ -35,25 +43,16 @@ def h1_margins(p: ModelParams) -> tuple[float, float]:
     Second: b2 - [(a2)_- + |Omega|((a4)_- + (b4)_-) + l(chi1+chi2)/d3].
     """
     w = p.omega_measure
-    m1 = p.a1 - (
-        negative_part(p.b1)
-        + w * (negative_part(p.a3) + negative_part(p.b3))
-        + p.k * (p.chi1 + p.chi2) / p.d3
-    )
-    m2 = p.b2 - (
-        negative_part(p.a2)
-        + w * (negative_part(p.a4) + negative_part(p.b4))
-        + p.l * (p.chi1 + p.chi2) / p.d3
-    )
-    return (m1, m2)
+    return per_species(lambda q: q.a1 - (
+        negative_part(q.b1) + w * (negative_part(q.a3) + negative_part(q.b3))
+        + q.k * (q.chi1 + q.chi2) / q.d3
+    ), p)
 
 
 def h2_margins(p: ModelParams) -> tuple[float, float]:
     """Signed slacks of the mass-boundedness inequalities (H2)."""
     w = p.omega_measure
-    m1 = p.a1 - w * (negative_part(p.a3) + negative_part(p.b3))
-    m2 = p.b2 - w * (negative_part(p.a4) + negative_part(p.b4))
-    return (m1, m2)
+    return per_species(lambda q: q.a1 - w * (negative_part(q.a3) + negative_part(q.b3)), p)
 
 
 def alpha_beta(p: ModelParams) -> tuple[float, float]:
@@ -65,14 +64,9 @@ def alpha_beta(p: ModelParams) -> tuple[float, float]:
     H3 is exactly min{alpha, beta} > 0.
     """
     w = p.omega_measure
-    shared = 0.5 * (
-        negative_part(p.a2)
-        + negative_part(p.b1)
-        + w * (negative_part(p.a4) + negative_part(p.b3))
-    )
-    alpha = p.a1 - shared - w * negative_part(p.a3)
-    beta = p.b2 - shared - w * negative_part(p.b4)
-    return (alpha, beta)
+    return per_species(lambda q: q.a1 - 0.5 * (
+        negative_part(q.a2) + negative_part(q.b1) + w * (negative_part(q.a4) + negative_part(q.b3))
+    ) - w * negative_part(q.a3), p)
 
 
 def coexistence_state(p: ModelParams) -> ConstantState:
@@ -83,7 +77,7 @@ def coexistence_state(p: ModelParams) -> ConstantState:
         b0 = (b1 + |Omega| b3) u + (b2 + |Omega| b4) v
     and sets w* = (k u* + l v*) / lam.  Raises on a singular determinant
     (detected by exact comparison: near-singular parameters legitimately
-    produce huge states).
+    produce huge states) and on a component that is not finite.
     """
     w = p.omega_measure
     a1t = p.a1 + w * p.a3
@@ -166,13 +160,13 @@ def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> dict[str, float
             f"sup-norm bounds need 4*L*L > 0, but L = {l_const!r} squares to 0 in floating point"
         )
     w = p.omega_measure
-    a1c = p.a1 - p.k * p.chi1 / p.d3 - w * negative_part(p.a3)
-    a2c = negative_part(p.a2) + w * negative_part(p.a4) + p.l * p.chi1 / p.d3
-    b1c = negative_part(p.b1) + w * negative_part(p.b3) + p.k * p.chi2 / p.d3
-    b2c = p.b2 - p.l * p.chi2 / p.d3 - w * negative_part(p.b4)
     m00 = max(sup_u0 * sup_v0, (p.a0 + p.b0) * (p.a0 + p.b0) / denom)
-    m01 = _logistic_root(p.a0, a1c, a2c, m00)
-    m02 = _logistic_root(p.b0, b2c, b1c, m00)
+    m01, m02 = per_species(lambda q: _logistic_root(
+        q.a0,
+        q.a1 - q.k * q.chi1 / q.d3 - w * negative_part(q.a3),
+        negative_part(q.a2) + w * negative_part(q.a4) + q.l * q.chi1 / q.d3,
+        m00,
+    ), p)
     return {
         "m00": m00,
         "m01": m01,
@@ -203,12 +197,11 @@ def l1_bounds(p: ModelParams, mass_u0: float, mass_v0: float) -> dict[str, float
             f"({m1!r}, {m2!r}) square to 0 in floating point"
         )
     w = p.omega_measure
-    a1t = (p.a1 - w * negative_part(p.a3)) / w
-    b2t = (p.b2 - w * negative_part(p.b4)) / w
     m_l1 = max(mass_u0 * mass_v0, (p.a0 + p.b0) * (p.a0 + p.b0) * w * w / denom)
-    cap_u = max(mass_u0, _logistic_root(p.a0, a1t, negative_part(p.a4), m_l1))
-    cap_v = max(mass_v0, _logistic_root(p.b0, b2t, negative_part(p.b3), m_l1))
-    return {"m_l1": m_l1, "mass_u_cap": cap_u, "mass_v_cap": cap_v}
+    root_u, root_v = per_species(lambda q: _logistic_root(
+        q.a0, (q.a1 - w * negative_part(q.a3)) / w, negative_part(q.a4), m_l1
+    ), p)
+    return {"m_l1": m_l1, "mass_u_cap": max(mass_u0, root_u), "mass_v_cap": max(mass_v0, root_v)}
 
 
 def mass_sum_cap(p: ModelParams, mass_sum_0: float) -> float:

@@ -251,6 +251,17 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "not computable" in capsys.readouterr().err
 
+    def test_non_finite_reference_is_not_computable(self, tmp_path, capsys):
+        # a2 + |Omega| a4 overflows, so the coexistence state's u* is NaN
+        doc = readme_config()
+        doc["params"].update(a2=1e308, a4=1e308)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "references[0]: state not computable" in err
+        assert "constant state (u*, v*, w*) = (nan, -0.0, nan) is not finite" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_rectangles_tol_validation(self, tmp_path):
         doc = base_config()
         doc["rectangles"] = {"tol": -0.5}
@@ -340,6 +351,20 @@ class TestConfigErrors:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n_dim", ["0", "-1"])
+    def test_dimension_below_one_is_usage_error(self, tmp_path, capsys, n_dim):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["check", "--config", cfg, "--out", str(tmp_path), f"--n-dim={n_dim}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"--n-dim: must be an integer >= 1, got {n_dim}" in err
+        assert not (tmp_path / "check.json").exists()
+
+    def test_non_integer_dimension_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["check", "--config", cfg, "--out", str(tmp_path), "--n-dim", "2.5"]) == 2
+        assert "--n-dim: invalid dimension value: '2.5'" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -626,6 +651,34 @@ class TestDocumentContents:
         document = read_json(tmp_path / "steady.json")
         assert "error" in document["coexistence"]
         assert "u_star" in document["exclusion"]
+
+    def test_steady_reports_a_non_finite_state_as_an_error(self, tmp_path, capsys):
+        doc = readme_config()
+        doc["params"].update(a2=1e308, a4=1e308)
+        cfg = write_config(tmp_path, doc)
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "coexistence: not computable" in capsys.readouterr().out
+        document = read_json(tmp_path / "steady.json")
+        assert document["coexistence"] == {
+            "error": "constant state (u*, v*, w*) = (nan, -0.0, nan) is not finite"
+        }
+        assert document["exclusion"] == {"u_star": 0.0, "v_star": 0.5, "w_star": 0.5}
+
+    @pytest.mark.parametrize(
+        "args, written, golden",
+        [
+            (["check", "--n-dim", "1"], "check.json", "check_n_dim_1.json"),
+            (["check", "--n-dim", "3"], "check.json", "check_n_dim_3.json"),
+            (["steady"], "steady.json", "steady.json"),
+        ],
+    )
+    def test_readme_config_matches_the_golden_file(self, tmp_path, capsys, args, written, golden):
+        # check and steady compute in Python floats alone: the same bytes on every platform.
+        cfg = write_config(tmp_path, readme_config())
+        assert main([*args, "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        expected = (REPO_ROOT / "tests" / "golden" / golden).read_bytes()
+        assert (tmp_path / written).read_bytes() == expected
 
     def test_bounds_document(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

@@ -47,6 +47,12 @@ class TestCoexistenceState:
         with pytest.raises(DegenerateStateError, match="determinant"):
             coexistence_state(p)
 
+    def test_overflowing_state_is_degenerate(self):
+        # a2 + |Omega| a4 overflows to inf, and u* = -inf/-inf is NaN
+        p = mk_params(a1=2.0, b2=2.0, a2=1e308, a4=1e308, b1=1.0)
+        with pytest.raises(DegenerateStateError, match="is not finite"):
+            coexistence_state(p)
+
     def test_signal_consistency(self):
         p = mk_params(a1=2.0, b2=2.0, a2=1.0, b1=1.0, k=3.0, l=0.5, lam=2.0)
         s = coexistence_state(p)
@@ -83,6 +89,10 @@ class TestExclusionState:
         with pytest.raises(DegenerateStateError):
             exclusion_state(mk_params(b2=1.0, b4=-0.5, omega_measure=2.0))
 
+    def test_overflowing_state_is_degenerate(self):
+        with pytest.raises(DegenerateStateError, match="is not finite"):
+            exclusion_state(mk_params(b0=1e300, b2=1e-10))
+
     def test_independent_of_k(self):
         a = exclusion_state(mk_params(b0=3.0, b2=1.5, k=1.0))
         b = exclusion_state(mk_params(b0=3.0, b2=1.5, k=7.0))
@@ -114,6 +124,10 @@ class TestSemiTrivialStates:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateStateError):
             semi_trivial_states(mk_params(a1=1.0, a3=-1.0))
+
+    def test_overflowing_state_is_degenerate(self):
+        with pytest.raises(DegenerateStateError, match="is not finite"):
+            semi_trivial_states(mk_params(a0=1e300, a1=1e-10))
 
 
 class TestMarginHelpers:
