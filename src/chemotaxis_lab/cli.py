@@ -7,9 +7,9 @@ CSV plus summary JSON), rectangles (bounding-ODE run plus enclosure check).
 Configs are strict JSON: every section has a fixed key set and unknown or
 missing keys are hard errors, since silent typos are the dominant failure
 mode in a model with this many coefficients.  The flat sections are written
-down once, in `_SCHEMA`, and `load_config` checks the keys and value types
-of every section a config gives before any subcommand computes anything.  CSV cells use round-trip
-float formatting so identical configs produce byte-identical files.
+down once, in `_SCHEMA`, and `load_config` checks every one a config gives,
+whatever the subcommand.  CSV cells use round-trip float formatting so
+identical configs produce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 hypothesis or precondition
 failure, 4 numerical guard trip.
@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema, loading and section builders
+# config schema and loading
 
 _PARAM_KEYS = (
     "d1", "d2", "d3", "chi1", "chi2",
@@ -88,8 +88,10 @@ _EXPECTED = {int: "an integer", str: "a nonempty path string"}
 
 
 def load_config(path: str) -> dict:
-    """Parse a config and check the keys and value types of every section
-    it gives, filling in the defaults of `rectangles` and `outputs`."""
+    """Parse a config, check every flat section it gives and build from it
+    the ModelParams, Grid1D and StepperConfig a run uses.  `initial_data`
+    and `references` are left to the subcommands that use them: building
+    the one needs NumPy, and `rectangles` never evaluates the other."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -108,6 +110,29 @@ def load_config(path: str) -> dict:
     for name, table in _SCHEMA.items():
         if name in doc:
             doc[name] = _validate(doc[name], name, table)
+    values = doc["params"]
+    values["lam"] = values.pop("lambda")
+    p = doc["params"] = ModelParams(**values)
+    violations = validate_params(p)
+    if violations:
+        raise ConfigError("params: " + "; ".join(violations))
+    for name, kind in (("grid", Grid1D), ("stepper", StepperConfig)):
+        if name in doc:
+            try:
+                doc[name] = kind(**doc[name])
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+    opts = doc["rectangles"]
+    if opts["dt"] <= 0:
+        raise ConfigError(f"rectangles.dt: must be positive, got {opts['dt']!r}")
+    if opts["record_every"] < 1:
+        raise ConfigError(f"rectangles.record_every: must be >= 1, got {opts['record_every']!r}")
+    if opts["tol"] < 0:
+        raise ConfigError(f"rectangles.tol: must be nonnegative, got {opts['tol']!r}")
+    if "grid" in doc and doc["grid"].length != p.omega_measure:
+        raise PreconditionError(
+            f"grid length {doc['grid'].length!r} must equal omega_measure {p.omega_measure!r}"
+        )
     return doc
 
 
@@ -166,34 +191,6 @@ def _section(doc: dict, name: str) -> Any:
     if name not in doc:
         raise ConfigError(f"{name}: section is required for this command")
     return doc[name]
-
-
-def build_params(doc: dict) -> ModelParams:
-    values = dict(doc["params"])
-    values["lam"] = values.pop("lambda")
-    p = ModelParams(**values)
-    violations = validate_params(p)
-    if violations:
-        raise ConfigError("params: " + "; ".join(violations))
-    return p
-
-
-def build_grid(doc: dict) -> Grid1D:
-    try:
-        grid = Grid1D(**_section(doc, "grid"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    omega = doc["params"]["omega_measure"]
-    if grid.length != omega:
-        raise PreconditionError(f"grid length {grid.length!r} must equal omega_measure {omega!r}")
-    return grid
-
-
-def build_stepper(doc: dict) -> StepperConfig:
-    try:
-        return StepperConfig(**_section(doc, "stepper"))
-    except ValueError as exc:
-        raise ConfigError(f"stepper: {exc}") from exc
 
 
 def build_initial(doc: dict, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -319,9 +316,8 @@ def _report_line(name: str, rep: hypotheses.HypothesisReport | DegenerateStateEr
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_check(args: argparse.Namespace) -> int:
-    doc = load_config(args.config)
-    p = build_params(doc)
+def cmd_check(args: argparse.Namespace, doc: dict) -> int:
+    p = doc["params"]
     n_dim = args.n_dim
     reports = hypotheses.check_all(p, n_dim)
     routes = hypotheses.ASYMPTOTIC_ROUTES
@@ -351,14 +347,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_steady(args: argparse.Namespace) -> int:
-    doc = load_config(args.config)
-    p = build_params(doc)
+def cmd_steady(args: argparse.Namespace, doc: dict) -> int:
     document: dict[str, Any] = {}
     lines: list[str] = []
     for name, family in steady_states.CONSTANT_FAMILIES.items():
         try:
-            states = [state for _, state in family(p)]
+            states = [state for _, state in family(doc["params"])]
         except DegenerateStateError as exc:
             document[name] = {"error": str(exc)}
             lines.append(f"{name}: not computable ({exc})")
@@ -388,17 +382,15 @@ def _initial_norms(grid: Grid1D, u0: np.ndarray, v0: np.ndarray) -> tuple[tuple[
     return (float(u0.max()), float(v0.max())), (grid.integrate(u0), grid.integrate(v0))
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    doc = load_config(args.config)
-    p = build_params(doc)
-    grid = build_grid(doc)
+def cmd_bounds(args: argparse.Namespace, doc: dict) -> int:
+    grid = _section(doc, "grid")
     sup0, mass0 = _initial_norms(grid, *build_initial(doc, grid))
     initial = dict(zip(("sup_u0", "sup_v0", "mass_u0", "mass_v0"), (*sup0, *mass0)))
     document: dict[str, Any] = {"initial": initial}
     lines: list[str] = []
     for name, family in steady_states.BOUND_FAMILIES.items():
         try:
-            constants = family(p, sup0, mass0)
+            constants = family(doc["params"], sup0, mass0)
         except PreconditionError as exc:
             document[name] = {"holds": False, "error": str(exc)}
             lines.append(f"{name}: unavailable ({exc})")
@@ -490,28 +482,27 @@ def __getattr__(name: str) -> Any:
 
 
 def _run_from_config(
-    doc: dict, p: ModelParams, grid: Grid1D, references: tuple[tuple[str, ConstantState], ...]
-) -> tuple[TrajectoryRecord, StepperConfig, np.ndarray, np.ndarray]:
-    cfg = build_stepper(doc)
+    doc: dict, references: tuple[tuple[str, ConstantState], ...]
+) -> tuple[TrajectoryRecord, np.ndarray, np.ndarray]:
+    p, grid, cfg = doc["params"], _section(doc, "grid"), _section(doc, "stepper")
     u0, v0 = build_initial(doc, grid)
     this = sys.modules[__name__]  # attribute lookups reach __getattr__
     state0 = this.initial_state(u0, v0, p, grid)
-    return this.run_simulation(state0, p, grid, cfg, references=references), cfg, u0, v0
+    return this.run_simulation(state0, p, grid, cfg, references=references), u0, v0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    doc = load_config(args.config)
-    p = build_params(doc)
-    grid = build_grid(doc)
+def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
+    p = doc["params"]
+    grid = _section(doc, "grid")
     references = build_references(doc, p)
-    rec, cfg, u0, v0 = _run_from_config(doc, p, grid, references)
+    rec, u0, v0 = _run_from_config(doc, references)
     csv_path = resolve_output(doc, args.out, "trajectory_csv")
     _write_trajectory_csv(csv_path, rec)
 
     summary: dict[str, Any] = {
         "run": {
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
+            "dt": doc["stepper"].dt,
+            "t_end": doc["stepper"].t_end,
             "n_cells": grid.n_cells,
             "length": grid.length,
             "samples": rec.n_samples,
@@ -588,22 +579,13 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
     return trace
 
 
-def cmd_rectangles(args: argparse.Namespace) -> int:
-    doc = load_config(args.config)
-    p = build_params(doc)
-    opts = doc["rectangles"]
-    if opts["dt"] <= 0:
-        raise ConfigError(f"rectangles.dt: must be positive, got {opts['dt']!r}")
-    if opts["record_every"] < 1:
-        raise ConfigError(f"rectangles.record_every: must be >= 1, got {opts['record_every']!r}")
-    if opts["tol"] < 0:
-        raise ConfigError(f"rectangles.tol: must be nonnegative, got {opts['tol']!r}")
+def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
+    p, opts = doc["params"], doc["rectangles"]
     pde_guard: str | None = None
     if args.trajectory:
         pde_trace = read_trajectory_csv(args.trajectory)
     else:
-        grid = build_grid(doc)
-        pde_trace = _run_from_config(doc, p, grid, ())[0]
+        pde_trace = _run_from_config(doc, ())[0]
         pde_guard = pde_trace.guard_tripped
 
     s0 = RectangleState(
@@ -691,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -166,35 +166,34 @@ def gamma_star(p: ModelParams) -> float:
     return min(u_self, v_self, u_cross, v_cross)
 
 
+def _chemotaxis_slack(p: ModelParams) -> float:
+    """What is left of a1 after the chemotactic load 2*chi1*k/d3 and |Omega||a3|."""
+    return p.a1 - (2.0 * p.chi1 * p.k / p.d3 + p.omega_measure * abs(p.a3))
+
+
 def _coexistence_core(p: ModelParams) -> tuple[float, float, list[Margin], list[str]]:
     """Shared pieces of the two coexistence routes: the chemotaxis slacks
-    of a1 and b2, and the two-sided growth-ratio condition."""
+    of a1 and b2, and the two-sided growth-ratio condition, whose margins
+    are -inf, with a note, where b0 is zero or a denominator is not positive."""
     w = p.omega_measure
-    slack_a1, slack_b2 = per_species(lambda q: q.a1 - (2.0 * q.chi1 * q.k / q.d3 + w * abs(q.a3)), p)
+    slack_a1, slack_b2 = per_species(_chemotaxis_slack, p)
+    if p.b0 == 0.0:  # -0.0 too
+        undefined = [Margin("ratio_lower", -math.inf), Margin("ratio_upper", -math.inf)]
+        return slack_a1, slack_b2, undefined, [f"growth ratio a0/b0 undefined: b0 = {p.b0!r}"]
     notes: list[str] = []
-    ratio_margins: list[Margin] = []
+    lower = upper = -math.inf  # the margin of a degenerate bound
     denom_v = p.b2 + w * p.b4
     denom_u = p.b1 + w * p.b3
     growth_ratio = p.a0 / p.b0
     if denom_v > 0.0:
-        ratio_margins.append(
-            Margin("ratio_lower", growth_ratio - (p.a2 + w * p.a4) / denom_v)
-        )
+        lower = growth_ratio - (p.a2 + w * p.a4) / denom_v
     else:
-        ratio_margins.append(Margin("ratio_lower", -math.inf))
-        notes.append(
-            f"growth-ratio lower bound degenerate: b2 + |Omega|*b4 = {denom_v!r} <= 0"
-        )
+        notes.append(f"growth-ratio lower bound degenerate: b2 + |Omega|*b4 = {denom_v!r} <= 0")
     if denom_u > 0.0:
-        ratio_margins.append(
-            Margin("ratio_upper", (p.a1 + w * p.a3) / denom_u - growth_ratio)
-        )
+        upper = (p.a1 + w * p.a3) / denom_u - growth_ratio
     else:
-        ratio_margins.append(Margin("ratio_upper", -math.inf))
-        notes.append(
-            f"growth-ratio upper bound degenerate: b1 + |Omega|*b3 = {denom_u!r} <= 0"
-        )
-    return slack_a1, slack_b2, ratio_margins, notes
+        notes.append(f"growth-ratio upper bound degenerate: b1 + |Omega|*b3 = {denom_u!r} <= 0")
+    return slack_a1, slack_b2, [Margin("ratio_lower", lower), Margin("ratio_upper", upper)], notes
 
 
 def check_coexistence(p: ModelParams) -> HypothesisReport:
@@ -298,7 +297,7 @@ def check_exclusion(p: ModelParams) -> HypothesisReport:
         raise DegenerateStateError(
             "exclusion threshold is undefined: a2 + a4*|Omega| = 0"
         )
-    slack_b2 = p.b2 - (2.0 * p.chi2 * p.l / p.d3 + w * abs(p.b4))
+    slack_b2 = _chemotaxis_slack(p.exchanged())
     branch = "b1_large" if p.b1 > p.chi2 * p.k / p.d3 else "b1_small"
     h1a, h1b = h1_margins(p)
     margins = [

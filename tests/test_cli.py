@@ -367,6 +367,93 @@ class TestConfigErrors:
         assert "--n-dim: invalid dimension value: '2.5'" in capsys.readouterr().err
 
 
+    @staticmethod
+    def assert_one_error_line(capsys, prefix):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    def test_section_must_be_an_object(self, tmp_path, capsys):
+        doc = base_config()
+        doc["grid"] = 3
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, "config error: grid: must be an object")
+
+    def test_references_must_be_a_list(self, tmp_path, capsys):
+        doc = base_config()
+        doc["references"] = "coexistence"
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, "config error: references: must be a list")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_unknown_initial_kind(self, tmp_path, capsys):
+        doc = base_config()
+        doc["initial_data"] = {"gaussian": [0.5, 0.1]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, "config error: initial_data: unknown kind 'gaussian'")
+        assert not (tmp_path / "bounds.json").exists()
+
+    def test_missing_trajectory_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        missing = str(tmp_path / "nowhere.csv")
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", missing]
+        assert main(args) == 2
+        self.assert_one_error_line(capsys, f"config error: cannot read trajectory {missing!r}: ")
+        assert not (tmp_path / "rectangles.csv").exists()
+
+    def test_non_numeric_trajectory_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        trajectory = tmp_path / "trajectory.csv"
+        trajectory.write_text("t,u_min,u_max,v_min,v_max\n0.0,0.4,0.6,0.4,zero\n")
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 2
+        self.assert_one_error_line(capsys, f"config error: {trajectory}: non-numeric cell: ")
+        assert not (tmp_path / "rectangles.csv").exists()
+
+    def test_output_under_a_regular_file_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("")
+        doc = base_config()
+        doc["outputs"] = {"check_json": "blocker/check.json"}
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, "i/o error: ")
+
+
+class TestOneVerdictPerConfig:
+    # Every flat section a config gives is checked at load: an invalid value
+    # fails every subcommand with the same exit code and message, before any
+    # of them writes a file or runs anything.
+    @pytest.mark.parametrize(
+        "section, values, code, message",
+        [
+            ("stepper", {"dt": -1.0}, 2, "config error: stepper: dt must be positive and finite, got -1.0"),
+            ("stepper", {"record_every": 0}, 2, "config error: stepper: record_every must be an integer >= 1, got 0"),
+            ("stepper", {"cfl_safety": 1.5}, 2, "config error: stepper: cfl_safety must lie in (0, 1], got 1.5"),
+            ("stepper", {"blowup_guard": 0.0}, 2, "config error: stepper: blowup_guard must be positive, got 0.0"),
+            ("stepper", {"steady_tol": 1e-6}, 2, "config error: stepper: steady_tol and steady_window must be given together"),
+            ("grid", {"n_cells": 3}, 2, "config error: grid: n_cells must be >= 4, got 3"),
+            ("grid", {"length": 2.0}, 3, "precondition failure: grid length 2.0 must equal omega_measure 1.0"),
+            ("rectangles", {"tol": -1.0}, 2, "config error: rectangles.tol: must be nonnegative, got -1.0"),
+        ],
+        ids=[
+            "dt", "record_every", "cfl_safety", "blowup_guard", "steady_tol_alone",
+            "n_cells", "length_not_omega", "rectangles_tol",
+        ],
+    )
+    def test_every_subcommand_gives_the_same_verdict(self, tmp_path, capsys, section, values, code, message):
+        doc = base_config()
+        doc.setdefault(section, {}).update(values)
+        cfg = write_config(tmp_path, doc)
+        for command in ("check", "steady", "bounds", "simulate", "rectangles"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == code, command
+            assert capsys.readouterr().err == message + "\n", command
+            assert not out.exists(), command
+
+
 class TestExitCodes:
     def test_domain_mismatch_is_precondition_failure(self, tmp_path, capsys):
         doc = base_config()
@@ -670,11 +757,20 @@ class TestDocumentContents:
             (["check", "--n-dim", "1"], "check.json", "check_n_dim_1.json"),
             (["check", "--n-dim", "3"], "check.json", "check_n_dim_3.json"),
             (["steady"], "steady.json", "steady.json"),
+            (["check", "--n-dim", "1"], "check.json", "mixed_sign_check_n_dim_1.json"),
+            (["check", "--n-dim", "3"], "check.json", "mixed_sign_check_n_dim_3.json"),
+            (["steady"], "steady.json", "mixed_sign_steady.json"),
         ],
     )
     def test_readme_config_matches_the_golden_file(self, tmp_path, capsys, args, written, golden):
-        # check and steady compute in Python floats alone: the same bytes on every platform.
-        cfg = write_config(tmp_path, readme_config())
+        # check and steady compute in Python floats alone: the same bytes on
+        # every platform.  The golden files named mixed_sign_* belong to the
+        # mixed-sign config beside them, which takes the negative-part branches.
+        if golden.startswith("mixed_sign_"):
+            doc = read_json(REPO_ROOT / "tests" / "golden" / "mixed_sign_config.json")
+        else:
+            doc = readme_config()
+        cfg = write_config(tmp_path, doc)
         assert main([*args, "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         expected = (REPO_ROOT / "tests" / "golden" / golden).read_bytes()
@@ -760,10 +856,9 @@ class TestSimulateOutputs:
         doc = base_config()
         doc["initial_data"] = {"perturbed_constant": [0.5, 0.5, 0.1]}
         doc["references"] = references
-        p = cli.build_params(doc)
-        grid = cli.build_grid(doc)
-        refs = cli.build_references(doc, p)
-        rec = cli._run_from_config(doc, p, grid, refs)[0]
+        doc = cli.load_config(write_config(tmp_path, doc))
+        refs = cli.build_references(doc, doc["params"])
+        rec = cli._run_from_config(doc, refs)[0]
         # Cells whose repr is unusual: NaN, infinities, signed zero, subnormal.
         odd = np.array([[np.nan, -0.0, 5e-324], [np.inf, -np.inf, 0.0], [1e300, -1e-300, 2.0]])
         levels = np.array([(r.u_star, r.v_star, r.w_star) for _, r in refs]).reshape(-1, 3)

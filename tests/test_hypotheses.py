@@ -151,6 +151,24 @@ class TestCoexistenceRoutes:
         assert not rep.holds
         assert any("degenerate" in note for note in rep.notes)
 
+    @pytest.mark.parametrize("b0", [0.0, -0.0])
+    @pytest.mark.parametrize("route", [check_coexistence, check_coexistence_competitive])
+    def test_zero_b0_leaves_the_growth_ratio_undefined(self, route, b0):
+        rep = route(coexistence_params(0.1, b0=b0))
+        ms = by_label(rep)
+        assert (ms["ratio_lower"], ms["ratio_upper"]) == (-math.inf, -math.inf)
+        assert ms["a1_chemotaxis_slack"] == pytest.approx(1.8, rel=1e-14)
+        assert not rep.holds
+        assert f"growth ratio a0/b0 undefined: b0 = {b0!r}" in rep.notes
+
+    @pytest.mark.parametrize("b0", [0.0, -0.0])
+    def test_check_all_reports_zero_b0(self, b0):
+        reports = check_all(coexistence_params(0.1, b0=b0))
+        for name in ("coexistence", "coexistence_competitive"):
+            assert not reports[name].holds
+            assert by_label(reports[name])["ratio_upper"] == -math.inf
+        assert reports["h1"].holds
+
     def test_route_fails_for_exclusion_parameters(self):
         rep = check_coexistence(exclusion_params(0.05))
         assert not rep.holds
