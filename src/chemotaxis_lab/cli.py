@@ -606,6 +606,8 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
         **vars(report),
         "rectangle_initial": vars(s0),
         "rectangle_guard_tripped": rect_trace.guard_tripped,
+        "rectangle_steps": rect_trace.steps,
+        "rectangle_rejected": rect_trace.rejected,
         "pde_guard_tripped": pde_guard,
     }
     json_path = resolve_output(doc, args.out, "enclosure_json")

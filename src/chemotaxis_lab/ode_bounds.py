@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -24,6 +23,41 @@ from .model import (
 )
 
 DIVERGENCE_GUARD = 1e8
+
+# The error target of every step: far below any enclosure tolerance, which
+# may be 0, and met in a few hundred steps on a run to t = 200.
+RTOL = 1e-12
+ATOL = 1e-15
+# A step size this many float spacings of t or smaller ends a run: past a
+# finite-time blow-up the controller would otherwise shrink it forever.
+MIN_STEP_ULPS = 4
+
+# Dormand-Prince 5(4) (HNW I, Table II.5.2): the rows of the Runge-Kutta
+# matrix, the last one the fifth-order weights (the method is FSAL), the
+# error weights (fifth minus fourth order) and the weights of Hairer's
+# continuous extension (dopri5's contd5).  The system is autonomous, so
+# the nodes are not needed.
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_D = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+)
+# Hairer's step-size controller: safety factor, bounds on the change of h
+# per step, and the weight of the previous error (Lund's stabilisation).
+_SAFETY = 0.9
+_FAC_MIN = 0.2
+_FAC_MAX = 10.0
+_BETA = 0.04
+_EXPONENT = 0.2 - 0.75 * _BETA
 
 
 @dataclass(frozen=True)
@@ -44,8 +78,10 @@ class RectangleState:
 class RectangleTrace:
     """Recorded rectangle trajectory, one list per column.  guard_tripped
     is None for a clean run and "blow_up" when a component passed the
-    divergence guard, in which case the columns hold the partial trace up
-    to and including the tripping step."""
+    divergence guard or the step size collapsed, in which case the columns
+    hold the partial trace up to and including the state that ended the
+    run.  steps and rejected count the integrator's accepted and rejected
+    steps."""
 
     t: list[float] = field(default_factory=list)
     u_hi: list[float] = field(default_factory=list)
@@ -54,6 +90,8 @@ class RectangleTrace:
     v_lo: list[float] = field(default_factory=list)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
+    steps: int = 0
+    rejected: int = 0
 
     def append(self, t: float, u_hi: float, u_lo: float, v_hi: float, v_lo: float) -> None:
         self.t.append(t)
@@ -74,7 +112,7 @@ def rectangle_rhs(
     with hi and lo swapped, so a diagonal state (u_hi = u_lo, v_hi = v_lo)
     recombines to the plain interaction ODE.  The signed-part coefficient
     groups are computed once here, u's and their mirror images for v;
-    integrate_rectangles calls the returned function four times per RK4 step.
+    integrate_rectangles calls the returned function six times per step.
     """
     w = p.omega_measure
     k = p.k
@@ -121,15 +159,21 @@ def integrate_rectangles(
     dt: float = 1e-3,
     record_every: int = 1,
 ) -> RectangleTrace:
-    """Classical fixed-step RK4 for the rectangle system.
+    """The rectangle system from s0 to t_end by Dormand-Prince 5(4).
 
-    Requires ordered nonnegative initial data.  Records the initial state,
-    every record_every-th step, and the final state.  When a component
-    exceeds the divergence guard (or turns non-finite) the run stops with
-    guard_tripped = "blow_up" and the partial trace kept; the rectangle
-    system can genuinely blow up in finite time outside the
-    global-existence parameter regions.  A dt too small to advance t at
-    the run's largest |t| raises PreconditionError before the first step.
+    Requires ordered nonnegative initial data.  The steps are sized by the
+    error target RTOL, ATOL, not by dt: dt * record_every is only the
+    spacing of the recorded rows, the times s0.t + i * dt * record_every
+    short of the stop tolerance of t_end, where Hairer's continuous
+    extension gives the state.  The rows are the initial state, those
+    times and the state at t_end.  When an accepted step ends with a
+    component past the divergence guard (or non-finite), or the step size
+    falls below MIN_STEP_ULPS float spacings of t, the run stops with
+    guard_tripped = "blow_up": the rows before that step are kept and the
+    step's own end state is the last row.  The rectangle system can
+    genuinely blow up in finite time outside the global-existence parameter
+    regions.  A dt too small to advance t at the run's largest |t| raises
+    PreconditionError before the first step.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -141,83 +185,142 @@ def integrate_rectangles(
         )
     if min(s0.u_lo, s0.v_lo) < 0:
         raise PreconditionError(f"initial rectangle must be nonnegative, got {s0!r}")
-    t_stop, last_step = check_time_resolution(s0.t, t_end, dt)
+    t_stop, _ = check_time_resolution(s0.t, t_end, dt)
 
-    rhs = rectangle_rhs(p)
-    t, u_hi, u_lo, v_hi, v_lo = s0.t, s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo
-    trace = RectangleTrace([t], [u_hi], [u_lo], [v_hi], [v_lo])
+    t0 = t = last_t = s0.t
+    y = (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
+    trace = RectangleTrace([t], *([c] for c in y))
+    if not t < t_stop:
+        return trace
     record = trace.append
-    guard = DIVERGENCE_GUARD
-    ninf = -math.inf
-    last_t = t
-    steps_done = 0
-    # Every rewrite below keeps each floating-point operation and its
-    # order: 0.5 * h * x is (0.5 * h) * x, so 0.5 * h and h / 6 can be
-    # computed once per step size, and the chained comparisons trip exactly
-    # when a component is non-finite or above the guard.
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    # The system is autonomous: once a full step maps the state to itself
-    # bit for bit, so does every later one, and those steps only advance t.
-    stationary = False
-    while t < t_stop:
-        rest = t_end - t
-        if rest < last_step:
-            h, half, sixth = rest, 0.5 * rest, rest / 6.0
-        elif stationary:
-            t += dt
-            steps_done += 1
-            if steps_done % record_every == 0 and last_t < t:
-                record(t, u_hi, u_lo, v_hi, v_lo)
-                last_t = t
+    spacing = dt * record_every
+    i_out = 1
+    t_out = t0 + spacing
+    rhs = rectangle_rhs(p)
+    k1 = rhs(*y)
+    h = _initial_step(rhs, y, k1, t_end - t0)
+    fac_old = 1e-4
+    after_reject = False
+    while t < t_end:
+        if h < MIN_STEP_ULPS * math.ulp(t):
+            trace.guard_tripped = "blow_up"
+            trace.notes.append(
+                f"rectangle step size {h!r} fell below {MIN_STEP_ULPS} float spacings "
+                f"of t={t!r} (finite-time blow-up of the bounding system)"
+            )
+            break
+        last = t + 1.01 * h >= t_end  # stretch a step rather than leave a sliver
+        if last:
+            h = t_end - t
+        y_new, ks = _dopri_stages(rhs, y, k1, h)
+        err = _error_norm(h, ks, y, y_new)
+        # Hairer's controller with Lund's stabilisation; a non-finite error
+        # (overflowing stages) takes the largest cut.
+        fac_err = err ** _EXPONENT if err < math.inf else math.inf
+        if not err <= 1.0:
+            trace.rejected += 1
+            h /= min(1.0 / _FAC_MIN, fac_err / _SAFETY)
+            after_reject = True
             continue
-        else:
-            h, half, sixth = dt, half_dt, sixth_dt
-        k1_0, k1_1, k1_2, k1_3 = rhs(u_hi, u_lo, v_hi, v_lo)
-        k2_0, k2_1, k2_2, k2_3 = rhs(
-            u_hi + half * k1_0, u_lo + half * k1_1, v_hi + half * k1_2, v_lo + half * k1_3
-        )
-        k3_0, k3_1, k3_2, k3_3 = rhs(
-            u_hi + half * k2_0, u_lo + half * k2_1, v_hi + half * k2_2, v_lo + half * k2_3
-        )
-        k4_0, k4_1, k4_2, k4_3 = rhs(
-            u_hi + h * k3_0, u_lo + h * k3_1, v_hi + h * k3_2, v_lo + h * k3_3
-        )
-        next_u_hi = u_hi + sixth * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
-        next_u_lo = u_lo + sixth * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
-        next_v_hi = v_hi + sixth * (k1_2 + 2.0 * k2_2 + 2.0 * k3_2 + k4_2)
-        next_v_lo = v_lo + sixth * (k1_3 + 2.0 * k2_3 + 2.0 * k3_3 + k4_3)
-        t += h
-        steps_done += 1
-        # Bit for bit: == fails on a NaN, and the packed bytes tell the zeros apart.
-        if (
-            h == dt and next_u_hi == u_hi and next_u_lo == u_lo
-            and next_v_hi == v_hi and next_v_lo == v_lo
-            and struct.pack("4d", next_u_hi, next_u_lo, next_v_hi, next_v_lo)
-            == struct.pack("4d", u_hi, u_lo, v_hi, v_lo)
-        ):
-            stationary = True  # the state stays as it was
-        else:
-            u_hi = next_u_hi
-            u_lo = next_u_lo
-            v_hi = next_v_hi
-            v_lo = next_v_lo
-        if not (
-            ninf < u_hi <= guard and ninf < u_lo <= guard
-            and ninf < v_hi <= guard and ninf < v_lo <= guard
-        ):
+        fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac_err / fac_old ** _BETA / _SAFETY))
+        fac_old = max(err, 1e-4)
+        t_new = t_end if last else t + h
+        trace.steps += 1
+        if not all(-math.inf < c <= DIVERGENCE_GUARD for c in y_new):
             trace.guard_tripped = "blow_up"
             trace.notes.append(
                 f"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} "
-                f"at t={t!r} (finite-time blow-up of the bounding system)"
+                f"at t={t_new!r} (finite-time blow-up of the bounding system)"
             )
+            t, y = t_new, y_new
             break
-        if steps_done % record_every == 0 and last_t < t:
-            record(t, u_hi, u_lo, v_hi, v_lo)
-            last_t = t
-    if last_t < t:  # the final step, when off the stride or tripped
-        record(t, u_hi, u_lo, v_hi, v_lo)
+        if t_out <= t_new and t_out < t_stop:
+            (a0, b0, c0, d0, e0), (a1, b1, c1, d1, e1), (a2, b2, c2, d2, e2), (a3, b3, c3, d3, e3) = (
+                _dense_coefficients(h, ks, y, y_new)
+            )
+            while t_out <= t_new and t_out < t_stop:
+                if last_t < t_out:
+                    theta = (t_out - t) / h
+                    theta1 = 1.0 - theta
+                    record(
+                        t_out,
+                        a0 + theta * (b0 + theta1 * (c0 + theta * (d0 + theta1 * e0))),
+                        a1 + theta * (b1 + theta1 * (c1 + theta * (d1 + theta1 * e1))),
+                        a2 + theta * (b2 + theta1 * (c2 + theta * (d2 + theta1 * e2))),
+                        a3 + theta * (b3 + theta1 * (c3 + theta * (d3 + theta1 * e3))),
+                    )
+                    last_t = t_out
+                i_out += 1
+                t_out = t0 + i_out * spacing
+        h_next = min(h / fac, t_end - t0)
+        if after_reject:
+            h_next = min(h_next, h)
+            after_reject = False
+        t, y, k1, h = t_new, y_new, ks[-1], h_next
+    if last_t < t:  # t_end, or the state that ended the run
+        record(t, *y)
     return trace
 
+
+def _initial_step(rhs, y, f0, h_max: float) -> float:
+    """Hairer's starting step (HNW I, II.4): an explicit Euler probe sizes
+    the first step so that h^5 times the larger of |y'| and |y''| is 0.01,
+    in the scaled max norm of _error_norm."""
+    scale = [ATOL + RTOL * abs(c) for c in y]
+    d_y = max(abs(c) / s for c, s in zip(y, scale))
+    d_f = max(abs(c) / s for c, s in zip(f0, scale))
+    h = 1e-6 if d_y <= 1e-5 or d_f <= 1e-5 else 0.01 * d_y / d_f
+    h = min(h, h_max)
+    f1 = rhs(*(c + h * f for c, f in zip(y, f0)))
+    d_2 = max(abs(a - b) / s for a, b, s in zip(f1, f0, scale)) / h
+    d_12 = max(d_2, d_f)
+    h1 = max(1e-6, h * 1e-3) if d_12 <= 1e-15 else (0.01 / d_12) ** 0.2
+    if not h1 > 0.0:  # the probe overflowed: start from its step
+        h1 = h
+    return min(100.0 * h, h1, h_max)
+
+
+def _dopri_stages(rhs, y, k1, h: float) -> tuple[tuple, list]:
+    """One Dormand-Prince step of size h from y, where k1 = rhs(*y): the
+    fifth-order result and the stages k1..k7.  The last row of _A holds the
+    result's weights, so k7 = rhs(*result) is the next step's k1."""
+    ks = [k1]
+    for row in _A:
+        stage = tuple(
+            c + h * sum(a * k[i] for a, k in zip(row, ks)) for i, c in enumerate(y)
+        )
+        ks.append(rhs(*stage))
+    return stage, ks
+
+
+def _error_norm(h: float, ks: list, y, y_new) -> float:
+    """The step's error estimate, the difference of the fifth- and
+    fourth-order results, in the max norm scaled by ATOL + RTOL * |y|; inf
+    when it is not finite.  The max norm does not depend on the order of
+    the components, so the species swap leaves the step sequence alone."""
+    errs = [
+        abs(h * sum(e * k[i] for e, k in zip(_E, ks)))
+        / (ATOL + RTOL * max(abs(a), abs(b)))
+        for i, (a, b) in enumerate(zip(y, y_new))
+    ]
+    err = max(errs)
+    return err if sum(errs) < math.inf else math.inf
+
+
+def _dense_coefficients(h: float, ks: list, y, y_new) -> list:
+    """Per component, the coefficients (a, b, c, d, e) of Hairer's
+    continuous extension of the step (contd5): at theta = (s - t) / h the
+    state is a + theta * (b + theta1 * (c + theta * (d + theta1 * e))),
+    theta1 = 1 - theta, of fourth order in h."""
+    k1, k7 = ks[0], ks[-1]
+    dense = []
+    for i, (a, b_end) in enumerate(zip(y, y_new)):
+        b = b_end - a
+        c = h * k1[i] - b
+        d = b - h * k7[i] - c
+        e = h * sum(w * k[i] for w, k in zip(_D, ks))
+        dense.append((a, b, c, d, e))
+    return dense
 
 @dataclass(frozen=True)
 class EnclosureReport:
