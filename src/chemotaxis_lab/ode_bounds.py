@@ -32,11 +32,11 @@ ATOL = 1e-15
 # finite-time blow-up the controller would otherwise shrink it forever.
 MIN_STEP_ULPS = 4
 
-# Dormand-Prince 5(4) (HNW I, Table II.5.2): the rows of the Runge-Kutta
-# matrix, the last one the fifth-order weights (the method is FSAL), the
-# error weights (fifth minus fourth order) and the weights of Hairer's
-# continuous extension (dopri5's contd5).  The system is autonomous, so
-# the nodes are not needed.
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
+# II.5.2): the rows of the Runge-Kutta matrix, the last one the
+# fifth-order weights (the method is FSAL), the error weights (fifth minus
+# fourth order) and the weights of Hairer's continuous extension (dopri5's
+# contd5).  The system is autonomous, so the nodes are not needed.
 _A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -214,9 +214,9 @@ def integrate_rectangles(
             h = t_end - t
         y_new, ks = _dopri_stages(rhs, y, k1, h)
         err = _error_norm(h, ks, y, y_new)
-        # Hairer's controller with Lund's stabilisation; a non-finite error
+        # Hairer's controller with Lund's stabilisation; an infinite error
         # (overflowing stages) takes the largest cut.
-        fac_err = err ** _EXPONENT if err < math.inf else math.inf
+        fac_err = err ** _EXPONENT
         if not err <= 1.0:
             trace.rejected += 1
             h /= min(1.0 / _FAC_MIN, fac_err / _SAFETY)
@@ -263,9 +263,9 @@ def integrate_rectangles(
 
 
 def _initial_step(rhs, y, f0, h_max: float) -> float:
-    """Hairer's starting step (HNW I, II.4): an explicit Euler probe sizes
-    the first step so that h^5 times the larger of |y'| and |y''| is 0.01,
-    in the scaled max norm of _error_norm."""
+    """Hairer's starting step (Solving ODEs I, II.4): an explicit Euler
+    probe sizes the first step so that h^5 times the larger of |y'| and
+    |y''| is 0.01, in the scaled max norm of _error_norm."""
     scale = [ATOL + RTOL * abs(c) for c in y]
     d_y = max(abs(c) / s for c, s in zip(y, scale))
     d_f = max(abs(c) / s for c, s in zip(f0, scale))
@@ -321,6 +321,7 @@ def _dense_coefficients(h: float, ks: list, y, y_new) -> list:
         e = h * sum(w * k[i] for w, k in zip(_D, ks))
         dense.append((a, b, c, d, e))
     return dense
+
 
 @dataclass(frozen=True)
 class EnclosureReport:
