@@ -170,7 +170,9 @@ def integrate_rectangles(
     component past the divergence guard (or non-finite), or the step size
     falls below MIN_STEP_ULPS float spacings of t, the run stops with
     guard_tripped = "blow_up": the rows before that step are kept and the
-    step's own end state is the last row.  The rectangle system can
+    step's own end state is the last row.  An initial state that is not
+    finite, or whose right-hand side is not, ends the run at once as
+    "blow_up" with the initial row only.  The rectangle system can
     genuinely blow up in finite time outside the global-existence parameter
     regions.  A dt too small to advance t at the run's largest |t| raises
     PreconditionError before the first step.
@@ -198,11 +200,21 @@ def integrate_rectangles(
     t_out = t0 + spacing
     rhs = rectangle_rhs(p)
     k1 = rhs(*y)
-    h = _initial_step(rhs, y, k1, t_end - t0)
+    if not all(math.isfinite(c) for c in y + k1):
+        # every stage of every step size would be non-finite
+        trace.guard_tripped = "blow_up"
+        trace.notes.append(
+            f"rectangle right-hand side is not finite at the initial state t={t!r} "
+            f"(the bounding system cannot be started)"
+        )
+        return trace
+    # The controller corrects this within a few steps: a rejection cuts h
+    # by up to 5, an accepted step grows it by up to 10.
+    h = min(spacing, t_end - t0)
     fac_old = 1e-4
     after_reject = False
     while t < t_end:
-        if h < MIN_STEP_ULPS * math.ulp(t):
+        if not h >= MIN_STEP_ULPS * math.ulp(t):
             trace.guard_tripped = "blow_up"
             trace.notes.append(
                 f"rectangle step size {h!r} fell below {MIN_STEP_ULPS} float spacings "
@@ -260,24 +272,6 @@ def integrate_rectangles(
     if last_t < t:  # t_end, or the state that ended the run
         record(t, *y)
     return trace
-
-
-def _initial_step(rhs, y, f0, h_max: float) -> float:
-    """Hairer's starting step (Solving ODEs I, II.4): an explicit Euler
-    probe sizes the first step so that h^5 times the larger of |y'| and
-    |y''| is 0.01, in the scaled max norm of _error_norm."""
-    scale = [ATOL + RTOL * abs(c) for c in y]
-    d_y = max(abs(c) / s for c, s in zip(y, scale))
-    d_f = max(abs(c) / s for c, s in zip(f0, scale))
-    h = 1e-6 if d_y <= 1e-5 or d_f <= 1e-5 else 0.01 * d_y / d_f
-    h = min(h, h_max)
-    f1 = rhs(*(c + h * f for c, f in zip(y, f0)))
-    d_2 = max(abs(a - b) / s for a, b, s in zip(f1, f0, scale)) / h
-    d_12 = max(d_2, d_f)
-    h1 = max(1e-6, h * 1e-3) if d_12 <= 1e-15 else (0.01 / d_12) ** 0.2
-    if not h1 > 0.0:  # the probe overflowed: start from its step
-        h1 = h
-    return min(100.0 * h, h1, h_max)
 
 
 def _dopri_stages(rhs, y, k1, h: float) -> tuple[tuple, list]:

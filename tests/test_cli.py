@@ -1145,7 +1145,7 @@ class TestRectangles:
 
     def test_dt_below_time_resolution_exits_3(self, tmp_path):
         # At t = 1e10 the float spacing is 1.9e-6, so t + 1e-7 == t: the
-        # RK4 loop would never advance.  Run in a subprocess so that a
+        # integrator would never advance.  Run in a subprocess so that a
         # regression shows as a timeout, not a hung suite.
         trajectory = tmp_path / "late.csv"
         trajectory.write_text(
@@ -1160,6 +1160,27 @@ class TestRectangles:
         assert proc.returncode == 3, proc.stderr
         assert "float resolution" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("u_max", ["inf", "1e300"])
+    def test_non_finite_rectangle_start_exits_4(self, tmp_path, u_max):
+        # The rectangle's right-hand side is nan at either start, so no
+        # step can be accepted: the run ends at once, in a subprocess so
+        # that a stalled step-size controller fails by timeout.
+        trajectory = tmp_path / "start.csv"
+        trajectory.write_text(
+            "t,u_min,u_max,v_min,v_max\n"
+            f"0.0,0.4,{u_max},0.4,0.6\n"
+            "1.0,0.4,0.6,0.4,0.6\n"
+        )
+        cfg = write_config(tmp_path, {"params": base_params()})
+        proc = run_module(
+            "rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)
+        )
+        assert proc.returncode == 4, proc.stderr
+        enclosure = read_json(tmp_path / "enclosure.json")
+        assert enclosure["rectangle_guard_tripped"] == "blow_up"
+        assert (enclosure["rectangle_steps"], enclosure["rectangle_rejected"]) == (0, 0)
+        assert len(read_csv_rows(tmp_path / "rectangles.csv")) == 2
 
     def test_reused_trajectory_must_have_columns(self, tmp_path, capsys):
         stub = tmp_path / "stub.csv"

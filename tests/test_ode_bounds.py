@@ -602,7 +602,7 @@ class TestFixedPoint:
         trace, _ = assert_close_to_reference(s0, p, t_end, dt, record_every, ref_dt=5e-3)
         assert trace.guard_tripped is None
         if name in ("fixed-start", "signed-zero"):
-            # from 1e-6, each step ten times the last, to the end of the run
+            # from the row spacing, each step ten times the last, to the end of the run
             assert trace.steps <= 10 and trace.rejected == 0
 
 
@@ -654,7 +654,7 @@ class TestEndsOnTEnd:
 
 class TestDivergenceGuard:
     def test_overflow_to_non_finite(self):
-        # Every stage of a step from t = 0 with h near 1e-3 overflows; the
+        # Every stage of a step from t = 0 with h near 1e-2 overflows; the
         # controller rejects those steps, follows the blow-up at t = 1e-200
         # and stops on the first finite state past the guard.
         p = mk_params(chi1=1e200)
@@ -684,9 +684,22 @@ class TestDivergenceGuard:
         calls = counting_rhs(monkeypatch)
         trace = integrate_rectangles(s0, p, t_end, dt=1e-3, record_every=10)
         assert trace.guard_tripped == "blow_up"
-        # the first rhs, the starting-step probe, then six per attempted step
-        assert len(calls) == 2 + 6 * (trace.steps + trace.rejected)
+        # the first rhs, then six per attempted step
+        assert len(calls) == 1 + 6 * (trace.steps + trace.rejected)
         assert len(calls) < 20_000
+
+    @pytest.mark.parametrize("u_hi", [1e300, math.inf])
+    def test_non_finite_start_ends_the_run_at_once(self, u_hi, monkeypatch):
+        # 1e300 is finite, but its right-hand side is inf - inf = nan: no
+        # step size can be accepted from it.
+        calls = counting_rhs(monkeypatch)
+        s0 = RectangleState(0.0, u_hi, 0.4, 0.6, 0.4)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), 200.0, dt=1e-3, record_every=10)
+        assert trace.guard_tripped == "blow_up"
+        assert trace.t == [0.0] and trace.u_hi == [u_hi]
+        assert trace.steps == trace.rejected == 0
+        assert any("not finite at the initial state t=0.0" in note for note in trace.notes)
+        assert len(calls) == 1
 
     def test_collapsing_step_ends_the_run(self, monkeypatch):
         # From t = 1 the blow-up at t = 1 + 1e-200 lies within one float
