@@ -7,9 +7,10 @@ window width is always explicit in results.
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 
-from .model import FieldState, PreconditionError
+from .model import FieldState, PreconditionError, float_column
 
 # The per-sample columns of a trajectory CSV, in order; the CSV header and
 # rows and the summary's final block follow this tuple.  w_mean is recorded
@@ -27,28 +28,29 @@ class TrajectoryRecord:
 
     Holds, per sample: min/max/mean of each field, the two masses, and the
     sup-distances to every configured reference state: dist[label] is the
-    column triple (du, dv, dw) of float lists, one entry per sample.  Times
-    are strictly increasing.  guard_tripped is None for a clean run,
-    otherwise names the guard ("blow_up", "non_finite" or "cfl_violation")
-    and the record holds the partial trace up to the trip.  steps counts
+    column triple (du, dv, dw).  Every column is a packed float64
+    array('d') (see float_column), 8 bytes a sample.  Times are strictly
+    increasing.  guard_tripped is None for a clean run, otherwise names
+    the guard ("blow_up", "non_finite" or "cfl_violation") and the record
+    holds the partial trace up to the trip.  steps counts
     the steps the run took; stationary_from_t is the time from which a full
     step left u, v and w unchanged bit for bit, None if none did.
     """
 
     ref_labels: tuple[str, ...] = ()
-    t: list[float] = field(default_factory=list)
-    u_min: list[float] = field(default_factory=list)
-    u_max: list[float] = field(default_factory=list)
-    u_mean: list[float] = field(default_factory=list)
-    v_min: list[float] = field(default_factory=list)
-    v_max: list[float] = field(default_factory=list)
-    v_mean: list[float] = field(default_factory=list)
-    w_min: list[float] = field(default_factory=list)
-    w_max: list[float] = field(default_factory=list)
-    w_mean: list[float] = field(default_factory=list)
-    mass_u: list[float] = field(default_factory=list)
-    mass_v: list[float] = field(default_factory=list)
-    dist: dict[str, tuple[list[float], list[float], list[float]]] = field(default_factory=dict)
+    t: array = field(default_factory=float_column)
+    u_min: array = field(default_factory=float_column)
+    u_max: array = field(default_factory=float_column)
+    u_mean: array = field(default_factory=float_column)
+    v_min: array = field(default_factory=float_column)
+    v_max: array = field(default_factory=float_column)
+    v_mean: array = field(default_factory=float_column)
+    w_min: array = field(default_factory=float_column)
+    w_max: array = field(default_factory=float_column)
+    w_mean: array = field(default_factory=float_column)
+    mass_u: array = field(default_factory=float_column)
+    mass_v: array = field(default_factory=float_column)
+    dist: dict[str, tuple[array, array, array]] = field(default_factory=dict)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
     stopped_early: bool = False
@@ -58,7 +60,7 @@ class TrajectoryRecord:
 
     def __post_init__(self) -> None:
         for label in self.ref_labels:
-            self.dist.setdefault(label, ([], [], []))
+            self.dist.setdefault(label, (float_column(), float_column(), float_column()))
 
     def append_sample(
         self,
@@ -103,18 +105,20 @@ class TrajectoryRecord:
         # ndarray.mean is this sum over the count, without its Python wrapper.
         mean = np.add.reduce(fields, axis=2) / fields.shape[2]
         self.t.extend(t)
-        columns = (
+        columns = [
             self.u_min, self.v_min, self.w_min, self.u_max, self.v_max, self.w_max,
             self.u_mean, self.v_mean, self.w_mean, self.mass_u, self.mass_v,
-        )
-        values = np.concatenate((lo, hi, mean, np.asarray(mass, dtype=float)), axis=1)
-        for column, series in zip(columns, values.T.tolist()):
-            column.extend(series)
+        ]
+        series = [lo, hi, mean, np.asarray(mass, dtype=float)]
         if self.ref_labels:
+            for label in self.ref_labels:
+                columns.extend(self.dist[label])
             dist = sup_distance(lo[:, None], hi[:, None], levels)  # (k, R, 3)
-            for label, series in zip(self.ref_labels, dist.transpose(1, 2, 0).tolist()):
-                for column, values_of_field in zip(self.dist[label], series):
-                    column.extend(values_of_field)
+            series.append(dist.reshape(len(t), 3 * len(self.ref_labels)))
+        # The columns of the (k, C) block, each copied as raw doubles: no
+        # Python float is made per value.
+        for column, values in zip(columns, np.concatenate(series, axis=1).T):
+            column.frombytes(values.tobytes())
 
     @property
     def n_samples(self) -> int:
@@ -201,10 +205,10 @@ def detect_steady(rec: TrajectoryRecord, tol: float, window: float) -> SteadyRep
     """
     sl = _tail_slice(rec, window)
 
-    def spread(hi: list[float], lo: list[float]) -> float:
+    def spread(hi: array, lo: array) -> float:
         return max(h - low for h, low in zip(hi[sl], lo[sl]))
 
-    def drift(mean: list[float]) -> float:
+    def drift(mean: array) -> float:
         values = mean[sl]
         return max(values) - min(values)
 

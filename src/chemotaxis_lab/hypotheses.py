@@ -259,13 +259,15 @@ def exclusion_dominance_margin(p: ModelParams, branch: str) -> float:
     ``branch`` selects which of the two displayed forms is evaluated:
     "b1_large" (stated for b1 > chi2*k/d3) or "b1_small" (for
     b1 <= chi2*k/d3).  Both share the left side
-    (a1 - chi1*k/d3 - |Omega|(a3)_-) * (b2 - 2*chi2*l/d3 - |Omega||b4|) * b0.
-    The two forms agree at b1 = chi2*k/d3 whenever b3 >= 0.
+    (a1 - chi1*k/d3 - |Omega|(a3)_-) * (b2 - (2*chi2*l/d3 + |Omega||b4|)) * b0,
+    whose middle factor is v's chemotaxis slack, the value check_exclusion
+    reports as b2_chemotaxis_slack.  The two forms agree at b1 = chi2*k/d3
+    whenever b3 >= 0.
     """
     w = p.omega_measure
     lhs = (
         (p.a1 - p.chi1 * p.k / p.d3 - w * negative_part(p.a3))
-        * (p.b2 - 2.0 * p.chi2 * p.l / p.d3 - w * abs(p.b4))
+        * _chemotaxis_slack(p.exchanged())
         * p.b0
     )
     v_coef = p.b2 - p.chi2 * p.l / p.d3 - w * negative_part(p.b4)

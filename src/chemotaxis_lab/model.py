@@ -1,5 +1,5 @@
 """Core data types: model coefficients, the 1-D grid, the stepper's run
-schedule, field snapshots, positive/negative parts.
+schedule, field snapshots, recorded series, positive/negative parts.
 
 Everything downstream (hypothesis checks, bound constants, the PDE stepper,
 the comparison ODE system) consumes these types.  All values are 64-bit
@@ -10,6 +10,7 @@ and validate a whole config without importing either.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
@@ -24,6 +25,14 @@ class DegenerateStateError(PreconditionError):
 
 class HypothesisViolationError(PreconditionError):
     """A bound formula was requested for parameters outside its hypothesis."""
+
+
+def float_column() -> array:
+    """An empty recorded series, as the trajectory and rectangle records
+    hold them: packed float64, 8 bytes a value where a list of Python
+    floats takes about 32.  bisect, slicing, min/max, indexing and
+    iteration work on it as on a list, and np.asarray views it in place."""
+    return array("d")
 
 
 def negative_part(a: float) -> float:

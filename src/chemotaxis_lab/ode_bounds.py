@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ from .model import (
     ModelParams,
     PreconditionError,
     check_time_resolution,
+    float_column,
     negative_part,
     per_species,
     positive_part,
@@ -76,18 +78,18 @@ class RectangleState:
 
 @dataclass
 class RectangleTrace:
-    """Recorded rectangle trajectory, one list per column.  guard_tripped
-    is None for a clean run and "blow_up" when a component passed the
-    divergence guard or the step size collapsed, in which case the columns
-    hold the partial trace up to and including the state that ended the
-    run.  steps and rejected count the integrator's accepted and rejected
-    steps."""
+    """Recorded rectangle trajectory, one packed float64 array('d') per
+    column (see float_column), 8 bytes a row each.  guard_tripped is None
+    for a clean run and "blow_up" when a component passed the divergence
+    guard or the step size collapsed, in which case the columns hold the
+    partial trace up to and including the state that ended the run.  steps
+    and rejected count the integrator's accepted and rejected steps."""
 
-    t: list[float] = field(default_factory=list)
-    u_hi: list[float] = field(default_factory=list)
-    u_lo: list[float] = field(default_factory=list)
-    v_hi: list[float] = field(default_factory=list)
-    v_lo: list[float] = field(default_factory=list)
+    t: array = field(default_factory=float_column)
+    u_hi: array = field(default_factory=float_column)
+    u_lo: array = field(default_factory=float_column)
+    v_hi: array = field(default_factory=float_column)
+    v_lo: array = field(default_factory=float_column)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
     steps: int = 0
@@ -191,7 +193,8 @@ def integrate_rectangles(
 
     t0 = t = last_t = s0.t
     y = (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
-    trace = RectangleTrace([t], *([c] for c in y))
+    trace = RectangleTrace()
+    trace.append(t, *y)
     if not t < t_stop:
         return trace
     record = trace.append
@@ -334,7 +337,7 @@ class EnclosureReport:
     notes: tuple[str, ...] = ()
 
 
-def _interp(x: float, t: list[float], j: int, f: list[float]) -> float:
+def _interp(x: float, t: array, j: int, f: array) -> float:
     """np.interp(x, t, f) bit for bit, given j = bisect_right(t, x) - 1:
     f[0] before the first knot, f[-1] past the last, f[j] on a knot, else
     NumPy's slope formula and its fallbacks for a NaN result."""

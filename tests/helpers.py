@@ -3,7 +3,10 @@
 BASE is a neutral, mostly-decoupled parameter set; tests override the
 handful of coefficients they exercise.  The named factories below are the
 three dynamical regimes the acceptance scenarios revolve around.
+traced_peak measures what a call allocates.
 """
+import tracemalloc
+
 from chemotaxis_lab.model import ModelParams
 
 BASE = dict(
@@ -34,3 +37,21 @@ def cooperative_params(chi: float = 0.1, **overrides) -> ModelParams:
     """Mutualistic cross terms; combined mass approaches its cap 4/3."""
     base = dict(a1=2.0, b2=2.0, a2=-0.5, b1=-0.5, chi1=chi, chi2=chi)
     return mk_params(**{**base, **overrides})
+
+
+def traced_peak(call):
+    """call() and the largest number of bytes tracemalloc saw allocated
+    during it above what was allocated when it started.  Run the call once
+    untraced first: CPython's free lists (a few thousand small tuples and
+    floats) then hold untraced memory, so the count is the call's own."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemotaxis_lab.diagnostics import (
+    TRAJECTORY_COLUMNS,
     TrajectoryRecord,
     _tail_slice,
     detect_steady,
@@ -13,6 +14,7 @@ from chemotaxis_lab.diagnostics import (
 )
 from chemotaxis_lab.model import FieldState, PreconditionError
 from chemotaxis_lab.steady_states import ConstantState
+from helpers import traced_peak
 
 
 def stack(state):
@@ -125,15 +127,40 @@ class TestTrajectoryRecord:
         rec.append_sample(state.t, stack(state), 0.5, 0.25, levels_of([ref]))
         for name in ("u", "v", "w"):
             f = getattr(state, name)
-            assert getattr(rec, f"{name}_min") == [float(f.min())]
-            assert getattr(rec, f"{name}_max") == [float(f.max())]
-            assert getattr(rec, f"{name}_mean") == [float(f.mean())]
-        assert (rec.mass_u, rec.mass_v) == ([0.5], [0.25])
-        assert rec.dist["ref"] == tuple([d] for d in distances(state, [ref])[0])
+            assert getattr(rec, f"{name}_min").tolist() == [float(f.min())]
+            assert getattr(rec, f"{name}_max").tolist() == [float(f.max())]
+            assert getattr(rec, f"{name}_mean").tolist() == [float(f.mean())]
+        assert (rec.mass_u.tolist(), rec.mass_v.tolist()) == ([0.5], [0.25])
+        assert tuple(c.tolist() for c in rec.dist["ref"]) == tuple([d] for d in distances(state, [ref])[0])
+
+    def test_columns_take_about_eight_bytes_a_value(self):
+        # 10,030 samples in blocks of 85 (3, 128) stacks, as run_simulation
+        # records n = 128, against four references: 12 + 4 * 3 columns.  A
+        # packed double is 8 bytes; a list of Python floats took about 31.
+        rng = np.random.default_rng(11)
+        block = rng.uniform(0.0, 2.0, (85, 3, 128))
+        masses = rng.uniform(0.0, 2.0, (85, 2))
+        levels = rng.uniform(0.0, 2.0, (4, 3))
+        labels = ("a", "b", "c", "d")
+        times = [[(85 * b + i) * 1e-3 for i in range(85)] for b in range(118)]
+
+        def record():
+            rec = TrajectoryRecord(ref_labels=labels)
+            for t in times:
+                rec.append_block(t, block, masses, levels)
+            return rec
+
+        record()
+        rec, peak = traced_peak(record)
+        values = rec.n_samples * (len(TRAJECTORY_COLUMNS) + 1 + 3 * len(labels))
+        assert rec.n_samples == 10_030
+        assert peak <= 1.25 * 8 * values
 
     def test_reference_labels_preallocate_series(self):
         rec = TrajectoryRecord(ref_labels=("coexistence",))
-        assert rec.dist == {"coexistence": ([], [], [])}
+        assert {label: tuple(c.tolist() for c in cols) for label, cols in rec.dist.items()} == {
+            "coexistence": ([], [], [])
+        }
 
     def test_span_and_n_samples(self):
         rec = record_from_rows(
@@ -344,7 +371,7 @@ class TestExtremaOracles:
             rec.append_sample(float(t), fields, 0.0, 0.0, levels)
         for i, label in enumerate(("a", "b")):
             for f, column in enumerate(rec.dist[label]):
-                assert column == [float(cellwise_sup_distance(s, levels)[i, f]) for s in stacks]
+                assert column.tolist() == [float(cellwise_sup_distance(s, levels)[i, f]) for s in stacks]
 
 
 class TestTailSliceStart:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from chemotaxis_lab.hypotheses import (
     exclusion_dominance_margin,
     gamma_star,
 )
-from chemotaxis_lab.model import DegenerateStateError, PreconditionError
+from chemotaxis_lab.model import DegenerateStateError, PreconditionError, negative_part
 from helpers import coexistence_params, exclusion_params, mk_params
 
 
@@ -207,6 +208,23 @@ class TestExclusionRoute:
             big = exclusion_dominance_margin(p, "b1_large")
             small = exclusion_dominance_margin(p, "b1_small")
             assert big == pytest.approx(small, rel=1e-12, abs=1e-12)
+
+    def test_dominance_is_built_from_the_reported_b2_slack(self):
+        # The margin is u_factor * slack * b0 - rhs with rhs free of b0, so
+        # the margin at b0 = 0 is -rhs exactly and the slack factor can be
+        # checked bit for bit.
+        rng = np.random.default_rng(20)
+        names = ("chi1", "chi2", "a0", "a1", "a2", "a3", "a4", "b0", "b1", "b2", "b3", "b4",
+                 "k", "l", "d3", "omega_measure")
+        for _ in range(200):
+            p = mk_params(**{name: float(rng.uniform(0.1, 3.0)) for name in names})
+            rep = check_exclusion(p)
+            branch = rep.notes[0].removeprefix("dominance branch: ")
+            w = p.omega_measure
+            u_factor = p.a1 - p.chi1 * p.k / p.d3 - w * negative_part(p.a3)
+            lhs = u_factor * by_label(rep)["b2_chemotaxis_slack"] * p.b0
+            rhs = -exclusion_dominance_margin(replace(p, b0=0.0), branch)
+            assert by_label(rep)["dominance"] == lhs - rhs
 
     def test_unknown_branch(self):
         with pytest.raises(PreconditionError):

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from chemotaxis_lab import ode_bounds
 from chemotaxis_lab.diagnostics import TrajectoryRecord
-from chemotaxis_lab.model import PreconditionError, negative_part, positive_part
+from chemotaxis_lab.model import Grid1D, PreconditionError, negative_part, positive_part
 from chemotaxis_lab.ode_bounds import (
     DIVERGENCE_GUARD,
     EnclosureReport,
@@ -20,7 +20,7 @@ from chemotaxis_lab.ode_bounds import (
     rectangle_rhs,
 )
 from chemotaxis_lab.steady_states import linf_bounds
-from helpers import coexistence_params, exclusion_params, mk_params
+from helpers import coexistence_params, exclusion_params, mk_params, traced_peak
 
 
 def make_pde_trace(samples):
@@ -94,6 +94,22 @@ class TestIntegrateRectangles:
         with pytest.raises(PreconditionError, match="nonnegative"):
             integrate_rectangles(negative, mk_params(), 1.0)
 
+    def test_columns_take_about_eight_bytes_a_value(self):
+        # The README run: perturbed_constant [0.5, 0.5, 0.1] on 128 cells,
+        # rectangles to t = 200 at dt 1e-3 and stride 10.  A packed double
+        # is 8 bytes; a list of Python floats took about 34.
+        wave = 0.1 * np.cos(math.pi * Grid1D(length=1.0, n_cells=128).cell_centers())
+        u0, v0 = 0.5 + wave, 0.5 - wave
+        s0 = RectangleState(0.0, float(u0.max()), float(u0.min()), float(v0.max()), float(v0.min()))
+
+        def run():
+            return integrate_rectangles(s0, coexistence_params(0.1), 200.0, dt=1e-3, record_every=10)
+
+        run()
+        trace, peak = traced_peak(run)
+        assert len(trace.t) == 20_001 and trace.guard_tripped is None
+        assert peak <= 1.25 * 8 * 5 * len(trace.t)
+
     def test_dt_just_above_half_spacing_advances(self):
         # Each step moves t by one float spacing: slow, but the run ends.
         s0 = RectangleState(t=1.0, u_hi=0.6, u_lo=0.4, v_hi=0.6, v_lo=0.4)
@@ -101,7 +117,7 @@ class TestIntegrateRectangles:
         dt = math.nextafter(0.5 * math.ulp(1.0), 1.0)
         trace = integrate_rectangles(s0, mk_params(), t_end, dt=dt, record_every=1000)
         assert trace.t[-1] > 1.0
-        assert trace.t == sorted(set(trace.t))
+        assert trace.t.tolist() == sorted(set(trace.t))
 
     def test_diagonal_stays_diagonal(self):
         p = coexistence_params(0.1)
@@ -614,7 +630,7 @@ class TestOutputGrid:
         s0 = RectangleState(t0, 0.6, 0.4, 0.6, 0.4)
         trace = integrate_rectangles(s0, coexistence_params(0.1), t_end, dt=dt, record_every=record_every)
         spacing = dt * record_every
-        assert trace.t[:-1] == [t0 + i * spacing for i in range(len(trace.t) - 1)]
+        assert trace.t[:-1].tolist() == [t0 + i * spacing for i in range(len(trace.t) - 1)]
         assert trace.t[-1] == t_end
         assert all(a < b for a, b in zip(trace.t, trace.t[1:]))
         t_stop = t_end - min(1e-12 * max(abs(t_end), 1.0), 0.5 * dt, 0.5 * (t_end - t0))
@@ -625,7 +641,7 @@ class TestOutputGrid:
         s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
         trace = integrate_rectangles(s0, coexistence_params(0.1), 0.0, dt=1e-3, record_every=10)
         assert calls == []
-        assert trace.t == [0.0] and trace.u_hi == [0.6]
+        assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [0.6]
         assert trace.steps == trace.rejected == 0 and trace.guard_tripped is None
 
 
@@ -696,7 +712,7 @@ class TestDivergenceGuard:
         s0 = RectangleState(0.0, u_hi, 0.4, 0.6, 0.4)
         trace = integrate_rectangles(s0, coexistence_params(0.1), 200.0, dt=1e-3, record_every=10)
         assert trace.guard_tripped == "blow_up"
-        assert trace.t == [0.0] and trace.u_hi == [u_hi]
+        assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [u_hi]
         assert trace.steps == trace.rejected == 0
         assert any("not finite at the initial state t=0.0" in note for note in trace.notes)
         assert len(calls) == 1
@@ -707,6 +723,6 @@ class TestDivergenceGuard:
         calls = counting_rhs(monkeypatch)
         trace = integrate_rectangles(RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e200), 2.0)
         assert trace.guard_tripped == "blow_up"
-        assert trace.t == [1.0] and trace.steps == 0
+        assert trace.t.tolist() == [1.0] and trace.steps == 0
         assert any("fell below 4 float spacings of t=1.0" in note for note in trace.notes)
         assert len(calls) < 1000

@@ -243,7 +243,7 @@ class TestStabilityGuards:
             first_step(p, grid, u0, v0, cfg)
         rec = run_simulation(initial_state(u0, v0, p, grid), p, grid, cfg)
         assert rec.guard_tripped == "cfl_violation"
-        assert (rec.t, rec.steps, rec.final_state.t) == ([0.0], 0, 0.0)
+        assert (rec.t.tolist(), rec.steps, rec.final_state.t) == ([0.0], 0, 0.0)
         assert rec.notes == [str(exc_info.value)]
         np.testing.assert_array_equal(rec.final_state.u, u0)
 
@@ -335,7 +335,7 @@ class TestRunSimulation:
         grid = Grid1D(length=1.0, n_cells=8)
         s0 = initial_state(np.full(8, 0.5), np.full(8, 0.5), p, grid)
         rec = run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=0.0))
-        assert rec.t == [0.0]
+        assert rec.t.tolist() == [0.0]
         assert rec.final_state.t == 0.0
         assert rec.stopped_early is False
 
