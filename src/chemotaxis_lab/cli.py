@@ -463,9 +463,10 @@ def _envelope_sections(
     return doc
 
 
-# The stepper is the one part of a run that needs SciPy (LAPACK), so it is
+# The stepper is the one part of a run that needs SciPy, and only its LAPACK
+# extension (loaded by file in _lapack, without scipy.linalg), so it is
 # imported when a run first builds one, not with this module: check, steady,
-# bounds and rectangles --trajectory never import SciPy, and check, steady and
+# bounds and rectangles --trajectory never load SciPy, and check, steady and
 # rectangles --trajectory call no function that imports NumPy.
 _STEPPER_NAMES = ("initial_state", "run_simulation")
 

@@ -6,12 +6,14 @@ with mirrored ghost cells.  The matrix is symmetric positive definite and
 tridiagonal; LAPACK dpttrf factors it once per (params, grid) as L*D*L^T
 and dpttrs solves directly, so there is no iteration tolerance anywhere in
 the signal solve.  The stepper's implicit diffusion uses the same routines.
+Both come from SciPy's LAPACK extension, loaded by file in ``_lapack``
+without importing scipy.linalg.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .model import Grid1D, ModelParams, PreconditionError
 
 

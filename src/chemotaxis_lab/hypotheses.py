@@ -253,23 +253,24 @@ def check_coexistence_competitive(p: ModelParams) -> HypothesisReport:
     return _report(margins, tuple(notes))
 
 
+def _exclusion_a1_slack(p: ModelParams) -> float:
+    """What is left of a1 after chi1*k/d3 and |Omega|(a3)_-."""
+    return p.a1 - (p.chi1 * p.k / p.d3 + p.omega_measure * negative_part(p.a3))
+
+
 def exclusion_dominance_margin(p: ModelParams, branch: str) -> float:
     """Margin of the dominance inequality deciding competitive exclusion.
 
     ``branch`` selects which of the two displayed forms is evaluated:
     "b1_large" (stated for b1 > chi2*k/d3) or "b1_small" (for
     b1 <= chi2*k/d3).  Both share the left side
-    (a1 - chi1*k/d3 - |Omega|(a3)_-) * (b2 - (2*chi2*l/d3 + |Omega||b4|)) * b0,
-    whose middle factor is v's chemotaxis slack, the value check_exclusion
-    reports as b2_chemotaxis_slack.  The two forms agree at b1 = chi2*k/d3
-    whenever b3 >= 0.
+    (a1 - (chi1*k/d3 + |Omega|(a3)_-)) * (b2 - (2*chi2*l/d3 + |Omega||b4|)) * b0,
+    whose first two factors are the values check_exclusion reports as
+    a1_vs_chi1_k and b2_chemotaxis_slack.  The two forms agree at
+    b1 = chi2*k/d3 whenever b3 >= 0.
     """
     w = p.omega_measure
-    lhs = (
-        (p.a1 - p.chi1 * p.k / p.d3 - w * negative_part(p.a3))
-        * _chemotaxis_slack(p.exchanged())
-        * p.b0
-    )
+    lhs = _exclusion_a1_slack(p) * _chemotaxis_slack(p.exchanged()) * p.b0
     v_coef = p.b2 - p.chi2 * p.l / p.d3 - w * negative_part(p.b4)
     tail = (p.b4 + p.chi2 * p.l / p.d3) * p.a0
     if branch == "b1_large":
@@ -306,10 +307,7 @@ def check_exclusion(p: ModelParams) -> HypothesisReport:
         Margin("b2_chemotaxis_slack", slack_b2),
         Margin("a4_sign", p.a4, strict=False),
         Margin("a2_vs_chi1_l", p.a2 - p.chi1 * p.l / p.d3, strict=False),
-        Margin(
-            "a1_vs_chi1_k",
-            p.a1 - (p.chi1 * p.k / p.d3 + w * negative_part(p.a3)),
-        ),
+        Margin("a1_vs_chi1_k", _exclusion_a1_slack(p)),
         Margin(
             "b0_threshold",
             p.b0 - p.a0 * (p.b2 + w * p.b4) / denom,

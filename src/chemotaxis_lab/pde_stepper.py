@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
+from ._lapack import dpttrs
 from .diagnostics import TrajectoryRecord, detect_steady, may_be_steady
 from .elliptic import assemble, neumann_factor, solve_w
 from .model import (

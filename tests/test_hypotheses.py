@@ -226,6 +226,24 @@ class TestExclusionRoute:
             rhs = -exclusion_dominance_margin(replace(p, b0=0.0), branch)
             assert by_label(rep)["dominance"] == lhs - rhs
 
+    def test_dominance_is_built_from_the_reported_a1_margin(self):
+        # As above, with coefficients of both signs: where a3 < 0,
+        # a1 - chi1*k/d3 - |Omega|(a3)_- and the reported
+        # a1 - (chi1*k/d3 + |Omega|(a3)_-) can differ in the last bits.
+        rng = np.random.default_rng(21)
+        names = ("chi1", "chi2", "a0", "a1", "a2", "a3", "a4", "b0", "b1", "b2", "b3", "b4", "k", "l")
+        for _ in range(400):
+            p = mk_params(
+                **{name: float(rng.uniform(-3.0, 3.0)) for name in names},
+                d3=float(rng.uniform(0.1, 3.0)), omega_measure=float(rng.uniform(0.1, 3.0)),
+            )
+            rep = check_exclusion(p)
+            ms = by_label(rep)
+            branch = rep.notes[0].removeprefix("dominance branch: ")
+            lhs = ms["a1_vs_chi1_k"] * ms["b2_chemotaxis_slack"] * p.b0
+            rhs = -exclusion_dominance_margin(replace(p, b0=0.0), branch)
+            assert ms["dominance"] == lhs - rhs
+
     def test_unknown_branch(self):
         with pytest.raises(PreconditionError):
             exclusion_dominance_margin(mk_params(), "sideways")

@@ -1,10 +1,12 @@
-"""Start-up contract: SciPy is imported only when a PDE step runs, NumPy
-only when a subcommand builds arrays, and the benchmark's tracer still
-reaches every layer it wraps.
+"""Start-up contract: SciPy's LAPACK extension is loaded only when a PDE
+step runs, and the scipy package is never imported for it; NumPy is
+imported only when a subcommand builds arrays; and the benchmark's tracer
+still reaches every layer it wraps.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported SciPy long before.
 """
+import importlib.machinery
 import importlib.util
 import json
 import os
@@ -12,10 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import chemotaxis_lab
-from chemotaxis_lab import model, pde_stepper
+from chemotaxis_lab import _lapack, model, pde_stepper
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TRACER = REPO_ROOT / "perfbench" / "tracer.py"
@@ -51,6 +55,21 @@ MAIN = (
     "code = main(sys.argv[1:])\n"
     "for name in ('numpy', 'scipy'):\n"
     "    print(f'{name} imported:', sys.modules.get(name) is not None, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+# Runs cli.main on sys.argv[1:], then reports whether the stepper's and the
+# signal solve's LAPACK routines are the _flapack extension's own, and
+# whether scipy.linalg got imported.
+LAPACK_PROBE = (
+    "import sys\n"
+    "from chemotaxis_lab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "from chemotaxis_lab import elliptic, pde_stepper\n"
+    "flapack = sys.modules['scipy.linalg._flapack']\n"
+    "own = elliptic.dpttrf is flapack.dpttrf and elliptic.dpttrs is pde_stepper.dpttrs is flapack.dpttrs\n"
+    "print('routines from _flapack:', own, file=sys.stderr)\n"
+    "print('scipy.linalg imported:', 'scipy.linalg' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -120,10 +139,27 @@ class TestScipyFreeSubcommands:
             assert "scipy imported: False" in err
 
     def test_simulate_imports_scipy(self, tmp_path):
+        # Only SciPy's LAPACK extension, loaded from its file: the routines
+        # the solves call are its own, and scipy.linalg is never run.
         cfg, _ = write_inputs(tmp_path)
-        proc = python("-c", MAIN, "", "simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+        proc = python("-c", LAPACK_PROBE, "simulate", "--config", cfg, "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
-        assert "scipy imported: True" in proc.stderr
+        assert "routines from _flapack: True" in proc.stderr
+        assert "scipy.linalg imported: False" in proc.stderr
+
+    def test_subcommands_without_a_pde_step_leave_lapack_unloaded(self, tmp_path):
+        cfg, traj = write_inputs(tmp_path)
+        runs = [f"check --config {cfg}", f"steady --config {cfg}", f"bounds --config {cfg}",
+                f"rectangles --config {cfg} --trajectory {traj}"]
+        script = (
+            "import sys\n"
+            "from chemotaxis_lab.cli import main\n"
+            f"codes = [main(argv.split() + ['--out', {str(tmp_path / 'out')!r}]) for argv in {runs!r}]\n"
+            "print(codes, [m for m in ('chemotaxis_lab._lapack', 'scipy.linalg._flapack') if m in sys.modules])\n"
+        )
+        proc = python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 class TestNumpyFreeSubcommands:
@@ -145,6 +181,98 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestLapackLoad:
+    """Both ways to the LAPACK routines: the extension file loaded directly,
+    and the public scipy.linalg.lapack import it falls back to."""
+
+    # Made in a fresh process before the package is imported, each of these
+    # breaks one step of the direct load: finding scipy, finding the file,
+    # and loading it (scipy found in a directory JUNK whose _flapack file is
+    # not a shared object).
+    FIND_SCIPY = (
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: {spec} if name == 'scipy' else find_spec(name, *a)\n"
+    )
+    BREAKS = {
+        "scipy_unfindable": FIND_SCIPY.format(spec="None"),
+        "no_extension_file": "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n",
+        "load_error": FIND_SCIPY.format(
+            spec="importlib.util.spec_from_file_location('scipy', 'JUNK/__init__.py', submodule_search_locations=['JUNK'])"
+        ),
+    }
+
+    def test_direct_routines_give_the_public_bits(self, tmp_path):
+        rng = np.random.default_rng(21)
+        data = {}
+        for n in (2, 128, 8192):
+            off = -rng.uniform(0.0, 1.0, n - 1)
+            diag = rng.uniform(0.5, 1.5, n)
+            diag[:-1] -= off
+            diag[1:] -= off
+            data |= {f"diag{n}": diag, f"off{n}": off, f"rhs{n}": rng.uniform(-1.0, 1.0, n)}
+        np.savez(tmp_path / "in.npz", **data)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from chemotaxis_lab._lapack import dpttrf, dpttrs\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "f = np.load(sys.argv[1])\n"
+            "out = {}\n"
+            "for n in (2, 128, 8192):\n"
+            "    d, e, info = dpttrf(f[f'diag{n}'], f[f'off{n}'])\n"
+            "    out |= {f'd{n}': d, f'e{n}': e, f'x{n}': dpttrs(d, e, f[f'rhs{n}'])[0]}\n"
+            "np.savez(sys.argv[2], **out)\n"
+        )
+        proc = python("-c", script, str(tmp_path / "in.npz"), str(tmp_path / "out.npz"))
+        assert proc.returncode == 0, proc.stderr
+        public = scipy.linalg.lapack
+        with np.load(tmp_path / "out.npz") as direct:
+            for n in (2, 128, 8192):
+                d, e, info = public.dpttrf(data[f"diag{n}"], data[f"off{n}"])
+                assert info == 0
+                x = public.dpttrs(d, e, data[f"rhs{n}"])[0]
+                for name, bits in ((f"d{n}", d), (f"e{n}", e), (f"x{n}", x)):
+                    assert direct[name].tobytes() == bits.tobytes(), name
+        # CPython keeps one copy of the extension, whichever way it came.
+        assert _lapack.dpttrf is public.dpttrf and _lapack.dpttrs is public.dpttrs
+
+    @pytest.mark.parametrize("break_name", sorted(BREAKS))
+    def test_fallback_writes_the_same_bytes(self, tmp_path, break_name):
+        cfg, _ = write_inputs(tmp_path)
+        direct = python("-m", "chemotaxis_lab", "simulate", "--config", cfg, "--out", str(tmp_path / "direct"))
+        assert direct.returncode == 0, direct.stderr
+        junk = tmp_path / "scipy" / "linalg" / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        junk.parent.mkdir(parents=True)
+        junk.write_bytes(b"not a shared object")
+        script = (
+            self.BREAKS[break_name].replace("JUNK", str(tmp_path / "scipy"))
+            + "import sys\n"
+            "from chemotaxis_lab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "import scipy.linalg.lapack as public\n"
+            "from chemotaxis_lab import elliptic, pde_stepper\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "assert elliptic.dpttrf is public.dpttrf and pde_stepper.dpttrs is public.dpttrs\n"
+            "sys.exit(code)\n"
+        )
+        fallback = python("-c", script, "simulate", "--config", cfg, "--out", str(tmp_path / "fallback"))
+        assert fallback.returncode == 0, fallback.stderr
+        assert fallback.stdout.replace(str(tmp_path / "fallback"), str(tmp_path / "direct")) == direct.stdout
+        assert outputs(tmp_path / "fallback") == outputs(tmp_path / "direct")
+
+    def test_simulate_without_scipy_fails_as_before(self, tmp_path):
+        # SciPy made unimportable: the fallback import raises, as the public
+        # import in the stepper did before the direct load, and nothing is written.
+        cfg, _ = write_inputs(tmp_path)
+        proc = python("-c", MAIN, "scipy", "simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "ModuleNotFoundError: No module named 'scipy.linalg'; 'scipy' is not a package"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestTracerContract:
