@@ -149,12 +149,12 @@ class TestScipyFreeSubcommands:
 
     def test_subcommands_without_a_pde_step_leave_lapack_unloaded(self, tmp_path):
         cfg, traj = write_inputs(tmp_path)
-        runs = [f"check --config {cfg}", f"steady --config {cfg}", f"bounds --config {cfg}",
-                f"rectangles --config {cfg} --trajectory {traj}"]
+        runs = [[command, "--config", cfg, "--out", str(tmp_path / "out")] for command in ("check", "steady", "bounds")]
+        runs.append(["rectangles", "--config", cfg, "--trajectory", traj, "--out", str(tmp_path / "out")])
         script = (
             "import sys\n"
             "from chemotaxis_lab.cli import main\n"
-            f"codes = [main(argv.split() + ['--out', {str(tmp_path / 'out')!r}]) for argv in {runs!r}]\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
             "print(codes, [m for m in ('chemotaxis_lab._lapack', 'scipy.linalg._flapack') if m in sys.modules])\n"
         )
         proc = python("-c", script)
