@@ -203,34 +203,35 @@ def build_initial(doc: dict, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         )
     kind, value = next(iter(section.items()))
     x = grid.cell_centers()
-    if kind == "constant":
-        u0c, v0c = _number_list(value, "initial_data.constant", (2,))
-        u = np.full(grid.n_cells, u0c)
-        v = np.full(grid.n_cells, v0c)
-    elif kind == "perturbed_constant":
-        parts = _number_list(value, "initial_data.perturbed_constant", (3, 4))
-        u0c, v0c, amplitude = parts[0], parts[1], parts[2]
-        mode_count = 1
-        if len(parts) == 4:
-            mode_count = int(parts[3])
-            if mode_count != parts[3] or mode_count < 1:
-                raise ConfigError(
-                    f"initial_data.perturbed_constant: mode_count must be a positive integer, got {parts[3]!r}"
-                )
-        wave = amplitude * np.cos(mode_count * math.pi * x / grid.length)
-        u = u0c + wave
-        v = v0c - wave
-    elif kind == "two_bumps":
-        _check_keys(value, "initial_data.two_bumps", required=("centers", "widths", "heights"))
-        centers = _number_list(value["centers"], "initial_data.two_bumps.centers", (2,))
-        widths = _number_list(value["widths"], "initial_data.two_bumps.widths", (2,))
-        heights = _number_list(value["heights"], "initial_data.two_bumps.heights", (2,))
-        if min(widths) <= 0:
-            raise ConfigError("initial_data.two_bumps: widths must be positive")
-        u = heights[0] * np.exp(-0.5 * ((x - centers[0]) / widths[0]) ** 2)
-        v = heights[1] * np.exp(-0.5 * ((x - centers[1]) / widths[1]) ** 2)
-    else:
-        raise ConfigError(f"initial_data: unknown kind {kind!r}")
+    with np.errstate(over="ignore"):  # an overflow is inf, which a run's guards report
+        if kind == "constant":
+            u0c, v0c = _number_list(value, "initial_data.constant", (2,))
+            u = np.full(grid.n_cells, u0c)
+            v = np.full(grid.n_cells, v0c)
+        elif kind == "perturbed_constant":
+            parts = _number_list(value, "initial_data.perturbed_constant", (3, 4))
+            u0c, v0c, amplitude = parts[0], parts[1], parts[2]
+            mode_count = 1
+            if len(parts) == 4:
+                mode_count = int(parts[3])
+                if mode_count != parts[3] or mode_count < 1:
+                    raise ConfigError(
+                        f"initial_data.perturbed_constant: mode_count must be a positive integer, got {parts[3]!r}"
+                    )
+            wave = amplitude * np.cos(mode_count * math.pi * x / grid.length)
+            u = u0c + wave
+            v = v0c - wave
+        elif kind == "two_bumps":
+            _check_keys(value, "initial_data.two_bumps", required=("centers", "widths", "heights"))
+            centers = _number_list(value["centers"], "initial_data.two_bumps.centers", (2,))
+            widths = _number_list(value["widths"], "initial_data.two_bumps.widths", (2,))
+            heights = _number_list(value["heights"], "initial_data.two_bumps.heights", (2,))
+            if min(widths) <= 0:
+                raise ConfigError("initial_data.two_bumps: widths must be positive")
+            u = heights[0] * np.exp(-0.5 * ((x - centers[0]) / widths[0]) ** 2)
+            v = heights[1] * np.exp(-0.5 * ((x - centers[1]) / widths[1]) ** 2)
+        else:
+            raise ConfigError(f"initial_data: unknown kind {kind!r}")
     if float(u.min()) < 0 or float(v.min()) < 0:
         raise ConfigError("initial_data: densities must be nonnegative everywhere")
     return u, v
@@ -377,14 +378,10 @@ def cmd_steady(args: argparse.Namespace, doc: dict) -> int:
     return 0
 
 
-def _initial_norms(grid: Grid1D, u0: np.ndarray, v0: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """The initial sup norms and the initial masses of u and v: the data of the bound families."""
-    return (float(u0.max()), float(v0.max())), (grid.integrate(u0), grid.integrate(v0))
-
-
 def cmd_bounds(args: argparse.Namespace, doc: dict) -> int:
     grid = _section(doc, "grid")
-    sup0, mass0 = _initial_norms(grid, *build_initial(doc, grid))
+    u0, v0 = build_initial(doc, grid)
+    sup0, mass0 = (float(u0.max()), float(v0.max())), (grid.integrate(u0), grid.integrate(v0))
     initial = dict(zip(("sup_u0", "sup_v0", "mass_u0", "mass_v0"), (*sup0, *mass0)))
     document: dict[str, Any] = {"initial": initial}
     lines: list[str] = []
@@ -434,20 +431,20 @@ _ENVELOPE_CAPS = {
 }
 
 
-def _envelope_sections(
-    p: ModelParams, rec: TrajectoryRecord, sup0: tuple[float, float], mass0: tuple[float, float]
-) -> dict:
-    """Per-family envelope verdicts: predicted caps plus violation counters."""
+def _envelope_sections(p: ModelParams, rec: TrajectoryRecord) -> dict:
+    """Per-family envelope verdicts: the caps predicted from the first
+    sample's sup norms and masses, plus violation counters."""
     import numpy as np
 
     series = {
         name: np.asarray(getattr(rec, name)) for name in ("u_max", "v_max", "mass_u", "mass_v")
     }
-    series["mass_sum"] = series["mass_u"] + series["mass_v"]
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+        series["mass_sum"] = series["mass_u"] + series["mass_v"]
     doc: dict[str, Any] = {}
     for name, family in steady_states.BOUND_FAMILIES.items():
         try:
-            constants = family(p, sup0, mass0)
+            constants = family(p, (rec.u_max[0], rec.v_max[0]), (rec.mass_u[0], rec.mass_v[0]))
         except PreconditionError as exc:
             doc[name] = {"skipped": str(exc)}
             continue
@@ -484,19 +481,19 @@ def __getattr__(name: str) -> Any:
 
 def _run_from_config(
     doc: dict, references: tuple[tuple[str, ConstantState], ...]
-) -> tuple[TrajectoryRecord, np.ndarray, np.ndarray]:
+) -> TrajectoryRecord:
     p, grid, cfg = doc["params"], _section(doc, "grid"), _section(doc, "stepper")
     u0, v0 = build_initial(doc, grid)
     this = sys.modules[__name__]  # attribute lookups reach __getattr__
     state0 = this.initial_state(u0, v0, p, grid)
-    return this.run_simulation(state0, p, grid, cfg, references=references), u0, v0
+    return this.run_simulation(state0, p, grid, cfg, references=references)
 
 
 def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
     p = doc["params"]
     grid = _section(doc, "grid")
     references = build_references(doc, p)
-    rec, u0, v0 = _run_from_config(doc, references)
+    rec = _run_from_config(doc, references)
     csv_path = resolve_output(doc, args.out, "trajectory_csv")
     _write_trajectory_csv(csv_path, rec)
 
@@ -534,7 +531,7 @@ def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
     summary["predicted"] = {
         "references": {label: vars(state) for label, state in references},
     }
-    summary["envelopes"] = _envelope_sections(p, rec, *_initial_norms(grid, u0, v0))
+    summary["envelopes"] = _envelope_sections(p, rec)
 
     json_path = resolve_output(doc, args.out, "summary_json")
     write_json(json_path, summary)
@@ -586,7 +583,7 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
     if args.trajectory:
         pde_trace = read_trajectory_csv(args.trajectory)
     else:
-        pde_trace = _run_from_config(doc, ())[0]
+        pde_trace = _run_from_config(doc, ())
         pde_guard = pde_trace.guard_tripped
 
     s0 = RectangleState(
@@ -596,9 +593,7 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
         v_hi=pde_trace.v_max[0] if opts["v_hi0"] is None else opts["v_hi0"],
         v_lo=pde_trace.v_min[0] if opts["v_lo0"] is None else opts["v_lo0"],
     )
-    rect_trace = integrate_rectangles(
-        s0, p, t_end=pde_trace.t[-1], dt=opts["dt"], record_every=opts["record_every"]
-    )
+    rect_trace = integrate_rectangles(s0, p, pde_trace.t[-1], opts["dt"] * opts["record_every"])
     csv_path = resolve_output(doc, args.out, "rectangles_csv")
     columns = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]
     _write_csv(csv_path, columns, [getattr(rect_trace, c) for c in columns])

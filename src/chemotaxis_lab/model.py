@@ -147,6 +147,8 @@ class Grid1D:
         if not (isinstance(self.length, (int, float)) and math.isfinite(self.length)
                 and self.length > 0):
             raise ValueError(f"length must be a positive finite real, got {self.length!r}")
+        if self.dx * self.dx == 0.0:  # the operators divide by it
+            raise ValueError(f"the cell width {self.dx!r} squares to 0.0: length is too small")
 
     @property
     def dx(self) -> float:
@@ -162,7 +164,8 @@ class Grid1D:
         one field (n,), a list of floats, one per row, for a stack (m, n)."""
         import numpy as np
 
-        return (self.dx * np.add.reduce(f, axis=-1)).tolist()
+        with np.errstate(over="ignore"):  # an integral beyond the float range is inf
+            return (self.dx * np.add.reduce(f, axis=-1)).tolist()
 
 
 def check_time_resolution(t0: float, t_end: float, dt: float) -> tuple[float, float]:

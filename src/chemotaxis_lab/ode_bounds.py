@@ -158,38 +158,33 @@ def integrate_rectangles(
     s0: RectangleState,
     p: ModelParams,
     t_end: float,
-    dt: float = 1e-3,
-    record_every: int = 1,
+    spacing: float,
 ) -> RectangleTrace:
     """The rectangle system from s0 to t_end by Dormand-Prince 5(4).
 
-    Requires ordered nonnegative initial data.  The steps are sized by the
-    error target RTOL, ATOL, not by dt: dt * record_every is only the
-    spacing of the recorded rows, the times s0.t + i * dt * record_every
-    short of the stop tolerance of t_end, where Hairer's continuous
-    extension gives the state.  The rows are the initial state, those
-    times and the state at t_end.  When an accepted step ends with a
-    component past the divergence guard (or non-finite), or the step size
-    falls below MIN_STEP_ULPS float spacings of t, the run stops with
-    guard_tripped = "blow_up": the rows before that step are kept and the
-    step's own end state is the last row.  An initial state that is not
-    finite, or whose right-hand side is not, ends the run at once as
-    "blow_up" with the initial row only.  The rectangle system can
-    genuinely blow up in finite time outside the global-existence parameter
-    regions.  A dt too small to advance t at the run's largest |t| raises
-    PreconditionError before the first step.
+    Requires ordered nonnegative initial data.  The error target RTOL,
+    ATOL sizes the steps; spacing only places the rows between the initial
+    state and the state at t_end, at the times s0.t + i * spacing short of
+    the stop tolerance of t_end, by Hairer's continuous extension.  When an
+    accepted step ends with a component past the divergence guard (or
+    non-finite), or a step before the last falls below MIN_STEP_ULPS float
+    spacings of t, the run stops with guard_tripped = "blow_up": the rows
+    before that step are kept and the step's own end state is the last
+    row.  An initial state that is not finite, or whose right-hand side is
+    not, ends the run at once as "blow_up" with the initial row only.  The
+    rectangle system can genuinely blow up in finite time outside the
+    global-existence parameter regions.  A spacing too small to advance t
+    at the run's largest |t| raises PreconditionError before the first step.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if type(record_every) is not int or record_every < 1:  # a bool is no int
-        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    if not spacing > 0:
+        raise ValueError(f"spacing must be positive, got {spacing!r}")
     if not s0.ordered():
         raise PreconditionError(
             f"initial rectangle must be ordered (u_lo <= u_hi, v_lo <= v_hi), got {s0!r}"
         )
     if min(s0.u_lo, s0.v_lo) < 0:
         raise PreconditionError(f"initial rectangle must be nonnegative, got {s0!r}")
-    t_stop, _ = check_time_resolution(s0.t, t_end, dt)
+    t_stop, _ = check_time_resolution(s0.t, t_end, spacing)
 
     t0 = t = last_t = s0.t
     y = (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
@@ -198,7 +193,6 @@ def integrate_rectangles(
     if not t < t_stop:
         return trace
     record = trace.append
-    spacing = dt * record_every
     i_out = 1
     t_out = t0 + spacing
     rhs = rectangle_rhs(p)
@@ -217,16 +211,16 @@ def integrate_rectangles(
     fac_old = 1e-4
     after_reject = False
     while t < t_end:
-        if not h >= MIN_STEP_ULPS * math.ulp(t):
+        last = t + 1.01 * h >= t_end  # stretch a step rather than leave a sliver
+        if last:
+            h = t_end - t
+        elif not h >= MIN_STEP_ULPS * math.ulp(t):
             trace.guard_tripped = "blow_up"
             trace.notes.append(
                 f"rectangle step size {h!r} fell below {MIN_STEP_ULPS} float spacings "
                 f"of t={t!r} (finite-time blow-up of the bounding system)"
             )
             break
-        last = t + 1.01 * h >= t_end  # stretch a step rather than leave a sliver
-        if last:
-            h = t_end - t
         y_new, ks = _dopri_stages(rhs, y, k1, h)
         err = _error_norm(h, ks, y, y_new)
         # Hairer's controller with Lund's stabilisation; an infinite error
@@ -338,12 +332,10 @@ class EnclosureReport:
 
 
 def _interp(x: float, t: array, j: int, f: array) -> float:
-    """np.interp(x, t, f) bit for bit, given j = bisect_right(t, x) - 1:
-    f[0] before the first knot, f[-1] past the last, f[j] on a knot, else
-    NumPy's slope formula and its fallbacks for a NaN result."""
-    if j < 0:
-        return f[0]
-    if j == len(t) - 1 or t[j] == x:
+    """np.interp(x, t, f) bit for bit for t[0] <= x <= t[-1], given j =
+    bisect_right(t, x) - 1: f[j] on a knot, else NumPy's slope formula and
+    its fallbacks for a NaN result."""
+    if t[j] == x:
         return f[j]
     slope = (f[j + 1] - f[j]) / (t[j + 1] - t[j])
     value = slope * (x - t[j]) + f[j]
@@ -358,7 +350,7 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     """Verify u_lo - tol <= min u, max u <= u_hi + tol (and v analogues).
 
     Rectangle components are linearly interpolated onto the PDE sample
-    times.  PDE samples outside the rectangle trace's time span are
+    times.  PDE samples outside the rectangle trace's exact time span are
     excluded from the comparison and flagged in the notes, since constant
     extrapolation would not be evidence of enclosure.  The span of a trace
     whose guard tripped ends on the row before the tripping one: that row
@@ -375,17 +367,17 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     if rect_trace.guard_tripped is not None and len(columns[0]) > 1:
         columns = tuple(c[:-1] for c in columns)
     rect_t, u_hi, u_lo, v_hi, v_lo = columns
-    lo, hi = rect_t[0] - 1e-12, rect_t[-1] + 1e-12
+    # Python floats: a NumPy scalar's repr, which the note prints, depends on
+    # the NumPy version.
+    lo, hi = float(rect_t[0]), float(rect_t[-1])
     rows = zip(pde_trace.t, pde_trace.u_min, pde_trace.u_max, pde_trace.v_min, pde_trace.v_max)
     compared = [row for row in rows if lo <= row[0] <= hi]
     notes: list[str] = []
     n_out = len(pde_trace.t) - len(compared)
     if n_out:
-        # Python floats: a NumPy scalar's repr depends on the NumPy version.
-        first, last = float(rect_t[0]), float(rect_t[-1])
         notes.append(
             f"{n_out} PDE sample(s) fall outside the rectangle time span "
-            f"[{first!r}, {last!r}] and were not compared"
+            f"[{lo!r}, {hi!r}] and were not compared"
         )
     if rect_trace.guard_tripped is not None:
         notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")

@@ -41,25 +41,20 @@ BLOCK_VALUES = 1 << 15
 
 
 def chemotaxis_flux(
-    u: np.ndarray, dw: np.ndarray, chi: float | np.ndarray, dx: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Face fluxes of the attraction term, donor-cell upwinded.
+    u: np.ndarray, dw: np.ndarray, chi: np.ndarray, dx: float, out: np.ndarray
+) -> None:
+    """Face fluxes of the attraction term, donor-cell upwinded, into out.
 
-    dw holds the signal differences w[i+1] - w[i] across the n - 1 interior
-    faces.  Face i+1/2 carries chi * u_donor * dw[i] / dx, the donor being
-    the cell the signal gradient points away from.  The two boundary faces
-    carry zero flux.  u is one density (n,) with a scalar chi, giving (n + 1,)
-    fluxes, or m densities (m, n) with chi an (m, 1) column, giving (m, n + 1).
-    The fluxes go into out when it is given, whose boundary faces must
-    already hold zeros; otherwise into a new array.
+    u holds m densities (m, n), chi their (m, 1) sensitivities, and dw the
+    signal differences w[i+1] - w[i] across the n - 1 interior faces.  Face
+    i+1/2 carries chi * u_donor * dw[i] / dx, the donor being the cell the
+    signal gradient points away from.  The (m, n + 1) fluxes go into out,
+    whose two boundary faces must already hold zeros.
     """
-    if out is None:
-        out = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
-    inner = out[..., 1:-1]
-    np.multiply(chi, np.where(dw > 0.0, u[..., :-1], u[..., 1:]), out=inner)
+    inner = out[:, 1:-1]
+    np.multiply(chi, np.where(dw > 0.0, u[:, :-1], u[:, 1:]), out=inner)
     inner *= dw
     inner /= dx
-    return out
 
 
 class CflViolationError(RuntimeError):
@@ -192,6 +187,7 @@ def _same_bits(new: tuple[np.ndarray, ...], old: tuple[np.ndarray, ...]) -> bool
     return all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(new, old))
 
 
+@np.errstate(over="ignore")  # an overflow is inf, which a run's guards report
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
     """Bundle initial densities with their signal solve at t = 0."""
     u0 = np.asarray(u0, dtype=float)
@@ -199,6 +195,9 @@ def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) 
     return FieldState(t=0.0, u=u0, v=v0, w=solve_w(assemble(p, grid), u0, v0, p))
 
 
+# An overflowing run turns the densities to inf and NaN, which the non_finite
+# and blow_up guards report; NumPy's warnings would only repeat it on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def run_simulation(
     state0: FieldState,
     p: ModelParams,
@@ -269,56 +268,52 @@ def run_simulation(
 
     record()
     steps_done = 0
-    # An overflowing run turns the densities to inf and NaN, which the
-    # non_finite and blow_up guards report; NumPy's warnings would only
-    # repeat it on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_stop:
-            rest = cfg.t_end - t
-            dt = rest if rest < last_step else cfg.dt
-            if rec.stationary_from_t is None or dt != cfg.dt:
-                try:
-                    uv_new, w_new, mass_new = _advance(ws, uv, w, mass, dt)
-                except CflViolationError as exc:
-                    rec.guard_tripped = "cfl_violation"
-                    rec.notes.append(str(exc))
-                    break
-                # A full step that leaves its inputs as they were, bit for
-                # bit, leaves them so at every later full step too.  The
-                # float compares of the masses fail first on almost every
-                # step, and on a NaN.
-                if (dt == cfg.dt and mass_new[0] == mass[0] and mass_new[1] == mass[1]
-                        and _same_bits((uv_new, w_new, mass_new), (uv, w, mass))):
-                    rec.stationary_from_t = t
-                else:
-                    uv, w, mass = uv_new, w_new, mass_new
-            t += dt
-            steps_done += 1
-            peak = float(np.maximum.reduce(uv, axis=None))
-            if not math.isfinite(peak):
-                rec.guard_tripped = "non_finite"
-                rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
-            elif peak > cfg.blowup_guard:
-                rec.guard_tripped = "blow_up"
-                rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
-            if rec.guard_tripped:
-                record()
+    while t < t_stop:
+        rest = cfg.t_end - t
+        dt = rest if rest < last_step else cfg.dt
+        if rec.stationary_from_t is None or dt != cfg.dt:
+            try:
+                uv_new, w_new, mass_new = _advance(ws, uv, w, mass, dt)
+            except CflViolationError as exc:
+                rec.guard_tripped = "cfl_violation"
+                rec.notes.append(str(exc))
                 break
-            if steps_done % cfg.record_every == 0 or t >= t_stop:
-                record()
-                tol, window = cfg.steady_tol, cfg.steady_window
-                if tol is not None:
-                    flush()
-                    if (rec.span >= window and may_be_steady(rec, tol, window)
-                            and detect_steady(rec, tol, window).steady):
-                        rec.stopped_early = True
-                        rec.notes.append(
-                            f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}"
-                        )
-                        break
-        if t > (times[-1] if times else rec.t[-1]):
+            # A full step that leaves its inputs as they were, bit for
+            # bit, leaves them so at every later full step too.  The
+            # float compares of the masses fail first on almost every
+            # step, and on a NaN.
+            if (dt == cfg.dt and mass_new[0] == mass[0] and mass_new[1] == mass[1]
+                    and _same_bits((uv_new, w_new, mass_new), (uv, w, mass))):
+                rec.stationary_from_t = t
+            else:
+                uv, w, mass = uv_new, w_new, mass_new
+        t += dt
+        steps_done += 1
+        peak = float(np.maximum.reduce(uv, axis=None))
+        if not math.isfinite(peak):
+            rec.guard_tripped = "non_finite"
+            rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
+        elif peak > cfg.blowup_guard:
+            rec.guard_tripped = "blow_up"
+            rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
+        if rec.guard_tripped:
             record()
-        flush()
+            break
+        if steps_done % cfg.record_every == 0 or t >= t_stop:
+            record()
+            tol, window = cfg.steady_tol, cfg.steady_window
+            if tol is not None:
+                flush()
+                if (rec.span >= window and may_be_steady(rec, tol, window)
+                        and detect_steady(rec, tol, window).steady):
+                    rec.stopped_early = True
+                    rec.notes.append(
+                        f"stationary at tol={tol!r} over window={window!r}; stopped at t={t!r}"
+                    )
+                    break
+    if t > (times[-1] if times else rec.t[-1]):
+        record()
+    flush()
     rec.steps = steps_done
     rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
     return rec

@@ -223,7 +223,7 @@ def test_rectangle_enclosure_holds(coexistence_run):
     rect0 = RectangleState(
         t=rec.t[0], u_hi=rec.u_max[0], u_lo=rec.u_min[0], v_hi=rec.v_max[0], v_lo=rec.v_min[0]
     )
-    trace = integrate_rectangles(rect0, p, t_end=rec.t[-1], dt=1e-3, record_every=10)
+    trace = integrate_rectangles(rect0, p, rec.t[-1], 1e-2)
     assert trace.guard_tripped is None
     report = check_enclosure(rec, trace, tol=1e-3)
     assert report.passed, report
@@ -363,7 +363,7 @@ def test_property_suites(tmp_path):
     # diagonal rectangle data stays diagonal under integration
     pd = coexistence_params(0.1)
     s0 = RectangleState(t=0.0, u_hi=0.7, u_lo=0.7, v_hi=0.2, v_lo=0.2)
-    trace = integrate_rectangles(s0, pd, t_end=20.0, dt=1e-2, record_every=10)
+    trace = integrate_rectangles(s0, pd, 20.0, 0.1)
     gap_u = np.abs(np.array(trace.u_hi) - np.array(trace.u_lo)).max()
     gap_v = np.abs(np.array(trace.v_hi) - np.array(trace.v_lo)).max()
     assert gap_u <= 1e-12 and gap_v <= 1e-12

@@ -628,6 +628,62 @@ class TestExitCodes:
         assert read_json(tmp_path / "summary.json")["run"]["guard_tripped"] == "non_finite"
         assert "Warning" not in proc.stderr
 
+    def test_grid_whose_cell_width_squares_to_zero_is_a_config_error(self, tmp_path, capsys):
+        # dx = 7.8e-163, whose square underflows to 0.0: the signal operator
+        # and the stability check would divide by it.
+        doc = base_config()
+        doc["params"]["omega_measure"] = 1e-160
+        doc["grid"] = {"length": 1e-160, "n_cells": 128}
+        cfg = write_config(tmp_path, doc)
+        for command in ("check", "steady", "bounds", "simulate", "rectangles"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == (
+                "config error: grid: the cell width 7.8125e-163 squares to 0.0: length is too small\n"
+            ), command
+            assert not out.exists(), command
+
+    # In-process: the suite turns every RuntimeWarning into an error.
+    def test_narrow_bump_warns_nothing(self, tmp_path, capsys):
+        # ((x - c) / 1e-300)^2 overflows to inf, so u is 0.0 off its centre.
+        doc = base_config()
+        doc["initial_data"] = {
+            "two_bumps": {"centers": [0.3, 0.7], "widths": [1e-300, 0.1], "heights": [1.0, 0.8]}
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert read_json(tmp_path / "bounds.json")["initial"]["sup_u0"] == 0.0
+
+    def test_data_at_the_float_limit_warns_nothing(self, tmp_path, capsys):
+        # The signal's source k*u + l*v and the masses of constant data at
+        # 1e308 overflow to inf; the run ends as the non_finite trip.
+        doc = base_config()
+        doc["initial_data"] = {"constant": [1e308, 1e308]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "bounds.json")["initial"]["mass_u0"] == "inf"
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert read_json(tmp_path / "summary.json")["run"]["guard_tripped"] == "non_finite"
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert read_json(tmp_path / "enclosure.json")["pde_guard_tripped"] == "non_finite"
+        capsys.readouterr()
+
+    def test_masses_whose_sum_overflows_warn_nothing(self, tmp_path, capsys):
+        # Each mass is 1e308, finite, but their sum in the mass-sum envelope
+        # is inf.  The first step's reaction limit is far below dt.
+        doc = base_config()
+        doc["params"]["omega_measure"] = doc["grid"]["length"] = 1e10
+        doc["initial_data"] = {"constant": [1e298, 1e298]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
+        capsys.readouterr()
+        summary = read_json(tmp_path / "summary.json")
+        assert summary["run"]["guard_tripped"] == "cfl_violation"
+        assert summary["measured"]["final"]["mass_u"] == 1e308
+        assert summary["envelopes"]["mass_sum"]["max_recorded"] == "inf"
+
     def test_bounds_exit_3_when_no_family_applies(self, tmp_path, capsys):
         doc = base_config()
         doc["params"]["a3"] = -5.0
@@ -789,19 +845,28 @@ class TestDocumentContents:
         assert doc["mass_sum"]["alpha"] == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "config, bounds_exit, simulate_exit", [("readme", 0, 0), ("no_family", 3, 4)]
+        "config, bounds_exit, simulate_exit",
+        [("readme", 0, 0), ("no_family", 3, 4), ("mixed_sign", 0, 0), ("two_bumps", 0, 0)],
     )
     def test_simulate_envelopes_agree_with_bounds(
         self, tmp_path, capsys, config, bounds_exit, simulate_exit
     ):
-        if config == "readme":
-            # The caps depend on the params and the initial data only, so a
-            # short run of the README config checks them.
-            doc = readme_config()
-            doc["stepper"]["t_end"] = 1.0
-        else:
+        # The caps depend on the params and the initial data only, so a
+        # short run checks them.  simulate reads the data's sup norms and
+        # masses from the record's first sample, bounds from the data.
+        if config == "no_family":
             doc = base_config()
             doc["params"]["a3"] = -5.0
+        else:
+            if config == "mixed_sign":
+                doc = read_json(REPO_ROOT / "tests" / "golden" / "mixed_sign_config.json")
+            else:
+                doc = readme_config()
+            if config == "two_bumps":
+                doc["initial_data"] = {
+                    "two_bumps": {"centers": [0.3, 0.65], "widths": [0.1, 0.15], "heights": [1.0, 0.7]}
+                }
+            doc["stepper"]["t_end"] = 1.0
         cfg = write_config(tmp_path, doc)
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == bounds_exit
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == simulate_exit
@@ -858,7 +923,7 @@ class TestSimulateOutputs:
         doc["references"] = references
         doc = cli.load_config(write_config(tmp_path, doc))
         refs = cli.build_references(doc, doc["params"])
-        rec = cli._run_from_config(doc, refs)[0]
+        rec = cli._run_from_config(doc, refs)
         # Cells whose repr is unusual: NaN, infinities, signed zero, subnormal.
         odd = np.array([[np.nan, -0.0, 5e-324], [np.inf, -np.inf, 0.0], [1e300, -1e-300, 2.0]])
         levels = np.array([(r.u_star, r.v_star, r.w_star) for _, r in refs]).reshape(-1, 3)
@@ -1153,13 +1218,33 @@ class TestRectangles:
             "10000000000.0,0.4,0.6,0.4,0.6\n"
             "10000000001.0,0.4,0.6,0.4,0.6\n"
         )
-        cfg = write_config(tmp_path, {"params": base_params(), "rectangles": {"dt": 1e-7}})
+        cfg = write_config(tmp_path, {"params": base_params(), "rectangles": {"dt": 1e-7, "record_every": 1}})
         proc = run_module(
             "rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)
         )
         assert proc.returncode == 3, proc.stderr
         assert "float resolution" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_span_below_the_minimum_step_passes(self, tmp_path, capsys):
+        # The whole span, one float spacing at t = 0, is one last step,
+        # which the minimum-step guard lets through.
+        trajectory = tmp_path / "tiny.csv"
+        trajectory.write_text(
+            "t,u_min,u_max,v_min,v_max\n"
+            "0.0,0.4,0.6,0.4,0.6\n"
+            "5e-324,0.4,0.6,0.4,0.6\n"
+        )
+        cfg = write_config(tmp_path, {"params": base_params()})
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 0
+        capsys.readouterr()
+        enclosure = read_json(tmp_path / "enclosure.json")
+        assert enclosure["passed"] is True and enclosure["n_times"] == 2
+        assert enclosure["rectangle_guard_tripped"] is None and enclosure["rectangle_steps"] == 1
+        assert read_csv_rows(tmp_path / "rectangles.csv")[1:] == [
+            ["0.0", "0.6", "0.4", "0.6", "0.4"], ["5e-324", "0.6", "0.4", "0.6", "0.4"]
+        ]
 
     @pytest.mark.parametrize("u_max", ["inf", "1e300"])
     def test_non_finite_rectangle_start_exits_4(self, tmp_path, u_max):

@@ -148,6 +148,12 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="integer"):
             Grid1D(length=1.0, n_cells=True)
 
+    def test_cell_width_whose_square_underflows(self):
+        # The signal and diffusion operators divide by dx * dx.
+        with pytest.raises(ValueError, match="squares to 0.0"):
+            Grid1D(length=1e-160, n_cells=128)
+        assert Grid1D(length=1e-155, n_cells=128).dx ** 2 > 0.0  # subnormal
+
     def test_nonpositive_length(self):
         with pytest.raises(ValueError, match="length"):
             Grid1D(length=0.0, n_cells=8)

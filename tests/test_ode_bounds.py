@@ -81,29 +81,26 @@ class TestRectangleRhs:
 class TestIntegrateRectangles:
     def test_input_validation(self):
         s = RectangleState(t=0.0, u_hi=1.0, u_lo=0.5, v_hi=1.0, v_lo=0.5)
-        with pytest.raises(ValueError):
-            integrate_rectangles(s, mk_params(), 1.0, dt=0.0)
-        with pytest.raises(ValueError):
-            integrate_rectangles(s, mk_params(), 1.0, record_every=0)
-        with pytest.raises(ValueError, match="record_every"):
-            integrate_rectangles(s, mk_params(), 1.0, record_every=True)
+        for spacing in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="spacing"):
+                integrate_rectangles(s, mk_params(), 1.0, spacing)
         bad_order = RectangleState(t=0.0, u_hi=0.5, u_lo=1.0, v_hi=1.0, v_lo=0.5)
         with pytest.raises(PreconditionError, match="ordered"):
-            integrate_rectangles(bad_order, mk_params(), 1.0)
+            integrate_rectangles(bad_order, mk_params(), 1.0, 1e-3)
         negative = RectangleState(t=0.0, u_hi=1.0, u_lo=-0.1, v_hi=1.0, v_lo=0.5)
         with pytest.raises(PreconditionError, match="nonnegative"):
-            integrate_rectangles(negative, mk_params(), 1.0)
+            integrate_rectangles(negative, mk_params(), 1.0, 1e-3)
 
     def test_columns_take_about_eight_bytes_a_value(self):
         # The README run: perturbed_constant [0.5, 0.5, 0.1] on 128 cells,
-        # rectangles to t = 200 at dt 1e-3 and stride 10.  A packed double
+        # rectangles to t = 200 at a row spacing of 1e-2.  A packed double
         # is 8 bytes; a list of Python floats took about 34.
         wave = 0.1 * np.cos(math.pi * Grid1D(length=1.0, n_cells=128).cell_centers())
         u0, v0 = 0.5 + wave, 0.5 - wave
         s0 = RectangleState(0.0, float(u0.max()), float(u0.min()), float(v0.max()), float(v0.min()))
 
         def run():
-            return integrate_rectangles(s0, coexistence_params(0.1), 200.0, dt=1e-3, record_every=10)
+            return integrate_rectangles(s0, coexistence_params(0.1), 200.0, 1e-2)
 
         run()
         trace, peak = traced_peak(run)
@@ -111,18 +108,19 @@ class TestIntegrateRectangles:
         assert peak <= 1.25 * 8 * 5 * len(trace.t)
 
     def test_dt_just_above_half_spacing_advances(self):
-        # Each step moves t by one float spacing: slow, but the run ends.
+        # Rows about 500 float spacings apart over a span of 8192: the run
+        # ends, and its row times increase strictly.
         s0 = RectangleState(t=1.0, u_hi=0.6, u_lo=0.4, v_hi=0.6, v_lo=0.4)
         t_end = 1.0 + 8192 * math.ulp(1.0)
         dt = math.nextafter(0.5 * math.ulp(1.0), 1.0)
-        trace = integrate_rectangles(s0, mk_params(), t_end, dt=dt, record_every=1000)
+        trace = integrate_rectangles(s0, mk_params(), t_end, dt * 1000)
         assert trace.t[-1] > 1.0
         assert trace.t.tolist() == sorted(set(trace.t))
 
     def test_diagonal_stays_diagonal(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=0.6, u_lo=0.6, v_hi=0.4, v_lo=0.4)
-        trace = integrate_rectangles(s0, p, t_end=20.0, dt=1e-2, record_every=10)
+        trace = integrate_rectangles(s0, p, 20.0, 0.1)
         gaps_u = np.array(trace.u_hi) - np.array(trace.u_lo)
         gaps_v = np.array(trace.v_hi) - np.array(trace.v_lo)
         assert np.max(np.abs(gaps_u)) <= 1e-12
@@ -131,7 +129,7 @@ class TestIntegrateRectangles:
     def test_ordering_is_preserved(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=1.5, u_lo=0.2, v_hi=1.2, v_lo=0.1)
-        trace = integrate_rectangles(s0, p, t_end=50.0, dt=1e-3, record_every=50)
+        trace = integrate_rectangles(s0, p, 50.0, 0.05)
         for u_hi, u_lo, v_hi, v_lo in zip(trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo):
             assert u_lo <= u_hi + 1e-9
             assert v_lo <= v_hi + 1e-9
@@ -148,7 +146,7 @@ class TestIntegrateRectangles:
             rtol=1e-12, atol=1e-14, dense_output=True,
         )
         s0 = RectangleState(t=0.0, u_hi=0.2, u_lo=0.2, v_hi=0.6, v_lo=0.6)
-        trace = integrate_rectangles(s0, p, t_end=10.0, dt=1e-3, record_every=100)
+        trace = integrate_rectangles(s0, p, 10.0, 0.1)
         for t, u_hi, v_hi in zip(trace.t, trace.u_hi, trace.v_hi):
             u_ref, v_ref = sol.sol(t)
             assert abs(u_hi - u_ref) <= 1e-9
@@ -157,7 +155,7 @@ class TestIntegrateRectangles:
     def test_components_respect_sup_caps(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=2.0, v_lo=1.0)
-        trace = integrate_rectangles(s0, p, t_end=100.0, dt=1e-3, record_every=100)
+        trace = integrate_rectangles(s0, p, 100.0, 0.1)
         bc = linf_bounds(p, s0.u_hi, s0.v_hi)
         assert max(trace.u_hi) <= bc["sup_cap_u"] * (1.0 + 1e-6)
         assert max(trace.v_hi) <= bc["sup_cap_v"] * (1.0 + 1e-6)
@@ -166,7 +164,7 @@ class TestIntegrateRectangles:
     def test_contracts_to_coexistence_point(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=2.0, v_lo=1.0)
-        trace = integrate_rectangles(s0, p, t_end=100.0, dt=1e-3, record_every=100)
+        trace = integrate_rectangles(s0, p, 100.0, 0.1)
         third = 1.0 / 3.0
         assert abs(trace.u_hi[-1] - third) < 1e-8
         assert abs(trace.u_lo[-1] - third) < 1e-8
@@ -175,7 +173,7 @@ class TestIntegrateRectangles:
     def test_divergence_guard_keeps_partial_trace(self):
         p = mk_params(chi1=10.0)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=0.0, v_hi=1.0, v_lo=1.0)
-        trace = integrate_rectangles(s0, p, t_end=1.0, dt=1e-3)
+        trace = integrate_rectangles(s0, p, 1.0, 1e-3)
         assert trace.guard_tripped == "blow_up"
         assert trace.t[-1] < 1.0
         assert any("divergence guard" in note for note in trace.notes)
@@ -219,6 +217,17 @@ class TestCheckEnclosure:
                 "and were not compared",
             )
 
+    def test_span_is_exact(self):
+        # The rectangle starts on the first sample and ends on the last, so
+        # a sample 1e-13 outside its span is not compared.
+        rect = box_trace((0.0, 1.0))
+        pde = make_pde_trace([(t, 0.2, 0.8, 0.2, 0.8) for t in (-1e-13, 0.0, 1.0, 1.0 + 1e-13)])
+        report = check_enclosure(pde, rect, tol=1e-3)
+        assert report.passed and report.n_times == 2
+        assert report.notes == (
+            "2 PDE sample(s) fall outside the rectangle time span [0.0, 1.0] and were not compared",
+        )
+
     def test_no_overlap_fails_explicitly(self):
         rect = box_trace((5.0,))
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8)])
@@ -261,7 +270,7 @@ def numpy_check_enclosure(pde_trace, rect_trace, tol):
         rect_trace = RectangleTrace(*columns, guard_tripped=rect_trace.guard_tripped)
     pde_t = np.asarray(pde_trace.t, dtype=float)
     rect_t = np.asarray(rect_trace.t, dtype=float)
-    inside = (pde_t >= rect_t[0] - 1e-12) & (pde_t <= rect_t[-1] + 1e-12)
+    inside = (pde_t >= rect_t[0]) & (pde_t <= rect_t[-1])
     notes = []
     if not inside.all():
         n_out = int((~inside).sum())
@@ -331,8 +340,8 @@ class TestEnclosureMatchesNumpy:
 
         columns = [[value() for _ in rect_t] for _ in range(4)]
         rect = RectangleTrace(rect_t, *columns, guard_tripped=rng.choice((None, "blow_up")))
-        # exact knots, points between them, points just inside and beyond
-        # the 1e-12 margins at both ends, and points far outside
+        # exact knots, points between them, points just beyond both ends,
+        # and points far outside
         candidates = (
             rect_t + [rng.uniform(rect_t[0], rect_t[-1]) for _ in range(3 * n_rect)]
             + [rect_t[0] - 5e-13, rect_t[-1] + 5e-13, rect_t[0] - 1e-11, rect_t[-1] + 1e-11,
@@ -345,10 +354,10 @@ class TestEnclosureMatchesNumpy:
 
     def test_blown_up_rectangle(self):
         p = mk_params(chi1=1e200)
-        rect = integrate_rectangles(RectangleState(0.0, 1.0, 0.0, 0.0, 0.0), p, t_end=1.0, dt=1e-3)
+        rect = integrate_rectangles(RectangleState(0.0, 1.0, 0.0, 0.0, 0.0), p, 1.0, 1e-3)
         assert rect.guard_tripped == "blow_up"
         rows = [(t, 0.1, 0.9, 0.0, 0.5) for t in (0.0, 2.5e-4, 5e-4, 1e-3, 2e-3)]
-        # the rectangle trips near t = 1e-200, before the first stride
+        # the rectangle trips near t = 1e-200, before the first row
         # time: only t = 0 lies before the tripping row
         assert len(rect.t) == 2 and rect.t[0] == 0.0 and rect.t[1] < 1e-199
         assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 1
@@ -370,7 +379,7 @@ class TestEnclosureMatchesNumpy:
         # sample in that interval with u_max = 1e3, which the rectangle does
         # not enclose, is therefore not compared.
         rect = integrate_rectangles(
-            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(5.0), t_end=0.5, record_every=10
+            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(5.0), 0.5, 1e-2
         )
         assert rect.guard_tripped == "blow_up"
         assert rect.t[-2] == pytest.approx(0.27) and 0.27 < rect.t[-1] < 0.28
@@ -479,7 +488,7 @@ def assert_close_to_reference(s0, p, t_end, dt, record_every, ref_dt, t_max=None
     reference_rk4's at the step ref_dt, which divides dt, on the same
     output times, up to t_max when given; returns the trace and the
     reference's guard status."""
-    trace = integrate_rectangles(s0, p, t_end=t_end, dt=dt, record_every=record_every)
+    trace = integrate_rectangles(s0, p, t_end, dt * record_every)
     rows, guard, _ = reference_rk4(s0, p, t_end, ref_dt, round(dt / ref_dt) * record_every)
     got = list(zip(trace.t, trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo))
     if t_max is None:
@@ -541,7 +550,7 @@ class TestConvergence:
         runs = {}
         for rtol in (1e-6, 1e-9, 1e-12):
             monkeypatch.setattr(ode_bounds, "RTOL", rtol)
-            runs[rtol] = integrate_rectangles(s0, p, t_end=3.3337, dt=1e-2, record_every=1)
+            runs[rtol] = integrate_rectangles(s0, p, 3.3337, 1e-2)
         best = runs[1e-12]
         errors = {}
         for rtol in (1e-6, 1e-9):
@@ -628,18 +637,18 @@ class TestOutputGrid:
     ])
     def test_stride_times_are_products_and_the_last_row_is_t_end(self, t0, t_end, dt, record_every):
         s0 = RectangleState(t0, 0.6, 0.4, 0.6, 0.4)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), t_end, dt=dt, record_every=record_every)
         spacing = dt * record_every
+        trace = integrate_rectangles(s0, coexistence_params(0.1), t_end, spacing)
         assert trace.t[:-1].tolist() == [t0 + i * spacing for i in range(len(trace.t) - 1)]
         assert trace.t[-1] == t_end
         assert all(a < b for a, b in zip(trace.t, trace.t[1:]))
-        t_stop = t_end - min(1e-12 * max(abs(t_end), 1.0), 0.5 * dt, 0.5 * (t_end - t0))
+        t_stop = t_end - min(1e-12 * max(abs(t_end), 1.0), 0.5 * spacing, 0.5 * (t_end - t0))
         assert trace.t[-2] < t_stop <= t0 + (len(trace.t) - 1) * spacing
 
     def test_zero_length_run_makes_no_rhs_call(self, monkeypatch):
         calls = counting_rhs(monkeypatch)
         s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), 0.0, dt=1e-3, record_every=10)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), 0.0, 1e-2)
         assert calls == []
         assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [0.6]
         assert trace.steps == trace.rejected == 0 and trace.guard_tripped is None
@@ -647,11 +656,10 @@ class TestOutputGrid:
 
 class TestEndsOnTEnd:
     def test_drifted_step_sum_ends_on_t_end(self):
-        # A sum of 49,999 steps of 1e-3 would leave a remainder just above
-        # dt; the stride times are products, and the last row is t_end.
+        # A running sum of the row spacing drifts off its grid; the row
+        # times are products, and the last row is t_end.
         trace = integrate_rectangles(
-            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1),
-            t_end=50.0, dt=1e-3, record_every=10,
+            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1), 50.0, 1e-2
         )
         assert trace.t[-1] == 50.0
         assert len(trace.t) == 5001
@@ -662,10 +670,20 @@ class TestEndsOnTEnd:
         # t_end = 1e-13 is below the plain tolerance 1e-12, which took no step.
         s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
         for record_every in (1, 100):
-            trace = integrate_rectangles(s0, coexistence_params(0.1), t_end=1e-13, dt=dt, record_every=record_every)
+            trace = integrate_rectangles(s0, coexistence_params(0.1), 1e-13, dt * record_every)
             assert trace.t[-1] == 1e-13
             assert len(trace.t) == (rows if record_every == 1 else 2)
         assert_close_to_reference(s0, coexistence_params(0.1), 1e-13, dt, 1, ref_dt=dt)
+
+    def test_last_step_below_the_minimum_step_is_taken(self):
+        # t_end = 5e-324 lies within MIN_STEP_ULPS float spacings of t = 0,
+        # so the one step of the run is shorter than the guard's minimum;
+        # the guard skips a last step, which ends the run whatever its size.
+        s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), 5e-324, 1e-2)
+        assert trace.guard_tripped is None and trace.notes == []
+        assert trace.t.tolist() == [0.0, 5e-324]
+        assert trace.steps == 1 and trace.rejected == 0
 
 
 class TestDivergenceGuard:
@@ -675,7 +693,7 @@ class TestDivergenceGuard:
         # and stops on the first finite state past the guard.
         p = mk_params(chi1=1e200)
         s0 = RectangleState(0.0, 1.0, 0.0, 0.0, 0.0)
-        trace = integrate_rectangles(s0, p, 1.0, 1e-3, 10)
+        trace = integrate_rectangles(s0, p, 1.0, 1e-2)
         assert trace.guard_tripped == "blow_up"
         assert len(trace.t) == 2 and 0.0 < trace.t[-1] < 1e-199
         assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] > DIVERGENCE_GUARD
@@ -686,7 +704,7 @@ class TestDivergenceGuard:
         # while every component stays finite.
         p = mk_params(a1=1e-12)
         s0 = RectangleState(0.0, 0.999e8, 0.0, 0.0, 0.0)
-        trace = integrate_rectangles(s0, p, 1.0, 1e-2, 10)
+        trace = integrate_rectangles(s0, p, 1.0, 0.1)
         assert trace.guard_tripped == "blow_up"
         assert len(trace.t) == 2 and 0.0 < trace.t[-1] < 0.1
         assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] > DIVERGENCE_GUARD
@@ -698,7 +716,7 @@ class TestDivergenceGuard:
     ], ids=["chi1-10", "coexistence-chi-5"])
     def test_blow_up_trips_in_bounded_work(self, p, s0, t_end, monkeypatch):
         calls = counting_rhs(monkeypatch)
-        trace = integrate_rectangles(s0, p, t_end, dt=1e-3, record_every=10)
+        trace = integrate_rectangles(s0, p, t_end, 1e-2)
         assert trace.guard_tripped == "blow_up"
         # the first rhs, then six per attempted step
         assert len(calls) == 1 + 6 * (trace.steps + trace.rejected)
@@ -710,7 +728,7 @@ class TestDivergenceGuard:
         # step size can be accepted from it.
         calls = counting_rhs(monkeypatch)
         s0 = RectangleState(0.0, u_hi, 0.4, 0.6, 0.4)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), 200.0, dt=1e-3, record_every=10)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), 200.0, 1e-2)
         assert trace.guard_tripped == "blow_up"
         assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [u_hi]
         assert trace.steps == trace.rejected == 0
@@ -721,7 +739,7 @@ class TestDivergenceGuard:
         # From t = 1 the blow-up at t = 1 + 1e-200 lies within one float
         # spacing of t: the step size collapses instead of t advancing.
         calls = counting_rhs(monkeypatch)
-        trace = integrate_rectangles(RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e200), 2.0)
+        trace = integrate_rectangles(RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e200), 2.0, 1e-3)
         assert trace.guard_tripped == "blow_up"
         assert trace.t.tolist() == [1.0] and trace.steps == 0
         assert any("fell below 4 float spacings of t=1.0" in note for note in trace.notes)

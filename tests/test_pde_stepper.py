@@ -72,27 +72,28 @@ def face_differences(w):
 class TestLocalTerms:
     def test_flux_boundary_faces_are_zero(self):
         grid = Grid1D(length=1.0, n_cells=4)
-        flux = chemotaxis_flux(np.ones(4), face_differences([0.0, 1.0, 1.0, 0.0]), 2.0, grid.dx)
-        assert flux.shape == (5,)
-        assert flux[0] == 0.0 and flux[-1] == 0.0
+        flux = np.zeros((1, 5))
+        chemotaxis_flux(np.ones((1, 4)), face_differences([0.0, 1.0, 1.0, 0.0]), np.array([[2.0]]), grid.dx, flux)
+        assert flux[0, 0] == 0.0 and flux[0, -1] == 0.0
 
     def test_flux_donor_cell_values(self):
         grid = Grid1D(length=1.0, n_cells=4)
-        u = np.array([1.0, 2.0, 3.0, 4.0])
+        u = np.array([[1.0, 2.0, 3.0, 4.0]])
         dw = face_differences([0.0, 1.0, 1.0, 0.0])
-        flux = chemotaxis_flux(u, dw, 2.0, grid.dx)
-        np.testing.assert_array_equal(flux, [0.0, 8.0, 0.0, -32.0, 0.0])
-        out = np.zeros(5)
-        assert chemotaxis_flux(u, dw, 2.0, grid.dx, out=out) is out
-        np.testing.assert_array_equal(out, flux)
+        flux = np.zeros((1, 5))
+        chemotaxis_flux(u, dw, np.array([[2.0]]), grid.dx, flux)
+        np.testing.assert_array_equal(flux, [[0.0, 8.0, 0.0, -32.0, 0.0]])
 
     def test_flux_of_stacked_densities_matches_each_row(self):
         grid = Grid1D(length=1.0, n_cells=4)
         uv = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]])
         dw = face_differences([0.0, 1.0, 1.0, 0.0])
-        flux = chemotaxis_flux(uv, dw, np.array([[2.0], [0.5]]), grid.dx)
-        np.testing.assert_array_equal(flux[0], chemotaxis_flux(uv[0], dw, 2.0, grid.dx))
-        np.testing.assert_array_equal(flux[1], chemotaxis_flux(uv[1], dw, 0.5, grid.dx))
+        chi = np.array([[2.0], [0.5]])
+        flux, row = np.zeros((2, 5)), np.zeros((1, 5))
+        chemotaxis_flux(uv, dw, chi, grid.dx, flux)
+        for i in range(2):
+            chemotaxis_flux(uv[i:i + 1], dw, chi[i:i + 1], grid.dx, row)
+            np.testing.assert_array_equal(flux[i:i + 1], row)
 
     def test_reaction_terms_hand_value(self):
         # On constant data the fluxes vanish and implicit diffusion returns
