@@ -32,6 +32,7 @@ from .model import (
     ModelParams,
     PreconditionError,
     StepperConfig,
+    check_time_resolution,
     validate_params,
 )
 from .ode_bounds import RectangleState, check_enclosure, integrate_rectangles
@@ -593,6 +594,7 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
         v_hi=pde_trace.v_max[0] if opts["v_hi0"] is None else opts["v_hi0"],
         v_lo=pde_trace.v_min[0] if opts["v_lo0"] is None else opts["v_lo0"],
     )
+    check_time_resolution(s0.t, pde_trace.t[-1], opts["dt"])  # dt itself, as stepper.dt
     rect_trace = integrate_rectangles(s0, p, pde_trace.t[-1], opts["dt"] * opts["record_every"])
     csv_path = resolve_output(doc, args.out, "rectangles_csv")
     columns = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]

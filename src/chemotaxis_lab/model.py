@@ -176,7 +176,7 @@ def check_time_resolution(t0: float, t_end: float, dt: float) -> tuple[float, fl
     remainder within the stop tolerance of dt ends the run on t_end
     (t + (t_end - t) == t_end near t_end) rather than short of it.  The
     tolerance, 1e-12 relative to t_end, is at most half a step and half the
-    run, so a run with t0 < t_end takes at least one step and ends on t_end.
+    run, so t0 < t_stop < t_end unless t_end is one float spacing past t0.
 
     Raises when the run could stall: dt is at most half the float spacing
     at the run's largest |t|, so somewhere on the way t + dt rounds back to

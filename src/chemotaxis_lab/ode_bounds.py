@@ -72,9 +72,6 @@ class RectangleState:
     v_hi: float
     v_lo: float
 
-    def ordered(self) -> bool:
-        return self.u_lo <= self.u_hi and self.v_lo <= self.v_hi
-
 
 @dataclass
 class RectangleTrace:
@@ -162,23 +159,23 @@ def integrate_rectangles(
 ) -> RectangleTrace:
     """The rectangle system from s0 to t_end by Dormand-Prince 5(4).
 
-    Requires ordered nonnegative initial data.  The error target RTOL,
-    ATOL sizes the steps; spacing only places the rows between the initial
-    state and the state at t_end, at the times s0.t + i * spacing short of
-    the stop tolerance of t_end, by Hairer's continuous extension.  When an
+    Requires ordered nonnegative initial data.  The error target RTOL, ATOL
+    sizes the steps; spacing only places the rows between the initial state
+    and the state at t_end, at the times s0.t + i * spacing short of the
+    stop tolerance of t_end, by Hairer's continuous extension.  When an
     accepted step ends with a component past the divergence guard (or
-    non-finite), or a step before the last falls below MIN_STEP_ULPS float
-    spacings of t, the run stops with guard_tripped = "blow_up": the rows
-    before that step are kept and the step's own end state is the last
-    row.  An initial state that is not finite, or whose right-hand side is
-    not, ends the run at once as "blow_up" with the initial row only.  The
-    rectangle system can genuinely blow up in finite time outside the
-    global-existence parameter regions.  A spacing too small to advance t
-    at the run's largest |t| raises PreconditionError before the first step.
+    non-finite), or a step falls below both MIN_STEP_ULPS float spacings of
+    t and the remainder t_end - t, the run stops with guard_tripped =
+    "blow_up": the rows before that step are kept and its end state is the
+    last row.  An initial state that is not finite, or whose right-hand side
+    is not, ends the run at once as "blow_up" with the initial row only.
+    The rectangle system can genuinely blow up in finite time outside the
+    global-existence parameter regions.  A spacing too small to advance t at
+    the run's largest |t| raises PreconditionError before the first step.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")
-    if not s0.ordered():
+    if not (s0.u_lo <= s0.u_hi and s0.v_lo <= s0.v_hi):
         raise PreconditionError(
             f"initial rectangle must be ordered (u_lo <= u_hi, v_lo <= v_hi), got {s0!r}"
         )
@@ -190,7 +187,7 @@ def integrate_rectangles(
     y = (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
     trace = RectangleTrace()
     trace.append(t, *y)
-    if not t < t_stop:
+    if not t < t_end:  # t_stop may round down to t0 on a span of one float spacing
         return trace
     record = trace.append
     i_out = 1
@@ -211,16 +208,17 @@ def integrate_rectangles(
     fac_old = 1e-4
     after_reject = False
     while t < t_end:
-        last = t + 1.01 * h >= t_end  # stretch a step rather than leave a sliver
-        if last:
-            h = t_end - t
-        elif not h >= MIN_STEP_ULPS * math.ulp(t):
+        # the whole remainder passes, however small, but no retry cut below it
+        if not h >= min(MIN_STEP_ULPS * math.ulp(t), t_end - t):
             trace.guard_tripped = "blow_up"
             trace.notes.append(
                 f"rectangle step size {h!r} fell below {MIN_STEP_ULPS} float spacings "
                 f"of t={t!r} (finite-time blow-up of the bounding system)"
             )
             break
+        last = t + 1.01 * h >= t_end  # stretch a step rather than leave a sliver
+        if last:
+            h = t_end - t
         y_new, ks = _dopri_stages(rhs, y, k1, h)
         err = _error_norm(h, ks, y, y_new)
         # Hairer's controller with Lund's stabilisation; an infinite error

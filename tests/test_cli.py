@@ -1209,8 +1209,9 @@ class TestRectangles:
         assert doc_out["pde_guard_tripped"] == "blow_up"
 
     def test_dt_below_time_resolution_exits_3(self, tmp_path):
-        # At t = 1e10 the float spacing is 1.9e-6, so t + 1e-7 == t: the
-        # integrator would never advance.  Run in a subprocess so that a
+        # At t = 1e10 the float spacing is 1.9e-6, so t + 1e-7 == t: dt is
+        # refused at the default record_every, whose row spacing 1e-6 would
+        # advance t, as at record_every 1.  Run in a subprocess so that a
         # regression shows as a timeout, not a hung suite.
         trajectory = tmp_path / "late.csv"
         trajectory.write_text(
@@ -1218,22 +1219,25 @@ class TestRectangles:
             "10000000000.0,0.4,0.6,0.4,0.6\n"
             "10000000001.0,0.4,0.6,0.4,0.6\n"
         )
-        cfg = write_config(tmp_path, {"params": base_params(), "rectangles": {"dt": 1e-7, "record_every": 1}})
-        proc = run_module(
-            "rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert "float resolution" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        for rectangles in ({"dt": 1e-7}, {"dt": 1e-7, "record_every": 1}):
+            cfg = write_config(tmp_path, {"params": base_params(), "rectangles": rectangles})
+            proc = run_module(
+                "rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert "float resolution" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
-    def test_span_below_the_minimum_step_passes(self, tmp_path, capsys):
-        # The whole span, one float spacing at t = 0, is one last step,
-        # which the minimum-step guard lets through.
+    @pytest.mark.parametrize("t0, t1", [("0.0", "5e-324"), ("1.0", "1.0000000000000002")])
+    def test_span_below_the_minimum_step_passes(self, tmp_path, capsys, t0, t1):
+        # The whole span, one float spacing, is one last step, which the
+        # minimum-step guard lets through; the rectangle ends on t1, so
+        # both samples are compared.
         trajectory = tmp_path / "tiny.csv"
         trajectory.write_text(
             "t,u_min,u_max,v_min,v_max\n"
-            "0.0,0.4,0.6,0.4,0.6\n"
-            "5e-324,0.4,0.6,0.4,0.6\n"
+            f"{t0},0.4,0.6,0.4,0.6\n"
+            f"{t1},0.4,0.6,0.4,0.6\n"
         )
         cfg = write_config(tmp_path, {"params": base_params()})
         args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
@@ -1242,9 +1246,9 @@ class TestRectangles:
         enclosure = read_json(tmp_path / "enclosure.json")
         assert enclosure["passed"] is True and enclosure["n_times"] == 2
         assert enclosure["rectangle_guard_tripped"] is None and enclosure["rectangle_steps"] == 1
-        assert read_csv_rows(tmp_path / "rectangles.csv")[1:] == [
-            ["0.0", "0.6", "0.4", "0.6", "0.4"], ["5e-324", "0.6", "0.4", "0.6", "0.4"]
-        ]
+        assert enclosure["notes"] == []
+        rows = read_csv_rows(tmp_path / "rectangles.csv")
+        assert rows[1] == [t0, "0.6", "0.4", "0.6", "0.4"] and [r[0] for r in rows[2:]] == [t1]
 
     @pytest.mark.parametrize("u_max", ["inf", "1e300"])
     def test_non_finite_rectangle_start_exits_4(self, tmp_path, u_max):

@@ -675,15 +675,36 @@ class TestEndsOnTEnd:
             assert len(trace.t) == (rows if record_every == 1 else 2)
         assert_close_to_reference(s0, coexistence_params(0.1), 1e-13, dt, 1, ref_dt=dt)
 
-    def test_last_step_below_the_minimum_step_is_taken(self):
-        # t_end = 5e-324 lies within MIN_STEP_ULPS float spacings of t = 0,
-        # so the one step of the run is shorter than the guard's minimum;
-        # the guard skips a last step, which ends the run whatever its size.
-        s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), 5e-324, 1e-2)
+    @pytest.mark.parametrize("t0", [0.0, 1.0])
+    def test_last_step_below_the_minimum_step_is_taken(self, t0):
+        # t_end, one float spacing past t0, lies within MIN_STEP_ULPS float
+        # spacings of it, so the one step of the run is shorter than the
+        # guard's minimum; a step of the whole remainder passes whatever its
+        # size.  From 1.0 the stop tolerance rounds t_stop down to t0.
+        s0 = RectangleState(t0, 0.6, 0.4, 0.6, 0.4)
+        t_end = t0 + math.ulp(t0)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), t_end, 1e-2)
         assert trace.guard_tripped is None and trace.notes == []
-        assert trace.t.tolist() == [0.0, 5e-324]
+        assert trace.t.tolist() == [t0, t_end]
         assert trace.steps == 1 and trace.rejected == 0
+
+    def test_rejected_last_step_is_not_retried_forever(self, monkeypatch):
+        # Two float spacings remain and every step is rejected: the cut
+        # retry lies below both the minimum step and the remainder, so the
+        # guard ends the run instead of stretching it back to the remainder.
+        errors = []
+
+        def rejecting(*args):
+            errors.append(None)
+            assert len(errors) < 100, "the same rejected last step is retried"
+            return 2.0
+
+        monkeypatch.setattr(ode_bounds, "_error_norm", rejecting)
+        s0 = RectangleState(1.0, 0.6, 0.4, 0.6, 0.4)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), 1.0 + 2 * math.ulp(1.0), 1e-2)
+        assert trace.guard_tripped == "blow_up" and trace.steps == 0
+        assert trace.t.tolist() == [1.0] and len(errors) <= 1
+        assert any("fell below 4 float spacings of t=1.0" in note for note in trace.notes)
 
 
 class TestDivergenceGuard:
