@@ -32,7 +32,6 @@ from .model import (
     ModelParams,
     PreconditionError,
     StepperConfig,
-    check_time_resolution,
     validate_params,
 )
 from .ode_bounds import RectangleState, check_enclosure, integrate_rectangles
@@ -414,12 +413,12 @@ def _write_csv(path: Path, header: list[str], cols: list) -> None:
         fh.writelines(",".join(r) + "\n" for r in zip(*(map(repr, c) for c in cols)))
 
 
-def _write_trajectory_csv(path: Path, rec: TrajectoryRecord) -> None:
+def _write_trajectory_csv(path: Path, rec: TrajectoryRecord, distances: dict[str, tuple]) -> None:
     header = list(TRAJECTORY_COLUMNS)
     cols = [getattr(rec, name) for name in TRAJECTORY_COLUMNS]
-    for label in rec.ref_labels:
+    for label, columns in distances.items():
         header.extend([f"dist_u_{label}", f"dist_v_{label}", f"dist_w_{label}"])
-        cols.extend(rec.dist[label])
+        cols.extend(columns)
     _write_csv(path, header, cols)
 
 
@@ -480,23 +479,24 @@ def __getattr__(name: str) -> Any:
     return globals().setdefault(name, getattr(pde_stepper, name))
 
 
-def _run_from_config(
-    doc: dict, references: tuple[tuple[str, ConstantState], ...]
-) -> TrajectoryRecord:
+def _run_from_config(doc: dict) -> TrajectoryRecord:
     p, grid, cfg = doc["params"], _section(doc, "grid"), _section(doc, "stepper")
     u0, v0 = build_initial(doc, grid)
     this = sys.modules[__name__]  # attribute lookups reach __getattr__
     state0 = this.initial_state(u0, v0, p, grid)
-    return this.run_simulation(state0, p, grid, cfg, references=references)
+    return this.run_simulation(state0, p, grid, cfg)
 
 
 def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
     p = doc["params"]
     grid = _section(doc, "grid")
     references = build_references(doc, p)
-    rec = _run_from_config(doc, references)
+    rec = _run_from_config(doc)
+    distances = {
+        label: rec.distances((state.u_star, state.v_star, state.w_star)) for label, state in references
+    }
     csv_path = resolve_output(doc, args.out, "trajectory_csv")
-    _write_trajectory_csv(csv_path, rec)
+    _write_trajectory_csv(csv_path, rec, distances)
 
     summary: dict[str, Any] = {
         "run": {
@@ -516,8 +516,8 @@ def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
     measured: dict[str, Any] = {
         "final": {name: getattr(rec, name)[-1] for name in TRAJECTORY_COLUMNS},
         "final_distances": {
-            label: {f: col[-1] for f, col in zip("uvw", rec.dist[label])}
-            for label in rec.ref_labels
+            label: {f: col[-1] for f, col in zip("uvw", columns)}
+            for label, columns in distances.items()
         },
     }
     if rec.span > 0.0:
@@ -537,8 +537,8 @@ def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
     json_path = resolve_output(doc, args.out, "summary_json")
     write_json(json_path, summary)
     print(f"simulated to t={rec.t[-1]:.6g} ({rec.n_samples} samples)")
-    for label in rec.ref_labels:
-        du, dv, dw = (col[-1] for col in rec.dist[label])
+    for label, columns in distances.items():
+        du, dv, dw = (col[-1] for col in columns)
         print(f"distance to {label}: u={du:.3e} v={dv:.3e} w={dw:.3e}")
     if rec.guard_tripped:
         print(f"guard tripped: {rec.guard_tripped}", file=sys.stderr)
@@ -584,7 +584,7 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
     if args.trajectory:
         pde_trace = read_trajectory_csv(args.trajectory)
     else:
-        pde_trace = _run_from_config(doc, ())
+        pde_trace = _run_from_config(doc)
         pde_guard = pde_trace.guard_tripped
 
     s0 = RectangleState(
@@ -594,7 +594,6 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
         v_hi=pde_trace.v_max[0] if opts["v_hi0"] is None else opts["v_hi0"],
         v_lo=pde_trace.v_min[0] if opts["v_lo0"] is None else opts["v_lo0"],
     )
-    check_time_resolution(s0.t, pde_trace.t[-1], opts["dt"])  # dt itself, as stepper.dt
     rect_trace = integrate_rectangles(s0, p, pde_trace.t[-1], opts["dt"] * opts["record_every"])
     csv_path = resolve_output(doc, args.out, "rectangles_csv")
     columns = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]

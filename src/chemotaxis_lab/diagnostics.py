@@ -26,18 +26,17 @@ TRAJECTORY_COLUMNS = (
 class TrajectoryRecord:
     """Time series of per-snapshot summaries emitted by a simulation run.
 
-    Holds, per sample: min/max/mean of each field, the two masses, and the
-    sup-distances to every configured reference state: dist[label] is the
-    column triple (du, dv, dw).  Every column is a packed float64
-    array('d') (see float_column), 8 bytes a sample.  Times are strictly
-    increasing.  guard_tripped is None for a clean run, otherwise names
-    the guard ("blow_up", "non_finite" or "cfl_violation") and the record
-    holds the partial trace up to the trip.  steps counts
-    the steps the run took; stationary_from_t is the time from which a full
-    step left u, v and w unchanged bit for bit, None if none did.
+    Holds, per sample: min/max/mean of each field and the two masses; the
+    sup-distances to a constant state follow from the extrema (distances).
+    Every column is a packed float64 array('d') (see float_column), 8 bytes
+    a sample.  Times are strictly increasing.  guard_tripped is None for a
+    clean run, otherwise names the guard ("blow_up", "non_finite" or
+    "cfl_violation") and the record holds the partial trace up to the trip.
+    steps counts the steps the run took; stationary_from_t is the time from
+    which a full step left u, v and w unchanged bit for bit, None if none
+    did.
     """
 
-    ref_labels: tuple[str, ...] = ()
     t: array = field(default_factory=float_column)
     u_min: array = field(default_factory=float_column)
     u_max: array = field(default_factory=float_column)
@@ -50,7 +49,6 @@ class TrajectoryRecord:
     w_mean: array = field(default_factory=float_column)
     mass_u: array = field(default_factory=float_column)
     mass_v: array = field(default_factory=float_column)
-    dist: dict[str, tuple[array, array, array]] = field(default_factory=dict)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
     stopped_early: bool = False
@@ -58,38 +56,19 @@ class TrajectoryRecord:
     stationary_from_t: float | None = None
     final_state: FieldState | None = None
 
-    def __post_init__(self) -> None:
-        for label in self.ref_labels:
-            self.dist.setdefault(label, (float_column(), float_column(), float_column()))
-
-    def append_sample(
-        self,
-        t: float,
-        fields: np.ndarray,
-        mass_u: float,
-        mass_v: float,
-        levels: np.ndarray | None = None,
-    ) -> None:
+    def append_sample(self, t: float, fields: np.ndarray, mass_u: float, mass_v: float) -> None:
         """Record the (3, n) stack fields (rows u, v, w) at time t: a block
         of one sample (see append_block)."""
         import numpy as np
 
-        self.append_block([t], np.asarray(fields)[None], [(mass_u, mass_v)], levels)
+        self.append_block([t], np.asarray(fields)[None], [(mass_u, mass_v)])
 
-    def append_block(
-        self,
-        t: list[float],
-        fields: np.ndarray,
-        mass: np.ndarray,
-        levels: np.ndarray | None = None,
-    ) -> None:
+    def append_block(self, t: list[float], fields: np.ndarray, mass: np.ndarray) -> None:
         """Record k samples: their k times t, the (k, 3, n) stack fields
         (rows u, v, w of each sample) and the (k, 2) masses (mass_u, mass_v).
 
-        levels holds one (u*, v*, w*) row per entry of ref_labels, in order;
-        it may be omitted when the record has no reference.  Each statistic
-        is one reduction over the block, so a block gives every sample the
-        bits it would get alone.
+        Each statistic is one reduction over the block, so a block gives
+        every sample the bits it would get alone.
         """
         import numpy as np
 
@@ -110,15 +89,23 @@ class TrajectoryRecord:
             self.u_mean, self.v_mean, self.w_mean, self.mass_u, self.mass_v,
         ]
         series = [lo, hi, mean, np.asarray(mass, dtype=float)]
-        if self.ref_labels:
-            for label in self.ref_labels:
-                columns.extend(self.dist[label])
-            dist = sup_distance(lo[:, None], hi[:, None], levels)  # (k, R, 3)
-            series.append(dist.reshape(len(t), 3 * len(self.ref_labels)))
         # The columns of the (k, C) block, each copied as raw doubles: no
         # Python float is made per value.
         for column, values in zip(columns, np.concatenate(series, axis=1).T):
             column.frombytes(values.tobytes())
+
+    def distances(self, level: tuple[float, float, float]) -> tuple[array, array, array]:
+        """The columns (du, dv, dw) of every sample's sup-distance to the
+        constant state level = (u*, v*, w*), from the recorded extrema: one
+        sup_distance call per field over the whole column, its result copied
+        in as raw doubles into a packed column like the record's own."""
+        import numpy as np
+
+        extrema = zip((self.u_min, self.v_min, self.w_min), (self.u_max, self.v_max, self.w_max))
+        return tuple(
+            array("d", sup_distance(np.frombuffer(lo), np.frombuffer(hi), c).tobytes())
+            for (lo, hi), c in zip(extrema, level)
+        )
 
     @property
     def n_samples(self) -> int:
@@ -145,16 +132,16 @@ class TailStats:
     v_lo_tail: float
 
 
-def sup_distance(lo: np.ndarray, hi: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Per-field sup-norm distances of a snapshot to constant states.
+def sup_distance(lo: np.ndarray, hi: np.ndarray, levels: np.ndarray | float) -> np.ndarray:
+    """Sup-norm distances of fields to constant levels.
 
-    lo and hi are the snapshot's per-field minima and maxima (u, v, w);
-    levels is an (R, 3) array with one (u*, v*, w*) row per state.  Returns
-    the (R, 3) distances max_i |f_i - c| without a pass over the cells
-    (k snapshots as (k, 1, 3) extrema give (k, R, 3) distances):
-    fl(x - c) is monotone in x and fl(c - x) = -fl(x - c), so the largest
-    |f_i - c| is hi - c or c - lo, bit for bit.  NaN propagates as in a
-    cellwise maximum, and the abs keeps a zero distance +0.0.
+    lo and hi are the fields' minima and maxima, and levels the constants c,
+    broadcast against them: one field's extrema over k samples and a scalar
+    give k distances, (3,) extrema and (R, 3) levels give (R, 3).  Returns
+    max_i |f_i - c| without a pass over the cells: fl(x - c) is monotone in
+    x and fl(c - x) = -fl(x - c), so the largest |f_i - c| is hi - c or
+    c - lo, bit for bit.  NaN propagates as in a cellwise maximum, and the
+    abs keeps a zero distance +0.0.
     """
     import numpy as np
 

@@ -41,40 +41,36 @@ class Margin:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    holds: bool
     margins: tuple[Margin, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def holds(self) -> bool:
+        """Whether every margin is satisfied."""
+        return all(m.satisfied for m in self.margins)
 
 
 # Report name -> its report, or the error that makes the report undefined.
 Reports = dict[str, HypothesisReport | DegenerateStateError]
 
 
-def _report(margins: list[Margin], notes: tuple[str, ...] = ()) -> HypothesisReport:
-    return HypothesisReport(
-        holds=all(m.satisfied for m in margins),
-        margins=tuple(margins),
-        notes=notes,
-    )
-
-
 def check_h1(p: ModelParams) -> HypothesisReport:
     """Global existence condition: self-limitation dominates the negative
     cross terms, the negative mass couplings, and the chemotactic load."""
     m1, m2 = h1_margins(p)
-    return _report([Margin("a1_side", m1), Margin("b2_side", m2)])
+    return HypothesisReport((Margin("a1_side", m1), Margin("b2_side", m2)))
 
 
 def check_h2(p: ModelParams) -> HypothesisReport:
     """Self-limitation dominates the negative mass couplings."""
     m1, m2 = h2_margins(p)
-    return _report([Margin("a1_side", m1), Margin("b2_side", m2)])
+    return HypothesisReport((Margin("a1_side", m1), Margin("b2_side", m2)))
 
 
 def check_h3(p: ModelParams) -> HypothesisReport:
     """Equivalent to min{alpha, beta} > 0; margins are exactly (alpha, beta)."""
     alpha, beta = alpha_beta(p)
-    return _report([Margin("alpha", alpha), Margin("beta", beta)])
+    return HypothesisReport((Margin("alpha", alpha), Margin("beta", beta)))
 
 
 def check_h4(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
@@ -86,13 +82,13 @@ def check_h4(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
     (a1, a2), (b2, b1) = per_species(lambda q: (
         q.a1 - max(0.0, q.chi1 * q.k * factor / q.d3), q.a2 - max(0.0, q.chi1 * q.l * factor / q.d3)
     ), p)
-    return _report([Margin("a1", a1), Margin("a2", a2), Margin("b2", b2), Margin("b1", b1)])
+    return HypothesisReport((Margin("a1", a1), Margin("a2", a2), Margin("b2", b2), Margin("b1", b1)))
 
 
 def check_h5(p: ModelParams) -> HypothesisReport:
     """The large-exponent limits of f and g are positive."""
     m1, m2 = per_species(lambda q: q.a1 - (negative_part(q.a2) + (q.l + q.k) * q.chi1 / q.d3), p)
-    return _report([Margin("f_limit", m1), Margin("g_limit", m2)])
+    return HypothesisReport((Margin("f_limit", m1), Margin("g_limit", m2)))
 
 
 def eval_f(p: ModelParams, gamma: float) -> float:
@@ -135,11 +131,11 @@ def check_h6(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
     if n_dim < 1:
         raise PreconditionError(f"n_dim must be >= 1, got {n_dim}")
     half = n_dim / 2.0
-    return _report(
-        [
+    return HypothesisReport(
+        (
             Margin("f_at_half_n", eval_f(p, half)),
             Margin("g_at_half_n", eval_g(p, half)),
-        ],
+        ),
     )
 
 
@@ -218,7 +214,7 @@ def check_coexistence(p: ModelParams) -> HypothesisReport:
         Margin("h1_a1_side", h1a),
         Margin("h1_b2_side", h1b),
     ]
-    return _report(margins, tuple(notes))
+    return HypothesisReport(tuple(margins), tuple(notes))
 
 
 def check_coexistence_competitive(p: ModelParams) -> HypothesisReport:
@@ -250,7 +246,7 @@ def check_coexistence_competitive(p: ModelParams) -> HypothesisReport:
         Margin("cross_competition_min", cross_min, strict=False),
         Margin("interaction_product_signed", product),
     ]
-    return _report(margins, tuple(notes))
+    return HypothesisReport(tuple(margins), tuple(notes))
 
 
 def _exclusion_a1_slack(p: ModelParams) -> float:
@@ -317,7 +313,7 @@ def check_exclusion(p: ModelParams) -> HypothesisReport:
         Margin("h1_a1_side", h1a),
         Margin("h1_b2_side", h1b),
     ]
-    return _report(margins, (f"dominance branch: {branch}",))
+    return HypothesisReport(tuple(margins), (f"dominance branch: {branch}",))
 
 
 # The long-time routes in the priority order of classify_regime.

@@ -170,8 +170,9 @@ def integrate_rectangles(
     last row.  An initial state that is not finite, or whose right-hand side
     is not, ends the run at once as "blow_up" with the initial row only.
     The rectangle system can genuinely blow up in finite time outside the
-    global-existence parameter regions.  A spacing too small to advance t at
-    the run's largest |t| raises PreconditionError before the first step.
+    global-existence parameter regions.  A spacing below MIN_STEP_ULPS float
+    spacings of the run's largest |t|, the smallest step the guard lets
+    through, raises PreconditionError before the first step.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")
@@ -181,6 +182,11 @@ def integrate_rectangles(
         )
     if min(s0.u_lo, s0.v_lo) < 0:
         raise PreconditionError(f"initial rectangle must be nonnegative, got {s0!r}")
+    if s0.t < t_end and spacing < MIN_STEP_ULPS * math.ulp(max(abs(s0.t), abs(t_end))):
+        raise PreconditionError(
+            f"row spacing {spacing!r} is below the float resolution of t between {s0.t!r} and "
+            f"{t_end!r}: the smallest step is {MIN_STEP_ULPS} float spacings"
+        )
     t_stop, _ = check_time_resolution(s0.t, t_end, spacing)
 
     t0 = t = last_t = s0.t

@@ -31,7 +31,6 @@ from .model import (
     StepperConfig,
     check_time_resolution,
 )
-from .steady_states import ConstantState
 
 # Recorded (3, n) stacks are reduced a block at a time, one NumPy call per
 # statistic for the whole block, which costs about what one call per
@@ -203,7 +202,6 @@ def run_simulation(
     p: ModelParams,
     grid: Grid1D,
     cfg: StepperConfig,
-    references: tuple[tuple[str, ConstantState], ...] = (),
 ) -> TrajectoryRecord:
     """Drive the stepper from state0 to cfg.t_end, recording summaries.
 
@@ -241,10 +239,7 @@ def run_simulation(
     t = state0.t
     w = solve_w(ws.signal_factor, *uv, p)
     mass = np.array(grid.integrate(uv))
-    rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
-    levels = np.array(
-        [(r.u_star, r.v_star, r.w_star) for _, r in references], dtype=float
-    ).reshape(-1, 3)
+    rec = TrajectoryRecord()
     n = grid.n_cells
     block = np.empty((max(1, BLOCK_VALUES // (3 * n)), 3, n))
     slots = [(stack[:2], stack[2]) for stack in block]
@@ -253,7 +248,7 @@ def run_simulation(
 
     def flush() -> None:
         if times:
-            rec.append_block(times, block[: len(times)], masses[: len(times)], levels)
+            rec.append_block(times, block[: len(times)], masses[: len(times)])
             times.clear()
 
     def record() -> None:

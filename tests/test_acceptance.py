@@ -56,7 +56,6 @@ def coexistence_run():
         p,
         grid,
         StepperConfig(dt=5e-3, t_end=200.0, record_every=40),
-        references=(("coexistence", reference),),
     )
     elapsed = time.perf_counter() - start
     return {
@@ -147,7 +146,8 @@ def test_coexistence_limit_is_reached(coexistence_run):
 
     rec = coexistence_run["rec"]
     assert rec.guard_tripped is None
-    du, dv, dw = (series[-1] for series in rec.dist["coexistence"])
+    level = (reference.u_star, reference.v_star, reference.w_star)
+    du, dv, dw = (series[-1] for series in rec.distances(level))
     assert du < 1e-3 and dv < 1e-3 and dw < 1e-3, (du, dv, dw)
     assert coexistence_run["elapsed"] < 60.0
 
@@ -171,7 +171,6 @@ def test_exclusion_limit_is_reached():
         p,
         grid,
         StepperConfig(dt=5e-3, t_end=400.0, record_every=80),
-        references=(("exclusion", reference),),
     )
     assert rec.guard_tripped is None
     assert rec.u_max[-1] < 1e-3

@@ -897,10 +897,10 @@ class TestDocumentContents:
         assert document["coexistence"]["w_star"] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
-def write_trajectory_with_csv_writer(path, rec):
+def write_trajectory_with_csv_writer(path, rec, distances):
     """The csv.writer layout that _write_trajectory_csv replaced."""
     header = list(TRAJECTORY_COLUMNS)
-    for label in rec.ref_labels:
+    for label in distances:
         header.extend([f"dist_u_{label}", f"dist_v_{label}", f"dist_w_{label}"])
     columns = [getattr(rec, name) for name in TRAJECTORY_COLUMNS]
     with path.open("w", newline="") as fh:
@@ -908,8 +908,8 @@ def write_trajectory_with_csv_writer(path, rec):
         writer.writerow(header)
         for i in range(rec.n_samples):
             row = [column[i] for column in columns]
-            for label in rec.ref_labels:
-                row.extend(series[i] for series in rec.dist[label])
+            for triple in distances.values():
+                row.extend(series[i] for series in triple)
             writer.writerow([repr(x) for x in row])
 
 
@@ -923,15 +923,15 @@ class TestSimulateOutputs:
         doc["references"] = references
         doc = cli.load_config(write_config(tmp_path, doc))
         refs = cli.build_references(doc, doc["params"])
-        rec = cli._run_from_config(doc, refs)
+        rec = cli._run_from_config(doc)
         # Cells whose repr is unusual: NaN, infinities, signed zero, subnormal.
         odd = np.array([[np.nan, -0.0, 5e-324], [np.inf, -np.inf, 0.0], [1e300, -1e-300, 2.0]])
-        levels = np.array([(r.u_star, r.v_star, r.w_star) for _, r in refs]).reshape(-1, 3)
         with np.errstate(invalid="ignore"):  # the mean of inf and -inf
-            rec.append_sample(rec.t[-1] + 1.0, odd, -0.0, np.nan, levels)
-        assert len(rec.ref_labels) == {0: 0, 1: 1, 2: 3}[len(references)]
-        cli._write_trajectory_csv(tmp_path / "streamed.csv", rec)
-        write_trajectory_with_csv_writer(tmp_path / "oracle.csv", rec)
+            rec.append_sample(rec.t[-1] + 1.0, odd, -0.0, np.nan)
+        distances = {label: rec.distances((r.u_star, r.v_star, r.w_star)) for label, r in refs}
+        assert len(distances) == {0: 0, 1: 1, 2: 3}[len(references)]
+        cli._write_trajectory_csv(tmp_path / "streamed.csv", rec, distances)
+        write_trajectory_with_csv_writer(tmp_path / "oracle.csv", rec, distances)
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert len(read_csv_rows(tmp_path / "streamed.csv")) == rec.n_samples + 1
 
@@ -1209,10 +1209,11 @@ class TestRectangles:
         assert doc_out["pde_guard_tripped"] == "blow_up"
 
     def test_dt_below_time_resolution_exits_3(self, tmp_path):
-        # At t = 1e10 the float spacing is 1.9e-6, so t + 1e-7 == t: dt is
-        # refused at the default record_every, whose row spacing 1e-6 would
-        # advance t, as at record_every 1.  Run in a subprocess so that a
-        # regression shows as a timeout, not a hung suite.
+        # At t = 1e10 the float spacing is 1.9e-6: the row spacing, 1e-6 at
+        # the default record_every and 1e-7 at record_every 1, is below the
+        # four float spacings of the rectangle's smallest step, so both are
+        # refused.  Run in a subprocess so that a regression shows as a
+        # timeout, not a hung suite.
         trajectory = tmp_path / "late.csv"
         trajectory.write_text(
             "t,u_min,u_max,v_min,v_max\n"
@@ -1227,6 +1228,39 @@ class TestRectangles:
             assert proc.returncode == 3, proc.stderr
             assert "float resolution" in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_row_spacing_below_the_minimum_step_exits_3(self, tmp_path, capsys):
+        # 3e-16 is above half a float spacing of t = 2.0 but below the four
+        # that the rectangle's minimum-step guard asks for: refused before
+        # any step, not a false finite-time blow-up with no step taken.
+        trajectory = tmp_path / "rows.csv"
+        trajectory.write_text("t,u_min,u_max,v_min,v_max\n1.0,0.4,0.6,0.4,0.6\n2.0,0.4,0.6,0.4,0.6\n")
+        rectangles = {"dt": 3e-16, "record_every": 1}
+        cfg = write_config(tmp_path, {"params": base_params(), "rectangles": rectangles})
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert "float resolution" in captured.err and captured.out == ""
+        assert not (tmp_path / "enclosure.json").exists()
+
+    def test_dt_below_half_spacing_runs_on_a_resolved_row_spacing(self, tmp_path, capsys):
+        # At t = 1e10 the float spacing is 1.9e-6: dt = 5e-7 alone would
+        # stall a fixed-step loop, but the integrator never steps by dt, and
+        # the row spacing 100 * dt is above four float spacings.
+        trajectory = tmp_path / "late.csv"
+        trajectory.write_text(
+            "t,u_min,u_max,v_min,v_max\n"
+            "10000000000.0,0.4,0.6,0.4,0.6\n"
+            "10000000000.01,0.4,0.6,0.4,0.6\n"
+        )
+        rectangles = {"dt": 5e-7, "record_every": 100}
+        cfg = write_config(tmp_path, {"params": base_params(), "rectangles": rectangles})
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 0
+        capsys.readouterr()
+        enclosure = read_json(tmp_path / "enclosure.json")
+        assert enclosure["rectangle_guard_tripped"] is None and enclosure["n_times"] == 2
+        assert enclosure["rectangle_steps"] >= 1
 
     @pytest.mark.parametrize("t0, t1", [("0.0", "5e-324"), ("1.0", "1.0000000000000002")])
     def test_span_below_the_minimum_step_passes(self, tmp_path, capsys, t0, t1):

@@ -23,7 +23,7 @@ def stack(state):
 
 
 def levels_of(refs):
-    """The (R, 3) reference levels that sup_distance and append_sample take."""
+    """The (R, 3) reference levels, one (u*, v*, w*) row per state."""
     return np.array([(r.u_star, r.v_star, r.w_star) for r in refs], dtype=float).reshape(-1, 3)
 
 
@@ -123,44 +123,37 @@ class TestTrajectoryRecord:
             t=0.0, u=rng.uniform(0.0, 2.0, 8), v=rng.uniform(0.0, 2.0, 8), w=rng.uniform(0.0, 2.0, 8)
         )
         ref = ConstantState(*rng.uniform(0.0, 2.0, 3))
-        rec = TrajectoryRecord(ref_labels=("ref",))
-        rec.append_sample(state.t, stack(state), 0.5, 0.25, levels_of([ref]))
+        rec = TrajectoryRecord()
+        rec.append_sample(state.t, stack(state), 0.5, 0.25)
         for name in ("u", "v", "w"):
             f = getattr(state, name)
             assert getattr(rec, f"{name}_min").tolist() == [float(f.min())]
             assert getattr(rec, f"{name}_max").tolist() == [float(f.max())]
             assert getattr(rec, f"{name}_mean").tolist() == [float(f.mean())]
         assert (rec.mass_u.tolist(), rec.mass_v.tolist()) == ([0.5], [0.25])
-        assert tuple(c.tolist() for c in rec.dist["ref"]) == tuple([d] for d in distances(state, [ref])[0])
+        got = rec.distances((ref.u_star, ref.v_star, ref.w_star))
+        assert tuple(c.tolist() for c in got) == tuple([d] for d in distances(state, [ref])[0])
 
     def test_columns_take_about_eight_bytes_a_value(self):
         # 10,030 samples in blocks of 85 (3, 128) stacks, as run_simulation
-        # records n = 128, against four references: 12 + 4 * 3 columns.  A
-        # packed double is 8 bytes; a list of Python floats took about 31.
+        # records n = 128: 12 columns, 96 bytes a sample.  A packed double
+        # is 8 bytes; a list of Python floats took about 31.
         rng = np.random.default_rng(11)
         block = rng.uniform(0.0, 2.0, (85, 3, 128))
         masses = rng.uniform(0.0, 2.0, (85, 2))
-        levels = rng.uniform(0.0, 2.0, (4, 3))
-        labels = ("a", "b", "c", "d")
         times = [[(85 * b + i) * 1e-3 for i in range(85)] for b in range(118)]
 
         def record():
-            rec = TrajectoryRecord(ref_labels=labels)
+            rec = TrajectoryRecord()
             for t in times:
-                rec.append_block(t, block, masses, levels)
+                rec.append_block(t, block, masses)
             return rec
 
         record()
         rec, peak = traced_peak(record)
-        values = rec.n_samples * (len(TRAJECTORY_COLUMNS) + 1 + 3 * len(labels))
+        values = rec.n_samples * (len(TRAJECTORY_COLUMNS) + 1)
         assert rec.n_samples == 10_030
         assert peak <= 1.25 * 8 * values
-
-    def test_reference_labels_preallocate_series(self):
-        rec = TrajectoryRecord(ref_labels=("coexistence",))
-        assert {label: tuple(c.tolist() for c in cols) for label, cols in rec.dist.items()} == {
-            "coexistence": ([], [], [])
-        }
 
     def test_span_and_n_samples(self):
         rec = record_from_rows(
@@ -364,13 +357,13 @@ class TestExtremaOracles:
 
     def test_distance_columns_follow_reference_order(self):
         rng = np.random.default_rng(12)
-        rec = TrajectoryRecord(ref_labels=("a", "b"))
+        rec = TrajectoryRecord()
         levels = rng.uniform(0.0, 2.0, (2, 3))
         stacks = [rng.uniform(0.0, 2.0, (3, 8)) for _ in range(4)]
         for t, fields in enumerate(stacks):
-            rec.append_sample(float(t), fields, 0.0, 0.0, levels)
-        for i, label in enumerate(("a", "b")):
-            for f, column in enumerate(rec.dist[label]):
+            rec.append_sample(float(t), fields, 0.0, 0.0)
+        for i, level in enumerate(levels):
+            for f, column in enumerate(rec.distances(tuple(level))):
                 assert column.tolist() == [float(cellwise_sup_distance(s, levels)[i, f]) for s in stacks]
 
 

@@ -330,19 +330,18 @@ class TestDynamics:
         v0 = 0.4 + 0.1 * np.cos(2.0 * np.pi * x)
         cfg = StepperConfig(dt=1e-3, t_end=0.5, record_every=10)
         state = steady_states.coexistence_state(MIXED)
-        ref = (("coexistence", state),)
-        ref_swapped = (("coexistence", swapped_state(state)),)
-        rec = run_simulation(initial_state(u0, v0, MIXED, grid), MIXED, grid, cfg, ref)
+        swapped = swapped_state(state)
+        rec = run_simulation(initial_state(u0, v0, MIXED, grid), MIXED, grid, cfg)
         mirror = run_simulation(
-            initial_state(v0, u0, MIXED.exchanged(), grid), MIXED.exchanged(), grid, cfg, ref_swapped
+            initial_state(v0, u0, MIXED.exchanged(), grid), MIXED.exchanged(), grid, cfg
         )
         assert rec.guard_tripped is None and mirror.guard_tripped is None
         assert rec.t == mirror.t and rec.n_samples == mirror.n_samples > 2
         for a, b in (("u_min", "v_min"), ("u_max", "v_max"), ("u_mean", "v_mean"),
                      ("mass_u", "mass_v"), ("w_min", "w_min"), ("w_max", "w_max")):
             assert_rel(getattr(rec, a), getattr(mirror, b))
-        du, dv, dw = rec.dist["coexistence"]
-        mdu, mdv, mdw = mirror.dist["coexistence"]
+        du, dv, dw = rec.distances((state.u_star, state.v_star, state.w_star))
+        mdu, mdv, mdw = mirror.distances((swapped.u_star, swapped.v_star, swapped.w_star))
         assert_rel(du, mdv)
         assert_rel(dv, mdu)
         assert_rel(dw, mdw)

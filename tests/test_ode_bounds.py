@@ -117,6 +117,19 @@ class TestIntegrateRectangles:
         assert trace.t[-1] > 1.0
         assert trace.t.tolist() == sorted(set(trace.t))
 
+    def test_spacing_below_the_minimum_step_raises(self):
+        # The first step is the row spacing, so a spacing below the guard's
+        # MIN_STEP_ULPS float spacings of the run's largest |t| is refused;
+        # at exactly that many the first step passes the guard.
+        s0 = RectangleState(t=1.0, u_hi=0.6, u_lo=0.4, v_hi=0.6, v_lo=0.4)
+        t_end = 1.0 + 64 * math.ulp(1.0)
+        smallest = ode_bounds.MIN_STEP_ULPS * math.ulp(t_end)
+        with pytest.raises(PreconditionError, match="float resolution"):
+            integrate_rectangles(s0, mk_params(), t_end, math.nextafter(smallest, 0.0))
+        trace = integrate_rectangles(s0, mk_params(), t_end, smallest)
+        assert trace.guard_tripped is None and trace.steps >= 1
+        assert trace.t[1] == 1.0 + smallest and trace.t[-1] == t_end
+
     def test_diagonal_stays_diagonal(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=0.6, u_lo=0.6, v_hi=0.4, v_lo=0.4)

@@ -13,6 +13,7 @@ from chemotaxis_lab.diagnostics import (
     TrajectoryRecord,
     detect_steady,
     may_be_steady,
+    sup_distance,
 )
 from chemotaxis_lab.elliptic import assemble, neumann_factor, solve_w
 from chemotaxis_lab.model import (
@@ -29,7 +30,12 @@ from chemotaxis_lab.pde_stepper import (
     initial_state,
     run_simulation,
 )
-from chemotaxis_lab.steady_states import coexistence_state, exclusion_state, semi_trivial_states
+from chemotaxis_lab.steady_states import (
+    ConstantState,
+    coexistence_state,
+    exclusion_state,
+    semi_trivial_states,
+)
 from helpers import coexistence_params, exclusion_params, mk_params
 
 
@@ -402,12 +408,10 @@ class TestRunSimulation:
         grid = Grid1D(length=1.0, n_cells=16)
         eq = coexistence_state(p)
         s0 = initial_state(np.full(16, 0.5), np.full(16, 0.5), p, grid)
-        rec = run_simulation(
-            s0, p, grid, StepperConfig(dt=1e-2, t_end=2.0),
-            references=(("coexistence", eq),),
-        )
-        series_u, _, _ = rec.dist["coexistence"]
-        assert all(len(series) == rec.n_samples for series in rec.dist["coexistence"])
+        rec = run_simulation(s0, p, grid, StepperConfig(dt=1e-2, t_end=2.0))
+        columns = rec.distances((eq.u_star, eq.v_star, eq.w_star))
+        series_u, _, _ = columns
+        assert all(len(series) == rec.n_samples for series in columns)
         assert series_u[-1] < series_u[0]
 
 
@@ -454,15 +458,9 @@ class TestSteadyStop:
         x = grid.cell_centers()
         u0 = 1.0 * np.exp(-0.5 * ((x - 0.23279650330470053) / 0.12475544880969197) ** 2)
         v0 = 0.8 * np.exp(-0.5 * ((x - 0.6949000812598557) / 0.08222768335098536) ** 2)
-        first, second = semi_trivial_states(p)
-        references = (
-            ("coexistence", coexistence_state(p)), ("exclusion", exclusion_state(p)),
-            ("semi_trivial_u", first), ("semi_trivial_v", second),
-        )
         rec = run_simulation(
             initial_state(u0, v0, p, grid), p, grid,
             StepperConfig(dt=5e-3, t_end=40.0, steady_tol=1e-12, steady_window=1.0),
-            references=references,
         )
         assert calls == []
         assert not rec.stopped_early and rec.t[-1] == 40.0
@@ -708,18 +706,25 @@ class TestNonnegativity:
 def reference_run(state0, p, grid, cfg, references=()):
     """run_simulation's schedule and guards with one append_sample call per
     recorded sample, the record path the sample blocks replace, and an
-    _advance call for every step, the steps the stationary state skips."""
+    _advance call for every step, the steps the stationary state skips.
+    Returns the record and, per reference label, the distance columns
+    (du, dv, dw) of each sample computed from that sample's own extrema."""
     ws = pde_stepper._Workspace(p, grid, cfg)
     t = state0.t
     uv = np.array([state0.u, state0.v], dtype=float)
     w = solve_w(ws.signal_factor, *uv, p)
     mass = np.array(grid.integrate(uv))
-    rec = TrajectoryRecord(ref_labels=tuple(label for label, _ in references))
-    levels = np.array([(r.u_star, r.v_star, r.w_star) for _, r in references], dtype=float).reshape(-1, 3)
+    rec = TrajectoryRecord()
+    distances = {label: ([], [], []) for label, _ in references}
 
     def record():
         if not rec.t or t > rec.t[-1]:
-            rec.append_sample(t, np.vstack([uv, w]), *mass.tolist(), levels)
+            fields = np.vstack([uv, w])
+            rec.append_sample(t, fields, *mass.tolist())
+            for label, r in references:
+                level = np.array([r.u_star, r.v_star, r.w_star])
+                for column, d in zip(distances[label], sup_distance(fields.min(1), fields.max(1), level)):
+                    column.append(float(d))
 
     record()
     # The stop tolerance, at most half a step and half the run.
@@ -760,7 +765,12 @@ def reference_run(state0, p, grid, cfg, references=()):
     record()
     rec.steps = steps_done
     rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
-    return rec
+    return rec, distances
+
+
+def record_distances(rec, references):
+    """rec.distances of every reference, by label."""
+    return {label: rec.distances((r.u_star, r.v_star, r.w_star)) for label, r in references}
 
 
 def unchanged(step, state):
@@ -774,6 +784,10 @@ def four_references(p):
         ("coexistence", coexistence_state(p)), ("exclusion", exclusion_state(p)),
         ("semi_trivial_u", first), ("semi_trivial_v", second),
     )
+
+
+# A custom reference with signed zeros: a distance of zero must be +0.0.
+SIGNED_ZERO_REFERENCE = ("custom", ConstantState(-0.0, 0.0, -0.0))
 
 
 def block_case(name):
@@ -796,7 +810,8 @@ def block_case(name):
         # turns the bracket into NaN: no stability bound trips before it.
         p = mk_params(a1=5e-324, b3=-1e-320, chi1=5e-324, chi2=5e-324)
         cfg = StepperConfig(dt=0.1, t_end=100.0, blowup_guard=1.7976931348623157e308, record_every=7)
-        return initial_state(np.full(24, 5e304), np.full(24, 0.5), p, grid), p, grid, cfg, ()
+        references = (*four_references(coexistence_params()), SIGNED_ZERO_REFERENCE)
+        return initial_state(np.full(24, 5e304), np.full(24, 0.5), p, grid), p, grid, cfg, references
     if name == "cfl":
         grid = Grid1D(length=1.0, n_cells=60)
         p = mk_params(chi1=5.0, chi2=0.0, a0=2.0, a1=0.0, b0=0.0, b2=1.0)
@@ -808,11 +823,12 @@ def block_case(name):
     return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, cfg, four_references(p)
 
 
-def reprs(rec):
-    """Every recorded series and run outcome, floats as repr (NaN and -0.0 included)."""
+def reprs(rec, distances):
+    """Every recorded series, the distance columns by label and the run
+    outcome, floats as repr (NaN and -0.0 included)."""
     series = {name: list(map(repr, getattr(rec, name))) for name in (*TRAJECTORY_COLUMNS, "w_mean")}
-    for label in rec.ref_labels:
-        series.update({f"{f}_{label}": list(map(repr, col)) for f, col in zip("uvw", rec.dist[label])})
+    for label, columns in distances.items():
+        series.update({f"{f}_{label}": list(map(repr, col)) for f, col in zip("uvw", columns)})
     fs = rec.final_state
     outcome = (
         rec.guard_tripped, rec.notes, rec.stopped_early, repr(fs.t), rec.steps,
@@ -832,10 +848,10 @@ class TestSampleBlocks:
         state0, p, grid, cfg, references = block_case(name)
         if block_stacks is not None:
             monkeypatch.setattr(pde_stepper, "BLOCK_VALUES", 3 * grid.n_cells * block_stacks)
-        got = run_simulation(state0, p, grid, cfg, references=references)
+        got = run_simulation(state0, p, grid, cfg)
         with np.errstate(over="ignore", invalid="ignore"):  # _advance steps outside run_simulation
-            want = reference_run(state0, p, grid, cfg, references)
-        assert reprs(got) == reprs(want)
+            want, want_distances = reference_run(state0, p, grid, cfg, references)
+        assert reprs(got, record_distances(got, references)) == reprs(want, want_distances)
         block = pde_stepper.BLOCK_VALUES // (3 * grid.n_cells)
         expected = {
             "many-blocks": (None, False), "stride": (None, False), "blow-up": ("blow_up", False),
@@ -847,6 +863,9 @@ class TestSampleBlocks:
         elif block > 1 and name in ("blow-up", "non-finite", "cfl"):
             # the trip ends the run in the middle of a block
             assert got.n_samples % block != 0
+        if name == "non-finite":
+            # the last sample, and so its distances, holds NaN (u) and inf (v)
+            assert math.isnan(got.u_max[-1]) and math.isinf(got.v_max[-1])
 
 
 def fixed_densities(p, grid, uv, dt):
@@ -900,9 +919,15 @@ class TestStationarySkip:
     @pytest.mark.parametrize("name", ["mid-run", "steady", "fixed-start", "signed-zero", "exclusion"])
     def test_matches_reference(self, name, record_every):
         state0, p, grid, cfg = stationary_case(name, record_every)
+        references = (*four_references(p), SIGNED_ZERO_REFERENCE)
         got = run_simulation(state0, p, grid, cfg)
-        want = reference_run(state0, p, grid, cfg)
-        assert reprs(got) == reprs(want)
+        want, want_distances = reference_run(state0, p, grid, cfg, references)
+        got_distances = record_distances(got, references)
+        assert reprs(got, got_distances) == reprs(want, want_distances)
+        if name == "signed-zero":
+            # u is -0.0, then 0.0: its distance to u* = -0.0 is +0.0 throughout
+            assert got_distances["custom"][0].tolist() == [0.0] * got.n_samples
+            assert not any(math.copysign(1.0, d) < 0 for d in got_distances["custom"][0])
         since = got.stationary_from_t
         if name == "exclusion":
             assert since is None
