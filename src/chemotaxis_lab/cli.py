@@ -27,7 +27,6 @@ from typing import Any
 from . import hypotheses, steady_states
 from .diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, detect_steady, tail_stats
 from .model import (
-    DegenerateStateError,
     Grid1D,
     ModelParams,
     PreconditionError,
@@ -93,15 +92,19 @@ def load_config(path: str) -> dict:
     and `references` are left to the subcommands that use them: building
     the one needs NumPy, and `rectangles` never evaluates the other."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 whatever the locale
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _check_keys(doc, "config", required=("params",), optional=(*_SCHEMA, "initial_data", "references"))
@@ -255,7 +258,7 @@ def build_references(doc: dict, p: ModelParams) -> tuple[tuple[str, ConstantStat
                     f"{where}: expected \"coexistence\", \"exclusion\", \"semi_trivial\", "
                     f"or {{\"custom\": [u, v, w]}}, got {entry!r}"
                 )
-        except DegenerateStateError as exc:
+        except PreconditionError as exc:
             raise ConfigError(f"{where}: state not computable for these params: {exc}") from exc
     labels = [label for label, _ in refs]
     if len(set(labels)) != len(labels):
@@ -291,9 +294,7 @@ def write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n")
 
 
-def _report_doc(rep: hypotheses.HypothesisReport | DegenerateStateError) -> dict:
-    if isinstance(rep, DegenerateStateError):
-        return {"error": str(rep)}
+def _report_doc(rep: hypotheses.HypothesisReport) -> dict:
     return {
         "holds": rep.holds,
         "margins": [
@@ -304,9 +305,7 @@ def _report_doc(rep: hypotheses.HypothesisReport | DegenerateStateError) -> dict
     }
 
 
-def _report_line(name: str, rep: hypotheses.HypothesisReport | DegenerateStateError) -> str:
-    if isinstance(rep, DegenerateStateError):
-        return f"{name}: not evaluable ({rep})"
+def _report_line(name: str, rep: hypotheses.HypothesisReport) -> str:
     if rep.holds:
         return f"{name}: holds"
     bad = [m for m in rep.margins if not m.satisfied]
@@ -327,7 +326,7 @@ def cmd_check(args: argparse.Namespace, doc: dict) -> int:
         gamma_doc: dict[str, Any] = {"value": gamma}
     except PreconditionError as exc:
         gamma_doc = {"error": str(exc)}
-    classification = hypotheses.classify_regime(reports, n_dim)
+    classification = hypotheses.classify_regime(reports)
     document = {
         "n_dim": n_dim,
         "hypotheses": {
@@ -354,7 +353,7 @@ def cmd_steady(args: argparse.Namespace, doc: dict) -> int:
     for name, family in steady_states.CONSTANT_FAMILIES.items():
         try:
             states = [state for _, state in family(doc["params"])]
-        except DegenerateStateError as exc:
+        except PreconditionError as exc:
             document[name] = {"error": str(exc)}
             lines.append(f"{name}: not computable ({exc})")
             continue
@@ -552,7 +551,7 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
     trace = TrajectoryRecord()
     needed = ("t", "u_min", "u_max", "v_min", "v_max")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             fields = reader.fieldnames or ()
             missing = [c for c in needed if c not in fields]
@@ -569,6 +568,8 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
         raise
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory {path!r}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over the size limit
+        raise ConfigError(f"{path}: not a readable CSV: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric cell: {exc}") from exc
     except TypeError as exc:  # DictReader fills the missing cells of a short row with None

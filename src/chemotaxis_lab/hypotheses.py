@@ -3,7 +3,9 @@
 Every check returns a :class:`HypothesisReport` carrying one signed margin
 per inequality (left minus right, oriented so that positive means
 satisfied).  Strict inequalities fail at margin zero; the few non-strict
-conditions pass at zero and are marked on their margins.
+conditions pass at zero and are marked on their margins.  A margin that is
+undefined for the params (a zero or nonpositive denominator) is -inf, so
+it fails, and a note says why.
 
 Margin arithmetic shared with the bound constants (H1, H2, H3) is
 delegated to :mod:`.steady_states` so the equalities between hypothesis
@@ -13,10 +15,9 @@ gives v's on the exchanged params (``per_species``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
-    DegenerateStateError,
     ModelParams,
     PreconditionError,
     negative_part,
@@ -48,10 +49,6 @@ class HypothesisReport:
     def holds(self) -> bool:
         """Whether every margin is satisfied."""
         return all(m.satisfied for m in self.margins)
-
-
-# Report name -> its report, or the error that makes the report undefined.
-Reports = dict[str, HypothesisReport | DegenerateStateError]
 
 
 def check_h1(p: ModelParams) -> HypothesisReport:
@@ -288,14 +285,11 @@ def check_exclusion(p: ModelParams) -> HypothesisReport:
     Non-strict margins: a4 >= 0, a2 >= chi1*l/d3 and the growth threshold
     on b0.  The dominance inequality is evaluated on the branch selected by
     the sign of b1 - chi2*k/d3 (equality uses the b1_small form), recorded
-    in the notes.  Raises on the degenerate denominator a2 + a4*|Omega| = 0.
+    in the notes.  The b0 threshold is -inf, with a note, where its
+    denominator a2 + a4*|Omega| is zero.
     """
     w = p.omega_measure
     denom = p.a2 + p.a4 * w
-    if denom == 0.0:
-        raise DegenerateStateError(
-            "exclusion threshold is undefined: a2 + a4*|Omega| = 0"
-        )
     slack_b2 = _chemotaxis_slack(p.exchanged())
     branch = "b1_large" if p.b1 > p.chi2 * p.k / p.d3 else "b1_small"
     h1a, h1b = h1_margins(p)
@@ -306,14 +300,17 @@ def check_exclusion(p: ModelParams) -> HypothesisReport:
         Margin("a1_vs_chi1_k", _exclusion_a1_slack(p)),
         Margin(
             "b0_threshold",
-            p.b0 - p.a0 * (p.b2 + w * p.b4) / denom,
+            p.b0 - p.a0 * (p.b2 + w * p.b4) / denom if denom != 0.0 else -math.inf,
             strict=False,
         ),
         Margin("dominance", exclusion_dominance_margin(p, branch)),
         Margin("h1_a1_side", h1a),
         Margin("h1_b2_side", h1b),
     ]
-    return HypothesisReport(tuple(margins), (f"dominance branch: {branch}",))
+    notes = [f"dominance branch: {branch}"]
+    if denom == 0.0:
+        notes.append("exclusion threshold is undefined: a2 + a4*|Omega| = 0")
+    return HypothesisReport(tuple(margins), tuple(notes))
 
 
 # The long-time routes in the priority order of classify_regime.
@@ -323,10 +320,9 @@ ASYMPTOTIC_ROUTES = ("coexistence", "coexistence_competitive", "exclusion")
 EXISTENCE_ROUTES = ("h1", "h2+h4", "h3+h4", "h3+h5", "h3+h6")
 
 
-def check_all(p: ModelParams, n_dim: int = 1) -> Reports:
-    """H1-H6, then the asymptotic routes, each evaluated once.  An exclusion
-    route that is undefined for these params maps to its DegenerateStateError."""
-    reports: Reports = {
+def check_all(p: ModelParams, n_dim: int = 1) -> dict[str, HypothesisReport]:
+    """H1-H6, then the asymptotic routes, each evaluated once, by name."""
+    return {
         "h1": check_h1(p),
         "h2": check_h2(p),
         "h3": check_h3(p),
@@ -335,12 +331,8 @@ def check_all(p: ModelParams, n_dim: int = 1) -> Reports:
         "h6": check_h6(p, n_dim),
         "coexistence": check_coexistence(p),
         "coexistence_competitive": check_coexistence_competitive(p),
+        "exclusion": check_exclusion(p),
     }
-    try:
-        reports["exclusion"] = check_exclusion(p)
-    except DegenerateStateError as exc:
-        reports["exclusion"] = exc
-    return reports
 
 
 @dataclass(frozen=True)
@@ -354,21 +346,10 @@ class RegimeClassification:
 
     global_existence: tuple[str, ...]
     asymptotics: str
-    n_dim: int = 1
-    notes: tuple[str, ...] = field(default=())
 
 
-def classify_regime(reports: Reports, n_dim: int = 1) -> RegimeClassification:
-    """Classify from the reports of check_all(p, n_dim).  A route that is not
-    evaluable is noted only when the priority order reaches it."""
+def classify_regime(reports: dict[str, HypothesisReport]) -> RegimeClassification:
+    """Classify from the reports of check_all."""
     routes = tuple(r for r in EXISTENCE_ROUTES if all(reports[h].holds for h in r.split("+")))
-    notes: list[str] = []
-    asymptotics = "unclassified"
-    for name in ASYMPTOTIC_ROUTES:
-        report = reports[name]
-        if isinstance(report, DegenerateStateError):
-            notes.append(f"{name} route not evaluable: {report}")
-        elif report.holds:
-            asymptotics = name
-            break
-    return RegimeClassification(routes, asymptotics, n_dim, tuple(notes))
+    held = (name for name in ASYMPTOTIC_ROUTES if reports[name].holds)
+    return RegimeClassification(routes, next(held, "unclassified"))

@@ -19,14 +19,6 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
-class DegenerateStateError(PreconditionError):
-    """A closed-form state or condition hit a zero/nonpositive denominator."""
-
-
-class HypothesisViolationError(PreconditionError):
-    """A bound formula was requested for parameters outside its hypothesis."""
-
-
 def float_column() -> array:
     """An empty recorded series, as the trajectory and rectangle records
     hold them: packed float64, 8 bytes a value where a list of Python

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    DegenerateStateError,
-    HypothesisViolationError,
     ModelParams,
+    PreconditionError,
     negative_part,
     per_species,
 )
@@ -24,7 +23,7 @@ from .model import (
 @dataclass(frozen=True)
 class ConstantState:
     """A spatially constant solution triple (u*, v*, w*); raises
-    DegenerateStateError when a component is inf or NaN."""
+    PreconditionError when a component is inf or NaN."""
 
     u_star: float
     v_star: float
@@ -33,7 +32,7 @@ class ConstantState:
     def __post_init__(self) -> None:
         triple = (self.u_star, self.v_star, self.w_star)
         if not all(map(math.isfinite, triple)):
-            raise DegenerateStateError(f"constant state (u*, v*, w*) = {triple!r} is not finite")
+            raise PreconditionError(f"constant state (u*, v*, w*) = {triple!r} is not finite")
 
 
 def h1_margins(p: ModelParams) -> tuple[float, float]:
@@ -86,7 +85,7 @@ def coexistence_state(p: ModelParams) -> ConstantState:
     b2t = p.b2 + w * p.b4
     det = b2t * a1t - a2t * b1t
     if det == 0.0:
-        raise DegenerateStateError(
+        raise PreconditionError(
             "coexistence state is undefined: interaction determinant "
             "(b2+|Omega|b4)(a1+|Omega|a3) - (a2+|Omega|a4)(b1+|Omega|b3) is zero"
         )
@@ -103,7 +102,7 @@ def exclusion_state(p: ModelParams) -> ConstantState:
     """
     denom = p.b2 + p.omega_measure * p.b4
     if denom <= 0.0:
-        raise DegenerateStateError(
+        raise PreconditionError(
             f"exclusion state needs b2 + |Omega|*b4 > 0, got {denom!r}"
         )
     v_star = p.b0 / denom
@@ -119,7 +118,7 @@ def semi_trivial_states(p: ModelParams) -> tuple[ConstantState, ConstantState]:
     """
     denom_u = p.a1 + p.omega_measure * p.a3
     if denom_u <= 0.0:
-        raise DegenerateStateError(
+        raise PreconditionError(
             f"u-only state needs a1 + |Omega|*a3 > 0, got {denom_u!r}"
         )
     u_star = p.a0 / denom_u
@@ -132,8 +131,10 @@ def _logistic_root(r0: float, self_coef: float, coupling: float, m: float) -> fl
 
     The coupling coefficient is >= 0 by construction.  When it vanishes the
     root is exactly r0/self_coef; evaluated directly rather than through the
-    radical form.
+    radical form.  Raises when self_coef is 0.0, which l1_bounds' a1/|Omega| can underflow to.
     """
+    if self_coef == 0.0:
+        raise PreconditionError("a logistic root needs a self-limitation coefficient above 0.0")
     if coupling == 0.0:
         return r0 / self_coef
     return (r0 + math.sqrt(r0 * r0 + 4.0 * self_coef * coupling * m)) / (2.0 * self_coef)
@@ -151,12 +152,12 @@ def linf_bounds(p: ModelParams, sup_u0: float, sup_v0: float) -> dict[str, float
     m1, m2 = h1_margins(p)
     l_const = min(m1, m2)
     if l_const <= 0.0:
-        raise HypothesisViolationError(
+        raise PreconditionError(
             f"sup-norm bounds need both H1 margins positive, got ({m1!r}, {m2!r})"
         )
     denom = 4.0 * l_const * l_const
     if denom == 0.0:
-        raise HypothesisViolationError(
+        raise PreconditionError(
             f"sup-norm bounds need 4*L*L > 0, but L = {l_const!r} squares to 0 in floating point"
         )
     w = p.omega_measure
@@ -187,12 +188,12 @@ def l1_bounds(p: ModelParams, mass_u0: float, mass_v0: float) -> dict[str, float
     """
     m1, m2 = h2_margins(p)
     if min(m1, m2) <= 0.0:
-        raise HypothesisViolationError(
+        raise PreconditionError(
             f"mass bounds need both H2 margins positive, got ({m1!r}, {m2!r})"
         )
     denom = 4.0 * min(m1 * m1, m2 * m2)
     if denom == 0.0:
-        raise HypothesisViolationError(
+        raise PreconditionError(
             f"mass bounds need 4*min(m1*m1, m2*m2) > 0, but the H2 margins "
             f"({m1!r}, {m2!r}) square to 0 in floating point"
         )
@@ -212,7 +213,7 @@ def mass_sum_cap(p: ModelParams, mass_sum_0: float) -> float:
     alpha, beta = alpha_beta(p)
     floor = min(alpha, beta)
     if floor <= 0.0:
-        raise HypothesisViolationError(
+        raise PreconditionError(
             f"combined-mass bound needs min(alpha, beta) > 0, got ({alpha!r}, {beta!r})"
         )
     return max(mass_sum_0, 2.0 * p.omega_measure * max(p.a0, p.b0) / floor)
@@ -222,7 +223,7 @@ def mass_sum_cap(p: ModelParams, mass_sum_0: float) -> float:
 # producers up by module-global name when called, so a wrapper set on this
 # module's attributes sees every call.
 
-# name -> the family's labelled states; raises DegenerateStateError.
+# name -> the family's labelled states; raises PreconditionError.
 CONSTANT_FAMILIES = {
     "coexistence": lambda p: (("coexistence", coexistence_state(p)),),
     "exclusion": lambda p: (("exclusion", exclusion_state(p)),),

@@ -413,6 +413,38 @@ class TestConfigErrors:
         self.assert_one_error_line(capsys, f"config error: {trajectory}: non-numeric cell: ")
         assert not (tmp_path / "rectangles.csv").exists()
 
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            # JSON is UTF-8: a UTF-16 file is rejected whatever the locale.
+            (json.dumps(base_config()).encode("utf-16"), "not UTF-8 text: "),
+            (b'{"params": ' + b"[" * 5000 + b"]" * 5000 + b"}", "JSON nested too deeply"),
+        ],
+        ids=["utf-16", "nested"],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, content, detail):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, f"config error: {path}: {detail}")
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            (b"0.0," + b"4" * 140_000 + b",0.6,0.4,0.6", "field larger than field limit"),
+            (b"0.0,0.4,0.6,0.4,0.6\xe9", "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["oversized-cell", "not-utf8"],
+    )
+    def test_unreadable_trajectory_csv(self, tmp_path, capsys, row, detail):
+        cfg = write_config(tmp_path, base_config())
+        trajectory = tmp_path / "trajectory.csv"
+        trajectory.write_bytes(b"t,u_min,u_max,v_min,v_max\n" + row + b"\n")
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 2
+        self.assert_one_error_line(capsys, f"config error: {trajectory}: not a readable CSV: {detail}")
+        assert not (tmp_path / "rectangles.csv").exists()
+
     def test_output_under_a_regular_file_is_io_error(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("")
         doc = base_config()
@@ -759,20 +791,36 @@ class TestDocumentContents:
         capsys.readouterr()
         assert calls == Counter(names)
 
-    def test_undefined_exclusion_route_is_noted_only_when_reached(self, tmp_path, capsys):
-        # a2 + a4*|Omega| = 0 leaves the exclusion route undefined, but the
-        # coexistence route holds first, so the classification never reaches it.
+    def test_undefined_exclusion_threshold_is_a_failing_margin(self, tmp_path, capsys):
+        # a2 + a4*|Omega| = 0 leaves the exclusion route's b0 threshold
+        # undefined: its margin is -inf, with a note, and the route's other
+        # margins are reported as usual.  The coexistence route holds first.
         doc = base_config()
         doc["params"]["a2"] = 0.0
         cfg = write_config(tmp_path, doc)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert "exclusion: not evaluable" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "exclusion: fails (a2_vs_chi1_l=-0.1, b0_threshold=-inf)\n" in out
         document = read_json(tmp_path / "check.json")
-        assert document["classification"]["asymptotics"] == "coexistence"
-        assert document["classification"]["notes"] == []
-        assert document["asymptotic_routes"]["exclusion"] == {
-            "error": "exclusion threshold is undefined: a2 + a4*|Omega| = 0"
+        assert document["classification"] == {
+            "global_existence": ["h1", "h3+h5", "h3+h6"], "asymptotics": "coexistence"
         }
+        exclusion = document["asymptotic_routes"]["exclusion"]
+        assert exclusion["holds"] is False
+        assert [(m["label"], m["value"], m["satisfied"]) for m in exclusion["margins"]] == [
+            ("b2_chemotaxis_slack", 1.8, True),
+            ("a4_sign", 0.0, True),
+            ("a2_vs_chi1_l", -0.1, False),
+            ("a1_vs_chi1_k", 1.9, True),
+            ("b0_threshold", "-inf", False),
+            ("dominance", 1.52, True),
+            ("h1_a1_side", 1.8, True),
+            ("h1_b2_side", 1.8, True),
+        ]
+        assert exclusion["notes"] == [
+            "dominance branch: b1_large",
+            "exclusion threshold is undefined: a2 + a4*|Omega| = 0",
+        ]
 
     def test_steady_document(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
@@ -816,14 +864,20 @@ class TestDocumentContents:
             (["check", "--n-dim", "1"], "check.json", "mixed_sign_check_n_dim_1.json"),
             (["check", "--n-dim", "3"], "check.json", "mixed_sign_check_n_dim_3.json"),
             (["steady"], "steady.json", "mixed_sign_steady.json"),
+            (["check", "--n-dim", "1"], "check.json", "undefined_threshold_check_n_dim_1.json"),
+            (["check", "--n-dim", "3"], "check.json", "undefined_threshold_check_n_dim_3.json"),
+            (["steady"], "steady.json", "undefined_threshold_steady.json"),
         ],
     )
     def test_readme_config_matches_the_golden_file(self, tmp_path, capsys, args, written, golden):
         # check and steady compute in Python floats alone: the same bytes on
         # every platform.  The golden files named mixed_sign_* belong to the
-        # mixed-sign config beside them, which takes the negative-part branches.
-        if golden.startswith("mixed_sign_"):
-            doc = read_json(REPO_ROOT / "tests" / "golden" / "mixed_sign_config.json")
+        # mixed-sign config beside them, which takes the negative-part
+        # branches; those named undefined_threshold_* to the README config
+        # with a2 = 0, whose exclusion threshold is undefined.
+        prefix = next((p for p in ("mixed_sign_", "undefined_threshold_") if golden.startswith(p)), "")
+        if prefix:
+            doc = read_json(REPO_ROOT / "tests" / "golden" / f"{prefix}config.json")
         else:
             doc = readme_config()
         cfg = write_config(tmp_path, doc)

@@ -305,7 +305,7 @@ class TestConstantStates:
             p = draw_params(rng)
             try:
                 state = steady_states.coexistence_state(p)
-            except steady_states.DegenerateStateError:
+            except steady_states.PreconditionError:
                 continue
             assert steady_states.coexistence_state(p.exchanged()) == swapped_state(state), p
 

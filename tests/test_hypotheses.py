@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chemotaxis_lab.hypotheses import (
+    Margin,
     check_all,
     check_coexistence,
     check_coexistence_competitive,
@@ -21,7 +22,7 @@ from chemotaxis_lab.hypotheses import (
     exclusion_dominance_margin,
     gamma_star,
 )
-from chemotaxis_lab.model import DegenerateStateError, PreconditionError, negative_part
+from chemotaxis_lab.model import PreconditionError, negative_part
 from helpers import coexistence_params, exclusion_params, mk_params
 
 
@@ -249,8 +250,25 @@ class TestExclusionRoute:
             exclusion_dominance_margin(mk_params(), "sideways")
 
     def test_degenerate_threshold(self):
-        with pytest.raises(DegenerateStateError):
-            check_exclusion(mk_params(b0=2.0))
+        # a2 + a4*|Omega| = 0: the b0 threshold is undefined, so its margin
+        # is -inf and fails, and every other margin is reported as usual.
+        rep = check_exclusion(mk_params(b0=2.0))
+        assert rep.margins == (
+            Margin("b2_chemotaxis_slack", 1.0),
+            Margin("a4_sign", 0.0, strict=False),
+            Margin("a2_vs_chi1_l", 0.0, strict=False),
+            Margin("a1_vs_chi1_k", 1.0),
+            Margin("b0_threshold", -math.inf, strict=False),
+            Margin("dominance", 2.0),
+            Margin("h1_a1_side", 1.0),
+            Margin("h1_b2_side", 1.0),
+        )
+        assert not rep.margins[4].satisfied
+        assert not rep.holds
+        assert rep.notes == (
+            "dominance branch: b1_small",
+            "exclusion threshold is undefined: a2 + a4*|Omega| = 0",
+        )
 
 
 class TestClassifyRegime:
@@ -268,16 +286,12 @@ class TestClassifyRegime:
         cls = classify_regime(check_all(mk_params(a1=0.1, a3=-5.0, chi1=0.1, chi2=0.1)))
         assert cls.asymptotics == "unclassified"
         assert cls.global_existence == ()
-        assert any("not evaluable" in note for note in cls.notes)
 
-    def test_check_all_maps_an_undefined_route_to_its_error(self):
+    def test_check_all_reports_an_undefined_route(self):
         reports = check_all(mk_params(b0=2.0), n_dim=3)
         assert list(reports) == [
             "h1", "h2", "h3", "h4", "h5", "h6",
             "coexistence", "coexistence_competitive", "exclusion",
         ]
-        assert isinstance(reports["exclusion"], DegenerateStateError)
+        assert reports["exclusion"] == check_exclusion(mk_params(b0=2.0))
         assert reports["h4"] == check_h4(mk_params(b0=2.0), 3)
-
-    def test_dimension_is_recorded(self):
-        assert classify_regime(check_all(coexistence_params(0.1), n_dim=2), n_dim=2).n_dim == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chemotaxis_lab.model import DegenerateStateError, HypothesisViolationError
+from chemotaxis_lab.model import PreconditionError
 from chemotaxis_lab.steady_states import (
     BOUND_FAMILIES,
     CONSTANT_FAMILIES,
@@ -44,13 +44,13 @@ class TestCoexistenceState:
 
     def test_singular_determinant(self):
         p = mk_params(a1=1.0, b2=1.0, a2=1.0, b1=1.0)
-        with pytest.raises(DegenerateStateError, match="determinant"):
+        with pytest.raises(PreconditionError, match="determinant"):
             coexistence_state(p)
 
     def test_overflowing_state_is_degenerate(self):
         # a2 + |Omega| a4 overflows to inf, and u* = -inf/-inf is NaN
         p = mk_params(a1=2.0, b2=2.0, a2=1e308, a4=1e308, b1=1.0)
-        with pytest.raises(DegenerateStateError, match="is not finite"):
+        with pytest.raises(PreconditionError, match="is not finite"):
             coexistence_state(p)
 
     def test_signal_consistency(self):
@@ -71,7 +71,7 @@ class TestCoexistenceState:
             )
             try:
                 s = coexistence_state(p)
-            except DegenerateStateError:
+            except PreconditionError:
                 continue
             r_u = p.a0 - (p.a1 + w * p.a3) * s.u_star - (p.a2 + w * p.a4) * s.v_star
             r_v = p.b0 - (p.b1 + w * p.b3) * s.u_star - (p.b2 + w * p.b4) * s.v_star
@@ -86,11 +86,11 @@ class TestExclusionState:
         assert (s.u_star, s.v_star, s.w_star) == (0.0, 0.5, 0.5)
 
     def test_zero_denominator(self):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(PreconditionError, match=r"exclusion state needs b2 \+ \|Omega\|\*b4 > 0"):
             exclusion_state(mk_params(b2=1.0, b4=-0.5, omega_measure=2.0))
 
     def test_overflowing_state_is_degenerate(self):
-        with pytest.raises(DegenerateStateError, match="is not finite"):
+        with pytest.raises(PreconditionError, match="is not finite"):
             exclusion_state(mk_params(b0=1e300, b2=1e-10))
 
     def test_independent_of_k(self):
@@ -122,11 +122,11 @@ class TestSemiTrivialStates:
         assert first.w_star == pytest.approx(1.5, rel=1e-15)
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(PreconditionError, match=r"u-only state needs a1 \+ \|Omega\|\*a3 > 0"):
             semi_trivial_states(mk_params(a1=1.0, a3=-1.0))
 
     def test_overflowing_state_is_degenerate(self):
-        with pytest.raises(DegenerateStateError, match="is not finite"):
+        with pytest.raises(PreconditionError, match="is not finite"):
             semi_trivial_states(mk_params(a0=1e300, a1=1e-10))
 
 
@@ -191,12 +191,12 @@ class TestLinfBounds:
         assert bc["sup_cap_u"] == pytest.approx(max(sup0, m01), rel=1e-14)
 
     def test_requires_positive_margins(self):
-        with pytest.raises(HypothesisViolationError, match="margins"):
+        with pytest.raises(PreconditionError, match="margins"):
             linf_bounds(coexistence_params(10.0), 0.5, 0.5)
 
     def test_underflowing_margin_is_a_violation(self):
         # L = 1e-300 is positive, but 4*L*L is 0.0 in floating point.
-        with pytest.raises(HypothesisViolationError, match="squares to 0"):
+        with pytest.raises(PreconditionError, match="squares to 0"):
             linf_bounds(mk_params(a1=1e-300, chi1=1e-320, chi2=1e-320), 0.5, 0.5)
 
     def test_overflowing_growth_rates_give_infinite_caps(self):
@@ -225,12 +225,19 @@ class TestL1Bounds:
         assert bc["mass_v_cap"] == 1.0
 
     def test_requires_h2(self):
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(PreconditionError, match="mass bounds need both H2 margins positive"):
             l1_bounds(mk_params(a3=-3.0), 1.0, 1.0)
 
     def test_underflowing_margin_is_a_violation(self):
-        with pytest.raises(HypothesisViolationError, match="square to 0"):
+        with pytest.raises(PreconditionError, match="square to 0"):
             l1_bounds(mk_params(a1=1e-300), 1.0, 1.0)
+
+    @pytest.mark.parametrize("a4", [0.0, -1e-300])
+    def test_underflowing_self_limitation_is_a_violation(self, a4):
+        # The H2 margin 1e-100 squares to 1e-200, but (a1 - |Omega|(a3)_-)/|Omega|
+        # underflows to 0.0; both forms of the root would divide by it.
+        with pytest.raises(PreconditionError, match="self-limitation coefficient above 0.0"):
+            l1_bounds(mk_params(a1=1e-100, a4=a4, omega_measure=1e250), 1.0, 1.0)
 
     def test_overflowing_growth_rates_give_infinite_constant(self):
         assert l1_bounds(coexistence_params(0.1, a0=1e200), 0.5, 0.5)["m_l1"] == math.inf
@@ -245,7 +252,7 @@ class TestMassSumCap:
         assert mass_sum_cap(cooperative_params(0.1), 3.0) == 3.0
 
     def test_requires_h3(self):
-        with pytest.raises(HypothesisViolationError, match="alpha"):
+        with pytest.raises(PreconditionError, match="alpha"):
             mass_sum_cap(mk_params(a1=2.0, b2=2.0, a2=-5.0), 1.0)
 
 
@@ -271,5 +278,5 @@ class TestFamilies:
         ]
 
     def test_bound_family_raises_when_its_hypothesis_fails(self):
-        with pytest.raises(HypothesisViolationError, match="alpha"):
+        with pytest.raises(PreconditionError, match="alpha"):
             BOUND_FAMILIES["mass_sum"](mk_params(a1=2.0, b2=2.0, a2=-5.0), (0.5, 0.5), (0.5, 0.5))
