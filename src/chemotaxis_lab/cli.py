@@ -71,9 +71,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     },
     "rectangles": {
         "dt": (float, 1e-3), "record_every": (int, 10), "tol": (float, 1e-3),
-        # None: the extrema of the first trajectory sample
-        "u_hi0": (float, None), "u_lo0": (float, None),
-        "v_hi0": (float, None), "v_lo0": (float, None),
     },
     "outputs": {
         "trajectory_csv": (str, "trajectory.csv"), "summary_json": (str, "summary.json"),
@@ -588,12 +585,9 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
         pde_trace = _run_from_config(doc)
         pde_guard = pde_trace.guard_tripped
 
+    # (t, u_hi, u_lo, v_hi, v_lo): the first sample's extrema
     s0 = RectangleState(
-        t=pde_trace.t[0],
-        u_hi=pde_trace.u_max[0] if opts["u_hi0"] is None else opts["u_hi0"],
-        u_lo=pde_trace.u_min[0] if opts["u_lo0"] is None else opts["u_lo0"],
-        v_hi=pde_trace.v_max[0] if opts["v_hi0"] is None else opts["v_hi0"],
-        v_lo=pde_trace.v_min[0] if opts["v_lo0"] is None else opts["v_lo0"],
+        pde_trace.t[0], pde_trace.u_max[0], pde_trace.u_min[0], pde_trace.v_max[0], pde_trace.v_min[0]
     )
     rect_trace = integrate_rectangles(s0, p, pde_trace.t[-1], opts["dt"] * opts["record_every"])
     csv_path = resolve_output(doc, args.out, "rectangles_csv")

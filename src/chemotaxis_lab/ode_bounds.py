@@ -25,6 +25,9 @@ from .model import (
 )
 
 DIVERGENCE_GUARD = 1e8
+# Attempted steps, accepted and rejected, that end a run: over three times
+# the longest run measured (605,699 to t = 1e6), and about 2 minutes.
+MAX_STEPS = 2_000_000
 
 # The error target of every step: far below any enclosure tolerance, which
 # may be 0, and met in a few hundred steps on a run to t = 200.
@@ -77,10 +80,10 @@ class RectangleState:
 class RectangleTrace:
     """Recorded rectangle trajectory, one packed float64 array('d') per
     column (see float_column), 8 bytes a row each.  guard_tripped is None
-    for a clean run and "blow_up" when a component passed the divergence
-    guard or the step size collapsed, in which case the columns hold the
-    partial trace up to and including the state that ended the run.  steps
-    and rejected count the integrator's accepted and rejected steps."""
+    for a clean run, "blow_up" when a component passed the divergence guard
+    or the step size collapsed and "step_budget" after MAX_STEPS steps; the
+    columns then end on the last accepted state.  steps and rejected count
+    the integrator's accepted and rejected steps."""
 
     t: array = field(default_factory=float_column)
     u_hi: array = field(default_factory=float_column)
@@ -166,9 +169,11 @@ def integrate_rectangles(
     accepted step ends with a component past the divergence guard (or
     non-finite), or a step falls below both MIN_STEP_ULPS float spacings of
     t and the remainder t_end - t, the run stops with guard_tripped =
-    "blow_up": the rows before that step are kept and its end state is the
-    last row.  An initial state that is not finite, or whose right-hand side
-    is not, ends the run at once as "blow_up" with the initial row only.
+    "blow_up", and after MAX_STEPS attempted steps with "step_budget": the
+    last accepted state is the last row, and a note holds the time and
+    state of a step past the guard.  An initial state that is not finite,
+    or whose right-hand side is not, ends the run at once as "blow_up" with
+    the initial row only.
     The rectangle system can genuinely blow up in finite time outside the
     global-existence parameter regions.  A spacing below MIN_STEP_ULPS float
     spacings of the run's largest |t|, the smallest step the guard lets
@@ -214,6 +219,10 @@ def integrate_rectangles(
     fac_old = 1e-4
     after_reject = False
     while t < t_end:
+        if trace.steps + trace.rejected >= MAX_STEPS:
+            trace.guard_tripped = "step_budget"
+            trace.notes.append(f"rectangle run used up its {MAX_STEPS} steps at t={t!r} (stiff system)")
+            break
         # the whole remainder passes, however small, but no retry cut below it
         if not h >= min(MIN_STEP_ULPS * math.ulp(t), t_end - t):
             trace.guard_tripped = "blow_up"
@@ -243,9 +252,9 @@ def integrate_rectangles(
             trace.guard_tripped = "blow_up"
             trace.notes.append(
                 f"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} "
-                f"at t={t_new!r} (finite-time blow-up of the bounding system)"
+                f"at t={t_new!r} with (u_hi, u_lo, v_hi, v_lo) = {y_new!r} "
+                f"(finite-time blow-up of the bounding system)"
             )
-            t, y = t_new, y_new
             break
         if t_out <= t_new and t_out < t_stop:
             (a0, b0, c0, d0, e0), (a1, b1, c1, d1, e1), (a2, b2, c2, d2, e2), (a3, b3, c3, d3, e3) = (
@@ -270,7 +279,7 @@ def integrate_rectangles(
             h_next = min(h_next, h)
             after_reject = False
         t, y, k1, h = t_new, y_new, ks[-1], h_next
-    if last_t < t:  # t_end, or the state that ended the run
+    if last_t < t:  # t_end, or the last accepted state
         record(t, *y)
     return trace
 
@@ -356,21 +365,17 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     Rectangle components are linearly interpolated onto the PDE sample
     times.  PDE samples outside the rectangle trace's exact time span are
     excluded from the comparison and flagged in the notes, since constant
-    extrapolation would not be evidence of enclosure.  The span of a trace
-    whose guard tripped ends on the row before the tripping one: that row
-    holds a state past the guard, and the interval up to it bounds nothing.
-    The worst excess is NumPy's maximum.reduce over the four and argmax over
-    the samples: a NaN wins at its first sample; a tie of the four takes the
-    later one (the sign of a zero), a tie of samples the first.
+    extrapolation would not be evidence of enclosure; a tripped trace adds
+    its own notes.  The worst excess is NumPy's maximum.reduce over the four
+    and argmax over the samples: a NaN wins at its first sample; a tie of
+    the four takes the later one (the sign of a zero), a tie of samples the
+    first.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    columns = rect_trace.t, rect_trace.u_hi, rect_trace.u_lo, rect_trace.v_hi, rect_trace.v_lo
-    if not columns[0]:
+    rect_t = rect_trace.t
+    if not rect_t:
         raise PreconditionError("rectangle trace has no samples")
-    if rect_trace.guard_tripped is not None and len(columns[0]) > 1:
-        columns = tuple(c[:-1] for c in columns)
-    rect_t, u_hi, u_lo, v_hi, v_lo = columns
     # Python floats: a NumPy scalar's repr, which the note prints, depends on
     # the NumPy version.
     lo, hi = float(rect_t[0]), float(rect_t[-1])
@@ -385,6 +390,7 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
         )
     if rect_trace.guard_tripped is not None:
         notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")
+        notes.extend(rect_trace.notes)
     if not compared:
         return EnclosureReport(
             passed=False,
@@ -397,11 +403,11 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     excess = []
     for s, u_min, u_max, v_min, v_max in compared:
         j = bisect.bisect_right(rect_t, s) - 1
-        worst = (_interp(s, rect_t, j, u_lo) - u_min) - tol
+        worst = (_interp(s, rect_t, j, rect_trace.u_lo) - u_min) - tol
         for e in (
-            (u_max - _interp(s, rect_t, j, u_hi)) - tol,
-            (_interp(s, rect_t, j, v_lo) - v_min) - tol,
-            (v_max - _interp(s, rect_t, j, v_hi)) - tol,
+            (u_max - _interp(s, rect_t, j, rect_trace.u_hi)) - tol,
+            (_interp(s, rect_t, j, rect_trace.v_lo) - v_min) - tol,
+            (v_max - _interp(s, rect_t, j, rect_trace.v_hi)) - tol,
         ):
             if not (worst > e or worst != worst):  # np.maximum
                 worst = e

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemotaxis_lab import cli, hypotheses, steady_states
+from chemotaxis_lab import cli, hypotheses, ode_bounds, steady_states
 from chemotaxis_lab.cli import main
 from chemotaxis_lab.diagnostics import TRAJECTORY_COLUMNS
 
@@ -318,10 +318,10 @@ class TestConfigErrors:
             ("rectangles", "dt", "0.001"),
             ("rectangles", "record_every", 10.0),
             ("rectangles", "tol", False),
-            ("rectangles", "u_hi0", None),
-            ("rectangles", "u_lo0", "0"),
-            ("rectangles", "v_hi0", [1.0]),
-            ("rectangles", "v_lo0", True),
+            ("rectangles", "dt", None),
+            ("rectangles", "record_every", "10"),
+            ("rectangles", "tol", [1e-3]),
+            ("rectangles", "record_every", True),
             ("outputs", "trajectory_csv", 1),
             ("outputs", "summary_json", ""),
             ("outputs", "check_json", None),
@@ -338,6 +338,15 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, doc)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"config error: {section}.{key}: expected " in capsys.readouterr().err
+
+    def test_initial_box_is_an_unknown_key(self, tmp_path, capsys):
+        # The rectangle starts on the first trajectory sample's extrema.
+        doc = base_config()
+        doc["rectangles"] = {"u_hi0": 0.46}
+        cfg = write_config(tmp_path, doc)
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: rectangles: unknown key(s): u_hi0\n" in capsys.readouterr().err
+        assert not (tmp_path / "enclosure.json").exists()
 
     def test_positivity_clip_is_an_unknown_key(self, tmp_path, capsys):
         # The stepper admits no step that makes a density negative, so there
@@ -1229,15 +1238,24 @@ class TestRectangles:
         assert rows[1] == [first["t"], first["u_max"], first["u_min"], first["v_max"], first["v_min"]]
 
     def test_shrunken_start_fails_enclosure_but_exits_zero(self, tmp_path, capsys):
-        doc = self.make_scenario(tmp_path)
-        doc["rectangles"] = {"u_hi0": 0.46}
-        cfg = write_config(tmp_path, doc)
-        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 0
+        # A replayed trajectory whose first u_max is lowered to 0.46 starts
+        # the rectangle below the data: the next sample, at t = 0.02, falls
+        # outside it.
+        cfg = write_config(tmp_path, self.make_scenario(tmp_path))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_csv_rows(tmp_path / "trajectory.csv")
+        rows[1][rows[0].index("u_max")] = "0.46"
+        shrunk = tmp_path / "shrunk.csv"
+        with open(shrunk, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(shrunk)]
+        assert main(args) == 0
         out = capsys.readouterr().out
         assert "enclosure: fail" in out
         doc_out = read_json(tmp_path / "enclosure.json")
         assert doc_out["passed"] is False
-        assert doc_out["worst_time"] == 0.0
+        assert doc_out["worst_time"] == 0.02
         assert doc_out["rectangle_initial"]["u_hi"] == 0.46
 
     def test_constant_data_keeps_rectangle_diagonal(self, tmp_path, capsys):
@@ -1358,6 +1376,34 @@ class TestRectangles:
         assert enclosure["rectangle_guard_tripped"] == "blow_up"
         assert (enclosure["rectangle_steps"], enclosure["rectangle_rejected"]) == (0, 0)
         assert len(read_csv_rows(tmp_path / "rectangles.csv")) == 2
+
+    def test_stiff_rectangle_ends_on_the_step_budget(self, tmp_path, capsys, monkeypatch):
+        # The README parameters scaled by 2e200 keep the fixed point
+        # (1/3, 1/3), but the explicit step settles near 1e-200: the run
+        # ends after MAX_STEPS attempted steps, on its last accepted state,
+        # with its outputs written.
+        monkeypatch.setattr(ode_bounds, "MAX_STEPS", 20_000)
+        params = base_params()
+        params.update(a0=2e200, b0=2e200, a1=4e200, b2=4e200, a2=2e200, b1=2e200)
+        rectangles = {"dt": 1e-3, "record_every": 1}
+        cfg = write_config(tmp_path, {"params": params, "rectangles": rectangles})
+        trajectory = tmp_path / "box.csv"
+        trajectory.write_text("t,u_min,u_max,v_min,v_max\n0.0,0.4,0.6,0.4,0.6\n1.0,0.4,0.6,0.4,0.6\n")
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 4
+        assert "a numerical guard tripped" in capsys.readouterr().err
+        enclosure = read_json(tmp_path / "enclosure.json")
+        assert enclosure["rectangle_guard_tripped"] == "step_budget"
+        assert enclosure["rectangle_steps"] + enclosure["rectangle_rejected"] == 20_000
+        rows = read_csv_rows(tmp_path / "rectangles.csv")
+        assert rows[1] == ["0.0", "0.6", "0.4", "0.6", "0.4"] and len(rows) == 3
+        t_last = rows[2][0]
+        assert 0.0 < float(t_last) < 1e-190
+        assert enclosure["passed"] is True and enclosure["n_times"] == 1
+        assert enclosure["notes"][1:] == [
+            "rectangle trace ended early: guard_tripped='step_budget'",
+            f"rectangle run used up its 20000 steps at t={t_last} (stiff system)",
+        ]
 
     def test_reused_trajectory_must_have_columns(self, tmp_path, capsys):
         stub = tmp_path / "stub.csv"

@@ -1,6 +1,8 @@
 """The CLI contract on generated configs: every subcommand ends in exit 0,
 2, 3 or 4 without a traceback, exit 0 or 4 writes the subcommand's outputs,
-and a clean simulate with no steady stop ends on t_end.
+a clean simulate with no steady stop ends on t_end, and a rerun of
+simulate or rectangles --trajectory that wrote outputs writes the same
+bytes and prints the same stdout.
 
 The configs take both signs and magnitudes from 1e-300 to 1e300, n_cells
 in [4, 64], every initial-data kind and references.  t_end/dt is capped at
@@ -85,11 +87,11 @@ def configs(draw):
     }
 
 
-def run(args: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run(args: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -109,12 +111,18 @@ def test_every_subcommand_keeps_the_cli_contract(doc, n_dim):
         }
         for name, args in commands.items():
             out = Path(tmp) / name
-            code, err = run([*args, "--config", str(cfg), "--out", str(out)])
+            argv = [*args, "--config", str(cfg), "--out", str(out)]
+            code, stdout, err = run(argv)
             assert code in (0, 2, 3, 4), (args, code, err)
             assert "Traceback" not in err, (args, err)
             if code in (0, 4):
                 for output in OUTPUTS[args[0]]:
                     assert (out / output).is_file(), (args, output)
+                if name in ("simulate", "replay"):
+                    written = {f: (out / f).read_bytes() for f in OUTPUTS[args[0]]}
+                    assert run(argv) == (code, stdout, err), args
+                    for f, data in written.items():
+                        assert (out / f).read_bytes() == data, (args, f)
             if name == "simulate" and code == 0:
                 run_doc = json.loads((out / "summary.json").read_text())["run"]
                 if not run_doc["stopped_early"]:

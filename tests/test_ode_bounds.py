@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -272,15 +273,11 @@ class TestCheckEnclosure:
 def numpy_check_enclosure(pde_trace, rect_trace, tol):
     """check_enclosure as written with NumPy: np.interp onto the compared
     sample times, np.maximum.reduce over the four excesses, np.argmax over
-    the samples, on the rows before the tripping one when the guard tripped.
-    The oracle of TestEnclosureMatchesNumpy."""
+    the samples.  The oracle of TestEnclosureMatchesNumpy."""
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     if not rect_trace.t:
         raise PreconditionError("rectangle trace has no samples")
-    if rect_trace.guard_tripped is not None and len(rect_trace.t) > 1:
-        columns = (getattr(rect_trace, c)[:-1] for c in ("t", "u_hi", "u_lo", "v_hi", "v_lo"))
-        rect_trace = RectangleTrace(*columns, guard_tripped=rect_trace.guard_tripped)
     pde_t = np.asarray(pde_trace.t, dtype=float)
     rect_t = np.asarray(rect_trace.t, dtype=float)
     inside = (pde_t >= rect_t[0]) & (pde_t <= rect_t[-1])
@@ -294,6 +291,7 @@ def numpy_check_enclosure(pde_trace, rect_trace, tol):
         )
     if rect_trace.guard_tripped is not None:
         notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")
+        notes.extend(rect_trace.notes)
     t_cmp = pde_t[inside]
     if t_cmp.size == 0:
         return EnclosureReport(
@@ -352,7 +350,8 @@ class TestEnclosureMatchesNumpy:
             return rng.choice(special) if rng.random() < 0.05 else rng.uniform(-2.0, 2.0)
 
         columns = [[value() for _ in rect_t] for _ in range(4)]
-        rect = RectangleTrace(rect_t, *columns, guard_tripped=rng.choice((None, "blow_up")))
+        guard = rng.choice((None, "blow_up"))
+        rect = RectangleTrace(rect_t, *columns, guard_tripped=guard, notes=[f"seed {seed}"] if guard else [])
         # exact knots, points between them, points just beyond both ends,
         # and points far outside
         candidates = (
@@ -370,43 +369,67 @@ class TestEnclosureMatchesNumpy:
         rect = integrate_rectangles(RectangleState(0.0, 1.0, 0.0, 0.0, 0.0), p, 1.0, 1e-3)
         assert rect.guard_tripped == "blow_up"
         rows = [(t, 0.1, 0.9, 0.0, 0.5) for t in (0.0, 2.5e-4, 5e-4, 1e-3, 2e-3)]
-        # the rectangle trips near t = 1e-200, before the first row
-        # time: only t = 0 lies before the tripping row
-        assert len(rect.t) == 2 and rect.t[0] == 0.0 and rect.t[1] < 1e-199
+        # the rectangle trips near t = 1e-200, before the first row time:
+        # its last row, the last state inside the guard, lies just before
+        # the trip, so only t = 0 lies in its span
+        assert len(rect.t) == 2 and rect.t[0] == 0.0 and 0.0 < rect.t[1] < 1e-199
+        assert rect.u_hi[1] <= DIVERGENCE_GUARD
         assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 1
-        # Rows holding inf before the tripping row at t = 1.5, with the PDE
-        # at inf too; v_hi is inf on both knots around t = 0.6, where
-        # np.interp returns inf, not NaN.  The sample at t = 1.25 lies past
-        # the row before the trip and is not compared.
+        # Rows holding inf up to the last row at t = 1.5, with the PDE at
+        # inf too; v_hi is inf on both knots around t = 0.6, where
+        # np.interp returns inf, not NaN.  The sample at t = 1.25 lies
+        # before the last row and is compared.
         inf = math.inf
         rect = RectangleTrace([0.0, 0.5, 1.0, 1.5], [1.0, 2.0, inf, inf], [0.0, 0.0, -inf, -inf],
                               [1.0, inf, inf, inf], [0.0, 0.0, 0.0, 0.0], guard_tripped="blow_up")
         rows = [(0.0, 0.1, 0.9, 0.1, 0.9), (0.25, 0.1, inf, 0.1, 0.9), (0.6, 0.1, 0.9, 0.1, 0.9),
                 (0.75, 0.1, 0.9, 0.1, inf), (1.0, inf, inf, 0.1, 0.9), (1.25, 0.1, 0.9, 0.1, 0.9)]
-        assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 5
+        assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 6
 
     def test_tripping_interval_is_left_out(self):
-        # The rectangle's last row before the trip is t = 0.27 (u_hi = 21);
-        # the tripping row follows near t = 0.276 with u_hi past the guard,
-        # where interpolation puts u_hi far above any density.  A PDE
-        # sample in that interval with u_max = 1e3, which the rectangle does
-        # not enclose, is therefore not compared.
+        # The rectangle's last row is its last state inside the guard, near
+        # t = 0.276 after the grid row at t = 0.27 (u_hi = 21); the step
+        # past the guard ends about 1e-11 later, at the time its note gives.
+        # A PDE sample in that interval with u_max = 1e3 lies past the last
+        # row and is not compared; a sample on the last row is.
         rect = integrate_rectangles(
             RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(5.0), 0.5, 1e-2
         )
         assert rect.guard_tripped == "blow_up"
         assert rect.t[-2] == pytest.approx(0.27) and 0.27 < rect.t[-1] < 0.28
-        assert rect.u_hi[-2] < 25.0 < DIVERGENCE_GUARD < rect.u_hi[-1]
-        inside = 0.5 * (rect.t[-2] + rect.t[-1])
+        assert rect.u_hi[-2] < 25.0 < rect.u_hi[-1] <= DIVERGENCE_GUARD
+        t_trip = float(re.search(r"at t=(\S+) with", rect.notes[0])[1])
+        assert rect.t[-1] < t_trip < 0.28
+        inside = 0.5 * (rect.t[-1] + t_trip)
         pde = columns_trace([(0.0, 0.45, 0.55, 0.45, 0.55), (0.25, 0.45, 0.55, 0.45, 0.55),
-                             (inside, 0.45, 1e3, 0.45, 0.55), (0.3, 0.45, 0.55, 0.45, 0.55)])
+                             (rect.t[-1], 0.45, 0.55, 0.45, 0.55), (inside, 0.45, 1e3, 0.45, 0.55),
+                             (0.3, 0.45, 0.55, 0.45, 0.55)])
         report = self.assert_same(pde, rect, 1e-3)
-        assert report.passed and report.n_times == 2
+        assert report.passed and report.n_times == 3
         assert report.notes == (
-            f"2 PDE sample(s) fall outside the rectangle time span [0.0, {rect.t[-2]!r}] "
+            f"2 PDE sample(s) fall outside the rectangle time span [0.0, {rect.t[-1]!r}] "
             "and were not compared",
             "rectangle trace ended early: guard_tripped='blow_up'",
+            *rect.notes,
         )
+
+    def test_collapsed_run_compares_its_last_row(self):
+        # From t = 1 the rectangle blows up about 1e-11 later.  The step
+        # size falls below four float spacings of t with u_hi near 98, well
+        # inside the guard: that last accepted state is the last row, and a
+        # PDE sample at its time with u_max = 2 * u_hi fails there.
+        rect = integrate_rectangles(
+            RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e11), 2.0, 1e-3
+        )
+        assert rect.guard_tripped == "blow_up"
+        assert rect.notes[0].startswith("rectangle step size ")
+        t_last, u_last = rect.t[-1], rect.u_hi[-1]
+        assert 1.0 < t_last < 1.0 + 1e-11 and 50.0 < u_last < DIVERGENCE_GUARD
+        pde = columns_trace([(1.0, 0.0, 1.0, 0.0, 0.0), (t_last, 0.0, 2.0 * u_last, 0.0, 0.0),
+                             (1.5, 0.0, 1.0, 0.0, 0.0)])
+        report = self.assert_same(pde, rect, 1e-3)
+        assert not report.passed and report.n_times == 2
+        assert (report.worst_time, report.worst_violation) == (t_last, u_last - 1e-3)
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_ties_and_signed_zeros(self, order):
@@ -428,7 +451,8 @@ class TestEnclosureMatchesNumpy:
 def reference_rk4(s0, p, t_end, dt, record_every):
     """Textbook fixed-step RK4 for the rectangle system, the right-hand
     side written out, recording every record_every-th step and the last
-    one, and stopping past the divergence guard.  Returns the recorded
+    one, and stopping on the state before a step past the divergence
+    guard, whose time and state go into the note.  Returns the recorded
     (t, u_hi, u_lo, v_hi, v_lo) rows, the guard status and the notes."""
     w = p.omega_measure
     c1, c2, k, l, a0, b0 = p.chi1 / p.d3, p.chi2 / p.d3, p.k, p.l, p.a0, p.b0
@@ -473,17 +497,17 @@ def reference_rk4(s0, p, t_end, dt, record_every):
         k2 = f(tuple(y[i] + 0.5 * h * k1[i] for i in range(4)))
         k3 = f(tuple(y[i] + 0.5 * h * k2[i] for i in range(4)))
         k4 = f(tuple(y[i] + h * k3[i] for i in range(4)))
-        y = tuple(y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4))
-        t += h
+        y_new = tuple(y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4))
         steps += 1
-        if not all(math.isfinite(x) for x in y) or max(y) > DIVERGENCE_GUARD:
-            rows.append((t, *y))
+        if not all(math.isfinite(x) for x in y_new) or max(y_new) > DIVERGENCE_GUARD:
             guard = "blow_up"
             notes.append(
                 f"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} "
-                f"at t={t!r} (finite-time blow-up of the bounding system)"
+                f"at t={t + h!r} with (u_hi, u_lo, v_hi, v_lo) = {y_new!r} "
+                f"(finite-time blow-up of the bounding system)"
             )
             break
+        t, y = t + h, y_new
         if (steps % record_every == 0 or t >= t_stop) and rows[-1][0] < t:
             rows.append((t, *y))
     if rows[-1][0] < t:
@@ -720,18 +744,34 @@ class TestEndsOnTEnd:
         assert any("fell below 4 float spacings of t=1.0" in note for note in trace.notes)
 
 
+def tripping_step(trace):
+    """The time and u_hi of the step past the divergence guard, from the
+    trace's one note; the other three components are 0.0."""
+    note, = trace.notes
+    match = re.fullmatch(
+        rf"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} at t=(\S+) "
+        r"with \(u_hi, u_lo, v_hi, v_lo\) = \((\S+), 0\.0, 0\.0, 0\.0\) "
+        r"\(finite-time blow-up of the bounding system\)",
+        note,
+    )
+    return float(match[1]), float(match[2])
+
+
 class TestDivergenceGuard:
     def test_overflow_to_non_finite(self):
         # Every stage of a step from t = 0 with h near 1e-2 overflows; the
         # controller rejects those steps, follows the blow-up at t = 1e-200
-        # and stops on the first finite state past the guard.
+        # and stops when a step ends on a finite state past the guard.  The
+        # last row is the accepted state before that step; the note holds
+        # the step's end time and state.
         p = mk_params(chi1=1e200)
         s0 = RectangleState(0.0, 1.0, 0.0, 0.0, 0.0)
         trace = integrate_rectangles(s0, p, 1.0, 1e-2)
         assert trace.guard_tripped == "blow_up"
         assert len(trace.t) == 2 and 0.0 < trace.t[-1] < 1e-199
-        assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] > DIVERGENCE_GUARD
-        assert any("divergence guard" in note for note in trace.notes)
+        assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] <= DIVERGENCE_GUARD
+        t_trip, u_trip = tripping_step(trace)
+        assert trace.t[-1] < t_trip < 1e-199 and DIVERGENCE_GUARD < u_trip < math.inf
 
     def test_finite_crossing_of_the_guard(self):
         # Near-exponential growth carries u_hi past the guard in one step
@@ -740,9 +780,10 @@ class TestDivergenceGuard:
         s0 = RectangleState(0.0, 0.999e8, 0.0, 0.0, 0.0)
         trace = integrate_rectangles(s0, p, 1.0, 0.1)
         assert trace.guard_tripped == "blow_up"
-        assert len(trace.t) == 2 and 0.0 < trace.t[-1] < 0.1
-        assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] > DIVERGENCE_GUARD
-        assert any("divergence guard" in note for note in trace.notes)
+        # the first step crosses: the initial state is the last row
+        assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [0.999e8]
+        t_trip, u_trip = tripping_step(trace)
+        assert 0.0 < t_trip < 0.1 and DIVERGENCE_GUARD < u_trip < math.inf
 
     @pytest.mark.parametrize("p, s0, t_end", [
         (mk_params(chi1=10.0), RectangleState(0.0, 2.0, 0.0, 1.0, 1.0), 1.0),
@@ -755,6 +796,20 @@ class TestDivergenceGuard:
         # the first rhs, then six per attempted step
         assert len(calls) == 1 + 6 * (trace.steps + trace.rejected)
         assert len(calls) < 20_000
+
+    def test_step_budget_ends_on_the_last_accepted_state(self, monkeypatch):
+        # Cut to 50 attempted steps, the run to t = 200 ends early; its rows
+        # before the last are the full run's, bit for bit.
+        s0, p = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1)
+        full = integrate_rectangles(s0, p, 200.0, 1e-2)
+        monkeypatch.setattr(ode_bounds, "MAX_STEPS", 50)
+        trace = integrate_rectangles(s0, p, 200.0, 1e-2)
+        assert trace.guard_tripped == "step_budget" and trace.steps + trace.rejected == 50
+        assert 0.0 < trace.t[-1] < 200.0 and trace.t[-2] < trace.t[-1] < trace.t[-2] + 1e-2
+        for name in ("t", "u_hi", "u_lo", "v_hi", "v_lo"):
+            n = len(getattr(trace, name)) - 1
+            assert getattr(trace, name)[:n] == getattr(full, name)[:n]
+        assert trace.notes == [f"rectangle run used up its 50 steps at t={trace.t[-1]!r} (stiff system)"]
 
     @pytest.mark.parametrize("u_hi", [1e300, math.inf])
     def test_non_finite_start_ends_the_run_at_once(self, u_hi, monkeypatch):
