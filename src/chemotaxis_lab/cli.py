@@ -594,8 +594,15 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
     columns = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]
     _write_csv(csv_path, columns, [getattr(rect_trace, c) for c in columns])
     report = check_enclosure(pde_trace, rect_trace, opts["tol"])
+    # The claim is an enclosure for all time: a pass on a prefix of the samples is no pass.
+    n_samples = len(pde_trace.t)
+    verdict = "fail" if not report.passed else "pass" if report.n_times == n_samples else "incomplete"
+    fields = dict(vars(report), passed=verdict == "pass")
+    notes = fields.pop("notes")
     document = {
-        **vars(report),
+        **fields,
+        "n_samples": n_samples,
+        "notes": notes,
         "rectangle_initial": vars(s0),
         "rectangle_guard_tripped": rect_trace.guard_tripped,
         "rectangle_steps": rect_trace.steps,
@@ -604,11 +611,14 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
     }
     json_path = resolve_output(doc, args.out, "enclosure_json")
     write_json(json_path, document)
-    verdict = "pass" if report.passed else "fail"
-    print(
-        f"enclosure: {verdict} (worst violation {report.worst_violation:.3e} "
-        f"at t={report.worst_time:.6g}, {report.n_times} times compared)"
-    )
+    if verdict == "incomplete":  # the compared samples are the first n_times
+        last = pde_trace.t[report.n_times - 1]
+        print(f"enclosure: incomplete ({report.n_times} of {n_samples} samples compared, up to t={last:.6g})")
+    else:
+        print(
+            f"enclosure: {verdict} (worst violation {report.worst_violation:.3e} "
+            f"at t={report.worst_time:.6g}, {report.n_times} times compared)"
+        )
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     if pde_guard or rect_trace.guard_tripped:

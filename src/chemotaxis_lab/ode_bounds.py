@@ -41,7 +41,10 @@ MIN_STEP_ULPS = 4
 # II.5.2): the rows of the Runge-Kutta matrix, the last one the
 # fifth-order weights (the method is FSAL), the error weights (fifth minus
 # fourth order) and the weights of Hairer's continuous extension (dopri5's
-# contd5).  The system is autonomous, so the nodes are not needed.
+# contd5).  The system is autonomous, so the nodes are not needed.  Each
+# weighted sum is written out left to right from 0.0, as the builtin sum
+# adds with its int start (-0.0 becomes 0.0), but without the compensation
+# of Python 3.12's sum.  A term of weight 0.0 stays: 0.0 * inf is a NaN.
 _A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -200,7 +203,8 @@ def integrate_rectangles(
     trace.append(t, *y)
     if not t < t_end:  # t_stop may round down to t0 on a span of one float spacing
         return trace
-    record = trace.append
+    add_t, add_u_hi, add_u_lo, add_v_hi, add_v_lo = (
+        trace.t.append, trace.u_hi.append, trace.u_lo.append, trace.v_hi.append, trace.v_lo.append)
     i_out = 1
     t_out = t0 + spacing
     rhs = rectangle_rhs(p)
@@ -264,13 +268,11 @@ def integrate_rectangles(
                 if last_t < t_out:
                     theta = (t_out - t) / h
                     theta1 = 1.0 - theta
-                    record(
-                        t_out,
-                        a0 + theta * (b0 + theta1 * (c0 + theta * (d0 + theta1 * e0))),
-                        a1 + theta * (b1 + theta1 * (c1 + theta * (d1 + theta1 * e1))),
-                        a2 + theta * (b2 + theta1 * (c2 + theta * (d2 + theta1 * e2))),
-                        a3 + theta * (b3 + theta1 * (c3 + theta * (d3 + theta1 * e3))),
-                    )
+                    add_t(t_out)
+                    add_u_hi(a0 + theta * (b0 + theta1 * (c0 + theta * (d0 + theta1 * e0))))
+                    add_u_lo(a1 + theta * (b1 + theta1 * (c1 + theta * (d1 + theta1 * e1))))
+                    add_v_hi(a2 + theta * (b2 + theta1 * (c2 + theta * (d2 + theta1 * e2))))
+                    add_v_lo(a3 + theta * (b3 + theta1 * (c3 + theta * (d3 + theta1 * e3))))
                     last_t = t_out
                 i_out += 1
                 t_out = t0 + i_out * spacing
@@ -280,51 +282,74 @@ def integrate_rectangles(
             after_reject = False
         t, y, k1, h = t_new, y_new, ks[-1], h_next
     if last_t < t:  # t_end, or the last accepted state
-        record(t, *y)
+        trace.append(t, *y)
     return trace
 
 
-def _dopri_stages(rhs, y, k1, h: float) -> tuple[tuple, list]:
+def _dopri_stages(rhs, y, k1, h: float) -> tuple[tuple, tuple]:
     """One Dormand-Prince step of size h from y, where k1 = rhs(*y): the
     fifth-order result and the stages k1..k7.  The last row of _A holds the
     result's weights, so k7 = rhs(*result) is the next step's k1."""
-    ks = [k1]
-    for row in _A:
-        stage = tuple(
-            c + h * sum(a * k[i] for a, k in zip(row, ks)) for i, c in enumerate(y)
-        )
-        ks.append(rhs(*stage))
-    return stage, ks
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), (
+        a71, a72, a73, a74, a75, a76) = _A
+    (y0, y1, y2, y3), (p0, p1, p2, p3) = y, k1
+    q0, q1, q2, q3 = k2 = rhs(y0 + h * (0.0 + a21*p0), y1 + h * (0.0 + a21*p1),
+                              y2 + h * (0.0 + a21*p2), y3 + h * (0.0 + a21*p3))
+    r0, r1, r2, r3 = k3 = rhs(y0 + h * (0.0 + a31*p0 + a32*q0), y1 + h * (0.0 + a31*p1 + a32*q1),
+                              y2 + h * (0.0 + a31*p2 + a32*q2), y3 + h * (0.0 + a31*p3 + a32*q3))
+    s0, s1, s2, s3 = k4 = rhs(
+        y0 + h * (0.0 + a41*p0 + a42*q0 + a43*r0), y1 + h * (0.0 + a41*p1 + a42*q1 + a43*r1),
+        y2 + h * (0.0 + a41*p2 + a42*q2 + a43*r2), y3 + h * (0.0 + a41*p3 + a42*q3 + a43*r3))
+    t0, t1, t2, t3 = k5 = rhs(y0 + h * (0.0 + a51*p0 + a52*q0 + a53*r0 + a54*s0),
+                              y1 + h * (0.0 + a51*p1 + a52*q1 + a53*r1 + a54*s1),
+                              y2 + h * (0.0 + a51*p2 + a52*q2 + a53*r2 + a54*s2),
+                              y3 + h * (0.0 + a51*p3 + a52*q3 + a53*r3 + a54*s3))
+    w0, w1, w2, w3 = k6 = rhs(y0 + h * (0.0 + a61*p0 + a62*q0 + a63*r0 + a64*s0 + a65*t0),
+                              y1 + h * (0.0 + a61*p1 + a62*q1 + a63*r1 + a64*s1 + a65*t1),
+                              y2 + h * (0.0 + a61*p2 + a62*q2 + a63*r2 + a64*s2 + a65*t2),
+                              y3 + h * (0.0 + a61*p3 + a62*q3 + a63*r3 + a64*s3 + a65*t3))
+    y_new = (y0 + h * (0.0 + a71*p0 + a72*q0 + a73*r0 + a74*s0 + a75*t0 + a76*w0),
+             y1 + h * (0.0 + a71*p1 + a72*q1 + a73*r1 + a74*s1 + a75*t1 + a76*w1),
+             y2 + h * (0.0 + a71*p2 + a72*q2 + a73*r2 + a74*s2 + a75*t2 + a76*w2),
+             y3 + h * (0.0 + a71*p3 + a72*q3 + a73*r3 + a74*s3 + a75*t3 + a76*w3))
+    return y_new, (k1, k2, k3, k4, k5, k6, rhs(*y_new))
 
 
-def _error_norm(h: float, ks: list, y, y_new) -> float:
+def _weighted_sums(b: tuple, ks: tuple) -> tuple:
+    """Per component i, 0.0 + b[0] * k1[i] + ... + b[6] * k7[i], left to right."""
+    b1, b2, b3, b4, b5, b6, b7 = b
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3), (t0, t1, t2, t3), (
+        w0, w1, w2, w3), (g0, g1, g2, g3) = ks
+    return (0.0 + b1*p0 + b2*q0 + b3*r0 + b4*s0 + b5*t0 + b6*w0 + b7*g0,
+            0.0 + b1*p1 + b2*q1 + b3*r1 + b4*s1 + b5*t1 + b6*w1 + b7*g1,
+            0.0 + b1*p2 + b2*q2 + b3*r2 + b4*s2 + b5*t2 + b6*w2 + b7*g2,
+            0.0 + b1*p3 + b2*q3 + b3*r3 + b4*s3 + b5*t3 + b6*w3 + b7*g3)
+
+
+def _error_norm(h: float, ks: tuple, y, y_new) -> float:
     """The step's error estimate, the difference of the fifth- and
     fourth-order results, in the max norm scaled by ATOL + RTOL * |y|; inf
     when it is not finite.  The max norm does not depend on the order of
     the components, so the species swap leaves the step sequence alone."""
-    errs = [
-        abs(h * sum(e * k[i] for e, k in zip(_E, ks)))
-        / (ATOL + RTOL * max(abs(a), abs(b)))
-        for i, (a, b) in enumerate(zip(y, y_new))
-    ]
-    err = max(errs)
-    return err if sum(errs) < math.inf else math.inf
+    (e0, e1, e2, e3), (y0, y1, y2, y3), (z0, z1, z2, z3) = _weighted_sums(_E, ks), y, y_new
+    e0 = abs(h * e0) / (ATOL + RTOL * max(abs(y0), abs(z0)))
+    e1 = abs(h * e1) / (ATOL + RTOL * max(abs(y1), abs(z1)))
+    e2 = abs(h * e2) / (ATOL + RTOL * max(abs(y2), abs(z2)))
+    e3 = abs(h * e3) / (ATOL + RTOL * max(abs(y3), abs(z3)))
+    return max(e0, e1, e2, e3) if e0 + e1 + e2 + e3 < math.inf else math.inf
 
 
-def _dense_coefficients(h: float, ks: list, y, y_new) -> list:
+def _dense_coefficients(h: float, ks: tuple, y, y_new) -> tuple:
     """Per component, the coefficients (a, b, c, d, e) of Hairer's
     continuous extension of the step (contd5): at theta = (s - t) / h the
     state is a + theta * (b + theta1 * (c + theta * (d + theta1 * e))),
     theta1 = 1 - theta, of fourth order in h."""
-    k1, k7 = ks[0], ks[-1]
-    dense = []
-    for i, (a, b_end) in enumerate(zip(y, y_new)):
-        b = b_end - a
-        c = h * k1[i] - b
-        d = b - h * k7[i] - c
-        e = h * sum(w * k[i] for w, k in zip(_D, ks))
-        dense.append((a, b, c, d, e))
-    return dense
+    (y0, y1, y2, y3), (z0, z1, z2, z3), (p0, p1, p2, p3), (g0, g1, g2, g3) = y, y_new, ks[0], ks[6]
+    e0, e1, e2, e3 = _weighted_sums(_D, ks)
+    b0, b1, b2, b3 = z0 - y0, z1 - y1, z2 - y2, z3 - y3
+    c0, c1, c2, c3 = h * p0 - b0, h * p1 - b1, h * p2 - b2, h * p3 - b3
+    return ((y0, b0, c0, b0 - h * g0 - c0, h * e0), (y1, b1, c1, b1 - h * g1 - c1, h * e1),
+            (y2, b2, c2, b2 - h * g2 - c2, h * e2), (y3, b3, c3, b3 - h * g3 - c3, h * e3))
 
 
 @dataclass(frozen=True)

@@ -1169,7 +1169,7 @@ class TestRectangles:
         out = capsys.readouterr().out
         assert "enclosure: pass" in out
         doc = read_json(tmp_path / "enclosure.json")
-        assert doc["passed"] is True
+        assert doc["passed"] is True and doc["n_times"] == doc["n_samples"]
         assert doc["worst_violation"] <= 0.0
         assert doc["rectangle_guard_tripped"] is None
         assert doc["pde_guard_tripped"] is None
@@ -1391,7 +1391,9 @@ class TestRectangles:
         trajectory.write_text("t,u_min,u_max,v_min,v_max\n0.0,0.4,0.6,0.4,0.6\n1.0,0.4,0.6,0.4,0.6\n")
         args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
         assert main(args) == 4
-        assert "a numerical guard tripped" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "a numerical guard tripped" in captured.err
+        assert captured.out.startswith("enclosure: incomplete (1 of 2 samples compared, up to t=0)\n")
         enclosure = read_json(tmp_path / "enclosure.json")
         assert enclosure["rectangle_guard_tripped"] == "step_budget"
         assert enclosure["rectangle_steps"] + enclosure["rectangle_rejected"] == 20_000
@@ -1399,11 +1401,61 @@ class TestRectangles:
         assert rows[1] == ["0.0", "0.6", "0.4", "0.6", "0.4"] and len(rows) == 3
         t_last = rows[2][0]
         assert 0.0 < float(t_last) < 1e-190
-        assert enclosure["passed"] is True and enclosure["n_times"] == 1
+        # the sample at t = 1 was never compared, so the verdict is not a pass
+        assert enclosure["passed"] is False
+        assert (enclosure["worst_violation"], enclosure["n_times"], enclosure["n_samples"]) == (-1e-3, 1, 2)
         assert enclosure["notes"][1:] == [
             "rectangle trace ended early: guard_tripped='step_budget'",
             f"rectangle run used up its 20000 steps at t={t_last} (stiff system)",
         ]
+
+    def test_blown_up_rectangle_is_incomplete(self, tmp_path, capsys):
+        # At chi1 = chi2 = 3 the rectangle from [0.4, 0.6]^2 blows up at
+        # t = 0.519; the PDE samples every 0.1 to t = 10 sit inside
+        # [0.45, 0.55]^2.  The six samples up to t = 0.5 pass, and the 95
+        # after the trip are never compared: the verdict is incomplete.
+        params = {**base_params(), "chi1": 3.0, "chi2": 3.0}
+        cfg = write_config(tmp_path, {"params": params, "rectangles": {"dt": 0.01, "record_every": 10}})
+        trajectory = tmp_path / "inside.csv"
+        trajectory.write_text("t,u_min,u_max,v_min,v_max\n0.0,0.4,0.6,0.4,0.6\n" + "".join(
+            f"{i / 10!r},0.45,0.55,0.45,0.55\n" for i in range(1, 101)
+        ))
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 4
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "enclosure: incomplete (6 of 101 samples compared, up to t=0.5)"
+        enclosure = read_json(tmp_path / "enclosure.json")
+        assert enclosure["rectangle_guard_tripped"] == "blow_up"
+        assert (enclosure["passed"], enclosure["n_times"], enclosure["n_samples"]) == (False, 6, 101)
+        assert list(enclosure)[4:7] == ["n_times", "n_samples", "notes"]
+
+    def test_tripping_interval_is_incomplete(self, tmp_path, capsys):
+        # The rectangle at chi = 5 from [0.4, 0.6]^2 trips its guard near
+        # t = 0.276.  A sample on its last row is compared; a sample with
+        # u_max = 1e3 between that row and the trip, and every later one,
+        # is not: no compared sample fails, but the verdict is incomplete.
+        params = {**base_params(), "chi1": 5.0, "chi2": 5.0}
+        cfg = write_config(tmp_path, {"params": params, "rectangles": {"dt": 1e-3, "record_every": 10}})
+        trajectory = tmp_path / "rows.csv"
+        header, box = "t,u_min,u_max,v_min,v_max\n", "0.0,0.4,0.6,0.4,0.6\n"
+        trajectory.write_text(header + box + "0.5,0.45,0.55,0.45,0.55\n")
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]
+        assert main(args) == 4
+        t_last = float(read_csv_rows(tmp_path / "rectangles.csv")[-1][0])
+        note = read_json(tmp_path / "enclosure.json")["notes"][-1]
+        t_trip = float(re.search(r"at t=(\S+) with", note)[1])
+        assert 0.27 < t_last < t_trip < 0.28
+        trajectory.write_text(
+            header + box + "0.25,0.45,0.55,0.45,0.55\n" + f"{t_last!r},0.45,0.55,0.45,0.55\n"
+            + f"{0.5 * (t_last + t_trip)!r},0.45,1000.0,0.45,0.55\n" + "0.5,0.45,0.55,0.45,0.55\n"
+        )
+        capsys.readouterr()
+        assert main(args) == 4
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"enclosure: incomplete (3 of 5 samples compared, up to t={t_last:.6g})"
+        enclosure = read_json(tmp_path / "enclosure.json")
+        assert (enclosure["passed"], enclosure["n_times"], enclosure["n_samples"]) == (False, 3, 5)
+        assert enclosure["worst_violation"] < 0.0
 
     def test_reused_trajectory_must_have_columns(self, tmp_path, capsys):
         stub = tmp_path / "stub.csv"

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -577,6 +579,88 @@ class TestBitIdentity:
     def test_matches_textbook_rk4(self, params, s0, t_end, dt, guard, ref_dt, t_max, record_every):
         trace, ref_guard = assert_close_to_reference(s0, params, t_end, dt, record_every, ref_dt, t_max)
         assert trace.guard_tripped == ref_guard == guard
+
+
+def compensated_sum(items, start=0):
+    """The builtin sum of CPython 3.12 and later (Neumaier's compensated
+    summation): it starts from the int 0, switches to floats at the first
+    float and adds the compensation at the end when it is finite and
+    non-zero."""
+    items = iter(items)
+    total = start
+    for x in items:
+        total = total + x
+        if isinstance(total, float):
+            break
+    compensation = 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+# The README box to t = 200 and a box of mixed-sign coefficients, which
+# takes the negative-part branches, to t = 20; rows every 0.01.
+VERSION_RUNS = {
+    "readme": (RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1), 200.0, 1e-2),
+    "mixed-sign": (
+        RectangleState(0.0, 1.0, 0.05, 0.8, 0.05), coexistence_params(0.1, a2=-0.3, a3=-0.1, b4=0.2),
+        20.0, 1e-2,
+    ),
+}
+COLUMNS = ("t", "u_hi", "u_lo", "v_hi", "v_lo")
+# sha256 of repr(column.tolist()) per column, as written by the integrator
+# that summed with the builtin sum on Python 3.11.
+COLUMN_DIGESTS = {
+    "readme": (
+        "ab9f4a62a3a37703c122f92bd13347e5eac9c78c0b292a60e37b104c8ad3daa3",
+        "ba2b84d43a7b5d7b2e537eeb50ce34cabdfd74649921b11c44c9887183b18871",
+        "84b2f68af558cec60f2a49bbcacb2154b52630f1d64545c694e19f651eb9a937",
+        "ba2b84d43a7b5d7b2e537eeb50ce34cabdfd74649921b11c44c9887183b18871",
+        "84b2f68af558cec60f2a49bbcacb2154b52630f1d64545c694e19f651eb9a937",
+    ),
+    "mixed-sign": (
+        "2dffe07d2b535af84e2ecfc58cceecf56960b4984cb2708c0b95a623f446f196",
+        "42c1a5a6eab8d45b8abc4103a0d1ced9739a310f1932b7e96887d7ed4aa6ddaf",
+        "c92fb8302b15566c7dee1345e96cce1bef818ee2899f0a545ec20e48a331acdb",
+        "546e5ace69890caff0e6904920f46bfc9b02582d07ba4bac78256a0a10faa70c",
+        "e0f7dafd513e25f63e77a9addfae83f73c8e4a7b6951c55dde379552cd26d097",
+    ),
+}
+
+
+class TestPythonVersionIndependence:
+    """The rows do not depend on how the interpreter's builtin sum adds
+    floats: Python 3.12 made it compensated."""
+
+    def test_compensated_sum_is_the_interpreters_from_3_12(self):
+        rng = random.Random(7)
+        cases = [[1e100, 1.0, -1e100], [0.1] * 10, [-0.0], [-0.0, -0.0], [math.inf, 1.0], [1e308, 1e308, -1e308]]
+        cases += [[rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(7)] for _ in range(200)]
+        assert compensated_sum(cases[0]) == 1.0 and compensated_sum([-0.0]) == 0.0
+        if sys.version_info >= (3, 12):
+            assert [repr(compensated_sum(c)) for c in cases] == [repr(sum(c)) for c in cases]
+
+    @pytest.mark.parametrize("name", VERSION_RUNS)
+    def test_compensated_sum_gives_the_same_trace(self, name, monkeypatch):
+        plain = integrate_rectangles(*VERSION_RUNS[name])
+        monkeypatch.setattr(ode_bounds, "sum", compensated_sum, raising=False)
+        compensated = integrate_rectangles(*VERSION_RUNS[name])
+        assert (compensated.steps, compensated.rejected) == (plain.steps, plain.rejected)
+        for c in COLUMNS:
+            assert repr(getattr(compensated, c)) == repr(getattr(plain, c)), c
+
+    @pytest.mark.parametrize("name", VERSION_RUNS)
+    def test_columns_match_the_recorded_digests(self, name):
+        trace = integrate_rectangles(*VERSION_RUNS[name])
+        digests = tuple(hashlib.sha256(repr(getattr(trace, c).tolist()).encode()).hexdigest() for c in COLUMNS)
+        assert digests == COLUMN_DIGESTS[name]
 
 
 class TestConvergence:
