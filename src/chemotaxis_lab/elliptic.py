@@ -42,15 +42,17 @@ def assemble(p: ModelParams, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return neumann_factor(p.lam, r, grid.n_cells)
 
 
-def solve_w(factor: tuple[np.ndarray, np.ndarray], u: np.ndarray, v: np.ndarray, p: ModelParams) -> np.ndarray:
+def solve_w(factor: tuple[np.ndarray, np.ndarray], u: np.ndarray, v: np.ndarray, p: ModelParams,
+            out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
     """Solve (lam*I - d3*D2) w = k*u + l*v with the operator's factor from assemble.
 
     For nonnegative u, v the result is nonnegative and squeezed between
     min(k*u + l*v)/lam and max(k*u + l*v)/lam (discrete comparison), up to
-    solver roundoff.
+    solver roundoff.  Given (n,) float buffers out and term (for l*v), the
+    right-hand side is built in out and solved in place, and the result is out.
     """
-    rhs = np.multiply(p.k, u, dtype=float)
-    rhs += np.multiply(p.l, v, dtype=float)
+    rhs = np.multiply(p.k, u, out, dtype=float)
+    rhs += np.multiply(p.l, v, term, dtype=float)
     if rhs.shape != (len(factor[0]),):
         raise PreconditionError(f"densities of shape {rhs.shape} do not fit n_cells={len(factor[0])}")
     return dpttrs(*factor, rhs, overwrite_b=True)[0]

@@ -39,21 +39,19 @@ from .model import (
 BLOCK_VALUES = 1 << 15
 
 
-def chemotaxis_flux(
-    u: np.ndarray, dw: np.ndarray, chi: np.ndarray, dx: float, out: np.ndarray
-) -> None:
-    """Face fluxes of the attraction term, donor-cell upwinded, into out.
+def chemotaxis_flux(left: np.ndarray, right: np.ndarray, dw: np.ndarray, chi: np.ndarray, dx: float,
+                    mask: np.ndarray, out: np.ndarray) -> None:
+    """Interior face fluxes of the attraction term, donor-cell upwinded, into out.
 
-    u holds m densities (m, n), chi their (m, 1) sensitivities, and dw the
-    signal differences w[i+1] - w[i] across the n - 1 interior faces.  Face
-    i+1/2 carries chi * u_donor * dw[i] / dx, the donor being the cell the
-    signal gradient points away from.  The (m, n + 1) fluxes go into out,
-    whose two boundary faces must already hold zeros.
+    left and right hold m densities (m, n - 1) left and right of the n - 1
+    interior faces, chi their (m, 1) sensitivities, and dw the signal
+    differences w[i+1] - w[i] across those faces.  Face i+1/2 carries
+    chi * u_donor * dw[i] / dx, the donor being the cell the signal
+    gradient points away from.  mask is (n - 1,) boolean scratch.
     """
-    inner = out[:, 1:-1]
-    np.multiply(chi, np.where(dw > 0.0, u[:, :-1], u[:, 1:]), out=inner)
-    inner *= dw
-    inner /= dx
+    np.multiply(chi, np.where(np.greater(dw, 0.0, mask), left, right), out)
+    np.multiply(out, dw, out)
+    np.divide(out, dx, out)
 
 
 class CflViolationError(RuntimeError):
@@ -69,73 +67,93 @@ class CflViolationError(RuntimeError):
         )
 
 
+class _State:
+    """A step's (2, n) densities uv, signal w and masses, with the views a
+    step reads: the rows as (v, u), the cells left and right of each
+    interior face, the rows u and v, and w right and left of each face."""
+
+    def __init__(self, uv: np.ndarray, w: np.ndarray, mass: np.ndarray):
+        self.uv, self.w, self.mass, self.vu = uv, w, mass, uv[::-1]
+        self.left, self.right = uv[:, :-1], uv[:, 1:]
+        self.u, self.v = uv
+        self.w_right, self.w_left = w[1:], w[:-1]
+
+
 class _Workspace:
     """Per-run cache: the signal factor, the coefficients (row 0 for u, 1
-    for v), the stage buffers and the dpttrf factors of the implicit
-    diffusion matrices, one pair per step width (the final step of a run
-    may be shorter; equal diffusivities share one factor)."""
+    for v), the two states that steps write in turn, the stage buffers and
+    the dpttrf factors of the implicit diffusion matrices for the last step
+    width (only a run's final step may be shorter; equal diffusivities
+    share one factor)."""
 
     def __init__(self, p: ModelParams, grid: Grid1D, cfg: StepperConfig):
         self.p = p
         self.dx = grid.dx
-        self.cfg = cfg
+        self.dx_operand = np.array(grid.dx)  # a 0-d array converts faster than a float
+        self.cfl_safety = cfg.cfl_safety
         self.signal_factor = assemble(p, grid)
-        # bracket = growth - local_coupling @ (u, v) - mass_coupling @ (mass_u, mass_v)
-        self.growth = np.array([p.a0, p.b0])
-        self.local_coupling = np.array([[p.a1, p.a2], [p.b1, p.b2]])
-        self.mass_coupling = np.array([[p.a3, p.a4], [p.b3, p.b4]])
+        # bracket = (a0 - (a3*mass_u + a4*mass_v)) - (a1*u + a2*v), v's from the
+        # b's, in elementwise products, so no BLAS kernel sets its bits; a1*u
+        # and b2*v are also terms of the reaction Jacobian diagonal.
         self.self_limit = np.array([[p.a1], [p.b2]])
+        self.cross_coupling = np.array([[p.a2], [p.b1]])
+        self.growth = np.empty((2, 1))
         self.chi = np.array([[p.chi1], [p.chi2]])
         self.chi_max = max(p.chi1, p.chi2)
         self.n_cells = n = grid.n_cells
-        # The face fluxes, whose boundary faces stay zero, and their views
-        # right and left of each cell; the flux divergence; the scratch of
-        # the reaction Jacobian diagonal.
+        self.states = tuple(_State(np.empty((2, n)), np.empty(n), np.empty(2)) for _ in range(2))
+        # The face fluxes, whose boundary faces stay zero, their interior and
+        # their views right and left of each cell; the stage buffers; the
+        # signal differences, their absolute values and signs; the outflow
+        # terms of each cell; the l*v term of the signal solve.
         self.flux = np.zeros((2, n + 1))
+        self.flux_inner = self.flux[:, 1:-1]
         self.flux_right, self.flux_left = self.flux[:, 1:], self.flux[:, :-1]
-        self.div = np.empty((2, n))
-        self.jac = np.empty((2, n))
-        self.factors: dict[float, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+        self.bracket, self.jac, self.div = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+        self.dw, self.abs_dw, self.mask = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1, bool)
+        self.outflow, self.rhs_term = np.empty(n), np.empty(n)
+        self.factored_dt = math.nan  # equal to no step width
+        self.factors: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def diffusion_factors(self, dt: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The dpttrf factors of u's and v's diffusion matrix for a step dt."""
-        pair = self.factors.get(dt)
-        if pair is None:
+        if dt != self.factored_dt:
             d1, d2, dx2 = self.p.d1, self.p.d2, self.dx * self.dx
             first = neumann_factor(1.0, dt * d1 / dx2, self.n_cells)
             second = first if d2 == d1 else neumann_factor(1.0, dt * d2 / dx2, self.n_cells)
-            pair = self.factors[dt] = (first, second)
-        return pair
+            self.factored_dt, self.factors = dt, (first, second)
+        return self.factors
 
 
 def _outflow_rate(ws: _Workspace, dw: np.ndarray, bracket: np.ndarray) -> float:
     """max(out - bracket) over both species, out = chi*(max(dw_right, 0) +
-    max(-dw_left, 0))/dx² the upwind outflow rate of each cell."""
-    out = np.zeros(ws.n_cells)
-    np.maximum(dw, 0.0, out=out[:-1])
-    out[1:] += np.maximum(-dw, 0.0)
-    return float(np.maximum.reduce(ws.chi * out / (ws.dx * ws.dx) - bracket, axis=None))
+    max(-dw_left, 0))/dx² the upwind outflow rate of each cell.  Writes
+    ws.outflow, ws.abs_dw and ws.div."""
+    out = ws.outflow
+    out[-1] = 0.0
+    np.maximum(dw, 0.0, out=out[:-1])  # NumPy 2.4 deprecates a positional out here
+    out[1:] += np.maximum(np.negative(dw, ws.abs_dw), 0.0, out=ws.abs_dw)
+    rate = np.divide(np.multiply(ws.chi, out, ws.div), ws.dx * ws.dx, ws.div)
+    return float(np.maximum.reduce(np.subtract(rate, bracket, rate), None))
 
 
-def _check_stability(
-    ws: _Workspace, uv: np.ndarray, dw: np.ndarray, dt: float, bracket: np.ndarray
-) -> None:
+def _check_stability(ws: _Workspace, jac: np.ndarray, dw: np.ndarray, dt: float, bracket: np.ndarray) -> None:
     """Raise when dt exceeds the positivity limit cfl_safety / max(out -
     bracket) (see _outflow_rate), below which the explicit stage keeps every
     cell nonnegative, or 1/|J|, J the reaction Jacobian diagonal bracket_u -
-    a1*u (and bracket_v - b2*v).  dw holds the signal differences across the
+    a1*u (and bracket_v - b2*v); jac holds the products a1*u and b2*v on
+    entry and |J| on return.  dw holds the signal differences across the
     interior faces.  For u, v >= 0, -bracket <= |J| <= jmax and out <=
     2*chi_max*max|dw|/dx², so the exact rate is computed only when their sum
     does not admit dt."""
-    jac = np.multiply(ws.self_limit, uv, out=ws.jac)
-    np.subtract(bracket, jac, out=jac)
-    jmax = float(np.maximum.reduce(np.abs(jac, out=jac), axis=None))
+    np.subtract(bracket, jac, jac)
+    jmax = float(np.maximum.reduce(np.abs(jac, jac), None))
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
-    rate = 2.0 * ws.chi_max * float(np.maximum.reduce(np.abs(dw))) / (ws.dx * ws.dx) + jmax
-    pos_limit = math.inf if rate == 0.0 else ws.cfg.cfl_safety / rate
+    rate = 2.0 * ws.chi_max * float(np.maximum.reduce(np.abs(dw, ws.abs_dw))) / (ws.dx * ws.dx) + jmax
+    pos_limit = math.inf if rate == 0.0 else ws.cfl_safety / rate
     if dt > pos_limit:
         rate = _outflow_rate(ws, dw, bracket)
-        pos_limit = math.inf if rate <= 0.0 else ws.cfg.cfl_safety / rate
+        pos_limit = math.inf if rate <= 0.0 else ws.cfl_safety / rate
     if dt > pos_limit or dt > rx_limit:
         if dt > pos_limit and dt > rx_limit:
             binding = "positivity and reaction"
@@ -151,33 +169,42 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt
 
     Trusts w to be the signal solve of uv and mass the (2,) array of their
     integrals; every producer in this module maintains that invariant.
-    Returns the same three for the new densities.  Each stage is written
-    in place into one new (2, n) array, with the operations and operand
-    order of the expression
-    uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / dx).
+    Returns the same three for the new densities: the arrays of whichever
+    of ws.states does not hold uv, which the next step but one overwrites.
+    Each stage is written in place, with the operations and operand order
+    of the expression uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / dx).
     """
-    dx = ws.dx
-    dw = w[1:] - w[:-1]
-    stage = ws.local_coupling @ uv
-    np.subtract((ws.growth - ws.mass_coupling @ mass)[:, None], stage, out=stage)  # the bracket
-    _check_stability(ws, uv, dw, dt, stage)
+    src, dst = ws.states if uv is ws.states[0].uv else ws.states[::-1]
+    if uv is not src.uv:  # a state made outside the workspace, as on a run's first step
+        src = _State(uv, w, mass)
+    p, dx = ws.p, ws.dx_operand
+    dw = np.subtract(src.w_right, src.w_left, ws.dw)
+    mass_u, mass_v = src.mass.tolist()
+    ws.growth[0, 0] = p.a0 - (p.a3 * mass_u + p.a4 * mass_v)
+    ws.growth[1, 0] = p.b0 - (p.b3 * mass_u + p.b4 * mass_v)
+    # (a1*u, b2*v) + (a2*v, b1*u), sums whose bits do not depend on the order
+    jac = np.multiply(ws.self_limit, src.uv, ws.jac)
+    bracket = np.multiply(ws.cross_coupling, src.vu, ws.bracket)
+    np.add(jac, bracket, bracket)
+    np.subtract(ws.growth, bracket, bracket)
+    _check_stability(ws, jac, dw, dt, bracket)
 
-    chemotaxis_flux(uv, dw, ws.chi, dx, out=ws.flux)
-    div = np.subtract(ws.flux_right, ws.flux_left, out=ws.div)
-    div /= dx
-    np.multiply(uv, stage, out=stage)
-    np.subtract(stage, div, out=stage)
-    np.multiply(dt, stage, out=stage)
-    np.add(uv, stage, out=stage)
+    chemotaxis_flux(src.left, src.right, dw, ws.chi, dx, ws.mask, ws.flux_inner)
+    div = np.subtract(ws.flux_right, ws.flux_left, ws.div)
+    np.divide(div, dx, div)
+    stage = np.multiply(src.uv, bracket, dst.uv)
+    np.subtract(stage, div, stage)
+    np.multiply(dt, stage, stage)
+    np.add(src.uv, stage, stage)
 
     # Each row is contiguous, so dpttrs solves it in place; its M-matrix
     # factor (d > 0, e < 0) adds only nonnegative terms, so no sign flips.
-    for factor, row in zip(ws.diffusion_factors(dt), stage):
-        dpttrs(*factor, row, overwrite_b=True)
+    u_factor, v_factor = ws.factors if dt == ws.factored_dt else ws.diffusion_factors(dt)
+    dpttrs(*u_factor, dst.u, True)  # overwrite_b, passed by position: keywords cost
+    dpttrs(*v_factor, dst.v, True)
 
-    mass_new = np.add.reduce(stage, axis=1)
-    mass_new *= dx
-    return stage, solve_w(ws.signal_factor, *stage, ws.p), mass_new
+    np.multiply(np.add.reduce(stage, 1, None, dst.mass), dx, dst.mass)
+    return stage, solve_w(ws.signal_factor, dst.u, dst.v, p, dst.w, ws.rhs_term), dst.mass
 
 
 def _same_bits(new: tuple[np.ndarray, ...], old: tuple[np.ndarray, ...]) -> bool:

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -43,13 +44,20 @@ def readme_config():
     return json.loads(re.search(r"### Example config\s+```json\n(.*?)```", readme, re.S).group(1))
 
 
-def run_module(*args):
+def run_module(*args, env_updates=()):
     """Run `python -m chemotaxis_lab` on the repo's sources in its own
-    process, so that a command that never ends fails the test by timeout."""
+    process, so that a command that never ends fails the test by timeout.
+    env_updates are (name, value) pairs set in its environment; a value of
+    None unsets the variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    for name, value in env_updates:
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, "-m", "chemotaxis_lab", *args],
         capture_output=True, text=True, timeout=60, env=env,
@@ -1063,6 +1071,27 @@ class TestSimulateOutputs:
         capsys.readouterr()
         assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel",
+    )
+    def test_trajectory_does_not_depend_on_the_blas_kernel(self, tmp_path):
+        # A step calls no BLAS kernel, so the trajectory's bits do not depend
+        # on the kernel OpenBLAS picks for the CPU.  The mixed-sign config's
+        # coupling products are inexact, and with the reaction bracket as a
+        # matrix product its line 4 differed between these two runs.
+        config = str(REPO_ROOT / "tests" / "golden" / "mixed_sign_config.json")
+        written = []
+        for coretype in (None, "Prescott"):
+            out = tmp_path / (coretype or "native")
+            proc = run_module(
+                "simulate", "--config", config, "--out", str(out),
+                env_updates=[("OPENBLAS_CORETYPE", coretype)],
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append((out / "trajectory.csv").read_bytes())
+        assert written[0] == written[1]
 
     @staticmethod
     def forbid_exact_positivity_rate(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -75,19 +76,32 @@ def face_differences(w):
     return w[1:] - w[:-1]
 
 
+def face_fluxes(uv, dw, chi, dx):
+    """chemotaxis_flux of the (m, n) densities uv as (m, n + 1) face
+    fluxes, the boundary faces zero."""
+    flux = np.zeros((uv.shape[0], uv.shape[1] + 1))
+    chemotaxis_flux(uv[:, :-1], uv[:, 1:], dw, chi, dx, np.empty(len(dw), bool), flux[:, 1:-1])
+    return flux
+
+
 class TestLocalTerms:
     def test_flux_boundary_faces_are_zero(self):
+        # chemotaxis_flux writes the interior faces alone, so the stepper's
+        # flux buffer keeps the zero-flux boundary faces it was made with.
+        p = mk_params(chi1=2.0, chi2=1.0)
         grid = Grid1D(length=1.0, n_cells=4)
-        flux = np.zeros((1, 5))
-        chemotaxis_flux(np.ones((1, 4)), face_differences([0.0, 1.0, 1.0, 0.0]), np.array([[2.0]]), grid.dx, flux)
-        assert flux[0, 0] == 0.0 and flux[0, -1] == 0.0
+        cfg = StepperConfig(dt=1e-3, t_end=1.0)
+        ws = pde_stepper._Workspace(p, grid, cfg)
+        state = (np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]]), np.array([0.0, 1.0, 1.0, 0.0]), np.ones(2))
+        pde_stepper._advance(ws, *state, cfg.dt)
+        assert (ws.flux[:, 1:-1] != 0.0).any()
+        assert (ws.flux[:, [0, -1]] == 0.0).all()
 
     def test_flux_donor_cell_values(self):
         grid = Grid1D(length=1.0, n_cells=4)
         u = np.array([[1.0, 2.0, 3.0, 4.0]])
         dw = face_differences([0.0, 1.0, 1.0, 0.0])
-        flux = np.zeros((1, 5))
-        chemotaxis_flux(u, dw, np.array([[2.0]]), grid.dx, flux)
+        flux = face_fluxes(u, dw, np.array([[2.0]]), grid.dx)
         np.testing.assert_array_equal(flux, [[0.0, 8.0, 0.0, -32.0, 0.0]])
 
     def test_flux_of_stacked_densities_matches_each_row(self):
@@ -95,11 +109,9 @@ class TestLocalTerms:
         uv = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]])
         dw = face_differences([0.0, 1.0, 1.0, 0.0])
         chi = np.array([[2.0], [0.5]])
-        flux, row = np.zeros((2, 5)), np.zeros((1, 5))
-        chemotaxis_flux(uv, dw, chi, grid.dx, flux)
+        flux = face_fluxes(uv, dw, chi, grid.dx)
         for i in range(2):
-            chemotaxis_flux(uv[i:i + 1], dw, chi[i:i + 1], grid.dx, row)
-            np.testing.assert_array_equal(flux[i:i + 1], row)
+            np.testing.assert_array_equal(flux[i:i + 1], face_fluxes(uv[i:i + 1], dw, chi[i:i + 1], grid.dx))
 
     def test_reaction_terms_hand_value(self):
         # On constant data the fluxes vanish and implicit diffusion returns
@@ -472,10 +484,12 @@ class TestSteadyStop:
 
 
 def reference_bracket(p, uv, mass):
-    growth = np.array([p.a0, p.b0])
-    local_coupling = np.array([[p.a1, p.a2], [p.b1, p.b2]])
-    mass_coupling = np.array([[p.a3, p.a4], [p.b3, p.b4]])
-    return (growth - mass_coupling @ mass)[:, None] - local_coupling @ uv
+    """The reaction bracket of both species, each coupling an elementwise
+    product and the mass terms plain floats, so that no BLAS kernel, whose
+    bits depend on the CPU, takes part."""
+    mass_u, mass_v = mass
+    growth = np.array([[p.a0 - (p.a3 * mass_u + p.a4 * mass_v)], [p.b0 - (p.b3 * mass_u + p.b4 * mass_v)]])
+    return growth - (np.array([[p.a1], [p.b1]]) * uv[0] + np.array([[p.a2], [p.b2]]) * uv[1])
 
 
 def reference_limits(p, grid, cfg, uv, w, mass):
@@ -568,7 +582,7 @@ class TestStepBitIdentity:
             uv, w, mass = got
         return uv
 
-    @pytest.mark.parametrize("n", [16, 128, 1024])
+    @pytest.mark.parametrize("n", [16, 128, 1024, 8192])
     @pytest.mark.parametrize("params", [coexistence_params(0.1), mk_params(**MIXED)], ids=["coexistence", "mixed"])
     def test_steps_match_reference(self, n, params):
         grid = Grid1D(length=1.7, n_cells=n)
@@ -645,6 +659,31 @@ class TestStepBitIdentity:
         assert got.value.binding == want.value.binding == binding
         assert bits(got.value.suggested_dt) == bits(want.value.suggested_dt)
         assert str(got.value) == str(want.value)
+
+
+class TestStepAllocation:
+    def test_steps_allocate_no_full_size_arrays(self):
+        # A step writes into the workspace's buffers, also when it computes
+        # the exact positivity rate, as every step here does; only np.where's
+        # donor cells, two rows of n - 1 floats, are made per step.
+        n = 8192
+        grid = Grid1D(length=1.7, n_cells=n)
+        p = mk_params(**MIXED)
+        cfg = StepperConfig(dt=1e-3, t_end=1.0)
+        ws = pde_stepper._Workspace(p, grid, cfg)
+        uv = bumps(grid, np.random.default_rng(n), floor=0.05)
+        state = (uv, solve_w(ws.signal_factor, *uv, p), np.array(grid.integrate(uv)))
+        for _ in range(2):  # the first step reads a state made outside the workspace
+            state = pde_stepper._advance(ws, *state, cfg.dt)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                state = pde_stepper._advance(ws, *state, cfg.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8 * n) < 3.0
 
 
 POSITIVE_FIELDS = ("d1", "d2", "d3", "chi1", "chi2", "a0", "b0", "a1", "b2", "k", "l", "lam")
