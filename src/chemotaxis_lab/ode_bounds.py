@@ -356,9 +356,9 @@ def _dense_coefficients(h: float, ks: tuple, y, y_new) -> tuple:
 class EnclosureReport:
     """Outcome of comparing a PDE trace against a rectangle trace.
 
-    worst_violation is the signed worst excess over the tolerance band
-    (negative means every sample sat inside with slack); passed is
-    worst_violation <= 0.  n_times counts the compared samples.
+    worst_violation is the signed worst excess over the tolerance band (negative:
+    every sample inside with slack) at the n_times compared of the n_samples samples.
+    passed, the claim of an enclosure for all time, is n_times == n_samples and worst_violation <= 0.
     """
 
     passed: bool
@@ -366,6 +366,7 @@ class EnclosureReport:
     worst_violation: float
     worst_time: float
     n_times: int
+    n_samples: int
     notes: tuple[str, ...] = ()
 
 
@@ -407,7 +408,8 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     rows = zip(pde_trace.t, pde_trace.u_min, pde_trace.u_max, pde_trace.v_min, pde_trace.v_max)
     compared = [row for row in rows if lo <= row[0] <= hi]
     notes: list[str] = []
-    n_out = len(pde_trace.t) - len(compared)
+    n_samples = len(pde_trace.t)
+    n_out = n_samples - len(compared)
     if n_out:
         notes.append(
             f"{n_out} PDE sample(s) fall outside the rectangle time span "
@@ -423,6 +425,7 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
             worst_violation=math.inf,
             worst_time=math.nan,
             n_times=0,
+            n_samples=n_samples,
             notes=tuple(notes + ["no overlapping sample times"]),
         )
     excess = []
@@ -441,10 +444,11 @@ def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> Enclos
     k = max(range(len(excess)), key=lambda i: (excess[i] != excess[i], excess[i]))
     worst = float(excess[k])
     return EnclosureReport(
-        passed=worst <= 0.0,
+        passed=n_out == 0 and worst <= 0.0,
         tol=tol,
         worst_violation=worst,
         worst_time=float(compared[k][0]),
         n_times=len(compared),
+        n_samples=n_samples,
         notes=tuple(notes),
     )

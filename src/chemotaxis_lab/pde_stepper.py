@@ -6,8 +6,8 @@ gradient) and the mass-coupled reaction are advanced by explicit Euler,
 then each species is diffused implicitly (backward Euler), which leaves
 the step restricted only by the positivity limit of the explicit stage
 and the explicit-reaction stability bound.  The signal w is re-solved
-once per step from the pre-step densities.  The stepper holds u and v as
-the rows of one (2, n) array, so each stage is one array expression for
+once per step from the pre-step densities.  The stepper holds u, v and w
+as the rows of one (3, n) stack, so each stage is one array expression for
 both species.
 
 Spatially constant states reduce the step to plain explicit Euler for the
@@ -68,26 +68,27 @@ class CflViolationError(RuntimeError):
 
 
 class _State:
-    """A step's (2, n) densities uv, signal w and masses, with the views a
-    step reads: the rows as (v, u), the cells left and right of each
-    interior face, the rows u and v, and w right and left of each face."""
+    """A (3, n) stack fields of u, v, w and the (2,) masses, with the views a
+    step reads: uv, its rows as (v, u), the cells left and right of each
+    interior face, the rows u, v, w, and w right and left of each face."""
 
-    def __init__(self, uv: np.ndarray, w: np.ndarray, mass: np.ndarray):
-        self.uv, self.w, self.mass, self.vu = uv, w, mass, uv[::-1]
-        self.left, self.right = uv[:, :-1], uv[:, 1:]
-        self.u, self.v = uv
-        self.w_right, self.w_left = w[1:], w[:-1]
+    def __init__(self, n: int):
+        self.fields, self.mass = np.empty((3, n)), np.empty(2)
+        self.uv = uv = self.fields[:2]
+        self.vu, self.left, self.right = uv[::-1], uv[:, :-1], uv[:, 1:]
+        self.u, self.v, self.w = self.fields
+        self.w_right, self.w_left = self.w[1:], self.w[:-1]
 
 
 class _Workspace:
     """Per-run cache: the signal factor, the coefficients (row 0 for u, 1
-    for v), the two states that steps write in turn, the stage buffers and
+    for v), the two states a run steps between, the stage buffers and
     the dpttrf factors of the implicit diffusion matrices for the last step
     width (only a run's final step may be shorter; equal diffusivities
     share one factor)."""
 
     def __init__(self, p: ModelParams, grid: Grid1D, cfg: StepperConfig):
-        self.p = p
+        self.p, self.grid = p, grid
         self.dx = grid.dx
         self.dx_operand = np.array(grid.dx)  # a 0-d array converts faster than a float
         self.cfl_safety = cfg.cfl_safety
@@ -101,7 +102,7 @@ class _Workspace:
         self.chi = np.array([[p.chi1], [p.chi2]])
         self.chi_max = max(p.chi1, p.chi2)
         self.n_cells = n = grid.n_cells
-        self.states = tuple(_State(np.empty((2, n)), np.empty(n), np.empty(2)) for _ in range(2))
+        self.states = _State(n), _State(n)
         # The face fluxes, whose boundary faces stay zero, their interior and
         # their views right and left of each cell; the stage buffers; the
         # signal differences, their absolute values and signs; the outflow
@@ -115,6 +116,17 @@ class _Workspace:
         self.factored_dt = math.nan  # equal to no step width
         self.factors: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
+    def start(self, uv: np.ndarray) -> tuple[_State, _State]:
+        """Fill the first state from the (2, n) densities uv, with their
+        signal solve and masses; returns both states, that one first."""
+        first = self.states[0]
+        if uv.shape != first.uv.shape:
+            raise PreconditionError(f"densities of shape {uv.shape[1:]} do not fit n_cells={self.n_cells}")
+        first.uv[...] = uv
+        solve_w(self.signal_factor, first.u, first.v, self.p, first.w, self.rhs_term)
+        first.mass[...] = self.grid.integrate(first.uv)
+        return self.states
+
     def diffusion_factors(self, dt: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The dpttrf factors of u's and v's diffusion matrix for a step dt."""
         if dt != self.factored_dt:
@@ -125,34 +137,34 @@ class _Workspace:
         return self.factors
 
 
-def _outflow_rate(ws: _Workspace, dw: np.ndarray, bracket: np.ndarray) -> float:
-    """max(out - bracket) over both species, out = chi*(max(dw_right, 0) +
-    max(-dw_left, 0))/dx² the upwind outflow rate of each cell.  Writes
-    ws.outflow, ws.abs_dw and ws.div."""
-    out = ws.outflow
+def _outflow_rate(ws: _Workspace) -> float:
+    """max(out - ws.bracket) over both species, out = chi*(max(dw_right, 0)
+    + max(-dw_left, 0))/dx² the upwind outflow rate of each cell, dw =
+    ws.dw.  Writes ws.outflow, ws.abs_dw and ws.div."""
+    dw, out = ws.dw, ws.outflow
     out[-1] = 0.0
     np.maximum(dw, 0.0, out=out[:-1])  # NumPy 2.4 deprecates a positional out here
     out[1:] += np.maximum(np.negative(dw, ws.abs_dw), 0.0, out=ws.abs_dw)
     rate = np.divide(np.multiply(ws.chi, out, ws.div), ws.dx * ws.dx, ws.div)
-    return float(np.maximum.reduce(np.subtract(rate, bracket, rate), None))
+    return float(np.maximum.reduce(np.subtract(rate, ws.bracket, rate), None))
 
 
-def _check_stability(ws: _Workspace, jac: np.ndarray, dw: np.ndarray, dt: float, bracket: np.ndarray) -> None:
+def _check_stability(ws: _Workspace, dt: float) -> None:
     """Raise when dt exceeds the positivity limit cfl_safety / max(out -
     bracket) (see _outflow_rate), below which the explicit stage keeps every
     cell nonnegative, or 1/|J|, J the reaction Jacobian diagonal bracket_u -
-    a1*u (and bracket_v - b2*v); jac holds the products a1*u and b2*v on
-    entry and |J| on return.  dw holds the signal differences across the
+    a1*u (and bracket_v - b2*v); ws.jac holds the products a1*u and b2*v on
+    entry and |J| on return.  ws.dw holds the signal differences across the
     interior faces.  For u, v >= 0, -bracket <= |J| <= jmax and out <=
     2*chi_max*max|dw|/dx², so the exact rate is computed only when their sum
     does not admit dt."""
-    np.subtract(bracket, jac, jac)
+    jac = np.subtract(ws.bracket, ws.jac, ws.jac)
     jmax = float(np.maximum.reduce(np.abs(jac, jac), None))
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
-    rate = 2.0 * ws.chi_max * float(np.maximum.reduce(np.abs(dw, ws.abs_dw))) / (ws.dx * ws.dx) + jmax
+    rate = 2.0 * ws.chi_max * float(np.maximum.reduce(np.abs(ws.dw, ws.abs_dw))) / (ws.dx * ws.dx) + jmax
     pos_limit = math.inf if rate == 0.0 else ws.cfl_safety / rate
     if dt > pos_limit:
-        rate = _outflow_rate(ws, dw, bracket)
+        rate = _outflow_rate(ws)
         pos_limit = math.inf if rate <= 0.0 else ws.cfl_safety / rate
     if dt > pos_limit or dt > rx_limit:
         if dt > pos_limit and dt > rx_limit:
@@ -164,19 +176,15 @@ def _check_stability(ws: _Workspace, jac: np.ndarray, dw: np.ndarray, dt: float,
         raise CflViolationError(binding, dt, min(pos_limit, rx_limit))
 
 
-def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt: float) -> tuple:
-    """One split step of width dt on the (2, n) densities uv.
+def _advance(ws: _Workspace, src: _State, dst: _State, dt: float) -> None:
+    """One split step of width dt from the state src into the state dst.
 
-    Trusts w to be the signal solve of uv and mass the (2,) array of their
-    integrals; every producer in this module maintains that invariant.
-    Returns the same three for the new densities: the arrays of whichever
-    of ws.states does not hold uv, which the next step but one overwrites.
-    Each stage is written in place, with the operations and operand order
-    of the expression uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / dx).
+    Trusts src.w to be the signal solve of src.uv and src.mass their
+    integrals, as _Workspace.start and every step leave them.  Writes dst
+    and the workspace's stage buffers, and reads src alone.  Each stage is
+    written in place, with the operations and operand order of the
+    expression uv + dt * (uv * bracket - (flux[:, 1:] - flux[:, :-1]) / dx).
     """
-    src, dst = ws.states if uv is ws.states[0].uv else ws.states[::-1]
-    if uv is not src.uv:  # a state made outside the workspace, as on a run's first step
-        src = _State(uv, w, mass)
     p, dx = ws.p, ws.dx_operand
     dw = np.subtract(src.w_right, src.w_left, ws.dw)
     mass_u, mass_v = src.mass.tolist()
@@ -187,7 +195,7 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt
     bracket = np.multiply(ws.cross_coupling, src.vu, ws.bracket)
     np.add(jac, bracket, bracket)
     np.subtract(ws.growth, bracket, bracket)
-    _check_stability(ws, jac, dw, dt, bracket)
+    _check_stability(ws, dt)
 
     chemotaxis_flux(src.left, src.right, dw, ws.chi, dx, ws.mask, ws.flux_inner)
     div = np.subtract(ws.flux_right, ws.flux_left, ws.div)
@@ -204,7 +212,7 @@ def _advance(ws: _Workspace, uv: np.ndarray, w: np.ndarray, mass: np.ndarray, dt
     dpttrs(*v_factor, dst.v, True)
 
     np.multiply(np.add.reduce(stage, 1, None, dst.mass), dx, dst.mass)
-    return stage, solve_w(ws.signal_factor, dst.u, dst.v, p, dst.w, ws.rhs_term), dst.mass
+    solve_w(ws.signal_factor, dst.u, dst.v, p, dst.w, ws.rhs_term)
 
 
 def _same_bits(new: tuple[np.ndarray, ...], old: tuple[np.ndarray, ...]) -> bool:
@@ -248,8 +256,8 @@ def run_simulation(
     w) that the record reduces in one call when the block is full, before
     each steady-state test, and at the end of the run.
 
-    Once a full step of width cfg.dt returns u, v, w and the masses bit for
-    bit as it got them, every later full step would too: those steps keep
+    Once a full step of width cfg.dt writes u, v, w and the masses bit for
+    bit as it read them, every later full step would too: those steps keep
     the state and only advance t, with the guards, the recording and the
     steady-state test run as before.  rec.stationary_from_t is the start of
     that first unchanging step, and rec.steps counts every step taken.
@@ -263,13 +271,11 @@ def run_simulation(
         raise PreconditionError("initial densities must be nonnegative")
     t_stop, last_step = check_time_resolution(state0.t, cfg.t_end, cfg.dt)
     ws = _Workspace(p, grid, cfg)
+    cur, nxt = ws.start(uv)
     t = state0.t
-    w = solve_w(ws.signal_factor, *uv, p)
-    mass = np.array(grid.integrate(uv))
     rec = TrajectoryRecord()
     n = grid.n_cells
     block = np.empty((max(1, BLOCK_VALUES // (3 * n)), 3, n))
-    slots = [(stack[:2], stack[2]) for stack in block]
     masses = np.empty((block.shape[0], 2))
     times: list[float] = []  # of the samples held in the block
 
@@ -280,12 +286,10 @@ def run_simulation(
 
     def record() -> None:
         i = len(times)
-        uv_slot, w_slot = slots[i]
-        uv_slot[...] = uv
-        w_slot[...] = w
-        masses[i] = mass
+        block[i] = cur.fields
+        masses[i] = cur.mass
         times.append(t)
-        if i + 1 == len(slots):
+        if i + 1 == len(block):
             flush()
 
     record()
@@ -295,23 +299,22 @@ def run_simulation(
         dt = rest if rest < last_step else cfg.dt
         if rec.stationary_from_t is None or dt != cfg.dt:
             try:
-                uv_new, w_new, mass_new = _advance(ws, uv, w, mass, dt)
+                _advance(ws, cur, nxt, dt)
             except CflViolationError as exc:
                 rec.guard_tripped = "cfl_violation"
                 rec.notes.append(str(exc))
                 break
-            # A full step that leaves its inputs as they were, bit for
-            # bit, leaves them so at every later full step too.  The
-            # float compares of the masses fail first on almost every
-            # step, and on a NaN.
-            if (dt == cfg.dt and mass_new[0] == mass[0] and mass_new[1] == mass[1]
-                    and _same_bits((uv_new, w_new, mass_new), (uv, w, mass))):
+            # A full step that leaves its state as it was, bit for bit, leaves it so
+            # at every later full step too.  The float compares of the masses
+            # fail first on almost every step, and on a NaN.
+            if (dt == cfg.dt and nxt.mass[0] == cur.mass[0] and nxt.mass[1] == cur.mass[1]
+                    and _same_bits((nxt.fields, nxt.mass), (cur.fields, cur.mass))):
                 rec.stationary_from_t = t
             else:
-                uv, w, mass = uv_new, w_new, mass_new
+                cur, nxt = nxt, cur
         t += dt
         steps_done += 1
-        peak = float(np.maximum.reduce(uv, axis=None))
+        peak = float(np.maximum.reduce(cur.uv, axis=None))
         if not math.isfinite(peak):
             rec.guard_tripped = "non_finite"
             rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
@@ -337,5 +340,5 @@ def run_simulation(
         record()
     flush()
     rec.steps = steps_done
-    rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
+    rec.final_state = FieldState(t=t, u=cur.u, v=cur.v, w=cur.w)
     return rec

@@ -446,6 +446,29 @@ class TestConfigErrors:
         self.assert_one_error_line(capsys, f"config error: {path}: {detail}")
 
     @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('{"params": ', '{"references": [], "params": ', "references"),
+            ('"chi1": ', '"chi1": 50.0, "chi1": ', "chi1"),
+            # an equal value given twice is refused too, in any section
+            ('{"constant": [0.5, 0.5]}', '{"constant": [0.5, 0.5], "constant": [0.5, 0.5]}', "constant"),
+        ],
+        ids=["top-level", "params", "initial-data"],
+    )
+    def test_duplicate_key(self, tmp_path, capsys, old, new, key):
+        # json.loads alone keeps the last of two equal keys, so a config
+        # that sets chi1 twice would run with the second value, unannounced.
+        text = json.dumps(base_config())
+        assert text.count(old) == 1
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new))
+        for command in ("check", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+            self.assert_one_error_line(capsys, f"config error: {path}: duplicate key {key!r}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "row, detail",
         [
             (b"0.0," + b"4" * 140_000 + b",0.6,0.4,0.6", "field larger than field limit"),
@@ -691,6 +714,33 @@ class TestExitCodes:
                 "config error: grid: the cell width 7.8125e-163 squares to 0.0: length is too small\n"
             ), command
             assert not out.exists(), command
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "rectangles"])
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, command):
+        # NumPy refuses 2**62 cells of 8 bytes before it allocates anything.
+        doc = base_config()
+        doc["grid"]["n_cells"] = 2**62
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: grid.n_cells: {2**62} cells do not fit in memory: ")
+        assert err.count("\n") == 1 and "array is too big" in err
+        assert not out.exists()
+
+    def test_grid_that_cannot_be_allocated_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # A grid NumPy accepts but the machine cannot hold, with no allocation tried.
+        def fail(grid):
+            raise MemoryError(f"Unable to allocate an array with shape ({grid.n_cells},)")
+
+        monkeypatch.setattr(cli.Grid1D, "cell_centers", fail)
+        cfg = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: grid.n_cells: 32 cells do not fit in memory: "
+            "Unable to allocate an array with shape (32,)\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     # In-process: the suite turns every RuntimeWarning into an error.
     def test_narrow_bump_warns_nothing(self, tmp_path, capsys):

@@ -218,8 +218,9 @@ class TestCheckEnclosure:
             [(0.0, 0.2, 0.8, 0.2, 0.8), (2.0, 0.0, 5.0, 0.0, 5.0)]
         )
         report = check_enclosure(pde, rect, tol=1e-3)
-        assert report.passed
-        assert report.n_times == 1
+        # inside where compared, but the claim is an enclosure for all time
+        assert not report.passed and report.worst_violation < 0.0
+        assert (report.n_times, report.n_samples) == (1, 2)
         assert any("not compared" in note for note in report.notes)
 
     def test_uncovered_note_prints_plain_floats(self):
@@ -239,7 +240,7 @@ class TestCheckEnclosure:
         rect = box_trace((0.0, 1.0))
         pde = make_pde_trace([(t, 0.2, 0.8, 0.2, 0.8) for t in (-1e-13, 0.0, 1.0, 1.0 + 1e-13)])
         report = check_enclosure(pde, rect, tol=1e-3)
-        assert report.passed and report.n_times == 2
+        assert not report.passed and (report.n_times, report.n_samples) == (2, 4)
         assert report.notes == (
             "2 PDE sample(s) fall outside the rectangle time span [0.0, 1.0] and were not compared",
         )
@@ -298,7 +299,7 @@ def numpy_check_enclosure(pde_trace, rect_trace, tol):
     if t_cmp.size == 0:
         return EnclosureReport(
             passed=False, tol=tol, worst_violation=math.inf, worst_time=math.nan, n_times=0,
-            notes=tuple(notes + ["no overlapping sample times"]),
+            n_samples=int(pde_t.size), notes=tuple(notes + ["no overlapping sample times"]),
         )
     u_hi = np.interp(t_cmp, rect_t, rect_trace.u_hi)
     u_lo = np.interp(t_cmp, rect_t, rect_trace.u_lo)
@@ -315,8 +316,9 @@ def numpy_check_enclosure(pde_trace, rect_trace, tol):
     worst_idx = int(np.argmax(excess))
     worst = float(excess[worst_idx])
     return EnclosureReport(
-        passed=worst <= 0.0, tol=tol, worst_violation=worst,
-        worst_time=float(t_cmp[worst_idx]), n_times=int(t_cmp.size), notes=tuple(notes),
+        passed=bool(inside.all()) and worst <= 0.0, tol=tol, worst_violation=worst,
+        worst_time=float(t_cmp[worst_idx]), n_times=int(t_cmp.size), n_samples=int(pde_t.size),
+        notes=tuple(notes),
     )
 
 
@@ -407,7 +409,7 @@ class TestEnclosureMatchesNumpy:
                              (rect.t[-1], 0.45, 0.55, 0.45, 0.55), (inside, 0.45, 1e3, 0.45, 0.55),
                              (0.3, 0.45, 0.55, 0.45, 0.55)])
         report = self.assert_same(pde, rect, 1e-3)
-        assert report.passed and report.n_times == 3
+        assert not report.passed and report.worst_violation < 0.0 and report.n_times == 3
         assert report.notes == (
             f"2 PDE sample(s) fall outside the rectangle time span [0.0, {rect.t[-1]!r}] "
             "and were not compared",

@@ -92,8 +92,7 @@ class TestLocalTerms:
         grid = Grid1D(length=1.0, n_cells=4)
         cfg = StepperConfig(dt=1e-3, t_end=1.0)
         ws = pde_stepper._Workspace(p, grid, cfg)
-        state = (np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]]), np.array([0.0, 1.0, 1.0, 0.0]), np.ones(2))
-        pde_stepper._advance(ws, *state, cfg.dt)
+        pde_stepper._advance(ws, *ws.start(np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]])), cfg.dt)
         assert (ws.flux[:, 1:-1] != 0.0).any()
         assert (ws.flux[:, [0, -1]] == 0.0).all()
 
@@ -235,9 +234,7 @@ class TestConservationAndReduction:
 def first_step(p, grid, u0, v0, cfg):
     """_advance on a fresh _Workspace from u0, v0 with the step cfg.dt."""
     ws = pde_stepper._Workspace(p, grid, cfg)
-    uv = np.array([u0, v0], dtype=float)
-    w = solve_w(ws.signal_factor, *uv, p)
-    return pde_stepper._advance(ws, uv, w, np.array(grid.integrate(uv)), cfg.dt)
+    pde_stepper._advance(ws, *ws.start(np.array([u0, v0], dtype=float)), cfg.dt)
 
 
 class TestStabilityGuards:
@@ -415,6 +412,15 @@ class TestRunSimulation:
         with pytest.raises(PreconditionError, match="nonnegative"):
             run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
 
+    @pytest.mark.parametrize("n", [1, 7, 9])
+    def test_densities_of_the_wrong_length_are_rejected(self, n):
+        # A single cell would broadcast over the grid's 8 without the check.
+        p = coexistence_params(0.1)
+        grid = Grid1D(length=1.0, n_cells=8)
+        s0 = FieldState(t=0.0, u=np.full(n, 0.5), v=np.full(n, 0.5), w=np.full(n, 1.0))
+        with pytest.raises(PreconditionError, match=rf"densities of shape \({n},\) do not fit n_cells=8"):
+            run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
+
     def test_references_produce_distance_series(self):
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=16)
@@ -567,20 +573,19 @@ class TestStepBitIdentity:
     def steps(p, grid, cfg, uv, dts):
         """Step uv over the widths dts, comparing each step's outputs with
         the reference's for the same inputs, bit for bit, and checking
-        that the inputs are left untouched; returns the last densities."""
+        that the state read is left untouched; returns the last densities."""
         ws = pde_stepper._Workspace(p, grid, cfg)
-        w = solve_w(ws.signal_factor, *uv, p)
-        mass = np.array(grid.integrate(uv))
+        src, dst = ws.start(uv)
         for dt in dts:
-            before = [a.copy() for a in (uv, w, mass)]
-            want = reference_advance(p, grid, cfg, uv, w, mass.tolist(), dt)
-            got = pde_stepper._advance(ws, uv, w, mass, dt)
-            for a, b in zip(before, (uv, w, mass)):
+            before = [a.copy() for a in (src.fields, src.mass)]
+            want = reference_advance(p, grid, cfg, src.uv, src.w, src.mass.tolist(), dt)
+            pde_stepper._advance(ws, src, dst, dt)
+            for a, b in zip(before, (src.fields, src.mass)):
                 assert np.array_equal(bits(a), bits(b))
-            for a, b in zip(got, want):
+            for a, b in zip((dst.uv, dst.w, dst.mass), want):
                 assert np.array_equal(bits(a), bits(b))
-            uv, w, mass = got
-        return uv
+            src, dst = dst, src
+        return src.uv
 
     @pytest.mark.parametrize("n", [16, 128, 1024, 8192])
     @pytest.mark.parametrize("params", [coexistence_params(0.1), mk_params(**MIXED)], ids=["coexistence", "mixed"])
@@ -629,13 +634,12 @@ class TestStepBitIdentity:
         p, grid, cfg, uv = case
         dt = 1.5 * pos_limit
         ws = pde_stepper._Workspace(p, grid, cfg)
-        w = solve_w(ws.signal_factor, *uv, p)
-        mass = grid.integrate(uv)
+        src, dst = ws.start(uv)
         with pytest.raises(CflViolationError) as got:
-            pde_stepper._advance(ws, uv, w, np.array(mass), dt)
+            pde_stepper._advance(ws, src, dst, dt)
         assert calls == [1]
         with pytest.raises(CflViolationError) as want:
-            reference_advance(p, grid, cfg, uv, w, mass, dt)
+            reference_advance(p, grid, cfg, uv, src.w, src.mass.tolist(), dt)
         assert got.value.binding == want.value.binding == "positivity"
         assert bits(got.value.suggested_dt) == bits(want.value.suggested_dt) == bits(pos_limit)
 
@@ -650,12 +654,11 @@ class TestStepBitIdentity:
         cfg = StepperConfig(dt=dt, t_end=10.0)
         uv = bumps(grid, np.random.default_rng(3), floor=0.1)
         ws = pde_stepper._Workspace(p, grid, cfg)
-        w = solve_w(ws.signal_factor, *uv, p)
-        mass = grid.integrate(uv)
+        src, dst = ws.start(uv)
         with pytest.raises(CflViolationError) as got:
-            pde_stepper._advance(ws, uv, w, np.array(mass), dt)
+            pde_stepper._advance(ws, src, dst, dt)
         with pytest.raises(CflViolationError) as want:
-            reference_advance(p, grid, cfg, uv, w, mass, dt)
+            reference_advance(p, grid, cfg, uv, src.w, src.mass.tolist(), dt)
         assert got.value.binding == want.value.binding == binding
         assert bits(got.value.suggested_dt) == bits(want.value.suggested_dt)
         assert str(got.value) == str(want.value)
@@ -671,15 +674,14 @@ class TestStepAllocation:
         p = mk_params(**MIXED)
         cfg = StepperConfig(dt=1e-3, t_end=1.0)
         ws = pde_stepper._Workspace(p, grid, cfg)
-        uv = bumps(grid, np.random.default_rng(n), floor=0.05)
-        state = (uv, solve_w(ws.signal_factor, *uv, p), np.array(grid.integrate(uv)))
-        for _ in range(2):  # the first step reads a state made outside the workspace
-            state = pde_stepper._advance(ws, *state, cfg.dt)
+        src, dst = ws.start(bumps(grid, np.random.default_rng(n), floor=0.05))
+        pde_stepper._advance(ws, src, dst, cfg.dt)  # the first step factors the diffusion matrices
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for _ in range(10):
-                state = pde_stepper._advance(ws, *state, cfg.dt)
+                src, dst = dst, src
+                pde_stepper._advance(ws, src, dst, cfg.dt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -724,22 +726,21 @@ class TestNonnegativity:
         p, grid, uv, cfl, multiple = case
         assert validate_params(p) == []
         ws = pde_stepper._Workspace(p, grid, StepperConfig(dt=1.0, t_end=1.0, cfl_safety=cfl))
-        w = solve_w(ws.signal_factor, *uv, p)
-        mass = np.array(grid.integrate(uv))
+        src, dst = ws.start(uv)
         try:
-            pde_stepper._advance(ws, uv, w, mass, 1e6)
+            pde_stepper._advance(ws, src, dst, 1e6)
             limit = 1e6
         except CflViolationError as exc:
             limit = exc.suggested_dt
-        for dt in (limit, multiple * limit):
+        for dt in (limit, multiple * limit):  # each a step from src into dst
             try:
-                uv_new, w_new, _ = pde_stepper._advance(ws, uv, w, mass, dt)
+                pde_stepper._advance(ws, src, dst, dt)
             except CflViolationError:
                 assert dt > limit
                 continue
             assert dt <= limit
-            assert uv_new.min() >= 0.0
-            assert w_new.min() >= 0.0
+            assert dst.uv.min() >= 0.0
+            assert dst.w.min() >= 0.0
 
 
 def reference_run(state0, p, grid, cfg, references=()):
@@ -750,16 +751,14 @@ def reference_run(state0, p, grid, cfg, references=()):
     (du, dv, dw) of each sample computed from that sample's own extrema."""
     ws = pde_stepper._Workspace(p, grid, cfg)
     t = state0.t
-    uv = np.array([state0.u, state0.v], dtype=float)
-    w = solve_w(ws.signal_factor, *uv, p)
-    mass = np.array(grid.integrate(uv))
+    src, dst = ws.start(np.array([state0.u, state0.v], dtype=float))
     rec = TrajectoryRecord()
     distances = {label: ([], [], []) for label, _ in references}
 
     def record():
         if not rec.t or t > rec.t[-1]:
-            fields = np.vstack([uv, w])
-            rec.append_sample(t, fields, *mass.tolist())
+            fields = src.fields
+            rec.append_sample(t, fields, *src.mass.tolist())
             for label, r in references:
                 level = np.array([r.u_star, r.v_star, r.w_star])
                 for column, d in zip(distances[label], sup_distance(fields.min(1), fields.max(1), level)):
@@ -773,17 +772,17 @@ def reference_run(state0, p, grid, cfg, references=()):
         rest = cfg.t_end - t
         dt = rest if rest < cfg.dt + (cfg.t_end - t_stop) else cfg.dt
         try:
-            step = pde_stepper._advance(ws, uv, w, mass, dt)
+            pde_stepper._advance(ws, src, dst, dt)
         except CflViolationError as exc:
             rec.guard_tripped = "cfl_violation"
             rec.notes.append(str(exc))
             break
-        if rec.stationary_from_t is None and dt == cfg.dt and unchanged(step, (uv, w, mass)):
+        if rec.stationary_from_t is None and dt == cfg.dt and unchanged(dst, src):
             rec.stationary_from_t = t
-        uv, w, mass = step
+        src, dst = dst, src
         t += dt
         steps_done += 1
-        peak = float(uv.max())
+        peak = float(src.uv.max())
         if not math.isfinite(peak):
             rec.guard_tripped = "non_finite"
             rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
@@ -803,7 +802,7 @@ def reference_run(state0, p, grid, cfg, references=()):
                     break
     record()
     rec.steps = steps_done
-    rec.final_state = FieldState(t=t, u=uv[0], v=uv[1], w=w)
+    rec.final_state = FieldState(t=t, u=src.u, v=src.v, w=src.w)
     return rec, distances
 
 
@@ -812,9 +811,9 @@ def record_distances(rec, references):
     return {label: rec.distances((r.u_star, r.v_star, r.w_star)) for label, r in references}
 
 
-def unchanged(step, state):
-    """Whether a step's (uv, w, mass) equal the state's bit for bit."""
-    return all(np.array_equal(bits(a), bits(b)) for a, b in zip(step, state))
+def unchanged(new, old):
+    """Whether two states' fields and masses are equal bit for bit."""
+    return all(np.array_equal(bits(a), bits(b)) for a, b in ((new.fields, old.fields), (new.mass, old.mass)))
 
 
 def four_references(p):
@@ -911,12 +910,12 @@ def fixed_densities(p, grid, uv, dt):
     """The first densities that a full step of width dt maps to themselves,
     with their signal and masses, bit for bit, stepping from uv."""
     ws = pde_stepper._Workspace(p, grid, StepperConfig(dt=dt, t_end=1.0))
-    state = (uv, solve_w(ws.signal_factor, *uv, p), np.array(grid.integrate(uv)))
+    src, dst = ws.start(uv)
     for _ in range(5000):
-        step = pde_stepper._advance(ws, *state, dt)
-        if unchanged(step, state):
-            return state[0]
-        state = step
+        pde_stepper._advance(ws, src, dst, dt)
+        if unchanged(dst, src):
+            return src.uv
+        src, dst = dst, src
     raise AssertionError("no fixed point within 5000 steps")
 
 
@@ -981,11 +980,12 @@ class TestStationarySkip:
     def test_signed_zero_start_is_not_fixed(self):
         state0, p, grid, cfg = stationary_case("signed-zero")
         ws = pde_stepper._Workspace(p, grid, cfg)
-        uv = np.array([state0.u, state0.v])
-        state = (uv, state0.w, np.array(grid.integrate(uv)))
-        step = pde_stepper._advance(ws, *state, cfg.dt)
-        assert np.array_equal(step[0], uv) and not unchanged(step, state)
-        assert unchanged(pde_stepper._advance(ws, *step, cfg.dt), step)
+        first, second = ws.start(np.array([state0.u, state0.v]))
+        assert np.array_equal(bits(first.w), bits(state0.w))
+        pde_stepper._advance(ws, first, second, cfg.dt)
+        assert np.array_equal(second.uv, first.uv) and not unchanged(second, first)
+        pde_stepper._advance(ws, second, first, cfg.dt)
+        assert unchanged(first, second)
 
     @pytest.mark.parametrize("name", ["mid-run", "fixed-start", "exclusion"])
     def test_stationary_steps_make_no_advance_call(self, name, monkeypatch):
@@ -993,9 +993,9 @@ class TestStationarySkip:
         advance = pde_stepper._advance
         widths = []
 
-        def counted(ws, uv, w, mass, dt):
+        def counted(ws, src, dst, dt):
             widths.append(dt)
-            return advance(ws, uv, w, mass, dt)
+            advance(ws, src, dst, dt)
 
         monkeypatch.setattr(pde_stepper, "_advance", counted)
         rec = run_simulation(state0, p, grid, cfg)
