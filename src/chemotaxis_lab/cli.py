@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -142,6 +143,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"rectangles.record_every: must be >= 1, got {opts['record_every']!r}")
     if opts["tol"] < 0:
         raise ConfigError(f"rectangles.tol: must be nonnegative, got {opts['tol']!r}")
+    by_file: dict[str, list[str]] = {}  # a second write to one file would silently replace the first
+    for key, name in doc["outputs"].items():
+        by_file.setdefault(os.path.normpath(name), []).append(key)
+    shared = [" and ".join(keys) for keys in by_file.values() if len(keys) > 1]
+    if shared:
+        raise ConfigError(f"outputs: {'; '.join(shared)} name one file")
     if "grid" in doc and doc["grid"].length != p.omega_measure:
         raise PreconditionError(
             f"grid length {doc['grid'].length!r} must equal omega_measure {p.omega_measure!r}"
@@ -219,7 +226,9 @@ def build_initial(doc: dict, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         x = grid.cell_centers()
     except (ValueError, MemoryError) as exc:  # NumPy refuses the array, or cannot allocate it
         raise ConfigError(f"grid.n_cells: {grid.n_cells} cells do not fit in memory: {exc}") from exc
-    with np.errstate(over="ignore"):  # an overflow is inf, which a run's guards report
+    # An overflow is inf, which a run's guards report; cos(inf) is NaN, which
+    # the check below rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
         if kind == "constant":
             u0c, v0c = _number_list(value, "initial_data.constant", (2,))
             u = np.full(grid.n_cells, u0c)
@@ -248,8 +257,8 @@ def build_initial(doc: dict, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
             v = heights[1] * np.exp(-0.5 * ((x - centers[1]) / widths[1]) ** 2)
         else:
             raise ConfigError(f"initial_data: unknown kind {kind!r}")
-    if float(u.min()) < 0 or float(v.min()) < 0:
-        raise ConfigError("initial_data: densities must be nonnegative everywhere")
+    if not ((u >= 0.0).all() and (v >= 0.0).all()):  # NaN is not >= 0
+        raise ConfigError("initial_data: densities must be nonnegative everywhere, and not NaN")
     return u, v
 
 
@@ -476,7 +485,10 @@ def _envelope_sections(p: ModelParams, rec: TrajectoryRecord) -> dict:
 # extension (loaded by file in _lapack, without scipy.linalg), so it is
 # imported when a run first builds one, not with this module: check, steady,
 # bounds and rectangles --trajectory never load SciPy, and check, steady and
-# rectangles --trajectory call no function that imports NumPy.
+# rectangles --trajectory call no function that imports NumPy.  Only
+# run_simulation is called here; initial_state is bound for
+# perfbench/tracer.py alone, whose install does getattr(cli, "initial_state"),
+# so a traced run fails without the name.
 _STEPPER_NAMES = ("initial_state", "run_simulation")
 
 
@@ -495,8 +507,7 @@ def _run_from_config(doc: dict) -> TrajectoryRecord:
     p, grid, cfg = doc["params"], _section(doc, "grid"), _section(doc, "stepper")
     u0, v0 = build_initial(doc, grid)
     this = sys.modules[__name__]  # attribute lookups reach __getattr__
-    state0 = this.initial_state(u0, v0, p, grid)
-    return this.run_simulation(state0, p, grid, cfg)
+    return this.run_simulation(u0, v0, p, grid, cfg)
 
 
 def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
@@ -596,6 +607,11 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
     p, opts = doc["params"], doc["rectangles"]
     pde_guard: str | None = None
     if args.trajectory:
+        replayed = os.path.realpath(args.trajectory)
+        for key in ("rectangles_csv", "enclosure_json"):
+            # an absolute output path replaces --out when joined
+            if os.path.realpath(Path(args.out) / doc["outputs"][key]) == replayed:
+                raise ConfigError(f"outputs.{key}: would overwrite the replayed trajectory {args.trajectory}")
         pde_trace = read_trajectory_csv(args.trajectory)
     else:
         pde_trace = _run_from_config(doc)
@@ -640,10 +656,13 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
 # argument parsing
 
 def dimension(text: str) -> int:
-    """The --n-dim value, a space dimension: an integer >= 1."""
+    """The --n-dim value, a space dimension: an integer >= 1 that converts
+    to a float, as the dimension-dependent margins need."""
     value = int(text)  # argparse reports a ValueError as an invalid dimension value
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    if value > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.float_info.max!r}")
     return value
 
 

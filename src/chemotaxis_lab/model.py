@@ -216,35 +216,13 @@ class StepperConfig:
                 raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def _as_field(values, name: str) -> np.ndarray:
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class FieldState:
-    """Snapshot of the discrete solution triple (u, v, w) at time t.
-
-    u and v are the species densities, w the quasi-static signal solved
-    from them.
-    """
+    """Snapshot of the discrete solution triple (u, v, w) at time t: the
+    species densities u, v and the quasi-static signal w solved from them,
+    (n,) float arrays on one grid.  A plain record: it checks nothing."""
 
     t: float
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _as_field(self.u, "u"))
-        object.__setattr__(self, "v", _as_field(self.v, "v"))
-        object.__setattr__(self, "w", _as_field(self.w, "w"))
-        n = self.u.shape[0]
-        if self.v.shape[0] != n or self.w.shape[0] != n:
-            raise ValueError(
-                f"u, v, w must share one grid: lengths "
-                f"{self.u.shape[0]}, {self.v.shape[0]}, {self.w.shape[0]}"
-            )

@@ -223,7 +223,13 @@ def _same_bits(new: tuple[np.ndarray, ...], old: tuple[np.ndarray, ...]) -> bool
 
 @np.errstate(over="ignore")  # an overflow is inf, which a run's guards report
 def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) -> FieldState:
-    """Bundle initial densities with their signal solve at t = 0."""
+    """Bundle initial densities with their signal solve at t = 0.
+
+    Nothing in the package calls it: run_simulation starts from the
+    densities.  It is kept because perfbench/tracer.py's CALL_SITES
+    resolves the name, and a traced run fails without it, until the
+    tracer's refresh (ROADMAP item 2 Part A) deletes both.
+    """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     return FieldState(t=0.0, u=u0, v=v0, w=solve_w(assemble(p, grid), u0, v0, p))
@@ -233,12 +239,14 @@ def initial_state(u0: np.ndarray, v0: np.ndarray, p: ModelParams, grid: Grid1D) 
 # and blow_up guards report; NumPy's warnings would only repeat it on stderr.
 @np.errstate(over="ignore", invalid="ignore")
 def run_simulation(
-    state0: FieldState,
+    u0: np.ndarray,
+    v0: np.ndarray,
     p: ModelParams,
     grid: Grid1D,
     cfg: StepperConfig,
 ) -> TrajectoryRecord:
-    """Drive the stepper from state0 to cfg.t_end, recording summaries.
+    """Drive the stepper from the densities u0, v0 at t = 0 to cfg.t_end,
+    recording summaries.
 
     Records every record_every-th step plus the initial and final
     snapshots.  Stops early when a density becomes NaN or infinite
@@ -249,8 +257,9 @@ def run_simulation(
     check ends the run likewise ("cfl_violation", the binding constraint
     and the largest admissible dt in the notes), also on the first step,
     whose record then holds the initial sample alone.  A dt too small to
-    advance t at the run's largest |t|, or a negative initial density,
-    raises PreconditionError before any step.
+    advance t at the run's largest |t|, a negative initial density, or
+    densities whose length is not grid.n_cells raise PreconditionError
+    before any step.
 
     Recorded samples are copied into a block of (3, n) stacks (rows u, v,
     w) that the record reduces in one call when the block is full, before
@@ -266,13 +275,13 @@ def run_simulation(
         raise PreconditionError(
             f"grid length {grid.length!r} must equal omega_measure {p.omega_measure!r}"
         )
-    uv = np.array([state0.u, state0.v], dtype=float)
+    uv = np.array([u0, v0], dtype=float)
     if (uv < 0.0).any():
         raise PreconditionError("initial densities must be nonnegative")
-    t_stop, last_step = check_time_resolution(state0.t, cfg.t_end, cfg.dt)
+    t = 0.0
+    t_stop, last_step = check_time_resolution(t, cfg.t_end, cfg.dt)
     ws = _Workspace(p, grid, cfg)
     cur, nxt = ws.start(uv)
-    t = state0.t
     rec = TrajectoryRecord()
     n = grid.n_cells
     block = np.empty((max(1, BLOCK_VALUES // (3 * n)), 3, n))

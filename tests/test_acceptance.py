@@ -24,7 +24,7 @@ from chemotaxis_lab.hypotheses import (
 )
 from chemotaxis_lab.model import Grid1D, StepperConfig, negative_part, positive_part
 from chemotaxis_lab.ode_bounds import RectangleState, check_enclosure, integrate_rectangles
-from chemotaxis_lab.pde_stepper import initial_state, run_simulation
+from chemotaxis_lab.pde_stepper import run_simulation
 from chemotaxis_lab.steady_states import (
     alpha_beta,
     coexistence_state,
@@ -48,11 +48,11 @@ def coexistence_run():
     x = grid.cell_centers()
     u0 = 0.5 + 0.1 * np.cos(np.pi * x)
     v0 = 0.5 - 0.1 * np.cos(np.pi * x)
-    state0 = initial_state(u0, v0, p, grid)
     reference = coexistence_state(p)
     start = time.perf_counter()
     rec = run_simulation(
-        state0,
+        u0,
+        v0,
         p,
         grid,
         StepperConfig(dt=5e-3, t_end=200.0, record_every=40),
@@ -104,9 +104,8 @@ def test_homogeneous_data_reduces_to_interaction_ode():
     )
     grid = Grid1D(length=1.0, n_cells=128)
     dt = 1e-3
-    state0 = initial_state(np.full(128, 0.5), np.full(128, 0.4), p, grid)
     rec = run_simulation(
-        state0, p, grid, StepperConfig(dt=dt, t_end=20.0, record_every=20)
+        np.full(128, 0.5), np.full(128, 0.4), p, grid, StepperConfig(dt=dt, t_end=20.0, record_every=20)
     )
 
     def deriv(_t, y):
@@ -165,9 +164,9 @@ def test_exclusion_limit_is_reached():
     assert reference.w_star == pytest.approx(w_limit, rel=1e-14)
 
     grid = Grid1D(length=1.0, n_cells=128)
-    state0 = initial_state(np.full(128, 0.5), np.full(128, 0.5), p, grid)
     rec = run_simulation(
-        state0,
+        np.full(128, 0.5),
+        np.full(128, 0.5),
         p,
         grid,
         StepperConfig(dt=5e-3, t_end=400.0, record_every=80),
@@ -203,9 +202,8 @@ def test_mass_sum_envelope_holds():
     x = grid.cell_centers()
     u0 = 0.5 + 0.1 * np.cos(np.pi * x)
     v0 = 0.5 - 0.1 * np.cos(np.pi * x)
-    state0 = initial_state(u0, v0, p, grid)
     rec = run_simulation(
-        state0, p, grid, StepperConfig(dt=5e-3, t_end=100.0, record_every=20)
+        u0, v0, p, grid, StepperConfig(dt=5e-3, t_end=100.0, record_every=20)
     )
     assert rec.guard_tripped is None
     initial_mass = grid.integrate(u0) + grid.integrate(v0)
@@ -351,7 +349,8 @@ def test_property_suites(tmp_path):
     u0 = 1.0 + 0.5 * np.cos(np.pi * x)
     v0 = 1.0 + 0.25 * np.cos(2.0 * np.pi * x)
     rec = run_simulation(
-        initial_state(u0, v0, pc, gridc),
+        u0,
+        v0,
         pc,
         gridc,
         StepperConfig(dt=5e-3, t_end=2.0),

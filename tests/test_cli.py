@@ -383,12 +383,59 @@ class TestConfigErrors:
         assert main(["check", "--config", cfg, "--out", str(tmp_path), "--n-dim", "2.5"]) == 2
         assert "--n-dim: invalid dimension value: '2.5'" in capsys.readouterr().err
 
+    def test_dimension_beyond_the_float_range_is_usage_error(self, tmp_path, capsys):
+        # the dimension-dependent margins compute with it as a float
+        cfg = write_config(tmp_path, base_config())
+        assert main(["check", "--config", cfg, "--out", str(tmp_path), "--n-dim", "1" + "0" * 400]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("usage:")
+        assert f"--n-dim: must be at most {sys.float_info.max!r}" in err
+        assert not (tmp_path / "check.json").exists()
+
+    def test_largest_float_dimension_is_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        n_dim = int(sys.float_info.max)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path), "--n-dim", str(n_dim)]) == 0
+        capsys.readouterr()
+        assert read_json(tmp_path / "check.json")["n_dim"] == n_dim
+
 
     @staticmethod
     def assert_one_error_line(capsys, prefix):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "rectangles"])
+    def test_nan_initial_data_is_a_config_error(self, tmp_path, capsys, command):
+        # mode_count * pi * x overflows to inf, and cos(inf) is NaN; +inf
+        # data stays valid, but NaN is no density
+        doc = readme_config()
+        doc["stepper"]["t_end"] = 0.01
+        doc["initial_data"] = {"perturbed_constant": [0.5, 0.5, 0.1, 1e308]}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, "config error: initial_data: densities must be nonnegative")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "outputs, keys",
+        [
+            ({"trajectory_csv": "same.out", "summary_json": "same.out"}, "trajectory_csv and summary_json"),
+            ({"trajectory_csv": "runs/a.csv", "summary_json": "runs/../runs/./a.csv"}, "trajectory_csv and summary_json"),
+            ({"check_json": "summary.json"}, "summary_json and check_json"),
+            ({"steady_json": "x", "bounds_json": "x", "enclosure_json": "x"}, "steady_json and bounds_json and enclosure_json"),
+        ],
+    )
+    def test_outputs_must_name_distinct_files(self, tmp_path, capsys, outputs, keys):
+        # a second write to one file would silently replace the first
+        doc = base_config()
+        doc["outputs"] = outputs
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, f"config error: outputs: {keys} name one file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_section_must_be_an_object(self, tmp_path, capsys):
         doc = base_config()
@@ -1224,6 +1271,31 @@ class TestSimulateOutputs:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_one_assembly_and_one_start_solve_per_run(self, tmp_path, capsys, monkeypatch):
+        # the signal operator is assembled once, and w is solved once at the
+        # start and once after each step
+        from chemotaxis_lab import pde_stepper
+
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(pde_stepper, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("assemble", "solve_w"):
+            monkeypatch.setattr(pde_stepper, name, counted(name))
+        cfg = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        steps = read_json(tmp_path / "summary.json")["run"]["steps"]
+        assert steps == 100
+        assert calls == {"assemble": 1, "solve_w": steps + 1}
+
     def test_output_paths_are_configurable(self, tmp_path, capsys):
         doc = base_config()
         doc["outputs"] = {"trajectory_csv": "runs/traj.csv", "summary_json": "runs/sum.json"}
@@ -1270,6 +1342,23 @@ class TestRectangles:
         sub = read_json(out_sub / "enclosure.json")
         reuse = read_json(out_reuse / "enclosure.json")
         assert sub == reuse
+
+    @pytest.mark.parametrize("key", ["rectangles_csv", "enclosure_json"])
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_output_over_the_replayed_trajectory_is_a_config_error(self, tmp_path, capsys, key, absolute):
+        doc = self.make_scenario(tmp_path)
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+        traj = tmp_path / "trajectory.csv"
+        before = traj.read_bytes()
+        doc["outputs"] = {key: str(traj) if absolute else "../trajectory.csv"}
+        cfg = write_config(tmp_path, doc, "replay.json")
+        out = tmp_path / "replay"
+        capsys.readouterr()
+        assert main(["rectangles", "--config", cfg, "--out", str(out), "--trajectory", str(traj)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: outputs.{key}: would overwrite the replayed trajectory {traj}\n"
+        )
+        assert traj.read_bytes() == before and not out.exists()
 
     def test_every_sample_of_a_long_run_is_compared(self, tmp_path, capsys):
         # 10,000 PDE steps to t = 50 replayed at rectangles.dt = 1e-3: the

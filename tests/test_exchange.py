@@ -20,7 +20,7 @@ from chemotaxis_lab.model import (
     Grid1D, ModelParams, PreconditionError, StepperConfig, negative_part, positive_part,
 )
 from chemotaxis_lab.ode_bounds import RectangleState, integrate_rectangles, rectangle_rhs
-from chemotaxis_lab.pde_stepper import initial_state, run_simulation
+from chemotaxis_lab.pde_stepper import run_simulation
 from chemotaxis_lab.steady_states import ConstantState
 
 from helpers import coexistence_params
@@ -331,10 +331,8 @@ class TestDynamics:
         cfg = StepperConfig(dt=1e-3, t_end=0.5, record_every=10)
         state = steady_states.coexistence_state(MIXED)
         swapped = swapped_state(state)
-        rec = run_simulation(initial_state(u0, v0, MIXED, grid), MIXED, grid, cfg)
-        mirror = run_simulation(
-            initial_state(v0, u0, MIXED.exchanged(), grid), MIXED.exchanged(), grid, cfg
-        )
+        rec = run_simulation(u0, v0, MIXED, grid, cfg)
+        mirror = run_simulation(v0, u0, MIXED.exchanged(), grid, cfg)
         assert rec.guard_tripped is None and mirror.guard_tripped is None
         assert rec.t == mirror.t and rec.n_samples == mirror.n_samples > 2
         for a, b in (("u_min", "v_min"), ("u_max", "v_max"), ("u_mean", "v_mean"),

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemotaxis_lab.model import (
-    FieldState,
     Grid1D,
     PreconditionError,
     check_time_resolution,
@@ -159,18 +158,3 @@ class TestGrid1D:
             Grid1D(length=0.0, n_cells=8)
         with pytest.raises(ValueError, match="length"):
             Grid1D(length=-1.0, n_cells=8)
-
-
-class TestFieldState:
-    def test_coerces_to_float_arrays(self):
-        s = FieldState(t=0.0, u=[1, 2, 3], v=[0, 0, 0], w=[1, 1, 1])
-        assert s.u.dtype == np.float64
-        assert s.u.shape[0] == 3
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="share one grid"):
-            FieldState(t=0.0, u=[1, 2, 3], v=[0, 0], w=[1, 1, 1])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            FieldState(t=0.0, u=np.zeros((2, 2)), v=np.zeros(4), w=np.zeros(4))

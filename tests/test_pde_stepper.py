@@ -28,7 +28,6 @@ from chemotaxis_lab.model import (
 from chemotaxis_lab.pde_stepper import (
     CflViolationError,
     chemotaxis_flux,
-    initial_state,
     run_simulation,
 )
 from chemotaxis_lab.steady_states import (
@@ -117,9 +116,9 @@ class TestLocalTerms:
         # the constant, so one step is explicit Euler on the reaction terms.
         grid = Grid1D(length=1.0, n_cells=4)
         p = mk_params(a0=1.0, a1=2.0, a2=0.5, a3=0.25, b0=2.0, b1=0.1, b2=1.0, b4=0.5)
-        state = initial_state(np.full(4, 0.5), np.full(4, 1.0), p, grid)
+        u0, v0 = np.full(4, 0.5), np.full(4, 1.0)
         dt = 0.01
-        rec = run_simulation(state, p, grid, StepperConfig(dt=dt, t_end=dt))
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=dt, t_end=dt))
         ru = 0.5 * (1.0 - 2.0 * 0.5 - 0.5 * 1.0 - 0.25 * 0.5)
         rv = 1.0 * (2.0 - 0.1 * 0.5 - 1.0 * 1.0 - 0.5 * 1.0)
         np.testing.assert_allclose(rec.final_state.u, 0.5 + dt * ru, rtol=1e-14)
@@ -135,9 +134,8 @@ class TestConservationAndReduction:
         x = grid.cell_centers()
         u0 = 1.0 + 0.5 * np.cos(np.pi * x)
         v0 = 1.0 + 0.5 * np.sin(np.pi * x / 2.0)
-        s0 = initial_state(u0, v0, p, grid)
         m_u0, m_v0 = grid.integrate(u0), grid.integrate(v0)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=5e-3, t_end=2.0))
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=5e-3, t_end=2.0))
         assert rec.guard_tripped is None
         assert rec.mass_u[-1] == pytest.approx(m_u0, rel=1e-10)
         assert rec.mass_v[-1] == pytest.approx(m_v0, rel=1e-10)
@@ -154,20 +152,20 @@ class TestConservationAndReduction:
         x = grid.cell_centers()
         u0 = np.exp(-0.5 * ((x - 0.3) / 0.08) ** 2)
         v0 = 0.8 * np.exp(-0.5 * ((x - 0.7) / 0.12) ** 2)
-        state = initial_state(u0, v0, p, grid)
         dt = 2e-3
+        u, v = u0, v0
         for _ in range(5):
-            u, v = state.u, state.v
             mass_u, mass_v = grid.integrate(u), grid.integrate(v)
             bracket_u = p.a0 - p.a1 * u - p.a2 * v - p.a3 * mass_u - p.a4 * mass_v
             bracket_v = p.b0 - p.b1 * u - p.b2 * v - p.b3 * mass_u - p.b4 * mass_v
-            rec = run_simulation(state, p, grid, StepperConfig(dt=dt, t_end=dt))
+            rec = run_simulation(u, v, p, grid, StepperConfig(dt=dt, t_end=dt))
             assert rec.guard_tripped is None
-            state = replace(rec.final_state, t=0.0)
-            res_u = grid.integrate(state.u) - mass_u - dt * grid.dx * np.sum(u * bracket_u)
-            res_v = grid.integrate(state.v) - mass_v - dt * grid.dx * np.sum(v * bracket_v)
+            new_u, new_v = rec.final_state.u, rec.final_state.v
+            res_u = grid.integrate(new_u) - mass_u - dt * grid.dx * np.sum(u * bracket_u)
+            res_v = grid.integrate(new_v) - mass_v - dt * grid.dx * np.sum(v * bracket_v)
             assert abs(res_u) <= 1e-12 * mass_u
             assert abs(res_v) <= 1e-12 * mass_v
+            u, v = new_u, new_v
 
     @pytest.mark.parametrize("d2_over_d1", [1.0, 2.0])
     def test_one_step_matches_dense_solve(self, d2_over_d1):
@@ -178,11 +176,11 @@ class TestConservationAndReduction:
         dx = grid.dx
         p = mk_params(d1=0.03, d2=0.03 * d2_over_d1, chi1=0.5, chi2=0.2, a2=0.4, b1=0.3, a3=0.1)
         x = grid.cell_centers()
-        s0 = initial_state(1.0 + 0.5 * np.cos(np.pi * x), 1.0 + 0.4 * np.sin(2.0 * np.pi * x), p, grid)
+        u, v = 1.0 + 0.5 * np.cos(np.pi * x), 1.0 + 0.4 * np.sin(2.0 * np.pi * x)
         dt = 1e-3
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=dt, t_end=dt))
+        rec = run_simulation(u, v, p, grid, StepperConfig(dt=dt, t_end=dt))
 
-        u, v, w = s0.u, s0.v, s0.w
+        w = solve_w(assemble(p, grid), u, v, p)
         mass_u, mass_v = grid.integrate(u), grid.integrate(v)
         second_diff = np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)
         second_diff[0, 0] = second_diff[-1, -1] = -1.0
@@ -204,8 +202,8 @@ class TestConservationAndReduction:
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=32)
         eq = coexistence_state(p)
-        s0 = initial_state(np.full(32, eq.u_star), np.full(32, eq.v_star), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=1e-2, t_end=10.0))
+        u0, v0 = np.full(32, eq.u_star), np.full(32, eq.v_star)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=1e-2, t_end=10.0))
         fs = rec.final_state
         assert np.max(np.abs(fs.u - eq.u_star)) <= 1e-12
         assert np.max(np.abs(fs.v - eq.v_star)) <= 1e-12
@@ -217,8 +215,8 @@ class TestConservationAndReduction:
             a3=0.1, b4=0.2, chi1=0.3, chi2=0.2,
         )
         grid = Grid1D(length=1.0, n_cells=32)
-        s0 = initial_state(np.full(32, 0.7), np.full(32, 0.3), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=1e-3, t_end=0.2))
+        u0, v0 = np.full(32, 0.7), np.full(32, 0.3)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=1e-3, t_end=0.2))
         u, v = 0.7, 0.3
         for _ in range(200):
             iu, iv = u * 1.0, v * 1.0
@@ -257,7 +255,7 @@ class TestStabilityGuards:
         cfg = StepperConfig(dt=10.0, t_end=20.0)
         with pytest.raises(CflViolationError) as exc_info:
             first_step(p, grid, u0, v0, cfg)
-        rec = run_simulation(initial_state(u0, v0, p, grid), p, grid, cfg)
+        rec = run_simulation(u0, v0, p, grid, cfg)
         assert rec.guard_tripped == "cfl_violation"
         assert (rec.t.tolist(), rec.steps, rec.final_state.t) == ([0.0], 0, 0.0)
         assert rec.notes == [str(exc_info.value)]
@@ -286,8 +284,8 @@ class TestStabilityGuards:
         grid = Grid1D(length=1.0, n_cells=64)
         p = mk_params(chi1=5.0, chi2=0.0, a0=2.0, a1=0.0, b0=0.0, b2=1.0)
         x = grid.cell_centers()
-        s0 = initial_state(1.0 + 0.01 * np.cos(np.pi * x), np.zeros(64), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=0.05, t_end=10.0, record_every=5))
+        u0, v0 = 1.0 + 0.01 * np.cos(np.pi * x), np.zeros(64)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.05, t_end=10.0, record_every=5))
         assert rec.guard_tripped == "cfl_violation"
         assert rec.t[-1] < 10.0
         assert rec.n_samples >= 2
@@ -296,8 +294,8 @@ class TestStabilityGuards:
     def test_blowup_guard_keeps_partial_trace(self):
         grid = Grid1D(length=1.0, n_cells=16)
         p = mk_params(a0=5.0, a1=0.0, b0=0.0)
-        s0 = initial_state(np.full(16, 0.5), np.zeros(16), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=0.01, t_end=3.0, blowup_guard=1e3))
+        u0, v0 = np.full(16, 0.5), np.zeros(16)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.01, t_end=3.0, blowup_guard=1e3))
         assert rec.guard_tripped == "blow_up"
         assert 0.0 < rec.t[-1] < 3.0
         assert rec.u_max[-1] >= 1e3
@@ -308,8 +306,8 @@ class TestStabilityGuards:
         p = coexistence_params(0.1)
         u0 = np.full(16, 0.5)
         u0[5] = np.nan
-        s0 = FieldState(t=0.0, u=u0, v=np.full(16, 0.5), w=np.zeros(16))
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=0.01, t_end=1.0))
+        v0 = np.full(16, 0.5)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.01, t_end=1.0))
         assert rec.guard_tripped == "non_finite"
         assert rec.t == pytest.approx([0.0, 0.01])
         assert rec.final_state.t == rec.t[-1]
@@ -338,8 +336,7 @@ class TestStabilityGuards:
         assert exc_info.value.binding == "positivity"
         limit = exc_info.value.suggested_dt
         assert limit < dt
-        s0 = initial_state(u0, v0, p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=limit, t_end=limit))
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=limit, t_end=limit))
         assert rec.guard_tripped is None
         assert rec.final_state.u.min() >= 0.0
         assert min(rec.u_min) >= 0.0 and min(rec.v_min) >= 0.0
@@ -349,8 +346,8 @@ class TestRunSimulation:
     def test_zero_horizon_records_single_sample(self):
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=8)
-        s0 = initial_state(np.full(8, 0.5), np.full(8, 0.5), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=0.0))
+        u0, v0 = np.full(8, 0.5), np.full(8, 0.5)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.1, t_end=0.0))
         assert rec.t.tolist() == [0.0]
         assert rec.final_state.t == 0.0
         assert rec.stopped_early is False
@@ -358,24 +355,24 @@ class TestRunSimulation:
     def test_domain_size_mismatch(self):
         p = coexistence_params(0.1)
         grid = Grid1D(length=2.0, n_cells=8)
-        s0 = FieldState(t=0.0, u=np.full(8, 0.5), v=np.full(8, 0.5), w=np.full(8, 1.0))
+        u0, v0 = np.full(8, 0.5), np.full(8, 0.5)
         with pytest.raises(PreconditionError, match="omega_measure"):
-            run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
+            run_simulation(u0, v0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
 
     def test_record_stride_keeps_initial_and_final(self):
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=8)
-        s0 = initial_state(np.full(8, 0.4), np.full(8, 0.4), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=1.0, record_every=7))
+        u0, v0 = np.full(8, 0.4), np.full(8, 0.4)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.1, t_end=1.0, record_every=7))
         assert rec.t == pytest.approx([0.0, 0.7, 1.0])
 
     def test_steady_detection_stops_early(self):
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=16)
         eq = coexistence_state(p)
-        s0 = initial_state(np.full(16, eq.u_star), np.full(16, eq.v_star), p, grid)
+        u0, v0 = np.full(16, eq.u_star), np.full(16, eq.v_star)
         rec = run_simulation(
-            s0, p, grid,
+            u0, v0, p, grid,
             StepperConfig(dt=0.1, t_end=100.0, steady_tol=1e-8, steady_window=0.5),
         )
         assert rec.stopped_early is True
@@ -385,8 +382,8 @@ class TestRunSimulation:
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=32)
         x = grid.cell_centers()
-        s0 = initial_state(0.5 + 0.1 * np.cos(np.pi * x), np.full(32, 0.5), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=1e-2, t_end=1.0))
+        u0, v0 = 0.5 + 0.1 * np.cos(np.pi * x), np.full(32, 0.5)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=1e-2, t_end=1.0))
         fs = rec.final_state
         expected_w = solve_w(assemble(p, grid), fs.u, fs.v, p)
         assert np.array_equal(fs.w, expected_w)
@@ -395,10 +392,8 @@ class TestRunSimulation:
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=64)
         x = grid.cell_centers()
-        s0 = initial_state(
-            0.5 + 0.45 * np.cos(np.pi * x), 0.5 - 0.45 * np.cos(np.pi * x), p, grid
-        )
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=2e-3, t_end=5.0))
+        u0, v0 = 0.5 + 0.45 * np.cos(np.pi * x), 0.5 - 0.45 * np.cos(np.pi * x)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=2e-3, t_end=5.0))
         assert rec.guard_tripped is None
         assert min(rec.u_min) >= -1e-10
         assert min(rec.v_min) >= -1e-10
@@ -408,25 +403,32 @@ class TestRunSimulation:
         grid = Grid1D(length=1.0, n_cells=8)
         v0 = np.full(8, 0.5)
         v0[3] = -1e-300
-        s0 = FieldState(t=0.0, u=np.full(8, 0.5), v=v0, w=np.full(8, 1.0))
+        u0 = np.full(8, 0.5)
         with pytest.raises(PreconditionError, match="nonnegative"):
-            run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
+            run_simulation(u0, v0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
 
     @pytest.mark.parametrize("n", [1, 7, 9])
     def test_densities_of_the_wrong_length_are_rejected(self, n):
         # A single cell would broadcast over the grid's 8 without the check.
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=8)
-        s0 = FieldState(t=0.0, u=np.full(n, 0.5), v=np.full(n, 0.5), w=np.full(n, 1.0))
+        u0, v0 = np.full(n, 0.5), np.full(n, 0.5)
         with pytest.raises(PreconditionError, match=rf"densities of shape \({n},\) do not fit n_cells=8"):
-            run_simulation(s0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
+            run_simulation(u0, v0, p, grid, StepperConfig(dt=0.1, t_end=1.0))
+
+    def test_densities_of_different_lengths_are_rejected(self):
+        # NumPy refuses to stack them into one (2, n) array
+        p = coexistence_params(0.1)
+        grid = Grid1D(length=1.0, n_cells=8)
+        with pytest.raises(ValueError):
+            run_simulation(np.full(8, 0.5), np.full(7, 0.5), p, grid, StepperConfig(dt=0.1, t_end=1.0))
 
     def test_references_produce_distance_series(self):
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=16)
         eq = coexistence_state(p)
-        s0 = initial_state(np.full(16, 0.5), np.full(16, 0.5), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=1e-2, t_end=2.0))
+        u0, v0 = np.full(16, 0.5), np.full(16, 0.5)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=1e-2, t_end=2.0))
         columns = rec.distances((eq.u_star, eq.v_star, eq.w_star))
         series_u, _, _ = columns
         assert all(len(series) == rec.n_samples for series in columns)
@@ -447,12 +449,12 @@ class TestSteadyStop:
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=16)
         wave = 0.1 * np.cos(np.pi * grid.cell_centers())
-        s0 = initial_state(0.5 + wave, 0.5 - wave, p, grid)
+        u0, v0 = 0.5 + wave, 0.5 - wave
         tol, window = 1e-6, 0.5
         stopped = run_simulation(
-            s0, p, grid, StepperConfig(dt=0.05, t_end=40.0, steady_tol=tol, steady_window=window)
+            u0, v0, p, grid, StepperConfig(dt=0.05, t_end=40.0, steady_tol=tol, steady_window=window)
         )
-        full = run_simulation(s0, p, grid, StepperConfig(dt=0.05, t_end=40.0))
+        full = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.05, t_end=40.0))
         first = next(
             i for i in range(full.n_samples)
             if full.t[i] - full.t[0] >= window and detect_steady(prefix(full, i + 1), tol, window).steady
@@ -477,7 +479,7 @@ class TestSteadyStop:
         u0 = 1.0 * np.exp(-0.5 * ((x - 0.23279650330470053) / 0.12475544880969197) ** 2)
         v0 = 0.8 * np.exp(-0.5 * ((x - 0.6949000812598557) / 0.08222768335098536) ** 2)
         rec = run_simulation(
-            initial_state(u0, v0, p, grid), p, grid,
+            u0, v0, p, grid,
             StepperConfig(dt=5e-3, t_end=40.0, steady_tol=1e-12, steady_window=1.0),
         )
         assert calls == []
@@ -743,15 +745,15 @@ class TestNonnegativity:
             assert dst.w.min() >= 0.0
 
 
-def reference_run(state0, p, grid, cfg, references=()):
-    """run_simulation's schedule and guards with one append_sample call per
+def reference_run(uv, p, grid, cfg, references=()):
+    """run_simulation's schedule from the (2, n) densities uv at t = 0 and guards with one append_sample call per
     recorded sample, the record path the sample blocks replace, and an
     _advance call for every step, the steps the stationary state skips.
     Returns the record and, per reference label, the distance columns
     (du, dv, dw) of each sample computed from that sample's own extrema."""
     ws = pde_stepper._Workspace(p, grid, cfg)
-    t = state0.t
-    src, dst = ws.start(np.array([state0.u, state0.v], dtype=float))
+    t = 0.0
+    src, dst = ws.start(np.array(uv, dtype=float))
     rec = TrajectoryRecord()
     distances = {label: ([], [], []) for label, _ in references}
 
@@ -829,36 +831,36 @@ SIGNED_ZERO_REFERENCE = ("custom", ConstantState(-0.0, 0.0, -0.0))
 
 
 def block_case(name):
-    """(state0, params, grid, config, references) of one record scenario."""
+    """((u0, v0), params, grid, config, references) of one record scenario."""
     grid = Grid1D(length=1.0, n_cells=24)
     wave = 0.1 * np.cos(np.pi * grid.cell_centers())
     if name == "many-blocks":
         p = coexistence_params(0.1)
-        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, StepperConfig(dt=0.01, t_end=12.0), four_references(p)
+        return (0.5 + wave, 0.5 - wave), p, grid, StepperConfig(dt=0.01, t_end=12.0), four_references(p)
     if name == "stride":
         p = coexistence_params(0.1)
-        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, StepperConfig(dt=0.01, t_end=3.0, record_every=7), ()
+        return (0.5 + wave, 0.5 - wave), p, grid, StepperConfig(dt=0.01, t_end=3.0, record_every=7), ()
     if name == "blow-up":
         # v, the second row, crosses the guard
         p = mk_params(a0=1e-9, b0=5.0, b2=1e-9, chi1=0.1, chi2=0.1)
         cfg = StepperConfig(dt=0.01, t_end=3.0, blowup_guard=1e3, record_every=3)
-        return initial_state(np.full(24, 0.01), 0.5 + wave, p, grid), p, grid, cfg, four_references(coexistence_params())
+        return (np.full(24, 0.01), 0.5 + wave), p, grid, cfg, four_references(coexistence_params())
     if name == "non-finite":
         # u doubles every ten steps until the mass overflows to inf, which
         # turns the bracket into NaN: no stability bound trips before it.
         p = mk_params(a1=5e-324, b3=-1e-320, chi1=5e-324, chi2=5e-324)
         cfg = StepperConfig(dt=0.1, t_end=100.0, blowup_guard=1.7976931348623157e308, record_every=7)
         references = (*four_references(coexistence_params()), SIGNED_ZERO_REFERENCE)
-        return initial_state(np.full(24, 5e304), np.full(24, 0.5), p, grid), p, grid, cfg, references
+        return (np.full(24, 5e304), np.full(24, 0.5)), p, grid, cfg, references
     if name == "cfl":
         grid = Grid1D(length=1.0, n_cells=60)
         p = mk_params(chi1=5.0, chi2=0.0, a0=2.0, a1=0.0, b0=0.0, b2=1.0)
         u0 = 1.0 + 0.01 * np.cos(np.pi * grid.cell_centers())
         cfg = StepperConfig(dt=0.05, t_end=10.0, record_every=5)
-        return initial_state(u0, np.zeros(60), p, grid), p, grid, cfg, four_references(coexistence_params())
+        return (u0, np.zeros(60)), p, grid, cfg, four_references(coexistence_params())
     p = coexistence_params(0.1)
     cfg = StepperConfig(dt=0.05, t_end=40.0, steady_tol=1e-6, steady_window=0.5, record_every=3)
-    return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, cfg, four_references(p)
+    return (0.5 + wave, 0.5 - wave), p, grid, cfg, four_references(p)
 
 
 def reprs(rec, distances):
@@ -883,12 +885,12 @@ class TestSampleBlocks:
         "name", ["many-blocks", "stride", "blow-up", "non-finite", "cfl", "steady"]
     )
     def test_record_matches_per_sample_reference(self, name, block_stacks, monkeypatch):
-        state0, p, grid, cfg, references = block_case(name)
+        uv, p, grid, cfg, references = block_case(name)
         if block_stacks is not None:
             monkeypatch.setattr(pde_stepper, "BLOCK_VALUES", 3 * grid.n_cells * block_stacks)
-        got = run_simulation(state0, p, grid, cfg)
+        got = run_simulation(*uv, p, grid, cfg)
         with np.errstate(over="ignore", invalid="ignore"):  # _advance steps outside run_simulation
-            want, want_distances = reference_run(state0, p, grid, cfg, references)
+            want, want_distances = reference_run(uv, p, grid, cfg, references)
         assert reprs(got, record_distances(got, references)) == reprs(want, want_distances)
         block = pde_stepper.BLOCK_VALUES // (3 * grid.n_cells)
         expected = {
@@ -920,22 +922,22 @@ def fixed_densities(p, grid, uv, dt):
 
 
 def stationary_case(name, record_every=1):
-    """(state0, params, grid, config) of one scenario of the stationary skip."""
+    """((u0, v0), params, grid, config) of one scenario of the stationary skip."""
     grid = Grid1D(length=1.0, n_cells=24)
     wave = 0.1 * np.cos(np.pi * grid.cell_centers())
     p = coexistence_params(0.1)
     cfg = StepperConfig(dt=0.05, t_end=40.013, record_every=record_every)
     if name == "mid-run":
         # fixed from t = 31.4; t_end off the dt grid ends on a short step
-        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, cfg
+        return (0.5 + wave, 0.5 - wave), p, grid, cfg
     if name == "steady":
         # the window certifies at t = 32.55
         cfg = replace(cfg, steady_tol=3e-15, steady_window=2.0)
-        return initial_state(0.5 + wave, 0.5 - wave, p, grid), p, grid, cfg
+        return (0.5 + wave, 0.5 - wave), p, grid, cfg
     if name == "exclusion":
         # u decays geometrically and reaches no fixed point by t_end
         p = exclusion_params(0.05)
-        return initial_state(np.full(24, 0.5), np.full(24, 0.5), p, grid), p, grid, cfg
+        return (np.full(24, 0.5), np.full(24, 0.5)), p, grid, cfg
     cfg = replace(cfg, t_end=2.013)
     if name == "fixed-start":
         uv = fixed_densities(p, grid, np.array([0.5 + wave, 0.5 - wave]), cfg.dt)
@@ -944,8 +946,7 @@ def stationary_case(name, record_every=1):
         # u's -0.0 into 0.0, which == alone would miss
         uv = fixed_densities(p, grid, np.array([np.zeros(24), 0.5 - wave]), cfg.dt)
         uv[0] = -0.0
-    w = solve_w(assemble(p, grid), *uv, p)
-    return FieldState(t=0.25, u=uv[0], v=uv[1], w=w), p, grid, cfg
+    return uv, p, grid, cfg
 
 
 class TestStationarySkip:
@@ -956,10 +957,10 @@ class TestStationarySkip:
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("name", ["mid-run", "steady", "fixed-start", "signed-zero", "exclusion"])
     def test_matches_reference(self, name, record_every):
-        state0, p, grid, cfg = stationary_case(name, record_every)
+        uv, p, grid, cfg = stationary_case(name, record_every)
         references = (*four_references(p), SIGNED_ZERO_REFERENCE)
-        got = run_simulation(state0, p, grid, cfg)
-        want, want_distances = reference_run(state0, p, grid, cfg, references)
+        got = run_simulation(*uv, p, grid, cfg)
+        want, want_distances = reference_run(uv, p, grid, cfg, references)
         got_distances = record_distances(got, references)
         assert reprs(got, got_distances) == reprs(want, want_distances)
         if name == "signed-zero":
@@ -970,18 +971,18 @@ class TestStationarySkip:
         if name == "exclusion":
             assert since is None
         elif name == "fixed-start":
-            assert since == state0.t
+            assert since == 0.0
         elif name == "signed-zero":
-            assert since == state0.t + cfg.dt
+            assert since == cfg.dt
         else:
             assert 30.0 < since < got.t[-1]
         assert got.stopped_early == (name == "steady")
 
     def test_signed_zero_start_is_not_fixed(self):
-        state0, p, grid, cfg = stationary_case("signed-zero")
+        uv, p, grid, cfg = stationary_case("signed-zero")
         ws = pde_stepper._Workspace(p, grid, cfg)
-        first, second = ws.start(np.array([state0.u, state0.v]))
-        assert np.array_equal(bits(first.w), bits(state0.w))
+        first, second = ws.start(uv)
+        assert np.array_equal(bits(first.w), bits(solve_w(assemble(p, grid), *uv, p)))
         pde_stepper._advance(ws, first, second, cfg.dt)
         assert np.array_equal(second.uv, first.uv) and not unchanged(second, first)
         pde_stepper._advance(ws, second, first, cfg.dt)
@@ -989,7 +990,7 @@ class TestStationarySkip:
 
     @pytest.mark.parametrize("name", ["mid-run", "fixed-start", "exclusion"])
     def test_stationary_steps_make_no_advance_call(self, name, monkeypatch):
-        state0, p, grid, cfg = stationary_case(name)
+        uv, p, grid, cfg = stationary_case(name)
         advance = pde_stepper._advance
         widths = []
 
@@ -998,12 +999,12 @@ class TestStationarySkip:
             advance(ws, src, dst, dt)
 
         monkeypatch.setattr(pde_stepper, "_advance", counted)
-        rec = run_simulation(state0, p, grid, cfg)
+        rec = run_simulation(*uv, p, grid, cfg)
         if rec.stationary_from_t is None:
             assert len(widths) == rec.steps
         else:
             # the full steps up to the first unchanging one, then the short last step
-            t, full = state0.t, 1
+            t, full = 0.0, 1
             while t < rec.stationary_from_t:
                 t += cfg.dt
                 full += 1
@@ -1026,8 +1027,8 @@ class TestEndsOnTEnd:
     def test_run_ends_on_t_end(self, dt, t_end, steps):
         p = coexistence_params(0.1)
         grid = Grid1D(length=1.0, n_cells=8)
-        s0 = initial_state(np.full(8, 0.4), np.full(8, 0.6), p, grid)
-        rec = run_simulation(s0, p, grid, StepperConfig(dt=dt, t_end=t_end))
+        u0, v0 = np.full(8, 0.4), np.full(8, 0.6)
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=dt, t_end=t_end))
         assert rec.t[-1] == t_end and rec.final_state.t == t_end
         assert rec.n_samples == steps + 1
         assert rec.t[-2] == pytest.approx((steps - 1) * dt)

@@ -293,7 +293,7 @@ class TestTracerContract:
         cfg, _ = write_inputs(tmp_path)
         layers = self.traced_and_plain(tmp_path, ["simulate", "--config", cfg])
         for name in (
-            "pde_stepper.run_simulation", "pde_stepper.initial_state",
+            "pde_stepper.run_simulation",
             "elliptic.solve_w", "elliptic.assemble",
             "linalg.banded_solve.diffusion", "linalg.banded_solve.signal", "linalg.factor",
             # reached through the family tables by module-global name
