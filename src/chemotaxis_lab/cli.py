@@ -65,10 +65,8 @@ _SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     "params": dict.fromkeys(_PARAM_KEYS, (float, _REQUIRED)),
     "grid": {"length": (float, _REQUIRED), "n_cells": (int, _REQUIRED)},
     "stepper": {
-        "dt": (float, _REQUIRED), "t_end": (float, _REQUIRED),
-        "cfl_safety": (float, _OWNED), "record_every": (int, _OWNED),
-        "blowup_guard": (float, _OWNED), "steady_tol": (float, _OWNED),
-        "steady_window": (float, _OWNED),
+        "dt": (float, _REQUIRED), "t_end": (float, _REQUIRED), "record_every": (int, _OWNED),
+        "steady_tol": (float, _OWNED), "steady_window": (float, _OWNED),
     },
     "rectangles": {
         "dt": (float, 1e-3), "record_every": (int, 10), "tol": (float, 1e-3),
@@ -571,19 +569,30 @@ def cmd_simulate(args: argparse.Namespace, doc: dict) -> int:
 
 
 def read_trajectory_csv(path: str) -> TrajectoryRecord:
-    """Reload the columns the enclosure check and the initial rectangle read."""
+    """Reload the columns the enclosure check and the initial rectangle read.
+    A column named twice, or a row with more or fewer cells than the header
+    (blank lines aside), makes the file ambiguous and is refused."""
     trace = TrajectoryRecord()
     needed = ("t", "u_min", "u_max", "v_min", "v_max")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or ()
-            missing = [c for c in needed if c not in fields]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in needed if c not in header]
             if missing:
                 raise ConfigError(f"{path}: missing column(s): {', '.join(missing)}")
+            twice = sorted({c for c in header if header.count(c) > 1})
+            if twice:
+                raise ConfigError(f"{path}: column(s) named twice: {', '.join(twice)}")
+            picks = [(header.index(c), getattr(trace, c)) for c in needed]
             for row in reader:
-                for col in needed:
-                    getattr(trace, col).append(float(row[col]))
+                if len(row) != len(header):
+                    if not row:  # a blank line
+                        continue
+                    few_or_many = "few" if len(row) < len(header) else "many"
+                    raise ConfigError(f"{path}: line {reader.line_num}: too {few_or_many} cells")
+                for i, column in picks:
+                    column.append(float(row[i]))
                 if not math.isfinite(trace.t[-1]):
                     raise ConfigError(f"{path}: line {reader.line_num}: t must be finite")
                 if len(trace.t) > 1 and not trace.t[-1] > trace.t[-2]:
@@ -596,8 +605,6 @@ def read_trajectory_csv(path: str) -> TrajectoryRecord:
         raise ConfigError(f"{path}: not a readable CSV: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric cell: {exc}") from exc
-    except TypeError as exc:  # DictReader fills the missing cells of a short row with None
-        raise ConfigError(f"{path}: line {reader.line_num}: too few cells") from exc
     if not trace.t:
         raise ConfigError(f"{path}: no data rows")
     return trace

@@ -139,9 +139,9 @@ def check_h6(p: ModelParams, n_dim: int = 1) -> HypothesisReport:
 def gamma_star(p: ModelParams) -> float:
     """Supremum of admissible moment exponents for positive interactions.
 
-    min over the four ratios chi1*k/(chi1*k - a1)_+ , chi2*l/(chi2*l - b2)_+ ,
-    chi1*l/(chi1*l - a2)_+ , chi2*k/(chi2*k - b1)_+ with x/0 = +inf.
-    Requires min{a1, b1, a2, b2} > 0.
+    min over the four ratios r/(r - a1)_+ with r = chi1*k/d3, and likewise
+    chi2*l/d3 against b2, chi1*l/d3 against a2 and chi2*k/d3 against b1,
+    with x/0 = +inf.  Requires min{a1, b1, a2, b2} > 0.
     """
     if min(p.a1, p.b1, p.a2, p.b2) <= 0.0:
         raise PreconditionError(
@@ -154,7 +154,7 @@ def gamma_star(p: ModelParams) -> float:
         return math.inf if gap == 0.0 else num / gap
 
     (u_self, u_cross), (v_self, v_cross) = per_species(
-        lambda q: (ratio(q.chi1 * q.k, q.a1), ratio(q.chi1 * q.l, q.a2)), p
+        lambda q: (ratio(q.chi1 * q.k / q.d3, q.a1), ratio(q.chi1 * q.l / q.d3, q.a2)), p
     )
     return min(u_self, v_self, u_cross, v_cross)
 
@@ -265,7 +265,7 @@ def exclusion_dominance_margin(p: ModelParams, branch: str) -> float:
     w = p.omega_measure
     lhs = _exclusion_a1_slack(p) * _chemotaxis_slack(p.exchanged()) * p.b0
     v_coef = p.b2 - p.chi2 * p.l / p.d3 - w * negative_part(p.b4)
-    tail = (p.b4 + p.chi2 * p.l / p.d3) * p.a0
+    tail = (w * p.b4 + p.chi2 * p.l / p.d3) * p.a0
     if branch == "b1_large":
         rhs = v_coef * (p.b1 + p.b3 * w) * p.a0 + w * negative_part(p.b3) * tail
     elif branch == "b1_small":

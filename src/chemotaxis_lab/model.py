@@ -160,6 +160,10 @@ class Grid1D:
             return (self.dx * np.add.reduce(f, axis=-1)).tolist()
 
 
+# A density or rectangle component above this ends either run as "blow_up".
+BLOWUP_GUARD = 1e8
+
+
 def check_time_resolution(t0: float, t_end: float, dt: float) -> tuple[float, float]:
     """The stop rule of a fixed-step run from t0 to t_end: (t_stop, last_step).
 
@@ -185,29 +189,23 @@ def check_time_resolution(t0: float, t_end: float, dt: float) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """The run schedule and its stopping rules: a density above blowup_guard
-    ends the run, and steady_tol with steady_window (given together, both
-    positive) stop it once the trailing window is stationary."""
+    """The run schedule and its stopping rule: steady_tol with steady_window
+    (given together, both positive) stop a run once the trailing window is
+    stationary."""
 
     dt: float
     t_end: float
-    cfl_safety: float = 0.9
     record_every: int = 1
-    blowup_guard: float = 1e8
     steady_tol: float | None = None
     steady_window: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
         if not (self.t_end >= 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
         if type(self.record_every) is not int or self.record_every < 1:  # a bool is no int
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        if not self.blowup_guard > 0:
-            raise ValueError(f"blowup_guard must be positive, got {self.blowup_guard!r}")
         if (self.steady_tol is None) != (self.steady_window is None):
             raise ValueError("steady_tol and steady_window must be given together")
         for name in ("steady_tol", "steady_window"):

@@ -15,6 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .model import (
+    BLOWUP_GUARD,
     ModelParams,
     PreconditionError,
     check_time_resolution,
@@ -24,7 +25,6 @@ from .model import (
     positive_part,
 )
 
-DIVERGENCE_GUARD = 1e8
 # Attempted steps, accepted and rejected, that end a run: over three times
 # the longest run measured (605,699 to t = 1e6), and about 2 minutes.
 MAX_STEPS = 2_000_000
@@ -252,10 +252,10 @@ def integrate_rectangles(
         fac_old = max(err, 1e-4)
         t_new = t_end if last else t + h
         trace.steps += 1
-        if not all(-math.inf < c <= DIVERGENCE_GUARD for c in y_new):
+        if not all(-math.inf < c <= BLOWUP_GUARD for c in y_new):
             trace.guard_tripped = "blow_up"
             trace.notes.append(
-                f"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} "
+                f"rectangle component exceeded the divergence guard {BLOWUP_GUARD!r} "
                 f"at t={t_new!r} with (u_hi, u_lo, v_hi, v_lo) = {y_new!r} "
                 f"(finite-time blow-up of the bounding system)"
             )

@@ -24,6 +24,7 @@ from ._lapack import dpttrs
 from .diagnostics import TrajectoryRecord, detect_steady, may_be_steady
 from .elliptic import assemble, neumann_factor, solve_w
 from .model import (
+    BLOWUP_GUARD,
     FieldState,
     Grid1D,
     ModelParams,
@@ -31,6 +32,9 @@ from .model import (
     StepperConfig,
     check_time_resolution,
 )
+
+# The share of the positivity limit a step may take; below 1 no cell drains to zero.
+CFL_SAFETY = 0.9
 
 # Recorded (3, n) stacks are reduced a block at a time, one NumPy call per
 # statistic for the whole block, which costs about what one call per
@@ -87,11 +91,11 @@ class _Workspace:
     width (only a run's final step may be shorter; equal diffusivities
     share one factor)."""
 
-    def __init__(self, p: ModelParams, grid: Grid1D, cfg: StepperConfig):
+    def __init__(self, p: ModelParams, grid: Grid1D):
         self.p, self.grid = p, grid
         self.dx = grid.dx
         self.dx_operand = np.array(grid.dx)  # a 0-d array converts faster than a float
-        self.cfl_safety = cfg.cfl_safety
+        self.cfl_safety = CFL_SAFETY
         self.signal_factor = assemble(p, grid)
         # bracket = (a0 - (a3*mass_u + a4*mass_v)) - (a1*u + a2*v), v's from the
         # b's, in elementwise products, so no BLAS kernel sets its bits; a1*u
@@ -150,7 +154,7 @@ def _outflow_rate(ws: _Workspace) -> float:
 
 
 def _check_stability(ws: _Workspace, dt: float) -> None:
-    """Raise when dt exceeds the positivity limit cfl_safety / max(out -
+    """Raise when dt exceeds the positivity limit CFL_SAFETY / max(out -
     bracket) (see _outflow_rate), below which the explicit stage keeps every
     cell nonnegative, or 1/|J|, J the reaction Jacobian diagonal bracket_u -
     a1*u (and bracket_v - b2*v); ws.jac holds the products a1*u and b2*v on
@@ -250,7 +254,7 @@ def run_simulation(
 
     Records every record_every-th step plus the initial and final
     snapshots.  Stops early when a density becomes NaN or infinite
-    (guard_tripped="non_finite") or exceeds cfg.blowup_guard ("blow_up"), in
+    (guard_tripped="non_finite") or exceeds BLOWUP_GUARD ("blow_up"), in
     both cases with the partial trace kept, or, when cfg.steady_tol and
     cfg.steady_window are given, once the trailing window certifies
     stationarity at that tolerance.  A step whose dt fails the stability
@@ -280,7 +284,7 @@ def run_simulation(
         raise PreconditionError("initial densities must be nonnegative")
     t = 0.0
     t_stop, last_step = check_time_resolution(t, cfg.t_end, cfg.dt)
-    ws = _Workspace(p, grid, cfg)
+    ws = _Workspace(p, grid)
     cur, nxt = ws.start(uv)
     rec = TrajectoryRecord()
     n = grid.n_cells
@@ -327,9 +331,9 @@ def run_simulation(
         if not math.isfinite(peak):
             rec.guard_tripped = "non_finite"
             rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
-        elif peak > cfg.blowup_guard:
+        elif peak > BLOWUP_GUARD:
             rec.guard_tripped = "blow_up"
-            rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
+            rec.notes.append(f"field maximum exceeded the blow-up guard {BLOWUP_GUARD!r} at t={t!r}")
         if rec.guard_tripped:
             record()
             break

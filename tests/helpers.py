@@ -3,9 +3,14 @@
 BASE is a neutral, mostly-decoupled parameter set; tests override the
 handful of coefficients they exercise.  The named factories below are the
 three dynamical regimes the acceptance scenarios revolve around.
+draw_params draws random parameter sets for the property tests, and bits
+gives the bytes of floats for bitwise comparisons.
 traced_peak measures what a call allocates.
 """
+import random
+import struct
 import tracemalloc
+from dataclasses import fields
 
 from chemotaxis_lab.model import ModelParams
 
@@ -37,6 +42,31 @@ def cooperative_params(chi: float = 0.1, **overrides) -> ModelParams:
     """Mutualistic cross terms; combined mass approaches its cap 4/3."""
     base = dict(a1=2.0, b2=2.0, a2=-0.5, b1=-0.5, chi1=chi, chi2=chi)
     return mk_params(**{**base, **overrides})
+
+
+# The rates, diffusivities and the domain, which every config has positive.
+POSITIVE = ("d1", "d2", "d3", "chi1", "chi2", "k", "l", "lam", "omega_measure")
+
+
+def draw_params(rng: random.Random) -> ModelParams:
+    """Magnitudes from 1e-8 to 1e8, or near 1, where more hypotheses hold.
+    The interaction coefficients a0..b4 are all positive, or each takes
+    either sign or a signed zero."""
+    low, high = rng.choice(((-8.0, 8.0), (-1.0, 1.0)))
+    mixed = rng.random() < 0.5
+    values = {}
+    for f in fields(ModelParams):
+        value = 10.0 ** rng.uniform(low, high)
+        if mixed and f.name not in POSITIVE:
+            r = rng.random()
+            value = 0.0 if r < 0.05 else -0.0 if r < 0.1 else rng.choice((value, -value))
+        values[f.name] = value
+    return ModelParams(**values)
+
+
+def bits(*values):
+    """The bytes of the floats, so -0.0 is not 0.0."""
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def traced_peak(call):

@@ -131,11 +131,11 @@ class TestConfigErrors:
         [
             ("simulate", "initial_data", "constant", "[NaN, 0.5]"),
             ("simulate", "initial_data", "constant", "[1e400, 0.5]"),
-            ("simulate", "stepper", "blowup_guard", "NaN"),
+            ("simulate", "stepper", "dt", "NaN"),
             ("bounds", "initial_data", "constant", "[NaN, 0.5]"),
             ("check", "params", "a0", "1" + "0" * 400),
         ],
-        ids=["nan-data", "overflow-data", "nan-guard", "nan-bounds", "huge-int"],
+        ids=["nan-data", "overflow-data", "nan-dt", "nan-bounds", "huge-int"],
     )
     def test_numbers_must_be_finite(self, tmp_path, capsys, command, section, key, literal):
         # JSON parsing accepts these literals; the config reader must not.
@@ -188,12 +188,6 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"config error: stepper: {key} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
-
-    def test_negative_blowup_guard(self, tmp_path):
-        doc = base_config()
-        doc["stepper"]["blowup_guard"] = -1.0
-        cfg = write_config(tmp_path, doc)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_negative_initial_data(self, tmp_path, capsys):
         doc = base_config()
@@ -317,10 +311,10 @@ class TestConfigErrors:
             ("grid", "n_cells", 32.0),
             ("stepper", "dt", "0.01"),
             ("stepper", "t_end", None),
-            ("stepper", "cfl_safety", [0.5]),
+            ("stepper", "steady_tol", [1e-6]),
             ("stepper", "record_every", True),
             ("stepper", "record_every", 2.5),
-            ("stepper", "blowup_guard", True),
+            ("stepper", "steady_window", True),
             ("stepper", "steady_tol", "1e-6"),
             ("stepper", "steady_window", {}),
             ("rectangles", "dt", "0.001"),
@@ -550,8 +544,9 @@ class TestOneVerdictPerConfig:
         [
             ("stepper", {"dt": -1.0}, 2, "config error: stepper: dt must be positive and finite, got -1.0"),
             ("stepper", {"record_every": 0}, 2, "config error: stepper: record_every must be an integer >= 1, got 0"),
-            ("stepper", {"cfl_safety": 1.5}, 2, "config error: stepper: cfl_safety must lie in (0, 1], got 1.5"),
-            ("stepper", {"blowup_guard": 0.0}, 2, "config error: stepper: blowup_guard must be positive, got 0.0"),
+            # module constants now, refused even at their values
+            ("stepper", {"cfl_safety": 0.9}, 2, "config error: stepper: unknown key(s): cfl_safety"),
+            ("stepper", {"blowup_guard": 1e8}, 2, "config error: stepper: unknown key(s): blowup_guard"),
             ("stepper", {"steady_tol": 1e-6}, 2, "config error: stepper: steady_tol and steady_window must be given together"),
             ("grid", {"n_cells": 3}, 2, "config error: grid: n_cells must be >= 4, got 3"),
             ("grid", {"length": 2.0}, 3, "precondition failure: grid length 2.0 must equal omega_measure 1.0"),
@@ -641,10 +636,11 @@ class TestExitCodes:
 
     def test_blowup_guard_returns_4_with_partial_outputs(self, tmp_path, capsys):
         doc = base_config()
-        doc["params"].update({"a0": 5.0, "a1": 0.1, "a2": 0.01, "b1": 0.01})
+        # u grows by about 1.25 a step and passes the guard, 1e8, at t = 4.3
+        doc["params"].update({"a0": 5.0, "a1": 1e-9, "a2": 0.01, "b1": 1e-9, "chi1": 1e-12, "chi2": 1e-12})
         doc["references"] = []
         doc["initial_data"] = {"constant": [0.5, 0.01]}
-        doc["stepper"] = {"dt": 0.05, "t_end": 5.0, "blowup_guard": 30.0}
+        doc["stepper"] = {"dt": 0.05, "t_end": 5.0}
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
         capsys.readouterr()
@@ -655,7 +651,10 @@ class TestExitCodes:
         rows = read_csv_rows(tmp_path / "trajectory.csv")
         assert len(rows) >= 3
         assert summary["run"]["steps"] == len(rows) - 2  # every step recorded, after the t = 0 row
-        assert float(rows[-1][2]) > 30.0
+        assert float(rows[-2][2]) <= 1e8 < float(rows[-1][2])
+        assert summary["run"]["notes"] == [
+            f"field maximum exceeded the blow-up guard 100000000.0 at t={summary['run']['final_t']!r}"
+        ]
 
     @staticmethod
     def narrow_minimum_config(dt, t_end):
@@ -671,7 +670,7 @@ class TestExitCodes:
         return doc
 
     def test_step_that_would_go_negative_exits_4(self, tmp_path, capsys):
-        # The max-gradient advection limit cfl_safety*dx/(chi*max|dw|/dx)
+        # The max-gradient advection limit 0.9*dx/(chi*max|dw|/dx)
         # admitted dt up to 8.883e-4 here, and one step of 8.87e-4 recorded
         # u_min = v_min = -0.0059.  The positivity limit is 4.48e-4.
         cfg = write_config(tmp_path, self.narrow_minimum_config(8.87e-4, 8.87e-4))
@@ -733,14 +732,18 @@ class TestExitCodes:
         assert "cap" in envelopes["mass_sum"]
 
     def test_overflowing_run_warns_nothing(self, tmp_path):
-        # u doubles every ten steps until its mass overflows to inf; the
-        # non_finite guard reports it, and NumPy stays silent.
+        # u's mass, 24 cells of width 1 at 1e307, overflows to inf, and the
+        # first step turns the densities to NaN and inf; the non_finite guard
+        # reports it, and NumPy stays silent.
         doc = base_config()
-        doc["params"].update({"a1": 5e-324, "a2": 0.0, "b1": 0.0, "b3": -1e-320, "chi1": 5e-324, "chi2": 5e-324})
+        doc["params"].update({
+            "a1": 5e-324, "a2": 0.0, "b1": 0.0, "b3": -1e-320, "chi1": 5e-324, "chi2": 5e-324,
+            "omega_measure": 24.0,
+        })
         doc["references"] = []
-        doc["grid"]["n_cells"] = 24
-        doc["initial_data"] = {"constant": [5e304, 0.5]}
-        doc["stepper"] = {"dt": 0.1, "t_end": 100.0, "blowup_guard": 1.7976931348623157e308}
+        doc["grid"] = {"length": 24.0, "n_cells": 24}
+        doc["initial_data"] = {"constant": [1e307, 0.5]}
+        doc["stepper"] = {"dt": 0.1, "t_end": 100.0}
         cfg = write_config(tmp_path, doc)
         proc = run_module("simulate", "--config", cfg, "--out", str(tmp_path))
         assert proc.returncode == 4, proc.stderr
@@ -981,6 +984,9 @@ class TestDocumentContents:
             (["check", "--n-dim", "1"], "check.json", "undefined_threshold_check_n_dim_1.json"),
             (["check", "--n-dim", "3"], "check.json", "undefined_threshold_check_n_dim_3.json"),
             (["steady"], "steady.json", "undefined_threshold_steady.json"),
+            (["check", "--n-dim", "1"], "check.json", "long_domain_check_n_dim_1.json"),
+            (["check", "--n-dim", "3"], "check.json", "long_domain_check_n_dim_3.json"),
+            (["steady"], "steady.json", "long_domain_steady.json"),
         ],
     )
     def test_readme_config_matches_the_golden_file(self, tmp_path, capsys, args, written, golden):
@@ -988,8 +994,11 @@ class TestDocumentContents:
         # every platform.  The golden files named mixed_sign_* belong to the
         # mixed-sign config beside them, which takes the negative-part
         # branches; those named undefined_threshold_* to the README config
-        # with a2 = 0, whose exclusion threshold is undefined.
-        prefix = next((p for p in ("mixed_sign_", "undefined_threshold_") if golden.startswith(p)), "")
+        # with a2 = 0, whose exclusion threshold is undefined; those named
+        # long_domain_* to a system with |Omega| = 2 and d3 = 3.16, where a
+        # formula that misses an |Omega| or d3 factor shows.
+        prefixes = ("mixed_sign_", "undefined_threshold_", "long_domain_")
+        prefix = next((p for p in prefixes if golden.startswith(p)), "")
         if prefix:
             doc = read_json(REPO_ROOT / "tests" / "golden" / f"{prefix}config.json")
         else:
@@ -1439,9 +1448,9 @@ class TestRectangles:
 
     def test_guard_trip_during_subrun_exits_4(self, tmp_path, capsys):
         doc = self.make_scenario(tmp_path)
-        doc["params"].update({"a0": 5.0, "a1": 0.1, "a2": 0.01, "b1": 0.01})
+        doc["params"].update({"a0": 5.0, "a1": 1e-9, "a2": 0.01, "b1": 1e-9, "chi1": 1e-12, "chi2": 1e-12})
         doc["initial_data"] = {"constant": [0.5, 0.01]}
-        doc["stepper"] = {"dt": 0.05, "t_end": 5.0, "blowup_guard": 30.0}
+        doc["stepper"] = {"dt": 0.05, "t_end": 5.0}
         cfg = write_config(tmp_path, doc)
         assert main(["rectangles", "--config", cfg, "--out", str(tmp_path)]) == 4
         capsys.readouterr()
@@ -1636,7 +1645,7 @@ class TestRectangles:
         assert f"config error: {stub}: missing column(s): v_max\n" in capsys.readouterr().err
 
     def test_truncated_trajectory_row_is_config_error(self, tmp_path):
-        # csv.DictReader fills the missing cells of a short row with None.
+        # A short row would leave its columns unaligned with the header.
         full = tmp_path / "full"
         cfg = write_config(tmp_path, self.make_scenario(tmp_path))
         assert main(["simulate", "--config", cfg, "--out", str(full)]) == 0
@@ -1681,6 +1690,31 @@ class TestRectangles:
         err = capsys.readouterr().err
         assert err == f"config error: {stub}: line {line}: t must be finite\n"
         assert not (tmp_path / "enclosure.json").exists()
+
+    def test_column_named_twice_is_config_error(self, tmp_path, capsys):
+        # A dict of the row would keep the last t, 3.0, and start the box there.
+        stub = tmp_path / "twice.csv"
+        stub.write_text("t,u_min,u_max,v_min,v_max,t\n0,0.1,0.5,0.4,0.6,3\n")
+        cfg = write_config(tmp_path, self.make_scenario(tmp_path))
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(stub)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: {stub}: column(s) named twice: t\n"
+        assert not (tmp_path / "rectangles.csv").exists()
+
+    def test_row_with_more_cells_than_columns_is_config_error(self, tmp_path, capsys):
+        stub = tmp_path / "long_row.csv"
+        stub.write_text("t,u_min,u_max,v_min,v_max\n0.0,0.4,0.6,0.4,0.6\n1.0,0.4,0.6,0.4,0.6,7.0\n")
+        cfg = write_config(tmp_path, self.make_scenario(tmp_path))
+        args = ["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(stub)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: {stub}: line 3: too many cells\n"
+        assert not (tmp_path / "rectangles.csv").exists()
+
+    def test_blank_lines_of_a_trajectory_are_skipped(self, tmp_path, capsys):
+        stub = tmp_path / "blank.csv"
+        stub.write_text("t,u_min,u_max,v_min,v_max\n0.0,0.4,0.6,0.4,0.6\n\n1.0,0.4,0.6,0.4,0.6\n")
+        trace = cli.read_trajectory_csv(str(stub))
+        assert list(trace.t) == [0.0, 1.0]
 
     def test_reused_trajectory_must_have_rows(self, tmp_path, capsys):
         stub = tmp_path / "empty.csv"

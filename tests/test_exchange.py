@@ -9,7 +9,6 @@ the constant states) must map to their mirror images as well.
 """
 import math
 import random
-import struct
 from dataclasses import fields
 
 import numpy as np
@@ -23,7 +22,7 @@ from chemotaxis_lab.ode_bounds import RectangleState, integrate_rectangles, rect
 from chemotaxis_lab.pde_stepper import run_simulation
 from chemotaxis_lab.steady_states import ConstantState
 
-from helpers import coexistence_params
+from helpers import bits, coexistence_params, draw_params
 
 # u-side field -> v-side field
 PARTNER = {
@@ -124,8 +123,8 @@ def oracle_gamma_star(p):
         return math.inf if gap == 0.0 else num / gap
 
     return min(
-        ratio(p.chi1 * p.k, p.a1), ratio(p.chi2 * p.l, p.b2),
-        ratio(p.chi1 * p.l, p.a2), ratio(p.chi2 * p.k, p.b1),
+        ratio(p.chi1 * p.k / p.d3, p.a1), ratio(p.chi2 * p.l / p.d3, p.b2),
+        ratio(p.chi1 * p.l / p.d3, p.a2), ratio(p.chi2 * p.k / p.d3, p.b1),
     )
 
 
@@ -183,34 +182,6 @@ def oracle_rectangle_rhs(p, u_hi, u_lo, v_hi, v_lo):
         + v_lo * (b0 - b_self * v_lo - b_self_opp * v_hi)
         + v_lo * (b_cross_up * u_lo - b_cross_down * u_hi),
     )
-
-
-# ---------------------------------------------------------------------------
-# random parameter sets
-
-# The rates, diffusivities and the domain, which every config has positive.
-POSITIVE = ("d1", "d2", "d3", "chi1", "chi2", "k", "l", "lam", "omega_measure")
-
-
-def draw_params(rng: random.Random) -> ModelParams:
-    """Magnitudes from 1e-8 to 1e8, or near 1, where more hypotheses hold.
-    The interaction coefficients a0..b4 are all positive, or each takes
-    either sign or a signed zero."""
-    low, high = rng.choice(((-8.0, 8.0), (-1.0, 1.0)))
-    mixed = rng.random() < 0.5
-    values = {}
-    for f in fields(ModelParams):
-        value = 10.0 ** rng.uniform(low, high)
-        if mixed and f.name not in POSITIVE:
-            r = rng.random()
-            value = 0.0 if r < 0.05 else -0.0 if r < 0.1 else rng.choice((value, -value))
-        values[f.name] = value
-    return ModelParams(**values)
-
-
-def bits(*values):
-    """The bytes of the floats, so -0.0 is not 0.0."""
-    return struct.pack(f"<{len(values)}d", *values)
 
 
 def margin_bits(report, labels):

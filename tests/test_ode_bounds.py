@@ -12,9 +12,8 @@ from scipy.integrate import solve_ivp
 
 from chemotaxis_lab import ode_bounds
 from chemotaxis_lab.diagnostics import TrajectoryRecord
-from chemotaxis_lab.model import Grid1D, PreconditionError, negative_part, positive_part
+from chemotaxis_lab.model import BLOWUP_GUARD, Grid1D, PreconditionError, negative_part, positive_part
 from chemotaxis_lab.ode_bounds import (
-    DIVERGENCE_GUARD,
     EnclosureReport,
     RectangleState,
     RectangleTrace,
@@ -377,7 +376,7 @@ class TestEnclosureMatchesNumpy:
         # its last row, the last state inside the guard, lies just before
         # the trip, so only t = 0 lies in its span
         assert len(rect.t) == 2 and rect.t[0] == 0.0 and 0.0 < rect.t[1] < 1e-199
-        assert rect.u_hi[1] <= DIVERGENCE_GUARD
+        assert rect.u_hi[1] <= BLOWUP_GUARD
         assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 1
         # Rows holding inf up to the last row at t = 1.5, with the PDE at
         # inf too; v_hi is inf on both knots around t = 0.6, where
@@ -401,7 +400,7 @@ class TestEnclosureMatchesNumpy:
         )
         assert rect.guard_tripped == "blow_up"
         assert rect.t[-2] == pytest.approx(0.27) and 0.27 < rect.t[-1] < 0.28
-        assert rect.u_hi[-2] < 25.0 < rect.u_hi[-1] <= DIVERGENCE_GUARD
+        assert rect.u_hi[-2] < 25.0 < rect.u_hi[-1] <= BLOWUP_GUARD
         t_trip = float(re.search(r"at t=(\S+) with", rect.notes[0])[1])
         assert rect.t[-1] < t_trip < 0.28
         inside = 0.5 * (rect.t[-1] + t_trip)
@@ -428,7 +427,7 @@ class TestEnclosureMatchesNumpy:
         assert rect.guard_tripped == "blow_up"
         assert rect.notes[0].startswith("rectangle step size ")
         t_last, u_last = rect.t[-1], rect.u_hi[-1]
-        assert 1.0 < t_last < 1.0 + 1e-11 and 50.0 < u_last < DIVERGENCE_GUARD
+        assert 1.0 < t_last < 1.0 + 1e-11 and 50.0 < u_last < BLOWUP_GUARD
         pde = columns_trace([(1.0, 0.0, 1.0, 0.0, 0.0), (t_last, 0.0, 2.0 * u_last, 0.0, 0.0),
                              (1.5, 0.0, 1.0, 0.0, 0.0)])
         report = self.assert_same(pde, rect, 1e-3)
@@ -503,10 +502,10 @@ def reference_rk4(s0, p, t_end, dt, record_every):
         k4 = f(tuple(y[i] + h * k3[i] for i in range(4)))
         y_new = tuple(y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4))
         steps += 1
-        if not all(math.isfinite(x) for x in y_new) or max(y_new) > DIVERGENCE_GUARD:
+        if not all(math.isfinite(x) for x in y_new) or max(y_new) > BLOWUP_GUARD:
             guard = "blow_up"
             notes.append(
-                f"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} "
+                f"rectangle component exceeded the divergence guard {BLOWUP_GUARD!r} "
                 f"at t={t + h!r} with (u_hi, u_lo, v_hi, v_lo) = {y_new!r} "
                 f"(finite-time blow-up of the bounding system)"
             )
@@ -835,7 +834,7 @@ def tripping_step(trace):
     trace's one note; the other three components are 0.0."""
     note, = trace.notes
     match = re.fullmatch(
-        rf"rectangle component exceeded the divergence guard {DIVERGENCE_GUARD!r} at t=(\S+) "
+        rf"rectangle component exceeded the divergence guard {BLOWUP_GUARD!r} at t=(\S+) "
         r"with \(u_hi, u_lo, v_hi, v_lo\) = \((\S+), 0\.0, 0\.0, 0\.0\) "
         r"\(finite-time blow-up of the bounding system\)",
         note,
@@ -855,9 +854,9 @@ class TestDivergenceGuard:
         trace = integrate_rectangles(s0, p, 1.0, 1e-2)
         assert trace.guard_tripped == "blow_up"
         assert len(trace.t) == 2 and 0.0 < trace.t[-1] < 1e-199
-        assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] <= DIVERGENCE_GUARD
+        assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] <= BLOWUP_GUARD
         t_trip, u_trip = tripping_step(trace)
-        assert trace.t[-1] < t_trip < 1e-199 and DIVERGENCE_GUARD < u_trip < math.inf
+        assert trace.t[-1] < t_trip < 1e-199 and BLOWUP_GUARD < u_trip < math.inf
 
     def test_finite_crossing_of_the_guard(self):
         # Near-exponential growth carries u_hi past the guard in one step
@@ -869,7 +868,7 @@ class TestDivergenceGuard:
         # the first step crosses: the initial state is the last row
         assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [0.999e8]
         t_trip, u_trip = tripping_step(trace)
-        assert 0.0 < t_trip < 0.1 and DIVERGENCE_GUARD < u_trip < math.inf
+        assert 0.0 < t_trip < 0.1 and BLOWUP_GUARD < u_trip < math.inf
 
     @pytest.mark.parametrize("p, s0, t_end", [
         (mk_params(chi1=10.0), RectangleState(0.0, 2.0, 0.0, 1.0, 1.0), 1.0),

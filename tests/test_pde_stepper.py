@@ -18,6 +18,7 @@ from chemotaxis_lab.diagnostics import (
 )
 from chemotaxis_lab.elliptic import assemble, neumann_factor, solve_w
 from chemotaxis_lab.model import (
+    BLOWUP_GUARD,
     FieldState,
     Grid1D,
     ModelParams,
@@ -26,6 +27,7 @@ from chemotaxis_lab.model import (
     validate_params,
 )
 from chemotaxis_lab.pde_stepper import (
+    CFL_SAFETY,
     CflViolationError,
     chemotaxis_flux,
     run_simulation,
@@ -46,12 +48,12 @@ class TestStepperConfig:
             dict(dt=0.0, t_end=1.0),
             dict(dt=-0.1, t_end=1.0),
             dict(dt=0.1, t_end=-1.0),
-            dict(dt=0.1, t_end=1.0, cfl_safety=0.0),
-            dict(dt=0.1, t_end=1.0, cfl_safety=1.5),
+            dict(dt=0.1, t_end=1.0, cfl_safety=0.9),  # a module constant, not an option
+            dict(dt=math.inf, t_end=1.0),
             dict(dt=0.1, t_end=1.0, record_every=0),
             dict(dt=0.1, t_end=1.0, record_every=2.5),
-            dict(dt=0.1, t_end=1.0, blowup_guard=0.0),
-            dict(dt=0.1, t_end=1.0, blowup_guard=float("nan")),
+            dict(dt=0.1, t_end=1.0, blowup_guard=1e8),  # likewise
+            dict(dt=0.1, t_end=math.nan),
             dict(dt=0.1, t_end=1.0, steady_tol=1e-6),
             dict(dt=0.1, t_end=1.0, steady_window=0.5),
             dict(dt=0.1, t_end=1.0, steady_tol=0.0, steady_window=0.5),
@@ -89,9 +91,8 @@ class TestLocalTerms:
         # flux buffer keeps the zero-flux boundary faces it was made with.
         p = mk_params(chi1=2.0, chi2=1.0)
         grid = Grid1D(length=1.0, n_cells=4)
-        cfg = StepperConfig(dt=1e-3, t_end=1.0)
-        ws = pde_stepper._Workspace(p, grid, cfg)
-        pde_stepper._advance(ws, *ws.start(np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]])), cfg.dt)
+        ws = pde_stepper._Workspace(p, grid)
+        pde_stepper._advance(ws, *ws.start(np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 1.0]])), 1e-3)
         assert (ws.flux[:, 1:-1] != 0.0).any()
         assert (ws.flux[:, [0, -1]] == 0.0).all()
 
@@ -231,7 +232,7 @@ class TestConservationAndReduction:
 
 def first_step(p, grid, u0, v0, cfg):
     """_advance on a fresh _Workspace from u0, v0 with the step cfg.dt."""
-    ws = pde_stepper._Workspace(p, grid, cfg)
+    ws = pde_stepper._Workspace(p, grid)
     pde_stepper._advance(ws, *ws.start(np.array([u0, v0], dtype=float)), cfg.dt)
 
 
@@ -263,7 +264,7 @@ class TestStabilityGuards:
 
     def test_reaction_limit_is_inverse_jacobian_diagonal(self):
         # Constant state: no signal gradient, so the positivity limit is
-        # cfl_safety/max(-bracket) = 0.9/1.28, above dt = 0.5, and only the
+        # CFL_SAFETY/max(-bracket) = 0.9/1.28, above dt = 0.5, and only the
         # reaction limit 1/2.36 binds.
         p = mk_params(
             a0=1.5, a1=2.0, a2=0.5, a3=0.25, a4=-0.3,
@@ -295,11 +296,13 @@ class TestStabilityGuards:
         grid = Grid1D(length=1.0, n_cells=16)
         p = mk_params(a0=5.0, a1=0.0, b0=0.0)
         u0, v0 = np.full(16, 0.5), np.zeros(16)
-        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.01, t_end=3.0, blowup_guard=1e3))
+        # u grows by 1.05 a step and passes 1e8 at t = 3.92
+        rec = run_simulation(u0, v0, p, grid, StepperConfig(dt=0.01, t_end=5.0))
         assert rec.guard_tripped == "blow_up"
-        assert 0.0 < rec.t[-1] < 3.0
-        assert rec.u_max[-1] >= 1e3
+        assert 3.0 < rec.t[-1] < 5.0
+        assert rec.u_max[-2] <= BLOWUP_GUARD < rec.u_max[-1]
         assert rec.final_state.t == rec.t[-1]
+        assert rec.notes == [f"field maximum exceeded the blow-up guard 100000000.0 at t={rec.t[-1]!r}"]
 
     def test_non_finite_field_trips_guard(self):
         grid = Grid1D(length=1.0, n_cells=16)
@@ -500,9 +503,9 @@ def reference_bracket(p, uv, mass):
     return growth - (np.array([[p.a1], [p.b1]]) * uv[0] + np.array([[p.a2], [p.b2]]) * uv[1])
 
 
-def reference_limits(p, grid, cfg, uv, w, mass):
+def reference_limits(p, grid, uv, w, mass):
     """The positivity and reaction limits on dt, the positivity rate always
-    taken exactly: cfl_safety / max(out - bracket), out the upwind outflow
+    taken exactly: CFL_SAFETY / max(out - bracket), out the upwind outflow
     rate chi*(max(dw_right, 0) + max(-dw_left, 0))/dx² of each cell."""
     dx = grid.dx
     bracket = reference_bracket(p, uv, mass)
@@ -510,13 +513,13 @@ def reference_limits(p, grid, cfg, uv, w, mass):
     zero = np.zeros(1)
     out = np.concatenate([np.maximum(dw, 0.0), zero]) + np.concatenate([zero, np.maximum(-dw, 0.0)])
     rate = float((np.array([[p.chi1], [p.chi2]]) * out / (dx * dx) - bracket).max())
-    pos_limit = math.inf if rate <= 0.0 else cfg.cfl_safety / rate
+    pos_limit = math.inf if rate <= 0.0 else CFL_SAFETY / rate
     jmax = float(np.abs(bracket - np.array([[p.a1], [p.b2]]) * uv).max())
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
     return pos_limit, rx_limit
 
 
-def reference_advance(p, grid, cfg, uv, w, mass, dt):
+def reference_advance(p, grid, uv, w, mass, dt):
     """One split step written as whole-array expressions in the stepper's
     operation order: a new array per operation, the masses as a list, the
     maxima by ndarray.max, no screen before the exact positivity rate.
@@ -524,7 +527,7 @@ def reference_advance(p, grid, cfg, uv, w, mass, dt):
     CflViolationError as the stepper does."""
     n, dx = grid.n_cells, grid.dx
     bracket = reference_bracket(p, uv, mass)
-    pos_limit, rx_limit = reference_limits(p, grid, cfg, uv, w, mass)
+    pos_limit, rx_limit = reference_limits(p, grid, uv, w, mass)
     if dt > pos_limit or dt > rx_limit:
         if dt > pos_limit and dt > rx_limit:
             binding = "positivity and reaction"
@@ -572,15 +575,15 @@ class TestStepBitIdentity:
     """_advance, with its in-place stages, gives the bits of reference_advance."""
 
     @staticmethod
-    def steps(p, grid, cfg, uv, dts):
+    def steps(p, grid, uv, dts):
         """Step uv over the widths dts, comparing each step's outputs with
         the reference's for the same inputs, bit for bit, and checking
         that the state read is left untouched; returns the last densities."""
-        ws = pde_stepper._Workspace(p, grid, cfg)
+        ws = pde_stepper._Workspace(p, grid)
         src, dst = ws.start(uv)
         for dt in dts:
             before = [a.copy() for a in (src.fields, src.mass)]
-            want = reference_advance(p, grid, cfg, src.uv, src.w, src.mass.tolist(), dt)
+            want = reference_advance(p, grid, src.uv, src.w, src.mass.tolist(), dt)
             pde_stepper._advance(ws, src, dst, dt)
             for a, b in zip(before, (src.fields, src.mass)):
                 assert np.array_equal(bits(a), bits(b))
@@ -593,35 +596,33 @@ class TestStepBitIdentity:
     @pytest.mark.parametrize("params", [coexistence_params(0.1), mk_params(**MIXED)], ids=["coexistence", "mixed"])
     def test_steps_match_reference(self, n, params):
         grid = Grid1D(length=1.7, n_cells=n)
-        cfg = StepperConfig(dt=1e-3, t_end=1.0)
         uv = bumps(grid, np.random.default_rng(n), floor=0.05)
         # the last width is a shorter final step, with its own factors
-        self.steps(params, grid, cfg, uv, [1e-3] * 4 + [3.7e-4])
+        self.steps(params, grid, uv, [1e-3] * 4 + [3.7e-4])
 
     @staticmethod
     def screened_case(monkeypatch):
         """A case whose positivity limit lies between the screen's limit
-        cfl_safety/(2*chi_max*max|dw|/dx² + jmax) and the reaction limit: the
+        CFL_SAFETY/(2*chi_max*max|dw|/dx² + jmax) and the reaction limit: the
         screen counts both faces of a cell at the steepest gradient, while on
         smooth bumps a cell loses mass through about one face.  Returns the
         case, its two limits, and the list of exact-rate evaluations."""
         n = 64
         grid = Grid1D(length=1.7, n_cells=n)
         p = mk_params(**{**MIXED, "chi1": 50.0, "chi2": 25.0})
-        cfg = StepperConfig(dt=1e-3, t_end=10.0)
         uv = bumps(grid, np.random.default_rng(3), floor=0.1)
         w = solve_w(assemble(p, grid), *uv, p)
-        pos_limit, rx_limit = reference_limits(p, grid, cfg, uv, w, grid.integrate(uv))
+        pos_limit, rx_limit = reference_limits(p, grid, uv, w, grid.integrate(uv))
         max_dw = float(np.abs(np.diff(w)).max())
         bound = 2.0 * p.chi1 * max_dw / (grid.dx * grid.dx) + 1.0 / rx_limit
-        screen_limit = cfg.cfl_safety / bound
+        screen_limit = CFL_SAFETY / bound
         assert screen_limit < pos_limit < rx_limit
         calls = []
         exact = pde_stepper._outflow_rate
         monkeypatch.setattr(
             pde_stepper, "_outflow_rate", lambda *args: calls.append(1) or exact(*args)
         )
-        return (p, grid, cfg, uv), screen_limit, pos_limit, calls
+        return (p, grid, uv), screen_limit, pos_limit, calls
 
     def test_exact_rate_admits_what_the_screen_does_not(self, monkeypatch):
         case, screen_limit, pos_limit, calls = self.screened_case(monkeypatch)
@@ -633,15 +634,15 @@ class TestStepBitIdentity:
 
     def test_exact_rate_rejects_names_positivity(self, monkeypatch):
         case, _, pos_limit, calls = self.screened_case(monkeypatch)
-        p, grid, cfg, uv = case
+        p, grid, uv = case
         dt = 1.5 * pos_limit
-        ws = pde_stepper._Workspace(p, grid, cfg)
+        ws = pde_stepper._Workspace(p, grid)
         src, dst = ws.start(uv)
         with pytest.raises(CflViolationError) as got:
             pde_stepper._advance(ws, src, dst, dt)
         assert calls == [1]
         with pytest.raises(CflViolationError) as want:
-            reference_advance(p, grid, cfg, uv, src.w, src.mass.tolist(), dt)
+            reference_advance(p, grid, uv, src.w, src.mass.tolist(), dt)
         assert got.value.binding == want.value.binding == "positivity"
         assert bits(got.value.suggested_dt) == bits(want.value.suggested_dt) == bits(pos_limit)
 
@@ -653,14 +654,13 @@ class TestStepBitIdentity:
         n = 64
         grid = Grid1D(length=1.7, n_cells=n)
         p = mk_params(**{**MIXED, "chi1": chi, "chi2": 0.5 * chi})
-        cfg = StepperConfig(dt=dt, t_end=10.0)
         uv = bumps(grid, np.random.default_rng(3), floor=0.1)
-        ws = pde_stepper._Workspace(p, grid, cfg)
+        ws = pde_stepper._Workspace(p, grid)
         src, dst = ws.start(uv)
         with pytest.raises(CflViolationError) as got:
             pde_stepper._advance(ws, src, dst, dt)
         with pytest.raises(CflViolationError) as want:
-            reference_advance(p, grid, cfg, uv, src.w, src.mass.tolist(), dt)
+            reference_advance(p, grid, uv, src.w, src.mass.tolist(), dt)
         assert got.value.binding == want.value.binding == binding
         assert bits(got.value.suggested_dt) == bits(want.value.suggested_dt)
         assert str(got.value) == str(want.value)
@@ -674,16 +674,15 @@ class TestStepAllocation:
         n = 8192
         grid = Grid1D(length=1.7, n_cells=n)
         p = mk_params(**MIXED)
-        cfg = StepperConfig(dt=1e-3, t_end=1.0)
-        ws = pde_stepper._Workspace(p, grid, cfg)
+        ws = pde_stepper._Workspace(p, grid)
         src, dst = ws.start(bumps(grid, np.random.default_rng(n), floor=0.05))
-        pde_stepper._advance(ws, src, dst, cfg.dt)  # the first step factors the diffusion matrices
+        pde_stepper._advance(ws, src, dst, 1e-3)  # the first step factors the diffusion matrices
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for _ in range(10):
                 src, dst = dst, src
-                pde_stepper._advance(ws, src, dst, cfg.dt)
+                pde_stepper._advance(ws, src, dst, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -697,7 +696,7 @@ SIGNED_FIELDS = ("a2", "a3", "a4", "b1", "b3", "b4")
 @st.composite
 def step_cases(draw):
     """Admissible params (log-uniform over 1e-3..1e2 where positive),
-    nonnegative (2, n) densities, cfl_safety in (0, 0.99] (0.99 often) and
+    nonnegative (2, n) densities, a safety factor in (0, 0.99] (0.99 often) and
     a multiple in (0, 2] of the largest admissible dt.  The densities often
     take a few fixed levels, which gives the steep minima of w where a
     cell drains through both faces.  Each is 0 or at least 1e-3, so no
@@ -727,7 +726,8 @@ class TestNonnegativity:
         # above it reports, and every admitted step leaves u, v, w >= 0.
         p, grid, uv, cfl, multiple = case
         assert validate_params(p) == []
-        ws = pde_stepper._Workspace(p, grid, StepperConfig(dt=1.0, t_end=1.0, cfl_safety=cfl))
+        ws = pde_stepper._Workspace(p, grid)
+        ws.cfl_safety = cfl  # the step reads its share of the positivity limit here
         src, dst = ws.start(uv)
         try:
             pde_stepper._advance(ws, src, dst, 1e6)
@@ -751,7 +751,7 @@ def reference_run(uv, p, grid, cfg, references=()):
     _advance call for every step, the steps the stationary state skips.
     Returns the record and, per reference label, the distance columns
     (du, dv, dw) of each sample computed from that sample's own extrema."""
-    ws = pde_stepper._Workspace(p, grid, cfg)
+    ws = pde_stepper._Workspace(p, grid)
     t = 0.0
     src, dst = ws.start(np.array(uv, dtype=float))
     rec = TrajectoryRecord()
@@ -788,9 +788,9 @@ def reference_run(uv, p, grid, cfg, references=()):
         if not math.isfinite(peak):
             rec.guard_tripped = "non_finite"
             rec.notes.append(f"a density became non-finite (maximum {peak!r}) at t={t!r}")
-        elif peak > cfg.blowup_guard:
+        elif peak > BLOWUP_GUARD:
             rec.guard_tripped = "blow_up"
-            rec.notes.append(f"field maximum exceeded the blow-up guard {cfg.blowup_guard!r} at t={t!r}")
+            rec.notes.append(f"field maximum exceeded the blow-up guard {BLOWUP_GUARD!r} at t={t!r}")
         if rec.guard_tripped:
             record()
             break
@@ -841,17 +841,19 @@ def block_case(name):
         p = coexistence_params(0.1)
         return (0.5 + wave, 0.5 - wave), p, grid, StepperConfig(dt=0.01, t_end=3.0, record_every=7), ()
     if name == "blow-up":
-        # v, the second row, crosses the guard
-        p = mk_params(a0=1e-9, b0=5.0, b2=1e-9, chi1=0.1, chi2=0.1)
-        cfg = StepperConfig(dt=0.01, t_end=3.0, blowup_guard=1e3, record_every=3)
+        # v, the second row, crosses the guard at t = 3.93; chemotaxis would
+        # gather it, and the positivity limit would end the run first
+        p = mk_params(a0=1e-9, b0=5.0, b2=1e-9)
+        cfg = StepperConfig(dt=0.01, t_end=5.0, record_every=2)
         return (np.full(24, 0.01), 0.5 + wave), p, grid, cfg, four_references(coexistence_params())
     if name == "non-finite":
-        # u doubles every ten steps until the mass overflows to inf, which
-        # turns the bracket into NaN: no stability bound trips before it.
-        p = mk_params(a1=5e-324, b3=-1e-320, chi1=5e-324, chi2=5e-324)
-        cfg = StepperConfig(dt=0.1, t_end=100.0, blowup_guard=1.7976931348623157e308, record_every=7)
+        # u's mass, 24 cells of width 1 at 1e307, overflows to inf, which
+        # turns the bracket into NaN on the first step: no guard trips before.
+        grid = Grid1D(length=24.0, n_cells=24)
+        p = mk_params(a1=5e-324, b3=-1e-320, chi1=5e-324, chi2=5e-324, omega_measure=24.0)
+        cfg = StepperConfig(dt=0.1, t_end=100.0, record_every=7)
         references = (*four_references(coexistence_params()), SIGNED_ZERO_REFERENCE)
-        return (np.full(24, 5e304), np.full(24, 0.5)), p, grid, cfg, references
+        return (np.full(24, 1e307), np.full(24, 0.5)), p, grid, cfg, references
     if name == "cfl":
         grid = Grid1D(length=1.0, n_cells=60)
         p = mk_params(chi1=5.0, chi2=0.0, a0=2.0, a1=0.0, b0=0.0, b2=1.0)
@@ -911,7 +913,7 @@ class TestSampleBlocks:
 def fixed_densities(p, grid, uv, dt):
     """The first densities that a full step of width dt maps to themselves,
     with their signal and masses, bit for bit, stepping from uv."""
-    ws = pde_stepper._Workspace(p, grid, StepperConfig(dt=dt, t_end=1.0))
+    ws = pde_stepper._Workspace(p, grid)
     src, dst = ws.start(uv)
     for _ in range(5000):
         pde_stepper._advance(ws, src, dst, dt)
@@ -980,7 +982,7 @@ class TestStationarySkip:
 
     def test_signed_zero_start_is_not_fixed(self):
         uv, p, grid, cfg = stationary_case("signed-zero")
-        ws = pde_stepper._Workspace(p, grid, cfg)
+        ws = pde_stepper._Workspace(p, grid)
         first, second = ws.start(uv)
         assert np.array_equal(bits(first.w), bits(solve_w(assemble(p, grid), *uv, p)))
         pde_stepper._advance(ws, first, second, cfg.dt)
