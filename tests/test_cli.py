@@ -189,6 +189,14 @@ class TestConfigErrors:
         assert f"config error: stepper: {key} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_negative_blowup_guard(self, tmp_path, capsys):
+        # The ceiling is a module constant: the key is refused whatever its value.
+        doc = base_config()
+        doc["stepper"]["blowup_guard"] = -1.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown key(s): blowup_guard" in capsys.readouterr().err
+
     def test_negative_initial_data(self, tmp_path, capsys):
         doc = base_config()
         doc["initial_data"] = {"constant": [-0.1, 0.5]}
