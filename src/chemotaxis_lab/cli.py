@@ -93,11 +93,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, out_dir: str) -> dict:
     """Parse a config, check every flat section it gives and build from it
-    the ModelParams, Grid1D and StepperConfig a run uses.  `initial_data`
-    and `references` are left to the subcommands that use them: building
-    the one needs NumPy, and `rectangles` never evaluates the other."""
+    the ModelParams, Grid1D and StepperConfig a run uses; the outputs must
+    be distinct files under out_dir.  `initial_data` and `references` are
+    left to the subcommands that use them: building the one needs NumPy,
+    and `rectangles` never evaluates the other."""
     try:
         text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 whatever the locale
     except OSError as exc:
@@ -142,8 +143,8 @@ def load_config(path: str) -> dict:
     if opts["tol"] < 0:
         raise ConfigError(f"rectangles.tol: must be nonnegative, got {opts['tol']!r}")
     by_file: dict[str, list[str]] = {}  # a second write to one file would silently replace the first
-    for key, name in doc["outputs"].items():
-        by_file.setdefault(os.path.normpath(name), []).append(key)
+    for key, real in _real_outputs(doc, out_dir).items():
+        by_file.setdefault(real, []).append(key)
     shared = [" and ".join(keys) for keys in by_file.values() if len(keys) > 1]
     if shared:
         raise ConfigError(f"outputs: {'; '.join(shared)} name one file")
@@ -181,7 +182,8 @@ def _validate(section: Any, where: str, table: dict[str, tuple[type, Any]]) -> d
 def _typed(value: Any, kind: type, where: str) -> Any:
     if kind is float:
         return _finite(value, where)
-    if type(value) is kind and value != "":  # a bool is no int, an empty path no path
+    # a bool is no int; an empty path, or one with a NUL, which no file system takes, no path
+    if type(value) is kind and value != "" and (kind is not str or "\0" not in value):
         return value
     raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
 
@@ -287,11 +289,17 @@ def build_references(doc: dict, p: ModelParams) -> tuple[tuple[str, ConstantStat
 
 
 def resolve_output(doc: dict, out_dir: str, key: str) -> Path:
-    path = Path(doc["outputs"][key])
-    if not path.is_absolute():
-        path = Path(out_dir) / path
+    """The file of output `key`, its directory made: the configured path
+    joined to out_dir, which an absolute path replaces."""
+    path = Path(out_dir) / doc["outputs"][key]
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _real_outputs(doc: dict, out_dir: str) -> dict[str, str]:
+    """Each output's file as resolve_output places it, with `..` and
+    symlinks resolved, so that two names of one file compare equal."""
+    return {key: os.path.realpath(Path(out_dir) / name) for key, name in doc["outputs"].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +622,9 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
     p, opts = doc["params"], doc["rectangles"]
     pde_guard: str | None = None
     if args.trajectory:
-        replayed = os.path.realpath(args.trajectory)
+        replayed, real = os.path.realpath(args.trajectory), _real_outputs(doc, args.out)
         for key in ("rectangles_csv", "enclosure_json"):
-            # an absolute output path replaces --out when joined
-            if os.path.realpath(Path(args.out) / doc["outputs"][key]) == replayed:
+            if real[key] == replayed:
                 raise ConfigError(f"outputs.{key}: would overwrite the replayed trajectory {args.trajectory}")
         pde_trace = read_trajectory_csv(args.trajectory)
     else:
@@ -628,7 +635,7 @@ def cmd_rectangles(args: argparse.Namespace, doc: dict) -> int:
     s0 = RectangleState(
         pde_trace.t[0], pde_trace.u_max[0], pde_trace.u_min[0], pde_trace.v_max[0], pde_trace.v_min[0]
     )
-    rect_trace = integrate_rectangles(s0, p, pde_trace.t[-1], opts["dt"] * opts["record_every"])
+    rect_trace = integrate_rectangles(s0, p, pde_trace.t, opts["dt"] * opts["record_every"])
     csv_path = resolve_output(doc, args.out, "rectangles_csv")
     columns = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]
     _write_csv(csv_path, columns, [getattr(rect_trace, c) for c in columns])
@@ -712,7 +719,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, load_config(args.config))
+        return args.func(args, load_config(args.config, args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,9 @@ bounding curve moves at least as fast outward as the field it dominates.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .model import (
@@ -82,17 +81,20 @@ class RectangleState:
 @dataclass
 class RectangleTrace:
     """Recorded rectangle trajectory, one packed float64 array('d') per
-    column (see float_column), 8 bytes a row each.  guard_tripped is None
-    for a clean run, "blow_up" when a component passed the divergence guard
-    or the step size collapsed and "step_budget" after MAX_STEPS steps; the
-    columns then end on the last accepted state.  steps and rejected count
-    the integrator's accepted and rejected steps."""
+    column (see float_column), 8 bytes a row each, and in boxes the box
+    (u_hi, u_lo, v_hi, v_lo) at each of the run's given times it reached,
+    four values a time.  guard_tripped is None for a clean run, "blow_up"
+    when a component passed the divergence guard or the step size collapsed
+    and "step_budget" after MAX_STEPS steps; the columns then end on the
+    last accepted state.  steps and rejected count the integrator's
+    accepted and rejected steps."""
 
     t: array = field(default_factory=float_column)
     u_hi: array = field(default_factory=float_column)
     u_lo: array = field(default_factory=float_column)
     v_hi: array = field(default_factory=float_column)
     v_lo: array = field(default_factory=float_column)
+    boxes: array = field(default_factory=float_column)
     guard_tripped: str | None = None
     notes: list[str] = field(default_factory=list)
     steps: int = 0
@@ -160,23 +162,28 @@ def rectangle_rhs(
 def integrate_rectangles(
     s0: RectangleState,
     p: ModelParams,
-    t_end: float,
+    times: Sequence[float],
     spacing: float,
 ) -> RectangleTrace:
-    """The rectangle system from s0 to t_end by Dormand-Prince 5(4).
+    """The rectangle system from s0 by Dormand-Prince 5(4), over the
+    strictly increasing times, from times[0] == s0.t to t_end = times[-1].
 
     Requires ordered nonnegative initial data.  The error target RTOL, ATOL
     sizes the steps; spacing only places the rows between the initial state
     and the state at t_end, at the times s0.t + i * spacing short of the
-    stop tolerance of t_end, by Hairer's continuous extension.  When an
-    accepted step ends with a component past the divergence guard (or
-    non-finite), or a step falls below both MIN_STEP_ULPS float spacings of
-    t and the remainder t_end - t, the run stops with guard_tripped =
-    "blow_up", and after MAX_STEPS attempted steps with "step_budget": the
-    last accepted state is the last row, and a note holds the time and
-    state of a step past the guard.  An initial state that is not finite,
-    or whose right-hand side is not, ends the run at once as "blow_up" with
-    the initial row only.
+    stop tolerance of t_end, by Hairer's continuous extension.  The boxes
+    at the given times come from the same extension, so a time that is a
+    row's time gets that row's bits: the initial state at times[0], the
+    extension of the step that ends at or after each inner time, and the
+    state at t_end at times[-1].  When an accepted step ends with a
+    component past the divergence guard (or non-finite), or a step falls
+    below both MIN_STEP_ULPS float spacings of t and the remainder
+    t_end - t, the run stops with guard_tripped = "blow_up", and after
+    MAX_STEPS attempted steps with "step_budget": the last accepted state is
+    the last row, the boxes end at the last given time up to it, and a note
+    holds the time and state of a step past the guard.  An initial state
+    that is not finite, or whose right-hand side is not, ends the run at
+    once as "blow_up" with the initial row and box only.
     The rectangle system can genuinely blow up in finite time outside the
     global-existence parameter regions.  A spacing below MIN_STEP_ULPS float
     spacings of the run's largest |t|, the smallest step the guard lets
@@ -184,6 +191,9 @@ def integrate_rectangles(
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")
+    if times[0] != s0.t:
+        raise ValueError(f"times must start at s0.t = {s0.t!r}, got {times[0]!r}")
+    t_end = times[-1]
     if not (s0.u_lo <= s0.u_hi and s0.v_lo <= s0.v_hi):
         raise PreconditionError(
             f"initial rectangle must be ordered (u_lo <= u_hi, v_lo <= v_hi), got {s0!r}"
@@ -197,16 +207,19 @@ def integrate_rectangles(
         )
     t_stop, _ = check_time_resolution(s0.t, t_end, spacing)
 
-    t0 = t = last_t = s0.t
+    t0 = t = s0.t
     y = (s0.u_hi, s0.u_lo, s0.v_hi, s0.v_lo)
     trace = RectangleTrace()
     trace.append(t, *y)
+    trace.boxes.extend(y)
     if not t < t_end:  # t_stop may round down to t0 on a span of one float spacing
         return trace
     add_t, add_u_hi, add_u_lo, add_v_hi, add_v_lo = (
         trace.t.append, trace.u_hi.append, trace.u_lo.append, trace.v_hi.append, trace.v_lo.append)
     i_out = 1
     t_out = t0 + spacing
+    add_box = trace.boxes.extend
+    i_s, n_inner = 1, len(times) - 1  # times[-1] takes the state at t_end, as the last row does
     rhs = rectangle_rhs(p)
     k1 = rhs(*y)
     if not all(math.isfinite(c) for c in y + k1):
@@ -260,29 +273,39 @@ def integrate_rectangles(
                 f"(finite-time blow-up of the bounding system)"
             )
             break
-        if t_out <= t_new and t_out < t_stop:
+        if (t_out <= t_new and t_out < t_stop) or (i_s < n_inner and times[i_s] <= t_new):
             (a0, b0, c0, d0, e0), (a1, b1, c1, d1, e1), (a2, b2, c2, d2, e2), (a3, b3, c3, d3, e3) = (
                 _dense_coefficients(h, ks, y, y_new)
             )
             while t_out <= t_new and t_out < t_stop:
-                if last_t < t_out:
-                    theta = (t_out - t) / h
-                    theta1 = 1.0 - theta
-                    add_t(t_out)
-                    add_u_hi(a0 + theta * (b0 + theta1 * (c0 + theta * (d0 + theta1 * e0))))
-                    add_u_lo(a1 + theta * (b1 + theta1 * (c1 + theta * (d1 + theta1 * e1))))
-                    add_v_hi(a2 + theta * (b2 + theta1 * (c2 + theta * (d2 + theta1 * e2))))
-                    add_v_lo(a3 + theta * (b3 + theta1 * (c3 + theta * (d3 + theta1 * e3))))
-                    last_t = t_out
+                theta = (t_out - t) / h
+                theta1 = 1.0 - theta
+                add_t(t_out)
+                add_u_hi(a0 + theta * (b0 + theta1 * (c0 + theta * (d0 + theta1 * e0))))
+                add_u_lo(a1 + theta * (b1 + theta1 * (c1 + theta * (d1 + theta1 * e1))))
+                add_v_hi(a2 + theta * (b2 + theta1 * (c2 + theta * (d2 + theta1 * e2))))
+                add_v_lo(a3 + theta * (b3 + theta1 * (c3 + theta * (d3 + theta1 * e3))))
                 i_out += 1
                 t_out = t0 + i_out * spacing
+            # The rows' formula term for term, so that a sample at a row's time gets
+            # its bits; written out, as a call per row costs about 15% of the run.
+            while i_s < n_inner and times[i_s] <= t_new:
+                theta = (times[i_s] - t) / h
+                theta1 = 1.0 - theta
+                add_box((a0 + theta * (b0 + theta1 * (c0 + theta * (d0 + theta1 * e0))),
+                         a1 + theta * (b1 + theta1 * (c1 + theta * (d1 + theta1 * e1))),
+                         a2 + theta * (b2 + theta1 * (c2 + theta * (d2 + theta1 * e2))),
+                         a3 + theta * (b3 + theta1 * (c3 + theta * (d3 + theta1 * e3)))))
+                i_s += 1
         h_next = min(h / fac, t_end - t0)
         if after_reject:
             h_next = min(h_next, h)
             after_reject = False
         t, y, k1, h = t_new, y_new, ks[-1], h_next
-    if last_t < t:  # t_end, or the last accepted state
+    if trace.t[-1] < t:  # t_end, or the last accepted state
         trace.append(t, *y)
+    if t == t_end:
+        add_box(y)
     return trace
 
 
@@ -370,85 +393,43 @@ class EnclosureReport:
     notes: tuple[str, ...] = ()
 
 
-def _interp(x: float, t: array, j: int, f: array) -> float:
-    """np.interp(x, t, f) bit for bit for t[0] <= x <= t[-1], given j =
-    bisect_right(t, x) - 1: f[j] on a knot, else NumPy's slope formula and
-    its fallbacks for a NaN result."""
-    if t[j] == x:
-        return f[j]
-    slope = (f[j + 1] - f[j]) / (t[j + 1] - t[j])
-    value = slope * (x - t[j]) + f[j]
-    if value != value:
-        value = slope * (x - t[j + 1]) + f[j + 1]
-        if value != value and f[j] == f[j + 1]:
-            value = f[j]
-    return value
-
-
 def check_enclosure(pde_trace, rect_trace: RectangleTrace, tol: float) -> EnclosureReport:
     """Verify u_lo - tol <= min u, max u <= u_hi + tol (and v analogues).
 
-    Rectangle components are linearly interpolated onto the PDE sample
-    times.  PDE samples outside the rectangle trace's exact time span are
-    excluded from the comparison and flagged in the notes, since constant
-    extrapolation would not be evidence of enclosure; a tripped trace adds
-    its own notes.  The worst excess is NumPy's maximum.reduce over the four
-    and argmax over the samples: a NaN wins at its first sample; a tie of
-    the four takes the later one (the sign of a zero), a tie of samples the
-    first.
+    rect_trace is integrate_rectangles' run over pde_trace.t: sample i is
+    compared with the box at its time, box i.  A trace that ended early has
+    boxes up to its last accepted time only, and adds its own notes.  The
+    worst excess is NumPy's maximum.reduce over the four and argmax over the
+    samples: a NaN wins at its first sample; a tie of the four takes the
+    later one (the sign of a zero), a tie of samples the first.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    rect_t = rect_trace.t
-    if not rect_t:
-        raise PreconditionError("rectangle trace has no samples")
-    # Python floats: a NumPy scalar's repr, which the note prints, depends on
-    # the NumPy version.
-    lo, hi = float(rect_t[0]), float(rect_t[-1])
-    rows = zip(pde_trace.t, pde_trace.u_min, pde_trace.u_max, pde_trace.v_min, pde_trace.v_max)
-    compared = [row for row in rows if lo <= row[0] <= hi]
     notes: list[str] = []
-    n_samples = len(pde_trace.t)
-    n_out = n_samples - len(compared)
-    if n_out:
-        notes.append(
-            f"{n_out} PDE sample(s) fall outside the rectangle time span "
-            f"[{lo!r}, {hi!r}] and were not compared"
-        )
     if rect_trace.guard_tripped is not None:
         notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")
         notes.extend(rect_trace.notes)
-    if not compared:
-        return EnclosureReport(
-            passed=False,
-            tol=tol,
-            worst_violation=math.inf,
-            worst_time=math.nan,
-            n_times=0,
-            n_samples=n_samples,
-            notes=tuple(notes + ["no overlapping sample times"]),
-        )
     excess = []
-    for s, u_min, u_max, v_min, v_max in compared:
-        j = bisect.bisect_right(rect_t, s) - 1
-        worst = (_interp(s, rect_t, j, rect_trace.u_lo) - u_min) - tol
-        for e in (
-            (u_max - _interp(s, rect_t, j, rect_trace.u_hi)) - tol,
-            (_interp(s, rect_t, j, rect_trace.v_lo) - v_min) - tol,
-            (v_max - _interp(s, rect_t, j, rect_trace.v_hi)) - tol,
-        ):
+    box = iter(rect_trace.boxes)  # zipped four times: each box's u_hi, u_lo, v_hi, v_lo in turn
+    for u_min, u_max, v_min, v_max, u_hi, u_lo, v_hi, v_lo in zip(
+        pde_trace.u_min, pde_trace.u_max, pde_trace.v_min, pde_trace.v_max, box, box, box, box
+    ):
+        worst = (u_lo - u_min) - tol
+        for e in ((u_max - u_hi) - tol, (v_lo - v_min) - tol, (v_max - v_hi) - tol):
             if not (worst > e or worst != worst):  # np.maximum
                 worst = e
         excess.append(worst)
     # np.argmax: the first NaN, else the first maximum (max keeps the first of equal keys)
     k = max(range(len(excess)), key=lambda i: (excess[i] != excess[i], excess[i]))
     worst = float(excess[k])
+    n_samples = len(pde_trace.t)
     return EnclosureReport(
-        passed=n_out == 0 and worst <= 0.0,
+        passed=len(excess) == n_samples and worst <= 0.0,
         tol=tol,
         worst_violation=worst,
-        worst_time=float(compared[k][0]),
-        n_times=len(compared),
+        # a Python float: a NumPy scalar's repr depends on the NumPy version
+        worst_time=float(pde_trace.t[k]),
+        n_times=len(excess),
         n_samples=n_samples,
         notes=tuple(notes),
     )

@@ -95,7 +95,6 @@ class _Workspace:
         self.p, self.grid = p, grid
         self.dx = grid.dx
         self.dx_operand = np.array(grid.dx)  # a 0-d array converts faster than a float
-        self.cfl_safety = CFL_SAFETY
         self.signal_factor = assemble(p, grid)
         # bracket = (a0 - (a3*mass_u + a4*mass_v)) - (a1*u + a2*v), v's from the
         # b's, in elementwise products, so no BLAS kernel sets its bits; a1*u
@@ -166,10 +165,10 @@ def _check_stability(ws: _Workspace, dt: float) -> None:
     jmax = float(np.maximum.reduce(np.abs(jac, jac), None))
     rx_limit = math.inf if jmax == 0.0 else 1.0 / jmax
     rate = 2.0 * ws.chi_max * float(np.maximum.reduce(np.abs(ws.dw, ws.abs_dw))) / (ws.dx * ws.dx) + jmax
-    pos_limit = math.inf if rate == 0.0 else ws.cfl_safety / rate
+    pos_limit = math.inf if rate == 0.0 else CFL_SAFETY / rate
     if dt > pos_limit:
         rate = _outflow_rate(ws)
-        pos_limit = math.inf if rate <= 0.0 else ws.cfl_safety / rate
+        pos_limit = math.inf if rate <= 0.0 else CFL_SAFETY / rate
     if dt > pos_limit or dt > rx_limit:
         if dt > pos_limit and dt > rx_limit:
             binding = "positivity and reaction"

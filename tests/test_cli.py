@@ -334,6 +334,7 @@ class TestConfigErrors:
             ("rectangles", "record_every", True),
             ("outputs", "trajectory_csv", 1),
             ("outputs", "summary_json", ""),
+            ("outputs", "trajectory_csv", "a\0b.csv"),
             ("outputs", "check_json", None),
             ("outputs", "steady_json", ["steady.json"]),
             ("outputs", "bounds_json", True),
@@ -438,6 +439,24 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         self.assert_one_error_line(capsys, f"config error: outputs: {keys} name one file\n")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize("spelling", ["absolute", "symlink"])
+    def test_outputs_are_compared_where_they_resolve(self, tmp_path, capsys, command, spelling):
+        # "t.csv" under --out, and that file named by an absolute path or
+        # through a symlink to --out, are one file: the second write would
+        # replace the first.
+        out = tmp_path / "out"
+        out.mkdir()
+        if spelling == "symlink":
+            (tmp_path / "link").symlink_to(out, target_is_directory=True)
+        doc = base_config()
+        same = tmp_path / ("out" if spelling == "absolute" else "link") / "t.csv"
+        doc["outputs"] = {"trajectory_csv": "t.csv", "summary_json": str(same)}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys, "config error: outputs: trajectory_csv and summary_json name one file\n")
+        assert list(out.iterdir()) == []
 
     def test_section_must_be_an_object(self, tmp_path, capsys):
         doc = base_config()
@@ -1106,7 +1125,7 @@ class TestSimulateOutputs:
         doc = base_config()
         doc["initial_data"] = {"perturbed_constant": [0.5, 0.5, 0.1]}
         doc["references"] = references
-        doc = cli.load_config(write_config(tmp_path, doc))
+        doc = cli.load_config(write_config(tmp_path, doc), str(tmp_path))
         refs = cli.build_references(doc, doc["params"])
         rec = cli._run_from_config(doc)
         # Cells whose repr is unusual: NaN, infinities, signed zero, subnormal.
@@ -1377,6 +1396,24 @@ class TestRectangles:
         )
         assert traj.read_bytes() == before and not out.exists()
 
+    @pytest.mark.parametrize("dt, record_every", [(1e-3, 10), (1.0, 10), (1e3, 1)])
+    def test_readme_verdict_does_not_depend_on_the_row_spacing(self, tmp_path, capsys, dt, record_every):
+        # Each sample is compared with the rectangle's own continuous
+        # extension at its time, not with rows interpolated at the row
+        # spacing: rows a unit or a thousand units apart give the same pass.
+        doc = readme_config()
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+        doc["rectangles"] = {"dt": dt, "record_every": record_every}
+        cfg = write_config(tmp_path, doc, "replay.json")
+        out = tmp_path / "replay"
+        args = ["rectangles", "--config", cfg, "--out", str(out), "--trajectory", str(tmp_path / "trajectory.csv")]
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("enclosure: pass ")
+        report = read_json(out / "enclosure.json")
+        assert report["passed"] is True and report["n_times"] == report["n_samples"] == 1001
+        assert -1e-3 <= report["worst_violation"] < -0.9e-3
+
     def test_every_sample_of_a_long_run_is_compared(self, tmp_path, capsys):
         # 10,000 PDE steps to t = 50 replayed at rectangles.dt = 1e-3: the
         # rectangle trace ends on the last sample's t = 50.0, not 2.6e-11
@@ -1589,7 +1626,7 @@ class TestRectangles:
         # the sample at t = 1 was never compared, so the verdict is not a pass
         assert enclosure["passed"] is False
         assert (enclosure["worst_violation"], enclosure["n_times"], enclosure["n_samples"]) == (-1e-3, 1, 2)
-        assert enclosure["notes"][1:] == [
+        assert enclosure["notes"] == [
             "rectangle trace ended early: guard_tripped='step_budget'",
             f"rectangle run used up its 20000 steps at t={t_last} (stiff system)",
         ]
@@ -1616,7 +1653,7 @@ class TestRectangles:
 
     def test_tripping_interval_is_incomplete(self, tmp_path, capsys):
         # The rectangle at chi = 5 from [0.4, 0.6]^2 trips its guard near
-        # t = 0.276.  A sample on its last row is compared; a sample with
+        # t = 0.276.  A sample at its last accepted time is compared; a sample with
         # u_max = 1e3 between that row and the trip, and every later one,
         # is not: no compared sample fails, but the verdict is incomplete.
         params = {**base_params(), "chi1": 5.0, "chi2": 5.0}

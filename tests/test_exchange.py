@@ -320,8 +320,8 @@ class TestDynamics:
     def test_rectangles_of_the_exchange_are_the_swapped_rectangles(self):
         s0 = RectangleState(t=0.0, u_hi=0.9, u_lo=0.2, v_hi=0.7, v_lo=0.35)
         swapped = RectangleState(t=0.0, u_hi=0.7, u_lo=0.35, v_hi=0.9, v_lo=0.2)
-        trace = integrate_rectangles(s0, MIXED, 2.0, 0.05)
-        mirror = integrate_rectangles(swapped, MIXED.exchanged(), 2.0, 0.05)
+        trace = integrate_rectangles(s0, MIXED, (s0.t, 2.0), 0.05)
+        mirror = integrate_rectangles(swapped, MIXED.exchanged(), (swapped.t, 2.0), 0.05)
         assert trace.guard_tripped is None and mirror.guard_tripped is None
         assert trace.t == mirror.t and len(trace.t) > 2
         for a, b in (("u_hi", "v_hi"), ("u_lo", "v_lo"), ("v_hi", "u_hi"), ("v_lo", "u_lo")):

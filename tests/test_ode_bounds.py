@@ -34,12 +34,9 @@ def make_pde_trace(samples):
     return rec
 
 
-def box_trace(times):
-    """Rectangle trace holding the box [0, 1] x [0, 1] at every time."""
-    n = len(times)
-    return RectangleTrace(
-        t=list(times), u_hi=[1.0] * n, u_lo=[0.0] * n, v_hi=[1.0] * n, v_lo=[0.0] * n
-    )
+def box_trace(n):
+    """Rectangle trace holding the box [0, 1] x [0, 1] at n sample times."""
+    return RectangleTrace(boxes=[1.0, 0.0, 1.0, 0.0] * n)
 
 
 class TestRectangleRhs:
@@ -85,13 +82,15 @@ class TestIntegrateRectangles:
         s = RectangleState(t=0.0, u_hi=1.0, u_lo=0.5, v_hi=1.0, v_lo=0.5)
         for spacing in (0.0, -1e-3, math.nan):
             with pytest.raises(ValueError, match="spacing"):
-                integrate_rectangles(s, mk_params(), 1.0, spacing)
+                integrate_rectangles(s, mk_params(), (s.t, 1.0), spacing)
         bad_order = RectangleState(t=0.0, u_hi=0.5, u_lo=1.0, v_hi=1.0, v_lo=0.5)
         with pytest.raises(PreconditionError, match="ordered"):
-            integrate_rectangles(bad_order, mk_params(), 1.0, 1e-3)
+            integrate_rectangles(bad_order, mk_params(), (bad_order.t, 1.0), 1e-3)
         negative = RectangleState(t=0.0, u_hi=1.0, u_lo=-0.1, v_hi=1.0, v_lo=0.5)
         with pytest.raises(PreconditionError, match="nonnegative"):
-            integrate_rectangles(negative, mk_params(), 1.0, 1e-3)
+            integrate_rectangles(negative, mk_params(), (negative.t, 1.0), 1e-3)
+        with pytest.raises(ValueError, match="times must start at s0.t"):
+            integrate_rectangles(s, mk_params(), (0.5, 1.0), 1e-3)
 
     def test_columns_take_about_eight_bytes_a_value(self):
         # The README run: perturbed_constant [0.5, 0.5, 0.1] on 128 cells,
@@ -102,7 +101,7 @@ class TestIntegrateRectangles:
         s0 = RectangleState(0.0, float(u0.max()), float(u0.min()), float(v0.max()), float(v0.min()))
 
         def run():
-            return integrate_rectangles(s0, coexistence_params(0.1), 200.0, 1e-2)
+            return integrate_rectangles(s0, coexistence_params(0.1), (s0.t, 200.0), 1e-2)
 
         run()
         trace, peak = traced_peak(run)
@@ -115,7 +114,7 @@ class TestIntegrateRectangles:
         s0 = RectangleState(t=1.0, u_hi=0.6, u_lo=0.4, v_hi=0.6, v_lo=0.4)
         t_end = 1.0 + 8192 * math.ulp(1.0)
         dt = math.nextafter(0.5 * math.ulp(1.0), 1.0)
-        trace = integrate_rectangles(s0, mk_params(), t_end, dt * 1000)
+        trace = integrate_rectangles(s0, mk_params(), (s0.t, t_end), dt * 1000)
         assert trace.t[-1] > 1.0
         assert trace.t.tolist() == sorted(set(trace.t))
 
@@ -127,15 +126,15 @@ class TestIntegrateRectangles:
         t_end = 1.0 + 64 * math.ulp(1.0)
         smallest = ode_bounds.MIN_STEP_ULPS * math.ulp(t_end)
         with pytest.raises(PreconditionError, match="float resolution"):
-            integrate_rectangles(s0, mk_params(), t_end, math.nextafter(smallest, 0.0))
-        trace = integrate_rectangles(s0, mk_params(), t_end, smallest)
+            integrate_rectangles(s0, mk_params(), (s0.t, t_end), math.nextafter(smallest, 0.0))
+        trace = integrate_rectangles(s0, mk_params(), (s0.t, t_end), smallest)
         assert trace.guard_tripped is None and trace.steps >= 1
         assert trace.t[1] == 1.0 + smallest and trace.t[-1] == t_end
 
     def test_diagonal_stays_diagonal(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=0.6, u_lo=0.6, v_hi=0.4, v_lo=0.4)
-        trace = integrate_rectangles(s0, p, 20.0, 0.1)
+        trace = integrate_rectangles(s0, p, (s0.t, 20.0), 0.1)
         gaps_u = np.array(trace.u_hi) - np.array(trace.u_lo)
         gaps_v = np.array(trace.v_hi) - np.array(trace.v_lo)
         assert np.max(np.abs(gaps_u)) <= 1e-12
@@ -144,7 +143,7 @@ class TestIntegrateRectangles:
     def test_ordering_is_preserved(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=1.5, u_lo=0.2, v_hi=1.2, v_lo=0.1)
-        trace = integrate_rectangles(s0, p, 50.0, 0.05)
+        trace = integrate_rectangles(s0, p, (s0.t, 50.0), 0.05)
         for u_hi, u_lo, v_hi, v_lo in zip(trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo):
             assert u_lo <= u_hi + 1e-9
             assert v_lo <= v_hi + 1e-9
@@ -161,7 +160,7 @@ class TestIntegrateRectangles:
             rtol=1e-12, atol=1e-14, dense_output=True,
         )
         s0 = RectangleState(t=0.0, u_hi=0.2, u_lo=0.2, v_hi=0.6, v_lo=0.6)
-        trace = integrate_rectangles(s0, p, 10.0, 0.1)
+        trace = integrate_rectangles(s0, p, (s0.t, 10.0), 0.1)
         for t, u_hi, v_hi in zip(trace.t, trace.u_hi, trace.v_hi):
             u_ref, v_ref = sol.sol(t)
             assert abs(u_hi - u_ref) <= 1e-9
@@ -170,7 +169,7 @@ class TestIntegrateRectangles:
     def test_components_respect_sup_caps(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=2.0, v_lo=1.0)
-        trace = integrate_rectangles(s0, p, 100.0, 0.1)
+        trace = integrate_rectangles(s0, p, (s0.t, 100.0), 0.1)
         bc = linf_bounds(p, s0.u_hi, s0.v_hi)
         assert max(trace.u_hi) <= bc["sup_cap_u"] * (1.0 + 1e-6)
         assert max(trace.v_hi) <= bc["sup_cap_v"] * (1.0 + 1e-6)
@@ -179,7 +178,7 @@ class TestIntegrateRectangles:
     def test_contracts_to_coexistence_point(self):
         p = coexistence_params(0.1)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=1.0, v_hi=2.0, v_lo=1.0)
-        trace = integrate_rectangles(s0, p, 100.0, 0.1)
+        trace = integrate_rectangles(s0, p, (s0.t, 100.0), 0.1)
         third = 1.0 / 3.0
         assert abs(trace.u_hi[-1] - third) < 1e-8
         assert abs(trace.u_lo[-1] - third) < 1e-8
@@ -188,7 +187,7 @@ class TestIntegrateRectangles:
     def test_divergence_guard_keeps_partial_trace(self):
         p = mk_params(chi1=10.0)
         s0 = RectangleState(t=0.0, u_hi=2.0, u_lo=0.0, v_hi=1.0, v_lo=1.0)
-        trace = integrate_rectangles(s0, p, 1.0, 1e-3)
+        trace = integrate_rectangles(s0, p, (s0.t, 1.0), 1e-3)
         assert trace.guard_tripped == "blow_up"
         assert trace.t[-1] < 1.0
         assert any("divergence guard" in note for note in trace.notes)
@@ -196,128 +195,71 @@ class TestIntegrateRectangles:
 
 class TestCheckEnclosure:
     def test_containment_with_slack(self):
-        rect = box_trace((0.0, 0.5, 1.0))
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (1.0, 0.3, 0.7, 0.3, 0.7)])
-        report = check_enclosure(pde, rect, tol=1e-3)
+        report = check_enclosure(pde, box_trace(2), tol=1e-3)
         assert report.passed
         assert report.worst_violation == pytest.approx(-0.2 - 1e-3, rel=1e-12)
         assert report.n_times == 2
 
     def test_violation_is_located(self):
-        rect = box_trace((0.0, 1.0))
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (1.0, 0.2, 1.2, 0.2, 0.8)])
-        report = check_enclosure(pde, rect, tol=1e-3)
+        report = check_enclosure(pde, box_trace(2), tol=1e-3)
         assert not report.passed
         assert report.worst_time == 1.0
         assert report.worst_violation == pytest.approx(0.2 - 1e-3, rel=1e-12)
 
     def test_uncovered_samples_are_flagged(self):
-        rect = box_trace((0.0, 1.0))
-        pde = make_pde_trace(
-            [(0.0, 0.2, 0.8, 0.2, 0.8), (2.0, 0.0, 5.0, 0.0, 5.0)]
-        )
-        report = check_enclosure(pde, rect, tol=1e-3)
+        # A trace with fewer boxes than samples, as one that ended early,
+        # compares the samples it reached; the sample after them is not
+        # compared, whatever it holds.
+        pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (2.0, 0.0, 5.0, 0.0, 5.0)])
+        report = check_enclosure(pde, box_trace(1), tol=1e-3)
         # inside where compared, but the claim is an enclosure for all time
         assert not report.passed and report.worst_violation < 0.0
         assert (report.n_times, report.n_samples) == (1, 2)
-        assert any("not compared" in note for note in report.notes)
-
-    def test_uncovered_note_prints_plain_floats(self):
-        # The span is printed from Python floats, so the note reads the same
-        # under every NumPy version, whatever float type the trace holds.
-        pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (2.0, 0.0, 5.0, 0.0, 5.0)])
-        for times in ((0.0, 0.5), np.array([0.0, 0.5])):
-            report = check_enclosure(pde, box_trace(times), tol=1e-3)
-            assert report.notes == (
-                "1 PDE sample(s) fall outside the rectangle time span [0.0, 0.5] "
-                "and were not compared",
-            )
-
-    def test_span_is_exact(self):
-        # The rectangle starts on the first sample and ends on the last, so
-        # a sample 1e-13 outside its span is not compared.
-        rect = box_trace((0.0, 1.0))
-        pde = make_pde_trace([(t, 0.2, 0.8, 0.2, 0.8) for t in (-1e-13, 0.0, 1.0, 1.0 + 1e-13)])
-        report = check_enclosure(pde, rect, tol=1e-3)
-        assert not report.passed and (report.n_times, report.n_samples) == (2, 4)
-        assert report.notes == (
-            "2 PDE sample(s) fall outside the rectangle time span [0.0, 1.0] and were not compared",
-        )
-
-    def test_no_overlap_fails_explicitly(self):
-        rect = box_trace((5.0,))
-        pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8)])
-        report = check_enclosure(pde, rect, tol=1e-3)
-        assert not report.passed
-        assert report.n_times == 0
-        assert math.isinf(report.worst_violation)
 
     def test_nan_sample_is_the_worst(self):
         # A NaN density wins over a later, finite violation, and is reported
         # at its own time.
-        rect = box_trace((0.0, 1.0, 2.0))
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8), (1.0, math.nan, 0.8, 0.2, 0.8),
                               (2.0, 0.2, 1.5, 0.2, 0.8)])
-        report = check_enclosure(pde, rect, tol=1e-3)
+        report = check_enclosure(pde, box_trace(3), tol=1e-3)
         assert math.isnan(report.worst_violation)
         assert report.worst_time == 1.0
         assert not report.passed
 
     def test_input_validation(self):
         pde = make_pde_trace([(0.0, 0.2, 0.8, 0.2, 0.8)])
-        with pytest.raises(PreconditionError):
-            check_enclosure(pde, RectangleTrace(), tol=1e-3)
-        rect = box_trace((0.0,))
-        with pytest.raises(ValueError):
-            check_enclosure(pde, rect, tol=-1.0)
+        for tol in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                check_enclosure(pde, box_trace(1), tol=tol)
 
 
 def numpy_check_enclosure(pde_trace, rect_trace, tol):
-    """check_enclosure as written with NumPy: np.interp onto the compared
-    sample times, np.maximum.reduce over the four excesses, np.argmax over
-    the samples.  The oracle of TestEnclosureMatchesNumpy."""
+    """check_enclosure as written with NumPy: np.maximum.reduce over the
+    four excesses of each sample over its box, np.argmax over the samples
+    the boxes reach.  The oracle of TestEnclosureMatchesNumpy."""
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    if not rect_trace.t:
-        raise PreconditionError("rectangle trace has no samples")
-    pde_t = np.asarray(pde_trace.t, dtype=float)
-    rect_t = np.asarray(rect_trace.t, dtype=float)
-    inside = (pde_t >= rect_t[0]) & (pde_t <= rect_t[-1])
     notes = []
-    if not inside.all():
-        n_out = int((~inside).sum())
-        first, last = float(rect_trace.t[0]), float(rect_trace.t[-1])
-        notes.append(
-            f"{n_out} PDE sample(s) fall outside the rectangle time span "
-            f"[{first!r}, {last!r}] and were not compared"
-        )
     if rect_trace.guard_tripped is not None:
         notes.append(f"rectangle trace ended early: guard_tripped={rect_trace.guard_tripped!r}")
         notes.extend(rect_trace.notes)
-    t_cmp = pde_t[inside]
-    if t_cmp.size == 0:
-        return EnclosureReport(
-            passed=False, tol=tol, worst_violation=math.inf, worst_time=math.nan, n_times=0,
-            n_samples=int(pde_t.size), notes=tuple(notes + ["no overlapping sample times"]),
-        )
-    u_hi = np.interp(t_cmp, rect_t, rect_trace.u_hi)
-    u_lo = np.interp(t_cmp, rect_t, rect_trace.u_lo)
-    v_hi = np.interp(t_cmp, rect_t, rect_trace.v_hi)
-    v_lo = np.interp(t_cmp, rect_t, rect_trace.v_lo)
-    u_min = np.asarray(pde_trace.u_min, dtype=float)[inside]
-    u_max = np.asarray(pde_trace.u_max, dtype=float)[inside]
-    v_min = np.asarray(pde_trace.v_min, dtype=float)[inside]
-    v_max = np.asarray(pde_trace.v_max, dtype=float)[inside]
+    u_hi, u_lo, v_hi, v_lo = np.asarray(rect_trace.boxes, dtype=float).reshape(-1, 4).T
+    n = u_hi.size
+    u_min, u_max, v_min, v_max = (
+        np.asarray(getattr(pde_trace, c), dtype=float)[:n] for c in ("u_min", "u_max", "v_min", "v_max")
+    )
     with np.errstate(all="ignore"):  # inf - inf in a blown-up trace
         excess = np.maximum.reduce(
             [(u_lo - u_min) - tol, (u_max - u_hi) - tol, (v_lo - v_min) - tol, (v_max - v_hi) - tol]
         )
     worst_idx = int(np.argmax(excess))
     worst = float(excess[worst_idx])
+    n_samples = len(pde_trace.t)
     return EnclosureReport(
-        passed=bool(inside.all()) and worst <= 0.0, tol=tol, worst_violation=worst,
-        worst_time=float(t_cmp[worst_idx]), n_times=int(t_cmp.size), n_samples=int(pde_t.size),
-        notes=tuple(notes),
+        passed=n == n_samples and worst <= 0.0, tol=tol, worst_violation=worst,
+        worst_time=float(pde_trace.t[worst_idx]), n_times=n, n_samples=n_samples, notes=tuple(notes),
     )
 
 
@@ -329,6 +271,11 @@ def columns_trace(rows):
         for name, value in zip(("t", "u_min", "u_max", "v_min", "v_max"), row):
             getattr(rec, name).append(value)
     return rec
+
+
+def box_at(trace, i):
+    """The box (u_hi, u_lo, v_hi, v_lo) at the trace's i-th sample time."""
+    return tuple(trace.boxes[4 * i:4 * i + 4])
 
 
 class TestEnclosureMatchesNumpy:
@@ -343,90 +290,83 @@ class TestEnclosureMatchesNumpy:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_traces(self, seed):
         rng = random.Random(seed)
-        n_rect = rng.choice((1, 2, 3, 17, 200))
-        rect_t = [rng.uniform(-1.0, 1.0)]
-        for _ in range(n_rect - 1):
-            rect_t.append(rect_t[-1] + rng.choice((1e-3, 0.1, rng.uniform(1e-6, 1.0))))
+        n = rng.choice((1, 2, 3, 17, 200))
+        times = [rng.uniform(-1.0, 1.0)]
+        for _ in range(n - 1):
+            times.append(times[-1] + rng.choice((1e-3, 0.1, rng.uniform(1e-6, 1.0))))
         special = (math.inf, -math.inf, math.nan, 0.0, -0.0, 1e308)
 
         def value():
             return rng.choice(special) if rng.random() < 0.05 else rng.uniform(-2.0, 2.0)
 
-        columns = [[value() for _ in rect_t] for _ in range(4)]
-        guard = rng.choice((None, "blow_up"))
-        rect = RectangleTrace(rect_t, *columns, guard_tripped=guard, notes=[f"seed {seed}"] if guard else [])
-        # exact knots, points between them, points just beyond both ends,
-        # and points far outside
-        candidates = (
-            rect_t + [rng.uniform(rect_t[0], rect_t[-1]) for _ in range(3 * n_rect)]
-            + [rect_t[0] - 5e-13, rect_t[-1] + 5e-13, rect_t[0] - 1e-11, rect_t[-1] + 1e-11,
-               rect_t[0] - 3.0, rect_t[-1] + 3.0]
-        )
-        times = sorted(set(rng.sample(candidates, min(len(candidates), 60))))
         pde = columns_trace([(t, value(), value(), value(), value()) for t in times])
+        guard = rng.choice((None, "blow_up"))
+        # a trace that ended early reaches a prefix of the samples
+        reached = rng.randint(1, n) if guard else n
+        rect = RectangleTrace(boxes=[value() for _ in range(4 * reached)], guard_tripped=guard,
+                              notes=[f"seed {seed}"] if guard else [])
         for tol in (0.0, 1e-3, rng.uniform(0.0, 0.5)):
             self.assert_same(pde, rect, tol)
 
     def test_blown_up_rectangle(self):
-        p = mk_params(chi1=1e200)
-        rect = integrate_rectangles(RectangleState(0.0, 1.0, 0.0, 0.0, 0.0), p, 1.0, 1e-3)
+        # the rectangle trips near t = 1e-200, before the second sample
+        # time: only the box at t = 0 is reached
+        times = (0.0, 2.5e-4, 5e-4, 1e-3, 2e-3)
+        rect = integrate_rectangles(RectangleState(0.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e200), times, 1e-3)
         assert rect.guard_tripped == "blow_up"
-        rows = [(t, 0.1, 0.9, 0.0, 0.5) for t in (0.0, 2.5e-4, 5e-4, 1e-3, 2e-3)]
-        # the rectangle trips near t = 1e-200, before the first row time:
-        # its last row, the last state inside the guard, lies just before
-        # the trip, so only t = 0 lies in its span
-        assert len(rect.t) == 2 and rect.t[0] == 0.0 and 0.0 < rect.t[1] < 1e-199
-        assert rect.u_hi[1] <= BLOWUP_GUARD
+        assert box_at(rect, 0) == (1.0, 0.0, 0.0, 0.0) and len(rect.boxes) == 4
+        rows = [(t, 0.1, 0.9, 0.0, 0.5) for t in times]
         assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 1
-        # Rows holding inf up to the last row at t = 1.5, with the PDE at
-        # inf too; v_hi is inf on both knots around t = 0.6, where
-        # np.interp returns inf, not NaN.  The sample at t = 1.25 lies
-        # before the last row and is compared.
+        # Boxes holding inf, against a PDE at inf too: at t = 0.25 an
+        # infinite u_max over a finite box is an excess of inf, at t = 0.5
+        # inf - inf is a NaN excess, which wins over it.
         inf = math.inf
-        rect = RectangleTrace([0.0, 0.5, 1.0, 1.5], [1.0, 2.0, inf, inf], [0.0, 0.0, -inf, -inf],
-                              [1.0, inf, inf, inf], [0.0, 0.0, 0.0, 0.0], guard_tripped="blow_up")
-        rows = [(0.0, 0.1, 0.9, 0.1, 0.9), (0.25, 0.1, inf, 0.1, 0.9), (0.6, 0.1, 0.9, 0.1, 0.9),
-                (0.75, 0.1, 0.9, 0.1, inf), (1.0, inf, inf, 0.1, 0.9), (1.25, 0.1, 0.9, 0.1, 0.9)]
-        assert self.assert_same(columns_trace(rows), rect, 1e-3).n_times == 6
+        rect = RectangleTrace(boxes=[1.0, 0.0, 1.0, 0.0, 2.0, 0.0, inf, 0.0, inf, -inf, inf, 0.0,
+                                     inf, -inf, inf, 0.0], guard_tripped="blow_up")
+        rows = [(0.0, 0.1, 0.9, 0.1, 0.9), (0.25, 0.1, inf, 0.1, 0.9), (0.5, 0.1, 0.9, 0.1, inf),
+                (1.0, inf, inf, 0.1, 0.9), (1.25, 0.1, 0.9, 0.1, 0.9)]
+        report = self.assert_same(columns_trace(rows), rect, 1e-3)
+        assert report.n_times == 4 and math.isnan(report.worst_violation) and report.worst_time == 0.5
+
+    @staticmethod
+    def trip_time(rect):
+        """The time of the step past the guard, from the trace's note."""
+        return float(re.search(r"at t=(\S+) with", rect.notes[0])[1])
 
     def test_tripping_interval_is_left_out(self):
-        # The rectangle's last row is its last state inside the guard, near
-        # t = 0.276 after the grid row at t = 0.27 (u_hi = 21); the step
+        # The rectangle's last accepted state lies near t = 0.276; the step
         # past the guard ends about 1e-11 later, at the time its note gives.
         # A PDE sample in that interval with u_max = 1e3 lies past the last
-        # row and is not compared; a sample on the last row is.
-        rect = integrate_rectangles(
-            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(5.0), 0.5, 1e-2
-        )
-        assert rect.guard_tripped == "blow_up"
-        assert rect.t[-2] == pytest.approx(0.27) and 0.27 < rect.t[-1] < 0.28
-        assert rect.u_hi[-2] < 25.0 < rect.u_hi[-1] <= BLOWUP_GUARD
-        t_trip = float(re.search(r"at t=(\S+) with", rect.notes[0])[1])
-        assert rect.t[-1] < t_trip < 0.28
-        inside = 0.5 * (rect.t[-1] + t_trip)
+        # accepted time and is not compared; a sample at that time is.
+        s0, p = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(5.0)
+        first = integrate_rectangles(s0, p, (0.0, 0.5), 1e-2)
+        t_last, t_trip = first.t[-1], self.trip_time(first)
+        assert first.guard_tripped == "blow_up" and 0.27 < t_last < t_trip < 0.28
+        inside = 0.5 * (t_last + t_trip)
+        times = (0.0, 0.25, t_last, inside, 0.3)
+        rect = integrate_rectangles(s0, p, times, 1e-2)
+        assert (rect.t, rect.u_hi, rect.notes) == (first.t, first.u_hi, first.notes)
+        assert len(rect.boxes) == 3 * 4
+        assert 25.0 < box_at(rect, 2)[0] <= BLOWUP_GUARD
         pde = columns_trace([(0.0, 0.45, 0.55, 0.45, 0.55), (0.25, 0.45, 0.55, 0.45, 0.55),
-                             (rect.t[-1], 0.45, 0.55, 0.45, 0.55), (inside, 0.45, 1e3, 0.45, 0.55),
+                             (t_last, 0.45, 0.55, 0.45, 0.55), (inside, 0.45, 1e3, 0.45, 0.55),
                              (0.3, 0.45, 0.55, 0.45, 0.55)])
         report = self.assert_same(pde, rect, 1e-3)
         assert not report.passed and report.worst_violation < 0.0 and report.n_times == 3
-        assert report.notes == (
-            f"2 PDE sample(s) fall outside the rectangle time span [0.0, {rect.t[-1]!r}] "
-            "and were not compared",
-            "rectangle trace ended early: guard_tripped='blow_up'",
-            *rect.notes,
-        )
+        assert report.notes == ("rectangle trace ended early: guard_tripped='blow_up'", *rect.notes)
 
     def test_collapsed_run_compares_its_last_row(self):
         # From t = 1 the rectangle blows up about 1e-11 later.  The step
         # size falls below four float spacings of t with u_hi near 98, well
-        # inside the guard: that last accepted state is the last row, and a
-        # PDE sample at its time with u_max = 2 * u_hi fails there.
-        rect = integrate_rectangles(
-            RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e11), 2.0, 1e-3
-        )
+        # inside the guard, at the last accepted time; a PDE sample at that
+        # time with u_max = 2 * u_hi fails there, and a later one is not
+        # compared.
+        s0, p = RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e11)
+        t_last = integrate_rectangles(s0, p, (1.0, 2.0), 1e-3).t[-1]
+        rect = integrate_rectangles(s0, p, (1.0, t_last, 1.5), 1e-3)
         assert rect.guard_tripped == "blow_up"
         assert rect.notes[0].startswith("rectangle step size ")
-        t_last, u_last = rect.t[-1], rect.u_hi[-1]
+        u_last = box_at(rect, 1)[0]
         assert 1.0 < t_last < 1.0 + 1e-11 and 50.0 < u_last < BLOWUP_GUARD
         pde = columns_trace([(1.0, 0.0, 1.0, 0.0, 0.0), (t_last, 0.0, 2.0 * u_last, 0.0, 0.0),
                              (1.5, 0.0, 1.0, 0.0, 0.0)])
@@ -439,14 +379,13 @@ class TestEnclosureMatchesNumpy:
         # With tol = 0 each excess is -0.0 (rectangle -0.0 against density
         # 0.0), 0.0, or negative, per slot and per sample; three samples
         # cover every pattern of zero ties within and between samples.
-        rect_t = [0.0, 1.0, 2.0]
-        rect = RectangleTrace(rect_t, [0.0] * 3, [-0.0] * 3, [0.0] * 3, [-0.0] * 3)
+        rect = RectangleTrace(boxes=[0.0, -0.0, 0.0, -0.0] * 3)
         patterns = list(itertools.product((-0.0, 0.0, -1.0), repeat=4))
         worst = set()
         for start in range(0, len(patterns) - 2, 7):
             picked = [patterns[start + i] for i in order]
             # The lower slots read -0.0 - (-x) and the upper ones x - 0.0.
-            rows = [(t, -a, b, -c, d) for t, (a, b, c, d) in zip(rect_t, picked)]
+            rows = [(t, -a, b, -c, d) for t, (a, b, c, d) in zip((0.0, 1.0, 2.0), picked)]
             worst.add(repr(self.assert_same(columns_trace(rows), rect, 0.0).worst_violation))
         assert worst == {"-0.0", "0.0"}
 
@@ -528,7 +467,7 @@ def assert_close_to_reference(s0, p, t_end, dt, record_every, ref_dt, t_max=None
     reference_rk4's at the step ref_dt, which divides dt, on the same
     output times, up to t_max when given; returns the trace and the
     reference's guard status."""
-    trace = integrate_rectangles(s0, p, t_end, dt * record_every)
+    trace = integrate_rectangles(s0, p, (s0.t, t_end), dt * record_every)
     rows, guard, _ = reference_rk4(s0, p, t_end, ref_dt, round(dt / ref_dt) * record_every)
     got = list(zip(trace.t, trace.u_hi, trace.u_lo, trace.v_hi, trace.v_lo))
     if t_max is None:
@@ -609,10 +548,10 @@ def compensated_sum(items, start=0):
 # The README box to t = 200 and a box of mixed-sign coefficients, which
 # takes the negative-part branches, to t = 20; rows every 0.01.
 VERSION_RUNS = {
-    "readme": (RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1), 200.0, 1e-2),
+    "readme": (RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1), (0.0, 200.0), 1e-2),
     "mixed-sign": (
         RectangleState(0.0, 1.0, 0.05, 0.8, 0.05), coexistence_params(0.1, a2=-0.3, a3=-0.1, b4=0.2),
-        20.0, 1e-2,
+        (0.0, 20.0), 1e-2,
     ),
 }
 COLUMNS = ("t", "u_hi", "u_lo", "v_hi", "v_lo")
@@ -672,7 +611,7 @@ class TestConvergence:
         runs = {}
         for rtol in (1e-6, 1e-9, 1e-12):
             monkeypatch.setattr(ode_bounds, "RTOL", rtol)
-            runs[rtol] = integrate_rectangles(s0, p, 3.3337, 1e-2)
+            runs[rtol] = integrate_rectangles(s0, p, (s0.t, 3.3337), 1e-2)
         best = runs[1e-12]
         errors = {}
         for rtol in (1e-6, 1e-9):
@@ -753,6 +692,54 @@ class TestFixedPoint:
             assert trace.steps <= 10 and trace.rejected == 0
 
 
+class TestSampleBoxes:
+    """The boxes at the given times come from the continuous extension
+    that places the rows."""
+
+    @pytest.mark.parametrize("s0, p, t_end, spacing", [
+        *((s0, p, times[-1], spacing) for s0, p, times, spacing in VERSION_RUNS.values()),
+        # from a nonzero start, t_end off the row grid
+        (RectangleState(0.25, 1.5, 0.2, 1.2, 0.1), coexistence_params(0.1), 5.07, 6e-3),
+    ], ids=[*VERSION_RUNS, "offset-start"])
+    def test_a_sample_at_a_row_time_gets_the_row_bits(self, s0, p, t_end, spacing):
+        # Every row time as a sample time, the first and the last included:
+        # the boxes are the rows, and the rows are those of the run that
+        # was given the two ends only.
+        rows = integrate_rectangles(s0, p, (s0.t, t_end), spacing)
+        trace = integrate_rectangles(s0, p, rows.t, spacing)
+        for c in COLUMNS:
+            assert repr(getattr(trace, c)) == repr(getattr(rows, c)), c
+        assert repr(trace.boxes.tolist()) == repr(
+            [x for row in zip(rows.u_hi, rows.u_lo, rows.v_hi, rows.v_lo) for x in row])
+        assert rows.boxes.tolist() == [*box_at(rows, 0), rows.u_hi[-1], rows.u_lo[-1], rows.v_hi[-1], rows.v_lo[-1]]
+
+    def test_boxes_between_the_rows_follow_the_solution(self):
+        # On the diagonal the rectangle is the interaction ODE; its boxes at
+        # times off the row grid match an independent integrator's.
+        p = coexistence_params(0.0)
+        sol = solve_ivp(lambda _t, y: [y[0] * (1.0 - 2.0 * y[0] - y[1]), y[1] * (1.0 - y[0] - 2.0 * y[1])],
+                        (0.0, 10.0), [0.2, 0.6], rtol=1e-12, atol=1e-14, dense_output=True)
+        rng = random.Random(3)
+        times = [0.0, *sorted(rng.uniform(0.0, 10.0) for _ in range(50)), 10.0]
+        trace = integrate_rectangles(RectangleState(0.0, 0.2, 0.2, 0.6, 0.6), p, times, 1.0)
+        assert len(trace.boxes) == 4 * len(times)
+        for i, t in enumerate(times):
+            u_hi, u_lo, v_hi, v_lo = box_at(trace, i)
+            u_ref, v_ref = sol.sol(t)
+            assert u_hi == u_lo and v_hi == v_lo
+            assert abs(u_hi - u_ref) <= 1e-9 and abs(v_hi - v_ref) <= 1e-9
+
+    def test_a_box_that_trips_reaches_the_samples_up_to_its_last_accepted_time(self):
+        s0, p = RectangleState(0.0, 2.0, 0.0, 1.0, 1.0), mk_params(chi1=10.0)
+        times = [i / 100 for i in range(101)]
+        trace = integrate_rectangles(s0, p, times, 1e-3)
+        assert trace.guard_tripped == "blow_up"
+        reached = len(trace.boxes) // 4
+        assert 1 < reached < len(times)
+        assert times[reached - 1] <= trace.t[-1] < times[reached]
+        assert max(trace.boxes) <= BLOWUP_GUARD
+
+
 class TestOutputGrid:
     @pytest.mark.parametrize("t0, t_end, dt, record_every", [
         (0.25, 5.07, 2e-3, 3), (0.0, 50.0, 1e-3, 10), (-1.0, 2.5, 0.1, 1), (3.0, 3.0 + 1e-9, 1e-11, 7),
@@ -760,7 +747,7 @@ class TestOutputGrid:
     def test_stride_times_are_products_and_the_last_row_is_t_end(self, t0, t_end, dt, record_every):
         s0 = RectangleState(t0, 0.6, 0.4, 0.6, 0.4)
         spacing = dt * record_every
-        trace = integrate_rectangles(s0, coexistence_params(0.1), t_end, spacing)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), (s0.t, t_end), spacing)
         assert trace.t[:-1].tolist() == [t0 + i * spacing for i in range(len(trace.t) - 1)]
         assert trace.t[-1] == t_end
         assert all(a < b for a, b in zip(trace.t, trace.t[1:]))
@@ -770,7 +757,7 @@ class TestOutputGrid:
     def test_zero_length_run_makes_no_rhs_call(self, monkeypatch):
         calls = counting_rhs(monkeypatch)
         s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), 0.0, 1e-2)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), (0.0,), 1e-2)
         assert calls == []
         assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [0.6]
         assert trace.steps == trace.rejected == 0 and trace.guard_tripped is None
@@ -781,7 +768,7 @@ class TestEndsOnTEnd:
         # A running sum of the row spacing drifts off its grid; the row
         # times are products, and the last row is t_end.
         trace = integrate_rectangles(
-            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1), 50.0, 1e-2
+            RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1), (0.0, 50.0), 1e-2
         )
         assert trace.t[-1] == 50.0
         assert len(trace.t) == 5001
@@ -792,7 +779,7 @@ class TestEndsOnTEnd:
         # t_end = 1e-13 is below the plain tolerance 1e-12, which took no step.
         s0 = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
         for record_every in (1, 100):
-            trace = integrate_rectangles(s0, coexistence_params(0.1), 1e-13, dt * record_every)
+            trace = integrate_rectangles(s0, coexistence_params(0.1), (s0.t, 1e-13), dt * record_every)
             assert trace.t[-1] == 1e-13
             assert len(trace.t) == (rows if record_every == 1 else 2)
         assert_close_to_reference(s0, coexistence_params(0.1), 1e-13, dt, 1, ref_dt=dt)
@@ -805,7 +792,7 @@ class TestEndsOnTEnd:
         # size.  From 1.0 the stop tolerance rounds t_stop down to t0.
         s0 = RectangleState(t0, 0.6, 0.4, 0.6, 0.4)
         t_end = t0 + math.ulp(t0)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), t_end, 1e-2)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), (s0.t, t_end), 1e-2)
         assert trace.guard_tripped is None and trace.notes == []
         assert trace.t.tolist() == [t0, t_end]
         assert trace.steps == 1 and trace.rejected == 0
@@ -823,7 +810,7 @@ class TestEndsOnTEnd:
 
         monkeypatch.setattr(ode_bounds, "_error_norm", rejecting)
         s0 = RectangleState(1.0, 0.6, 0.4, 0.6, 0.4)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), 1.0 + 2 * math.ulp(1.0), 1e-2)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), (s0.t, 1.0 + 2 * math.ulp(1.0)), 1e-2)
         assert trace.guard_tripped == "blow_up" and trace.steps == 0
         assert trace.t.tolist() == [1.0] and len(errors) <= 1
         assert any("fell below 4 float spacings of t=1.0" in note for note in trace.notes)
@@ -851,7 +838,7 @@ class TestDivergenceGuard:
         # the step's end time and state.
         p = mk_params(chi1=1e200)
         s0 = RectangleState(0.0, 1.0, 0.0, 0.0, 0.0)
-        trace = integrate_rectangles(s0, p, 1.0, 1e-2)
+        trace = integrate_rectangles(s0, p, (s0.t, 1.0), 1e-2)
         assert trace.guard_tripped == "blow_up"
         assert len(trace.t) == 2 and 0.0 < trace.t[-1] < 1e-199
         assert math.isfinite(trace.u_hi[-1]) and trace.u_hi[-1] <= BLOWUP_GUARD
@@ -863,7 +850,7 @@ class TestDivergenceGuard:
         # while every component stays finite.
         p = mk_params(a1=1e-12)
         s0 = RectangleState(0.0, 0.999e8, 0.0, 0.0, 0.0)
-        trace = integrate_rectangles(s0, p, 1.0, 0.1)
+        trace = integrate_rectangles(s0, p, (s0.t, 1.0), 0.1)
         assert trace.guard_tripped == "blow_up"
         # the first step crosses: the initial state is the last row
         assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [0.999e8]
@@ -876,7 +863,7 @@ class TestDivergenceGuard:
     ], ids=["chi1-10", "coexistence-chi-5"])
     def test_blow_up_trips_in_bounded_work(self, p, s0, t_end, monkeypatch):
         calls = counting_rhs(monkeypatch)
-        trace = integrate_rectangles(s0, p, t_end, 1e-2)
+        trace = integrate_rectangles(s0, p, (s0.t, t_end), 1e-2)
         assert trace.guard_tripped == "blow_up"
         # the first rhs, then six per attempted step
         assert len(calls) == 1 + 6 * (trace.steps + trace.rejected)
@@ -886,9 +873,9 @@ class TestDivergenceGuard:
         # Cut to 50 attempted steps, the run to t = 200 ends early; its rows
         # before the last are the full run's, bit for bit.
         s0, p = RectangleState(0.0, 0.6, 0.4, 0.6, 0.4), coexistence_params(0.1)
-        full = integrate_rectangles(s0, p, 200.0, 1e-2)
+        full = integrate_rectangles(s0, p, (s0.t, 200.0), 1e-2)
         monkeypatch.setattr(ode_bounds, "MAX_STEPS", 50)
-        trace = integrate_rectangles(s0, p, 200.0, 1e-2)
+        trace = integrate_rectangles(s0, p, (s0.t, 200.0), 1e-2)
         assert trace.guard_tripped == "step_budget" and trace.steps + trace.rejected == 50
         assert 0.0 < trace.t[-1] < 200.0 and trace.t[-2] < trace.t[-1] < trace.t[-2] + 1e-2
         for name in ("t", "u_hi", "u_lo", "v_hi", "v_lo"):
@@ -902,7 +889,7 @@ class TestDivergenceGuard:
         # step size can be accepted from it.
         calls = counting_rhs(monkeypatch)
         s0 = RectangleState(0.0, u_hi, 0.4, 0.6, 0.4)
-        trace = integrate_rectangles(s0, coexistence_params(0.1), 200.0, 1e-2)
+        trace = integrate_rectangles(s0, coexistence_params(0.1), (s0.t, 200.0), 1e-2)
         assert trace.guard_tripped == "blow_up"
         assert trace.t.tolist() == [0.0] and trace.u_hi.tolist() == [u_hi]
         assert trace.steps == trace.rejected == 0
@@ -913,7 +900,7 @@ class TestDivergenceGuard:
         # From t = 1 the blow-up at t = 1 + 1e-200 lies within one float
         # spacing of t: the step size collapses instead of t advancing.
         calls = counting_rhs(monkeypatch)
-        trace = integrate_rectangles(RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e200), 2.0, 1e-3)
+        trace = integrate_rectangles(RectangleState(1.0, 1.0, 0.0, 0.0, 0.0), mk_params(chi1=1e200), (1.0, 2.0), 1e-3)
         assert trace.guard_tripped == "blow_up"
         assert trace.t.tolist() == [1.0] and trace.steps == 0
         assert any("fell below 4 float spacings of t=1.0" in note for note in trace.notes)

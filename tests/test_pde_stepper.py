@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -727,22 +728,23 @@ class TestNonnegativity:
         p, grid, uv, cfl, multiple = case
         assert validate_params(p) == []
         ws = pde_stepper._Workspace(p, grid)
-        ws.cfl_safety = cfl  # the step reads its share of the positivity limit here
         src, dst = ws.start(uv)
-        try:
-            pde_stepper._advance(ws, src, dst, 1e6)
-            limit = 1e6
-        except CflViolationError as exc:
-            limit = exc.suggested_dt
-        for dt in (limit, multiple * limit):  # each a step from src into dst
+        # the step's share of the positivity limit, for this example only
+        with mock.patch.object(pde_stepper, "CFL_SAFETY", cfl):
             try:
-                pde_stepper._advance(ws, src, dst, dt)
-            except CflViolationError:
-                assert dt > limit
-                continue
-            assert dt <= limit
-            assert dst.uv.min() >= 0.0
-            assert dst.w.min() >= 0.0
+                pde_stepper._advance(ws, src, dst, 1e6)
+                limit = 1e6
+            except CflViolationError as exc:
+                limit = exc.suggested_dt
+            for dt in (limit, multiple * limit):  # each a step from src into dst
+                try:
+                    pde_stepper._advance(ws, src, dst, dt)
+                except CflViolationError:
+                    assert dt > limit
+                    continue
+                assert dt <= limit
+                assert dst.uv.min() >= 0.0
+                assert dst.w.min() >= 0.0
 
 
 def reference_run(uv, p, grid, cfg, references=()):
