@@ -334,12 +334,12 @@ class TestConfigErrors:
             ("rectangles", "record_every", True),
             ("outputs", "trajectory_csv", 1),
             ("outputs", "summary_json", ""),
-            ("outputs", "trajectory_csv", "a\0b.csv"),
             ("outputs", "check_json", None),
             ("outputs", "steady_json", ["steady.json"]),
             ("outputs", "bounds_json", True),
             ("outputs", "rectangles_csv", 2.0),
             ("outputs", "enclosure_json", {}),
+            ("outputs", "trajectory_csv", "a\0b.csv"),
         ],
     )
     def test_wrong_type_names_the_key(self, tmp_path, capsys, section, key, value):
