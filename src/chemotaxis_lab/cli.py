@@ -22,10 +22,10 @@ import json
 import math
 import os
 import sys
+from itertools import tee
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import hypotheses, steady_states
 from .diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, detect_steady, tail_stats
 from .model import (
     Grid1D,
@@ -35,7 +35,10 @@ from .model import (
     validate_params,
 )
 from .ode_bounds import RectangleState, check_enclosure, integrate_rectangles
-from .steady_states import ConstantState
+
+if TYPE_CHECKING:
+    from .hypotheses import HypothesisReport
+    from .steady_states import ConstantState
 
 ENVELOPE_REL_TOL = 1e-6
 SUMMARY_STEADY_TOL = 1e-4
@@ -263,6 +266,9 @@ def build_initial(doc: dict, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_references(doc: dict, p: ModelParams) -> tuple[tuple[str, ConstantState], ...]:
+    from . import steady_states
+    from .steady_states import ConstantState
+
     entries = doc.get("references", [])
     if not isinstance(entries, list):
         raise ConfigError("references: must be a list")
@@ -322,7 +328,7 @@ def write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n")
 
 
-def _report_doc(rep: hypotheses.HypothesisReport) -> dict:
+def _report_doc(rep: HypothesisReport) -> dict:
     return {
         "holds": rep.holds,
         "margins": [
@@ -333,7 +339,7 @@ def _report_doc(rep: hypotheses.HypothesisReport) -> dict:
     }
 
 
-def _report_line(name: str, rep: hypotheses.HypothesisReport) -> str:
+def _report_line(name: str, rep: HypothesisReport) -> str:
     if rep.holds:
         return f"{name}: holds"
     bad = [m for m in rep.margins if not m.satisfied]
@@ -345,6 +351,8 @@ def _report_line(name: str, rep: hypotheses.HypothesisReport) -> str:
 # subcommands
 
 def cmd_check(args: argparse.Namespace, doc: dict) -> int:
+    from . import hypotheses
+
     p = doc["params"]
     n_dim = args.n_dim
     reports = hypotheses.check_all(p, n_dim)
@@ -376,6 +384,8 @@ def cmd_check(args: argparse.Namespace, doc: dict) -> int:
 
 
 def cmd_steady(args: argparse.Namespace, doc: dict) -> int:
+    from . import steady_states
+
     document: dict[str, Any] = {}
     lines: list[str] = []
     for name, family in steady_states.CONSTANT_FAMILIES.items():
@@ -406,6 +416,8 @@ def cmd_steady(args: argparse.Namespace, doc: dict) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace, doc: dict) -> int:
+    from . import steady_states
+
     grid = _section(doc, "grid")
     u0, v0 = build_initial(doc, grid)
     sup0, mass0 = (float(u0.max()), float(v0.max())), (grid.integrate(u0), grid.integrate(v0))
@@ -432,12 +444,20 @@ def cmd_bounds(args: argparse.Namespace, doc: dict) -> int:
 
 
 def _write_csv(path: Path, header: list[str], cols: list) -> None:
-    """Write the float columns cols under header.  Rows are streamed, not
-    joined into one string of the whole file, which would raise peak
-    memory.  repr() cells need no CSV quoting."""
+    """Write the float columns cols, float64 buffers such as array('d'),
+    under header.  Rows are streamed, not joined into one string of the
+    whole file, which would raise peak memory.  repr() cells need no CSV
+    quoting.  Each bitwise-distinct column is formatted once: a column with
+    the bits of an earlier one reads that one's strings through a tee
+    branch, which zip keeps at most a row behind.  Bits decide, not ==:
+    0.0 == -0.0, and their reprs differ."""
+    words = [memoryview(col).cast("B").cast("Q") for col in cols]  # 64-bit words compare fast, bit for bit
+    first = [next(j for j in range(i + 1) if words[j] == words[i]) for i in range(len(cols))]
+    branches = {j: iter(tee(map(repr, cols[j]), first.count(j))) for j in set(first)}
+    cells = [next(branches[j]) for j in first]
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(r) + "\n" for r in zip(*(map(repr, c) for c in cols)))
+        fh.writelines(",".join(r) + "\n" for r in zip(*cells))
 
 
 def _write_trajectory_csv(path: Path, rec: TrajectoryRecord, distances: dict[str, tuple]) -> None:
@@ -462,6 +482,8 @@ def _envelope_sections(p: ModelParams, rec: TrajectoryRecord) -> dict:
     """Per-family envelope verdicts: the caps predicted from the first
     sample's sup norms and masses, plus violation counters."""
     import numpy as np
+
+    from . import steady_states
 
     series = {
         name: np.asarray(getattr(rec, name)) for name in ("u_max", "v_max", "mass_u", "mass_v")

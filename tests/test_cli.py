@@ -4,8 +4,10 @@ import json
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 from chemotaxis_lab import cli, hypotheses, ode_bounds, steady_states
 from chemotaxis_lab.cli import main
 from chemotaxis_lab.diagnostics import TRAJECTORY_COLUMNS
+from helpers import traced_peak
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -1117,6 +1120,19 @@ def write_trajectory_with_csv_writer(path, rec, distances):
             writer.writerow([repr(x) for x in row])
 
 
+def write_rows_with_repr(path, header, cols):
+    """The row-by-row oracle for cli._write_csv: every cell formatted by a
+    repr call of its own."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(cols[0])):
+            fh.write(",".join(repr(col[i]) for col in cols) + "\n")
+
+
+def nan_with_payload(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0000 | payload))[0]
+
+
 class TestSimulateOutputs:
     @pytest.mark.parametrize(
         "references", [[], ["coexistence"], ["coexistence", "semi_trivial"]]
@@ -1138,6 +1154,59 @@ class TestSimulateOutputs:
         write_trajectory_with_csv_writer(tmp_path / "oracle.csv", rec, distances)
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert len(read_csv_rows(tmp_path / "streamed.csv")) == rec.n_samples + 1
+
+    @pytest.mark.parametrize("cols", [
+        # equal under ==, but each keeps its own repr
+        [[0.0, 1.5, 0.0], [-0.0, 1.5, -0.0], [0.0, 1.5, 0.0]],
+        # distinct bytes, one repr
+        [[nan_with_payload(1), 2.0], [nan_with_payload(2), 2.0], [nan_with_payload(1), 2.0]],
+        [[0.1, 0.2, 0.30000000000000004]],
+        [[1.0], [1.0], [-0.0], [5e-324], [-0.0]],
+        [[0.25, -1e300, float("inf")]] * 3,
+    ], ids=["signed-zeros", "nan-payloads", "single-column", "single-row", "one-column-throughout"])
+    def test_csv_writer_shares_only_bitwise_equal_columns(self, tmp_path, cols):
+        cols = [array("d", col) for col in cols]
+        header = [f"c{i}" for i in range(len(cols))]
+        cli._write_csv(tmp_path / "shared.csv", header, cols)
+        write_rows_with_repr(tmp_path / "oracle.csv", header, cols)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_symmetric_rectangles_csv_matches_repr_rows(self, tmp_path, capsys):
+        # The species of base_params and of this trajectory are symmetric,
+        # so the rectangle's v_hi and v_lo repeat u_hi and u_lo bit for bit.
+        cfg = write_config(tmp_path, {"params": base_params(), "rectangles": {"dt": 0.01, "record_every": 1}})
+        trajectory = tmp_path / "symmetric.csv"
+        trajectory.write_text("t,u_min,u_max,v_min,v_max\n0.0,0.4,0.6,0.4,0.6\n1.0,0.45,0.55,0.45,0.55\n")
+        assert main(["rectangles", "--config", cfg, "--out", str(tmp_path), "--trajectory", str(trajectory)]) == 0
+        capsys.readouterr()
+        s0 = ode_bounds.RectangleState(0.0, 0.6, 0.4, 0.6, 0.4)
+        rect = ode_bounds.integrate_rectangles(s0, cli.load_config(cfg, str(tmp_path))["params"], (0.0, 1.0), 0.01)
+        assert len(rect.t) == 101
+        assert rect.v_hi == rect.u_hi != rect.u_lo == rect.v_lo
+        assert bytes(rect.v_hi) == bytes(rect.u_hi) and bytes(rect.v_lo) == bytes(rect.u_lo)
+        header = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]
+        write_rows_with_repr(tmp_path / "oracle.csv", header, [getattr(rect, c) for c in header])
+        assert (tmp_path / "rectangles.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_csv_writer_streams_shared_columns(self, tmp_path):
+        # The rect-replay shape: 20,001 rows of 5 columns, the last 2
+        # repeating 2 others.  A writer that held a whole column's strings
+        # would raise the peak by at least one column's worth of them.
+        t = array("d", (i * 1e-2 for i in range(20_001)))
+        hi = array("d", (0.5 + 0.1 / (1.0 + x) for x in t))
+        lo = array("d", (0.5 - 0.1 / (1.0 + x) for x in t))
+        cols = [t, hi, lo, array("d", hi), array("d", lo)]
+        header = ["t", "u_hi", "u_lo", "v_hi", "v_lo"]
+        one_column = sum(sys.getsizeof(repr(x)) for x in hi)
+
+        def write():
+            cli._write_csv(tmp_path / "rows.csv", header, cols)
+
+        write()
+        _, peak = traced_peak(write)
+        assert peak < one_column
+        write_rows_with_repr(tmp_path / "oracle.csv", header, cols)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_zero_horizon_single_row(self, tmp_path, capsys):
         doc = base_config()

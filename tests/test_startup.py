@@ -1,7 +1,8 @@
 """Start-up contract: SciPy's LAPACK extension is loaded only when a PDE
 step runs, and the scipy package is never imported for it; NumPy is
-imported only when a subcommand builds arrays; and the benchmark's tracer
-still reaches every layer it wraps.
+imported only when a subcommand builds arrays; the formula modules
+hypotheses and steady_states only when a subcommand reads them; and the
+benchmark's tracer still reaches every layer it wraps.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported SciPy long before.
@@ -45,8 +46,9 @@ TRAJECTORY = (
 )
 
 # Runs cli.main on sys.argv[2:] and reports whether NumPy and SciPy got
-# imported; the first argument is a comma-separated list of the modules to
-# make unimportable beforehand, empty for none.
+# imported, and which of the package's modules; the first argument is a
+# comma-separated list of the modules to make unimportable beforehand,
+# empty for none.
 MAIN = (
     "import sys\n"
     "for name in filter(None, sys.argv.pop(1).split(',')):\n"
@@ -55,6 +57,8 @@ MAIN = (
     "code = main(sys.argv[1:])\n"
     "for name in ('numpy', 'scipy'):\n"
     "    print(f'{name} imported:', sys.modules.get(name) is not None, file=sys.stderr)\n"
+    "package = sorted(m for m in sys.modules if m.split('.')[0] == 'chemotaxis_lab')\n"
+    "print('package modules:', package, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -174,6 +178,33 @@ class TestNumpyFreeSubcommands:
         proc = python("-c", MAIN, "", command, "--config", cfg, "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "numpy imported: True" in proc.stderr
+
+
+class TestFormulaModules:
+    """hypotheses is imported by check alone, and steady_states by the
+    subcommands that evaluate a state or bound formula: a rectangle run
+    compiles neither, and simulate never compiles hypotheses."""
+
+    CORE = ("cli", "diagnostics", "model", "ode_bounds")
+    STEPPER = ("_lapack", "elliptic", "pde_stepper")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("check", ("hypotheses", "steady_states")),
+        ("steady", ("steady_states",)),
+        ("bounds", ("steady_states",)),
+        ("simulate", (*STEPPER, "steady_states")),
+        ("rectangles", STEPPER),
+        ("rectangles --trajectory", ()),
+    ])
+    def test_subcommand_imports_the_package_modules_it_uses(self, tmp_path, command, extra):
+        cfg, traj = write_inputs(tmp_path)
+        argv = [command.split()[0], "--config", cfg, "--out", str(tmp_path / "out")]
+        if command.endswith("--trajectory"):
+            argv += ["--trajectory", traj]
+        proc = python("-c", MAIN, "", *argv)
+        assert proc.returncode == 0, proc.stderr
+        want = sorted(["chemotaxis_lab", *(f"chemotaxis_lab.{m}" for m in (*self.CORE, *extra))])
+        assert f"package modules: {want}" in proc.stderr.splitlines()
 
 
 def load_tracer():
